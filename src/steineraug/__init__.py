@@ -8,8 +8,8 @@ The package computes, for a weighted undirected graph with a terminal set:
 - a minimum-weight augmentation raising Steiner connectivity to a target
   tau (external star, augmentation chains, random matchings);
 - a complete splitting-off of an external vertex under per-vertex degree
-  budgets (heavy-path flow networks, degree-constrained chains, surrogate
-  matchings);
+  budgets (heavy-path flow networks, the same chain scheduler over the
+  external phase's ledger, surrogate matchings);
 - exponential-time oracles that certify all of the above on small graphs.
 """
 
@@ -22,10 +22,10 @@ from .forest import LaminarForest, ForestNode, PathSumTree, HeavyPathDecompositi
 from .supreme import supreme_forest, perturb, find_supreme_candidates, postprocess
 from .external import ExternalSolution, external_augment, make_even, \
     augmentation_lower_bound
-from .chains import run_chains
+from .chains import ChainScheduler, Slot, run_chains
 from .matching import build_K, augment_by_one, is_feasible_partial
 from .deg_external import check_feasibility, deg_external_augment
-from .deg_chains import DegChainScheduler, split_off_chains
+from .deg_chains import split_off_chains
 from .deg_matching import find_surrogates, deg_augment_by_one
 from .pipeline import RejectedInstanceError, augment_pipeline, splitoff_pipeline
 

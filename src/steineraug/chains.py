@@ -1,19 +1,25 @@
-"""Greedy augmentation-chain phase for the unconstrained problem.
+"""Augmentation-chain phase, shared by augmentation and splitting-off.
 
-Repeatedly threads a chain of edges through all maximal supreme sets of
-demand >= 2 (the two minimum-cut-value sets at the ends), applies as many
-copies as possible in one batch, and patches the chain when an endpoint
-budget empties, a root's demand drops below 2, or a node deletion fires.
-Stops when every root has demand <= 1, i.e. connectivity tau-1.
+A chain threads one edge between consecutive maximal supreme sets of
+demand >= 2 (the live forest roots), with the two roots of least c at
+its ends.  Every edge end spends one unit of an *endpoint slot*: a
+budget (`remaining`) at a `vertex` whose use raises the c values on the
+root path of the slot's `node`; within a root, vacant slots are spent in
+`key` order.  Optimal augmentation has one slot per budgeted terminal
+(budget_slots); splitting-off has one per ledger entry of the external
+phase (deg_chains).  Chain ends always lie under different roots, so an
+edge raises exactly the two root paths of its ends.
 
-Batch sizes come from the lazy expiration formulas t_F = min(t1,t2,t3);
-the step-by-step simulator expiration_bruteforce is the differential
-reference for them.
+Each batch commits t_F = min(t1, t2, t3) copies of the chain: t1 is
+when a slot runs dry, t2 when a root reaches demand 1, t3 when a node's
+c meets a child's (the node is then deleted).  The chain is rebuilt
+after every batch; the phase stops when every root has demand <= 1,
+i.e. connectivity tau-1.  expiration_bruteforce is the step-by-step
+reference for t_F.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,32 +29,35 @@ from .graph import EdgeAdditions, Graph
 _INF = float("inf")
 
 
+@dataclass(eq=False)
+class Slot:
+    """One endpoint resource; hashed and compared by identity."""
+
+    vertex: int          # where the added edge lands
+    remaining: int       # budget left on the slot
+    node: int            # deepest forest node the endpoint raises
+    key: tuple           # order in which a root's slots are spent
+
+
 @dataclass
-class AugChain:
+class Chain:
     roots: list[int]                      # X1..Xr (forest node ids)
-    a: dict[int, Optional[int]]           # outgoing endpoint vertex per root
-    b: dict[int, Optional[int]]           # incoming endpoint vertex per root
+    a: dict[int, Optional[Slot]]          # outgoing endpoint per root
+    b: dict[int, Optional[Slot]]          # incoming endpoint per root
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(len(self.roots) - 1):
-            out.append((self.a[self.roots[i]], self.b[self.roots[i + 1]]))
-        return out
+        return [(self.a[r].vertex, self.b[s].vertex)
+                for r, s in zip(self.roots, self.roots[1:])]
 
-    def endpoint_uses(self) -> list[tuple[int, int]]:
-        """(vertex, root) per endpoint occurrence; middles appear twice."""
-        uses = []
-        for i, r in enumerate(self.roots):
-            if i > 0:
-                uses.append((self.b[r], r))
-            if i < len(self.roots) - 1:
-                uses.append((self.a[r], r))
-        return uses
+    def uses(self) -> list[Slot]:
+        """Slot per endpoint occurrence; middles appear twice."""
+        return [s for r in self.roots for s in (self.b[r], self.a[r])
+                if s is not None]
 
-    def d_F_vertex(self) -> dict[int, int]:
-        d: dict[int, int] = {}
-        for (v, _) in self.endpoint_uses():
-            d[v] = d.get(v, 0) + 1
+    def d_F(self) -> dict[Slot, int]:
+        d: dict[Slot, int] = {}
+        for s in self.uses():
+            d[s] = d.get(s, 0) + 1
         return d
 
     def d_F_node(self, r: int) -> int:
@@ -56,31 +65,19 @@ class AugChain:
 
 
 class ChainScheduler:
-    """Owns the forest, the lazily maintained c values, and the budget."""
+    """Owns the forest, the lazily maintained c values and the slots."""
 
-    def __init__(self, g: Graph, forest: LaminarForest, beta: dict[int, int],
-                 tau: int, mode: str = "hld",
-                 event_log: Optional[list] = None) -> None:
+    def __init__(self, g: Graph, forest: LaminarForest, slots: list[Slot],
+                 tau: int, mode: str = "hld") -> None:
         self.g = g
         self.forest = forest
         self.tau = tau
-        self.beta = {v: w for v, w in beta.items() if w > 0}
+        self.slots = sorted(slots, key=lambda s: s.key)
         self.tree = PathSumTree(forest, mode=mode)
         self.out: list[tuple[int, int, int]] = []
-        self.chain: Optional[AugChain] = None
+        self.chain: Optional[Chain] = None
         self.edge_update_count = 0
-        self.event_counts = {"beta": 0, "dem": 0, "delete": 0}
-        self.event_log = event_log
-        # Deepest node containing each terminal (laminar: a chain of nodes).
-        self._lowest: dict[int, int] = {}
-        for i in forest.live():
-            for t in forest.nodes[i].terminals:
-                cur = self._lowest.get(t)
-                if cur is None or (len(forest.nodes[i].terminals)
-                                   < len(forest.nodes[cur].terminals)):
-                    self._lowest[t] = i
-
-    # -- basic accessors --------------------------------------------------
+        self.event_counts = {"slot": 0, "dem": 0, "delete": 0}
 
     def c(self, r: int) -> int:
         return self.tree.value(r)
@@ -88,80 +85,74 @@ class ChainScheduler:
     def dem(self, r: int) -> int:
         return self.tau - self.c(r)
 
-    def lowest_live(self, v: int) -> int:
-        i = self._lowest[v]
-        while self.forest.nodes[i].deleted:
+    def lowest_live(self, i: int) -> Optional[int]:
+        """Deepest live node at or above i; None once all are deleted (a
+        terminal of a deleted root that none of its children holds)."""
+        while i is not None and self.forest.nodes[i].deleted:
             i = self.tree.static_parent[i]
-            assert i is not None, "terminal lost all containing nodes"
         return i
 
-    def vacant_terminals(self, r: int) -> list[int]:
-        return sorted(t for t in self.forest.nodes[r].terminals
-                      if self.beta.get(t, 0) > 0)
+    def remaining_beta(self) -> dict[int, int]:
+        """Budget left per vertex (vertices with none left omitted)."""
+        out: dict[int, int] = {}
+        for s in self.slots:
+            if s.remaining > 0:
+                out[s.vertex] = out.get(s.vertex, 0) + s.remaining
+        return out
 
-    def live_roots_with_demand(self) -> list[int]:
-        return [r for r in self.forest.roots() if self.dem(r) >= 2]
-
-    # -- chain construction ----------------------------------------------
-
-    def _pick_endpoints(self, r: int, need: int) -> list[int]:
-        vac = self.vacant_terminals(r)
-        assert vac, f"demand root {r} has no vacant terminal"
-        if need == 1:
-            return [vac[0]]
-        if self.beta[vac[0]] >= 2:
-            return [vac[0], vac[0]]
-        assert len(vac) >= 2, f"root {r} cannot supply two endpoint slots"
-        return [vac[0], vac[1]]
-
-    def _assemble(self, ordered_roots: list[int]) -> AugChain:
-        a: dict[int, Optional[int]] = {}
-        b: dict[int, Optional[int]] = {}
-        last = len(ordered_roots) - 1
-        for i, r in enumerate(ordered_roots):
-            if i == 0:
-                a[r] = self._pick_endpoints(r, 1)[0]
-                b[r] = None
-            elif i == last:
-                b[r] = self._pick_endpoints(r, 1)[0]
-                a[r] = None
-            else:
-                pick = self._pick_endpoints(r, 2)
-                b[r], a[r] = pick[0], pick[1]
-        return AugChain(ordered_roots, a, b)
-
-    def build_chain(self) -> Optional[AugChain]:
-        roots = self.live_roots_with_demand()
+    def build_chain(self) -> Optional[Chain]:
+        roots = [r for r in self.forest.roots() if self.dem(r) >= 2]
         if not roots:
+            self.chain = None
             return None
-        assert len(roots) >= 2, "a single demand root cannot occur"
+        if len(roots) < 2:
+            raise RuntimeError("a single demand root cannot occur")
+        vacant: dict[int, list[Slot]] = {}
+        for s in self.slots:
+            i = self.lowest_live(s.node) if s.remaining > 0 else None
+            if i is not None:
+                vacant.setdefault(self.forest.root_of(i), []).append(s)
         # X1 = minimum c (ties: lowest id); Xr = second minimum (ties:
         # highest id), so that with all values equal the chain runs in
         # ascending id order end to end.
         end1 = min(roots, key=lambda r: (self.c(r), r))
         end2 = min((r for r in roots if r != end1),
                    key=lambda r: (self.c(r), -r))
-        middle = sorted(set(roots) - {end1, end2})
-        chain = self._assemble([end1] + middle + [end2])
-        self.edge_update_count += len(chain.roots) - 1
+        order = [end1] + sorted(set(roots) - {end1, end2}) + [end2]
+        a: dict[int, Optional[Slot]] = {}
+        b: dict[int, Optional[Slot]] = {}
+        for r in order:
+            vac = vacant.get(r)
+            if not vac:
+                raise RuntimeError(f"demand root {r} has no vacant slot")
+            b[r] = None if r == end1 else vac[0]
+            a[r] = None if r == end2 else vac[0]
+            if r not in (end1, end2) and vac[0].remaining < 2:
+                if len(vac) < 2:
+                    raise RuntimeError(
+                        f"root {r} cannot supply two endpoint slots")
+                a[r] = vac[1]
+        chain = Chain(order, a, b)
+        prev = set(self.chain.edges()) if self.chain is not None else set()
+        self.edge_update_count += len(set(chain.edges()) - prev)
+        self.chain = chain
         return chain
 
     # -- expiration -------------------------------------------------------
 
-    def rates(self, chain: AugChain) -> dict[int, int]:
-        """Per-copy c increment per forest node (live ancestors of the
-        lowest node of each endpoint use)."""
+    def rates(self, chain: Chain) -> dict[int, int]:
+        """Per-copy c increment per forest node (live ancestors of each
+        endpoint use's node)."""
         rate: dict[int, int] = {}
-        for (v, _) in chain.endpoint_uses():
-            i = self.lowest_live(v)
+        for s in chain.uses():
+            i: Optional[int] = self.lowest_live(s.node)
             while i is not None:
                 rate[i] = rate.get(i, 0) + 1
                 i = self.forest.nodes[i].parent
         return rate
 
-    def expiration(self, chain: AugChain) -> int:
-        dfv = chain.d_F_vertex()
-        t1 = min(self.beta[v] // d for v, d in dfv.items())
+    def expiration(self, chain: Chain) -> int:
+        t1 = min(s.remaining // d for s, d in chain.d_F().items())
         # Condition-authoritative form: the last copy allowed is the one
         # after which some root's demand drops below 2.
         t2 = min(-(-(self.tau - 1 - self.c(r)) // chain.d_F_node(r))
@@ -172,148 +163,99 @@ class ChainScheduler:
             for w in self.forest.children(r):
                 rw = rate.get(w, 0)
                 if rr > rw:
-                    gap = self.c(w) - self.c(r)
-                    t3 = min(t3, -(-gap // (rr - rw)))
+                    t3 = min(t3, -(-(self.c(w) - self.c(r)) // (rr - rw)))
         t_f = min(t1, t2, t3)
-        assert t_f >= 1, "chain invalid at birth"
+        if t_f < 1:
+            raise RuntimeError("chain invalid at birth")
         return int(t_f)
 
-    def expiration_bruteforce(self, chain: AugChain) -> int:
+    def expiration_bruteforce(self, chain: Chain) -> int:
         """Eager one-copy-at-a-time simulation of the same stopping rule."""
-        beta = dict(self.beta)
+        d_f = chain.d_F()
+        rem = {s: s.remaining for s in d_f}
         cval = {i: self.c(i) for i in self.forest.live()}
-        dfv = chain.d_F_vertex()
         rate = self.rates(chain)
         t = 0
         while True:
-            if any(beta[v] < d for v, d in dfv.items()):
+            if any(rem[s] < d for s, d in d_f.items()):
                 return t
-            for v, d in dfv.items():
-                beta[v] -= d
+            for s, d in d_f.items():
+                rem[s] -= d
             for i, rr in rate.items():
                 cval[i] += rr
             t += 1
             if any(self.tau - cval[r] <= 1 for r in chain.roots):
                 return t
-            stop = False
-            for r in rate:
-                for w in self.forest.children(r):
-                    if cval[r] >= cval[w]:
-                        stop = True
-            if stop:
+            if any(cval[r] >= cval[w]
+                   for r in rate for w in self.forest.children(r)):
                 return t
 
     # -- application ------------------------------------------------------
 
-    def apply_chain(self, chain: AugChain, t: int) -> list[int]:
-        """Commit t copies; returns the nodes deleted by the c updates."""
+    def apply_chain(self, chain: Chain, t: int) -> list[int]:
+        """Commit t copies and record the events they fire; returns the
+        nodes deleted by the c updates."""
         if t == 0:
             return []
-        for (u, v) in chain.edges():
-            self.out.append((u, v, t))
-        for v, d in chain.d_F_vertex().items():
-            self.beta[v] -= t * d
-            assert self.beta[v] >= 0, "budget underflow"
-        for (u, v) in chain.edges():
-            lu, lv = self.lowest_live(u), self.lowest_live(v)
-            assert self.tree.live_lca(lu, lv) is None, \
-                "chain edge endpoints must lie under different roots"
-            self.tree.path_add_excl_lca(lu, lv, t)
-        # Deletion rule c(R) >= c(W), cascading until stable.
+        d_f = chain.d_F()
+        if any(s.remaining < t * d for s, d in d_f.items()):
+            raise RuntimeError("budget underflow")
+        for s, d in d_f.items():
+            s.remaining -= t * d
+        self.out.extend((u, v, t) for (u, v) in chain.edges())
+        for s in chain.uses():
+            self.tree.root_path_add(self.lowest_live(s.node), t)
+        # Deletion rule c(R) >= c(W); bottom-up, each node sees its
+        # surviving descendants as children.
         deleted = []
-        changed = True
-        while changed:
-            changed = False
-            for i in self.forest.live():
-                for w in self.forest.children(i):
-                    if self.c(i) >= self.c(w):
-                        self.forest.delete_node(i)
-                        deleted.append(i)
-                        changed = True
-                        break
-                if changed:
-                    break
+        for i in self.forest.postorder():
+            if any(self.c(i) >= self.c(w) for w in self.forest.children(i)):
+                self.forest.delete_node(i)
+                deleted.append(i)
+        self.event_counts["slot"] += sum(s.remaining < d
+                                         for s, d in d_f.items())
+        self.event_counts["dem"] += sum(self.dem(r) <= 1 for r in chain.roots
+                                        if r not in deleted)
+        self.event_counts["delete"] += len(deleted)
         return deleted
 
-    # -- patching ---------------------------------------------------------
-
-    def _patch(self, chain: AugChain, deleted: list[int],
-               subtree_snapshot: dict[int, set[int]]) -> Optional[AugChain]:
-        """Repair the chain after a batch, or None for a full rebuild."""
-        ends = {chain.roots[0], chain.roots[-1]}
-        deleted_set = set(deleted)
-        new_roots: list[int] = []
-        for r in chain.roots:
-            if r in deleted_set:
-                if r in ends:
-                    return None
-                # Case 3: replace a deleted root by the sub-chain of the
-                # demand roots that surfaced from its subtree.
-                subs = sorted(x for x in self.forest.roots()
-                              if x in subtree_snapshot[r] and self.dem(x) >= 2)
-                new_roots.extend(subs)
-            elif self.dem(r) <= 1:
-                if r in ends:
-                    return None
-                # Case 2: splice the satisfied root out.
-            else:
-                new_roots.append(r)
-        if len(new_roots) < 2:
-            return None
-        if set(new_roots) != set(self.live_roots_with_demand()):
-            return None
-        # Case 1 is folded in here: endpoints are re-picked for every
-        # root, which in particular replaces exhausted ones.
-        old_edges = set(chain.edges())
-        patched = self._assemble(new_roots)
-        self.edge_update_count += len(set(patched.edges()) - old_edges)
-        return patched
-
-    def _record_events(self, chain: AugChain, deleted: list[int]) -> None:
-        fired_beta = [v for v, d in chain.d_F_vertex().items()
-                      if self.beta[v] < d]
-        fired_dem = [r for r in chain.roots
-                     if r not in set(deleted) and self.dem(r) <= 1]
-        self.event_counts["beta"] += len(fired_beta)
-        self.event_counts["dem"] += len(fired_dem)
-        self.event_counts["delete"] += len(deleted)
-        if self.event_log is not None:
-            self.event_log.append({
-                "beta_exhausted": fired_beta,
-                "demand_satisfied": fired_dem,
-                "deleted": deleted,
-            })
-
-    # -- main loop --------------------------------------------------------
-
     def run(self, check_expiration: bool = False) -> EdgeAdditions:
-        self.chain = self.build_chain()
-        while self.chain is not None:
-            chain = self.chain
+        while (chain := self.build_chain()) is not None:
             t = self.expiration(chain)
             if check_expiration:
                 sim = self.expiration_bruteforce(chain)
                 assert t == sim, f"lazy t_F {t} != simulated {sim}"
-            snapshot = {r: set(self.forest.subtree(r)) for r in chain.roots}
-            deleted = self.apply_chain(chain, t)
-            self._record_events(chain, deleted)
-            patched = self._patch(chain, deleted, snapshot)
-            self.chain = patched if patched is not None else self.build_chain()
+            self.apply_chain(chain, t)
+        n = self.g.n
         for cause, count in self.event_counts.items():
-            assert count <= 3 * self.forest._next_id + self.g.n, \
+            assert count <= 3 * self.forest._next_id + n, \
                 f"event cause {cause} fired {count} times"
-        cap = 16 * self.g.n
-        assert self.edge_update_count <= cap, \
-            f"chain-edge updates {self.edge_update_count} exceed {cap}"
+        total = sum(self.event_counts.values())
+        assert total <= 16 * n, f"chain events {total} exceed {16 * n}"
+        assert self.edge_update_count <= 16 * n, \
+            f"chain-edge updates {self.edge_update_count} exceed {16 * n}"
         # Materialize the lazily maintained values back onto the forest.
         for i in self.forest.live():
             self.forest.nodes[i].c = self.c(i)
         return EdgeAdditions(tuple(self.out)).merged()
 
 
+def budget_slots(forest: LaminarForest, beta: dict[int, int]) -> list[Slot]:
+    """One slot per budgeted terminal, at the deepest live node holding
+    it; budget outside the forest can never be an endpoint."""
+    lowest: dict[int, int] = {}
+    for i in forest.live():
+        for t in forest.nodes[i].terminals:
+            cur = lowest.get(t)
+            if cur is None or (len(forest.nodes[i].terminals)
+                               < len(forest.nodes[cur].terminals)):
+                lowest[t] = i
+    return [Slot(v, w, lowest[v], (v,)) for v, w in sorted(beta.items())
+            if w > 0 and v in lowest]
+
+
 def run_chains(g: Graph, forest: LaminarForest, beta: dict[int, int], tau: int,
-               mode: str = "hld", event_log: Optional[list] = None,
-               check_expiration: bool = False
+               mode: str = "hld", check_expiration: bool = False
                ) -> tuple[EdgeAdditions, ChainScheduler]:
     """Run the chain phase; returns the additions and the final state.
 
@@ -321,7 +263,6 @@ def run_chains(g: Graph, forest: LaminarForest, beta: dict[int, int], tau: int,
     beta is the external solution made even.  Afterwards every live root
     has demand <= 1 and the forest's c values are current.
     """
-    sched = ChainScheduler(g, forest, beta, tau, mode=mode,
-                           event_log=event_log)
-    additions = sched.run(check_expiration=check_expiration)
-    return additions, sched
+    sched = ChainScheduler(g, forest, budget_slots(forest, beta), tau,
+                           mode=mode)
+    return sched.run(check_expiration=check_expiration), sched

@@ -1,307 +1,58 @@
 """Degree-constrained chain phase: split off the external solution.
 
-The scheduler works on the L_high sub-forest (ancestors of the highest
-critical nodes).  Chain endpoints are vacant vertices from the external
-phase's assignment ledger, consumed lower-level-first; each endpoint's
-representative leaf (an L2 node) determines the root path whose c values
-the endpoint raises.  Batches use the same lazy expiration formulas as
-the unconstrained scheduler; every batch ends with at least one
-permanent event (entry exhausted, root demand satisfied, node deleted),
-so the number of batches is linear.
+Runs the shared chain scheduler (chains.ChainScheduler) on the L_high
+sub-forest: the ancestors of the L2 nodes (the highest critical nodes),
+which are its leaves.  Every entry of the external phase's ledger (the
+weight one heavy path placed at one vertex) becomes one endpoint slot.
+Its node is the L2 node the path bottoms out at (upper level) or hangs
+below (lower level); a root spends lower-level slots first, then those
+of shallower paths, then by vertex and path id.  L2 nodes have no
+children in the sub-forest, so they are never deleted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
-from .deg_external import DegAssignment, DegExternalState
-from .forest import LaminarForest, PathSumTree
+from .chains import ChainScheduler, Slot
+from .deg_external import DegExternalState
+from .forest import LaminarForest
 from .graph import EdgeAdditions, Graph
 
-_INF = float("inf")
 
-
-@dataclass
-class LedgerEntry:
-    """One slab of vacant external degree at a vertex."""
-
-    vertex: int
-    remaining: int
-    path_id: int
-    level: Optional[str]
-    path_depth: int
-    rep_leaf: int                     # sub-forest id of the L2 leaf
-
-    def sort_key(self) -> tuple:
-        rank = 0 if self.level == "lower" else 1
-        return (rank, self.path_depth, self.vertex, self.path_id)
-
-
-@dataclass
-class DegChain:
-    roots: list[int]                          # sub-forest node ids
-    a: dict[int, Optional[LedgerEntry]]
-    b: dict[int, Optional[LedgerEntry]]
-
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(len(self.roots) - 1):
-            out.append((self.a[self.roots[i]].vertex,
-                        self.b[self.roots[i + 1]].vertex))
-        return out
-
-    def entry_uses(self) -> list[tuple[LedgerEntry, int]]:
-        uses = []
-        for i, r in enumerate(self.roots):
-            if i > 0:
-                uses.append((self.b[r], r))
-            if i < len(self.roots) - 1:
-                uses.append((self.a[r], r))
-        return uses
-
-    def d_F_entry(self) -> dict[int, int]:
-        d: dict[int, int] = {}
-        for (e, _) in self.entry_uses():
-            d[id(e)] = d.get(id(e), 0) + 1
-        return d
-
-    def d_F_node(self, r: int) -> int:
-        return 1 if r in (self.roots[0], self.roots[-1]) else 2
-
-
-class DegChainScheduler:
-    def __init__(self, g: Graph, state: DegExternalState,
-                 mode: str = "hld", event_log: Optional[list] = None) -> None:
-        self.g = g
-        self.tau = state.tau
-        self.event_log = event_log
-        self.event_counts = {"ledger": 0, "dem": 0, "delete": 0}
-        self.out: list[tuple[int, int, int]] = []
-
-        forest, hld = state.forest, state.hld
-        l2 = {i for i in forest.live() if forest.nodes[i].in_L2}
-        lhigh: set[int] = set()
-        for i in l2:
+def ledger_scheduler(g: Graph, state: DegExternalState,
+                     mode: str = "hld") -> ChainScheduler:
+    """Scheduler over the L_high sub-forest with one slot per ledger entry."""
+    forest, hld = state.forest, state.hld
+    lhigh: set[int] = set()
+    for i in forest.live():
+        if forest.nodes[i].in_L2:
             lhigh.update(forest.ancestors(i))
-        # Sub-forest restricted to L_high (closed under ancestors, so
-        # parenthood is inherited); ids are remapped by from_family.
-        entries = [(forest.nodes[i].terminals, forest.nodes[i].c,
-                    forest.nodes[i].mu_tilde) for i in sorted(lhigh)]
-        self.sub = LaminarForest.from_family(entries)
-        self.sub_of = {forest.nodes[i].terminals: None for i in lhigh}
-        for j in self.sub.live():
-            self.sub_of[self.sub.nodes[j].terminals] = j
-        self.orig_of = {j: i for i in lhigh
-                        for j in [self.sub_of[forest.nodes[i].terminals]]}
-        self.tree = PathSumTree(self.sub, mode=mode)
+    # Closed under ancestors, so parenthood is inherited; from_family
+    # remaps the ids and keeps c and mu_tilde.
+    sub = LaminarForest.from_family(
+        [(forest.nodes[i].terminals, forest.nodes[i].c,
+          forest.nodes[i].mu_tilde) for i in sorted(lhigh)])
+    sub_id = {sub.nodes[j].terminals: j for j in sub.live()}
 
-        # Vacancy ledger from the external phase's assignments.
-        self.ledger: list[LedgerEntry] = []
-        depth_of = {p.id: p.depth for p in hld.paths}
-        for asg in state.assignments:
-            path = hld.paths[asg.path_id]
-            if asg.level == "upper":
-                u_orig = path.nodes[-1]
-                assert forest.nodes[u_orig].in_L2, \
-                    "upper paths must bottom out at an L2 node"
-            else:
-                u_orig = None
-                for anc in forest.ancestors(path.nodes[0]):
-                    if forest.nodes[anc].in_L2:
-                        u_orig = anc
-                        break
-                assert u_orig is not None, "lower path without L2 ancestor"
-            rep = self.sub_of[forest.nodes[u_orig].terminals]
-            self.ledger.append(LedgerEntry(asg.vertex, asg.weight,
-                                           asg.path_id, asg.level,
-                                           depth_of[asg.path_id], rep))
-
-    # -- accessors --------------------------------------------------------
-
-    def c(self, r: int) -> int:
-        return self.tree.value(r)
-
-    def dem(self, r: int) -> int:
-        return self.tau - self.c(r)
-
-    def q_roots(self) -> list[int]:
-        return [r for r in self.sub.roots() if self.c(r) <= self.tau - 2]
-
-    def vacant_entries(self, r: int) -> list[LedgerEntry]:
-        out = [e for e in self.ledger
-               if e.remaining > 0 and self.sub.root_of(e.rep_leaf) == r]
-        out.sort(key=LedgerEntry.sort_key)
-        return out
-
-    def remaining_beta(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for e in self.ledger:
-            if e.remaining > 0:
-                out[e.vertex] = out.get(e.vertex, 0) + e.remaining
-        return out
-
-    # -- chain construction ----------------------------------------------
-
-    def _pick(self, r: int, need: int) -> list[LedgerEntry]:
-        vac = self.vacant_entries(r)
-        assert vac, f"demand root {r} has no vacant degree in its tree"
-        if need == 1:
-            return [vac[0]]
-        if vac[0].remaining >= 2:
-            return [vac[0], vac[0]]
-        assert len(vac) >= 2, f"root {r} cannot supply two endpoint slots"
-        return [vac[0], vac[1]]
-
-    def pick_chain(self) -> Optional[DegChain]:
-        roots = self.q_roots()
-        if not roots:
-            return None
-        assert len(roots) >= 2, "a single demand root cannot occur"
-        end1 = min(roots, key=lambda r: (self.c(r), r))
-        end2 = min((r for r in roots if r != end1),
-                   key=lambda r: (self.c(r), -r))
-        middle = sorted(set(roots) - {end1, end2})
-        ordered = [end1] + middle + [end2]
-        a: dict[int, Optional[LedgerEntry]] = {}
-        b: dict[int, Optional[LedgerEntry]] = {}
-        last = len(ordered) - 1
-        for i, r in enumerate(ordered):
-            if i == 0:
-                a[r], b[r] = self._pick(r, 1)[0], None
-            elif i == last:
-                b[r], a[r] = self._pick(r, 1)[0], None
-            else:
-                pick = self._pick(r, 2)
-                b[r], a[r] = pick[0], pick[1]
-        return DegChain(ordered, a, b)
-
-    # -- expiration -------------------------------------------------------
-
-    def rates(self, chain: DegChain) -> dict[int, int]:
-        rate: dict[int, int] = {}
-        for (e, _) in chain.entry_uses():
-            i: Optional[int] = e.rep_leaf
-            while i is not None:
-                rate[i] = rate.get(i, 0) + 1
-                i = self.sub.nodes[i].parent
-        return rate
-
-    def expiration(self, chain: DegChain) -> int:
-        dfe = chain.d_F_entry()
-        uses = {id(e): e for (e, _) in chain.entry_uses()}
-        t1 = min(uses[k].remaining // d for k, d in dfe.items())
-        t2 = min(-(-(self.tau - 1 - self.c(r)) // chain.d_F_node(r))
-                 for r in chain.roots)
-        rate = self.rates(chain)
-        t3 = _INF
-        for r, rr in rate.items():
-            for w in self.sub.children(r):
-                rw = rate.get(w, 0)
-                if rr > rw:
-                    t3 = min(t3, -(-(self.c(w) - self.c(r)) // (rr - rw)))
-        t_f = min(t1, t2, t3)
-        assert t_f >= 1, "chain invalid at birth"
-        return int(t_f)
-
-    def expiration_bruteforce(self, chain: DegChain) -> int:
-        rem = {id(e): e.remaining for (e, _) in chain.entry_uses()}
-        dfe = chain.d_F_entry()
-        cval = {i: self.c(i) for i in self.sub.live()}
-        rate = self.rates(chain)
-        t = 0
-        while True:
-            if any(rem[k] < d for k, d in dfe.items()):
-                return t
-            for k, d in dfe.items():
-                rem[k] -= d
-            for i, rr in rate.items():
-                cval[i] += rr
-            t += 1
-            if any(self.tau - cval[r] <= 1 for r in chain.roots):
-                return t
-            if any(cval[r] >= cval[w]
-                   for r in rate for w in self.sub.children(r)):
-                return t
-
-    # -- application ------------------------------------------------------
-
-    def apply_and_maintain(self, chain: DegChain, t: int) -> list[int]:
-        if t == 0:
-            return []
-        for (u, v) in chain.edges():
-            self.out.append((u, v, t))
-        dfe = chain.d_F_entry()
-        uses = {id(e): e for (e, _) in chain.entry_uses()}
-        for k, d in dfe.items():
-            uses[k].remaining -= t * d
-            assert uses[k].remaining >= 0, "ledger underflow"
-        for (e, _) in chain.entry_uses():
-            self.tree.root_path_add(e.rep_leaf, t)
-        # Deletion rule for L_high \ L2; L2 nodes are sub-forest leaves,
-        # so the childless check excludes them automatically.
-        deleted = []
-        changed = True
-        while changed:
-            changed = False
-            for i in self.sub.live():
-                for w in self.sub.children(i):
-                    if self.c(i) >= self.c(w):
-                        self.sub.delete_node(i)
-                        deleted.append(i)
-                        changed = True
-                        break
-                if changed:
-                    break
-        return deleted
-
-    def _record(self, chain: DegChain, deleted: list[int]) -> None:
-        dfe = chain.d_F_entry()
-        uses = {id(e): e for (e, _) in chain.entry_uses()}
-        fired_ledger = [uses[k].vertex for k, d in dfe.items()
-                        if uses[k].remaining < d]
-        fired_dem = [r for r in chain.roots
-                     if r not in set(deleted) and self.dem(r) <= 1]
-        self.event_counts["ledger"] += len(fired_ledger)
-        self.event_counts["dem"] += len(fired_dem)
-        self.event_counts["delete"] += len(deleted)
-        if self.event_log is not None:
-            self.event_log.append({"ledger_exhausted": fired_ledger,
-                                   "demand_satisfied": fired_dem,
-                                   "deleted": deleted})
-
-    # -- main loop --------------------------------------------------------
-
-    def run(self, check_expiration: bool = False) -> EdgeAdditions:
-        while True:
-            chain = self.pick_chain()
-            if chain is None:
-                break
-            t = self.expiration(chain)
-            if check_expiration:
-                sim = self.expiration_bruteforce(chain)
-                assert t == sim, f"lazy t_F {t} != simulated {sim}"
-            deleted = self.apply_and_maintain(chain, t)
-            self._record(chain, deleted)
-        cap = 16 * max(self.g.n, 1)
-        total_events = sum(self.event_counts.values())
-        assert total_events <= cap, \
-            f"chain events {total_events} exceed {cap}"
-        for j in self.sub.live():
-            self.sub.nodes[j].c = self.c(j)
-        return EdgeAdditions(tuple(self.out)).merged()
-
-    def demand_one_groups(self) -> list[frozenset[int]]:
-        groups = [self.sub.nodes[r].terminals for r in self.sub.roots()
-                  if self.tau - self.sub.nodes[r].c == 1]
-        groups.sort(key=min)
-        return groups
+    slots = []
+    for asg in state.assignments:
+        path = hld.paths[asg.path_id]
+        if asg.level == "upper":
+            leaf = path.nodes[-1]
+            assert forest.nodes[leaf].in_L2, \
+                "upper paths must bottom out at an L2 node"
+        else:
+            leaf = next((anc for anc in forest.ancestors(path.nodes[0])
+                         if forest.nodes[anc].in_L2), None)
+            assert leaf is not None, "lower path without L2 ancestor"
+        rank = 0 if asg.level == "lower" else 1
+        slots.append(Slot(asg.vertex, asg.weight,
+                          sub_id[forest.nodes[leaf].terminals],
+                          (rank, path.depth, asg.vertex, asg.path_id)))
+    return ChainScheduler(g, sub, slots, state.tau, mode=mode)
 
 
 def split_off_chains(g: Graph, state: DegExternalState, mode: str = "hld",
-                     event_log: Optional[list] = None,
                      check_expiration: bool = False
-                     ) -> tuple[EdgeAdditions, DegChainScheduler]:
-    sched = DegChainScheduler(g, state, mode=mode, event_log=event_log)
-    additions = sched.run(check_expiration=check_expiration)
-    return additions, sched
+                     ) -> tuple[EdgeAdditions, ChainScheduler]:
+    sched = ledger_scheduler(g, state, mode=mode)
+    return sched.run(check_expiration=check_expiration), sched

@@ -5,7 +5,9 @@ minimal Steiner min cuts; their supreme sets are recovered with
 isolating cuts, and inside each supreme set some vertex still holds
 vacant external degree.  The random matching of the unconstrained step
 then runs unchanged, except every matched edge attaches to such a
-surrogate vertex instead of a terminal.
+surrogate vertex instead of a terminal.  When the number of groups is
+odd and no group can pay for two edges, the odd edge instead joins one
+group to vacant degree outside every supreme set.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 from typing import Optional, Sequence
 
 from . import flow
-from .graph import EdgeAdditions, Graph
+from .graph import EdgeAdditions, Graph, add_edges
 from .matching import designated_terminal, match_groups
 
 
@@ -69,7 +71,27 @@ def deg_augment_by_one(g: Graph, tau: int, beta: dict[int, int],
         mu, _ = info[grp]
         return sum(remaining.get(v, 0) for v in mu)
 
+    groups = list(K_prime)
+    odd = EdgeAdditions(())
+    if len(groups) % 2 == 1 and all(budget_inside(k) < 2 for k in groups):
+        # No group can afford both ends of the odd edge between two
+        # groups; retire one group with an edge to spare budget outside
+        # every supreme set instead.
+        inside = frozenset().union(*(info[k][0] for k in groups))
+        spare = sorted(v for v, w in remaining.items()
+                       if w >= 1 and v not in inside)
+        if spare:
+            k = max(groups, key=lambda k: (budget_inside(k), -min(k)))
+            groups.remove(k)
+            u = surrogate(k)
+            consume(k, u)
+            remaining[spare[0]] -= 1
+            odd = EdgeAdditions(((u, spare[0], 1),))
+            g = add_edges(g, odd)
+
     star_vertex = surrogate if check == "surrogate" else designated_terminal
-    return match_groups(g, list(K_prime), tau, rng,
-                        edge_vertex=surrogate, star_vertex=star_vertex,
-                        on_commit=consume, capacity=budget_inside)
+    return odd.combine(match_groups(g, groups, tau, rng,
+                                    edge_vertex=surrogate,
+                                    star_vertex=star_vertex,
+                                    on_commit=consume,
+                                    capacity=budget_inside))

@@ -387,112 +387,43 @@ class PathSumTree:
     (deleted nodes accumulate garbage that is never read).
 
     mode "hld" uses heavy-path intervals over a Fenwick tree (O(log^2 n)
-    per update); mode "naive" walks live parent pointers and is kept as
-    the differential-testing reference.
+    per update); mode "naive" walks the construction-time parent pointers
+    and is kept as the differential-testing reference.
     """
 
-    def __init__(self, f: LaminarForest, init: Optional[dict[int, int]] = None,
-                 mode: str = "hld") -> None:
+    def __init__(self, f: LaminarForest, mode: str = "hld") -> None:
         if mode not in ("hld", "naive"):
             raise ValueError(f"unknown mode {mode!r}")
         self.f = f
         self.mode = mode
-        self.base: dict[int, int] = {}
-        for i in f.live():
-            self.base[i] = (init or {}).get(i, f.nodes[i].c)
+        self.base = {i: f.nodes[i].c for i in f.live()}
         self.static_parent = {i: f.nodes[i].parent for i in f.live()}
-        self.static_depth: dict[int, int] = {}
-        for i in f.live():
-            d = 0
-            u = i
-            while self.static_parent.get(u) is not None:
-                u = self.static_parent[u]
-                d += 1
-            self.static_depth[i] = d
         if mode == "naive":
             self.delta: dict[int, int] = {i: 0 for i in f.live()}
             return
         self.hld = f.heavy_light()
         self.pos: dict[int, int] = {}
-        self.path_lo: dict[int, int] = {}
         cursor = 0
         for p in self.hld.paths:
-            self.path_lo[p.id] = cursor
             for u in p.nodes:
                 self.pos[u] = cursor
                 cursor += 1
         self.fen = _Fenwick(cursor)
 
-    # -- static-topology helpers -----------------------------------------
-
-    def _static_lca(self, a: int, b: int) -> Optional[int]:
-        """LCA in the construction-time topology; None if different trees."""
-        da, db = self.static_depth[a], self.static_depth[b]
-        while da > db:
-            a = self.static_parent[a]
-            da -= 1
-        while db > da:
-            b = self.static_parent[b]
-            db -= 1
-        while a != b:
-            pa, pb = self.static_parent[a], self.static_parent[b]
-            if pa is None or pb is None:
-                return None
-            a, b = pa, pb
-        return a
-
-    def live_lca(self, a: int, b: int) -> Optional[int]:
-        """Deepest live common ancestor in the current (spliced) forest."""
-        z = self._static_lca(a, b)
-        while z is not None and self.f.nodes[z].deleted:
-            z = self.static_parent[z]
-        return z
-
-    # -- updates and reads ------------------------------------------------
-
-    def _add_to_root(self, a: int, stop_exclusive: Optional[int],
-                     delta: int) -> None:
-        """Add delta on the static path a..root, stopping before
-        stop_exclusive (a static ancestor of a, or None for the full path)."""
-        if self.mode == "naive":
-            u = a
-            while u is not None and u != stop_exclusive:
-                self.delta[u] += delta
-                u = self.static_parent[u]
-            return
-        u = a
-        while u is not None and u != stop_exclusive:
-            pid = self.hld.path_of[u]
-            path = self.hld.paths[pid]
-            head = path.nodes[0]
-            # Does stop_exclusive live on this heavy path above u?
-            if (stop_exclusive is not None
-                    and self.hld.path_of.get(stop_exclusive) == pid
-                    and self.pos[stop_exclusive] < self.pos[u]):
-                self.fen.range_add(self.pos[stop_exclusive] + 1, self.pos[u], delta)
-                return
-            self.fen.range_add(self.pos[head], self.pos[u], delta)
-            u = self.static_parent[head]
-
-    def path_add_excl_lca(self, a: int, b: int, delta: int) -> None:
-        """Add delta on the a->b forest path, excluding the LCA; when a and
-        b are in different trees, both full root paths are updated."""
-        for x in (a, b):
-            if self.f.nodes[x].deleted:
-                raise ValueError(f"node {x} is deleted")
-        if a == b:
-            return
-        z = self.live_lca(a, b)
-        # The static walk must stop at the *static* position of the live
-        # LCA (a common static ancestor), so pass it as the exclusive stop.
-        self._add_to_root(a, z, delta)
-        self._add_to_root(b, z, delta)
-
     def root_path_add(self, a: int, delta: int) -> None:
         """Add delta on the full a->root path (a included)."""
         if self.f.nodes[a].deleted:
             raise ValueError(f"node {a} is deleted")
-        self._add_to_root(a, None, delta)
+        u: Optional[int] = a
+        if self.mode == "naive":
+            while u is not None:
+                self.delta[u] += delta
+                u = self.static_parent[u]
+            return
+        while u is not None:
+            head = self.hld.paths[self.hld.path_of[u]].nodes[0]
+            self.fen.range_add(self.pos[head], self.pos[u], delta)
+            u = self.static_parent[head]
 
     def value(self, i: int) -> int:
         if self.f.nodes[i].deleted:
@@ -500,12 +431,3 @@ class PathSumTree:
         if self.mode == "naive":
             return self.base[i] + self.delta[i]
         return self.base[i] + self.fen.point(self.pos[i])
-
-    def child_min(self, i: int) -> Optional[tuple[int, int]]:
-        """(child id, value) minimizing value among live children of i."""
-        best = None
-        for ch in self.f.children(i):
-            v = self.value(ch)
-            if best is None or (v, ch) < best[::-1]:
-                best = (ch, v)
-        return best

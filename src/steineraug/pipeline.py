@@ -51,8 +51,8 @@ def _terminal_components(g: Graph) -> list[list[int]]:
     return comps
 
 
-def augment_pipeline(g: Graph, tau: int, seed: int = 0, base_case: int = 10,
-                     mode: str = "hld") -> tuple[EdgeAdditions, dict]:
+def augment_pipeline(g: Graph, tau: int, seed: int = 0, base_case: int = 10
+                     ) -> tuple[EdgeAdditions, dict]:
     """Minimum-weight edge additions raising Steiner connectivity to tau."""
     if tau < 1:
         raise RejectedInstanceError("target connectivity must be >= 1")
@@ -85,12 +85,12 @@ def augment_pipeline(g: Graph, tau: int, seed: int = 0, base_case: int = 10,
     report["k"] = k
     report["optimum"] = (k + 1) // 2
     even = make_even(sol)
-    chain_adds, sched = run_chains(g, forest, even.beta, tau, mode=mode)
+    chain_adds, sched = run_chains(g, forest, even.beta, tau)
     report["phases"]["chains"] = chain_adds.total_weight
     g1 = add_edges(g, chain_adds)
     K = build_K(forest, tau)
     rng = random.Random(seed ^ 0x5DEECE66D)
-    match_adds = augment_by_one(g1, K, tau, rng, beta=sched.beta)
+    match_adds = augment_by_one(g1, K, tau, rng, beta=sched.remaining_beta())
     report["phases"]["matching"] = match_adds.total_weight
     out = chain_adds.combine(match_adds)
     report["total_weight"] = out.total_weight
@@ -113,8 +113,8 @@ def _remove_vertex(g: Graph, x: int) -> tuple[Graph, dict[int, int]]:
 
 
 def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0,
-                      base_case: int = 10, mode: str = "hld",
-                      check: str = "terminal") -> tuple[EdgeAdditions, dict]:
+                      base_case: int = 10, check: str = "terminal"
+                      ) -> tuple[EdgeAdditions, dict]:
     """Complete splitting-off at x: replace its star by d(x)/2 edges
     preserving the Steiner connectivity."""
     if x in g_with_x.terminals:
@@ -150,7 +150,7 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0,
             state = deg_external_augment(g, tau, beta, forest)
         except InfeasibleBudgetError as exc:
             raise RejectedInstanceError(str(exc)) from exc
-        chain_adds, sched = split_off_chains(g, state, mode=mode)
+        chain_adds, sched = split_off_chains(g, state)
         report["phases"]["chains"] = chain_adds.total_weight
         g1 = add_edges(g, chain_adds)
         rem = sched.remaining_beta()
@@ -159,7 +159,7 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0,
             spare = w - state.wx.get(u, 0)
             if spare:
                 rem[u] = rem.get(u, 0) + spare
-        K_prime = sched.demand_one_groups()
+        K_prime = build_K(sched.forest, tau)
         if steiner_connectivity(g1) < tau:
             rng = random.Random(seed ^ 0x5DEECE66D)
             match_adds = deg_augment_by_one(g1, tau, rem, K_prime, rng,

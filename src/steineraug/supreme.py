@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from . import flow
-from .forest import LaminarForest, PathSumTree
+from .forest import LaminarForest
 from .graph import Graph, contract, is_steiner_cut, projection
 
 PERTURBED_BOUND = 1 << 127
@@ -228,70 +228,21 @@ def _assert_laminar(sets: list[frozenset[int]]) -> None:
                     f"{sorted(sets[j])}")
 
 
-def candidate_cut_values(parents: dict[int, Optional[int]],
-                         sets: list[frozenset[int]], g: Graph,
-                         weights: Optional[Mapping[tuple[int, int], int]] = None,
-                         method: str = "direct") -> list[int]:
-    """Cut value of each candidate set, given the forest over candidates.
-
-    method "direct" evaluates d(X) per set; method "path" uses the
-    paper's attachment scheme: each vertex u hangs off the lowest node
-    containing it, and each edge contributes its weight to the nodes on
-    the l(u)-l(v) forest path excluding their LCA (both full root paths
-    when the two attachment nodes are in different trees).
-    """
-    if method == "direct":
-        coal = g.coalesced() if weights is None else weights
-        out = []
-        for X in sets:
-            side = set(X)
-            out.append(sum(w for (u, v), w in coal.items()
-                           if (u in side) != (v in side)))
-        return out
-    if method != "path":
-        raise ValueError(f"unknown method {method!r}")
-
-    f = LaminarForest()
-    ids: list[int] = []
-    for i, X in enumerate(sets):
-        ids.append(f.add_node(frozenset(X), c=0, parent=parents[i]))
-    # Lowest node containing each vertex: sets are sorted by size upward
-    # in the caller, so scan smallest-first.
-    order = sorted(range(len(sets)), key=lambda i: len(sets[i]))
-    lowest: dict[int, int] = {}
-    for i in order:
-        for u in sets[i]:
-            lowest.setdefault(u, ids[i])
-    tree = PathSumTree(f, init={i: 0 for i in f.live()}, mode="naive")
+def candidate_cut_values(sets: list[frozenset[int]], g: Graph,
+                         weights: Optional[Mapping[tuple[int, int], int]] = None
+                         ) -> list[int]:
+    """Cut value d(X) of each candidate set, under `weights` if given."""
     coal = g.coalesced() if weights is None else weights
-    for (u, v), w in sorted(coal.items()):
-        lu, lv = lowest.get(u), lowest.get(v)
-        if lu == lv:
-            continue
-        if lu is None:
-            tree.root_path_add(lv, w)
-        elif lv is None:
-            tree.root_path_add(lu, w)
-        else:
-            tree.path_add_excl_lca(lu, lv, w)
-    return [tree.value(ids[i]) for i in range(len(sets))]
-
-
-def _build_parents(sets: list[frozenset[int]]) -> dict[int, Optional[int]]:
-    """Parent index per candidate (sets pre-sorted small to large)."""
-    parents: dict[int, Optional[int]] = {}
-    for i, X in enumerate(sets):
-        best = None
-        for j in range(i + 1, len(sets)):
-            if X < sets[j] and (best is None or len(sets[j]) < len(sets[best])):
-                best = j
-        parents[i] = best
-    return parents
+    out = []
+    for X in sets:
+        side = set(X)
+        out.append(sum(w for (u, v), w in coal.items()
+                       if (u in side) != (v in side)))
+    return out
 
 
 def postprocess(candidates: list[frozenset[int]], g: Graph,
-                pg: PerturbedGraph, value_method: str = "direct"
-                ) -> LaminarForest:
+                pg: PerturbedGraph) -> LaminarForest:
     """Three post-order traversals turning candidates into the forest of
     supreme-set terminal projections of g.
 
@@ -306,10 +257,8 @@ def postprocess(candidates: list[frozenset[int]], g: Graph,
     sets = [X for X in sets if is_steiner_cut(g, X)]
 
     live = list(range(len(sets)))
-    values_tilde = candidate_cut_values(_build_parents(sets), sets, g,
-                                        pg.weights, value_method)
-    values_orig = candidate_cut_values(_build_parents(sets), sets, g,
-                                       None, value_method)
+    values_tilde = candidate_cut_values(sets, g, pg.weights)
+    values_orig = candidate_cut_values(sets, g)
 
     def run_traversal(live_idx: list[int], remove_fn) -> list[int]:
         cur = sorted(live_idx, key=lambda i: (len(sets[i]), sorted(sets[i])))
@@ -353,7 +302,6 @@ def postprocess(candidates: list[frozenset[int]], g: Graph,
 
 
 def supreme_forest(g: Graph, seed: int, base_case: int = 10,
-                   value_method: str = "direct",
                    stats: Optional[dict] = None) -> LaminarForest:
     """Full pipeline: perturb, find candidates, postprocess."""
     if len(g.terminals) < 2:
@@ -369,4 +317,4 @@ def supreme_forest(g: Graph, seed: int, base_case: int = 10,
     for layer, total in stats.get("layer_vertices", {}).items():
         cap = 8 * g.n * max(1.0, math.log(max(g.n, 2)))
         assert total <= cap, f"layer {layer} vertex total {total} exceeds {cap}"
-    return postprocess(fam, g, pg, value_method=value_method)
+    return postprocess(fam, g, pg)

@@ -13,8 +13,8 @@ import time
 import pytest
 
 from steineraug import flow, oracle
-from steineraug.chains import ChainScheduler, run_chains
-from steineraug.deg_chains import DegChainScheduler, split_off_chains
+from steineraug.chains import ChainScheduler, budget_slots, run_chains
+from steineraug.deg_chains import ledger_scheduler, split_off_chains
 from steineraug.deg_external import deg_external_augment
 from steineraug.external import external_augment, make_even
 from steineraug.graph import (EdgeAdditions, Graph, add_edges, star_graph,
@@ -73,24 +73,14 @@ def test_02_optimal_augmentation_value():
 
 
 def _chain_batches_no_new_extreme(g, sched, original):
-    chain = sched.build_chain() if isinstance(sched, ChainScheduler) \
-        else sched.pick_chain()
+    chain = sched.build_chain()
     while chain is not None:
         t = sched.expiration(chain)
-        if isinstance(sched, ChainScheduler):
-            snapshot = {r: set(sched.forest.subtree(r)) for r in chain.roots}
-            deleted = sched.apply_chain(chain, t)
-        else:
-            sched.apply_and_maintain(chain, t)
+        sched.apply_chain(chain, t)
         cur = add_edges(g, EdgeAdditions(tuple(sched.out)).merged())
         now = set(oracle.extreme_sets_bruteforce(cur).vertex_sets())
         assert now <= original, now - original
-        if isinstance(sched, ChainScheduler):
-            sched._record_events(chain, deleted)
-            patched = sched._patch(chain, deleted, snapshot)
-            chain = patched if patched is not None else sched.build_chain()
-        else:
-            chain = sched.pick_chain()
+        chain = sched.build_chain()
 
 
 def test_03_no_new_extreme_after_every_batch():
@@ -105,14 +95,15 @@ def test_03_no_new_extreme_after_every_batch():
         forest = supreme_forest(g, seed=idx)
         forest.compute_rdem(tau)
         beta = make_even(external_augment(forest, tau)).beta
-        sched = ChainScheduler(g, forest, dict(beta), tau)
+        sched = ChainScheduler(g, forest, budget_slots(forest, dict(beta)),
+                               tau)
         _chain_batches_no_new_extreme(g, sched, original)
 
         forest2 = supreme_forest(g, seed=idx)
         forest2.compute_rdem(tau)
         big = {u: 4 * tau for u in range(g.n)}
         state = deg_external_augment(g, tau, big, forest2)
-        dsched = DegChainScheduler(g, state)
+        dsched = ledger_scheduler(g, state)
         _chain_batches_no_new_extreme(g, dsched, original)
 
 
@@ -185,38 +176,24 @@ def test_06_lazy_scheduler_differential():
             forest.compute_rdem(tau)
             big = {u: 4 * tau for u in range(g.n)}
             state = deg_external_augment(g, tau, big, forest)
-            sched = DegChainScheduler(g, state, mode=mode)
-            step = sched.pick_chain
+            sched = ledger_scheduler(g, state, mode=mode)
         else:
             forest = supreme_forest(g, seed=idx)
             forest.compute_rdem(tau)
             beta = make_even(external_augment(forest, tau)).beta
-            sched = ChainScheduler(g, forest, beta, tau, mode=mode)
-            step = sched.build_chain
-        chain = step()
+            sched = ChainScheduler(g, forest, budget_slots(forest, beta), tau,
+                                   mode=mode)
+        chain = sched.build_chain()
         while chain is not None:
             t = sched.expiration(chain)
             assert t == sched.expiration_bruteforce(chain), idx
-            if deg_variant:
-                sched.apply_and_maintain(chain, t)
-                live_c = {sched.orig_of[i]: sched.tree.value(i)
-                          for i in sched.sub.live()}
-                mu_of = {o: forest.nodes[o].mu_tilde for o in live_c}
-            else:
-                snapshot = {r: set(sched.forest.subtree(r))
-                            for r in chain.roots}
-                deleted = sched.apply_chain(chain, t)
-                live_c = {i: sched.c(i) for i in sched.forest.live()}
-                mu_of = {i: forest.nodes[i].mu_tilde for i in live_c}
+            sched.apply_chain(chain, t)
+            live_c = {i: sched.c(i) for i in sched.forest.live()}
+            mu_of = {i: sched.forest.nodes[i].mu_tilde for i in live_c}
             cur = add_edges(g, EdgeAdditions(tuple(sched.out)).merged())
             for i, lazy in live_c.items():
                 assert lazy == oracle.flow_free_cut_value(cur, mu_of[i]), idx
-            if deg_variant:
-                chain = sched.pick_chain()
-            else:
-                sched._record_events(chain, deleted)
-                patched = sched._patch(chain, deleted, snapshot)
-                chain = patched if patched is not None else sched.build_chain()
+            chain = sched.build_chain()
         runs += 1
     assert runs == 1000
 

@@ -1,7 +1,9 @@
 import random
 
+import pytest
+
 from steineraug import oracle
-from steineraug.chains import ChainScheduler, run_chains
+from steineraug.chains import ChainScheduler, budget_slots, run_chains
 from steineraug.external import external_augment, make_even
 from steineraug.graph import EdgeAdditions, add_edges, steiner_connectivity
 from steineraug.supreme import supreme_forest
@@ -19,7 +21,7 @@ def prepared(g, tau, seed=1):
 def test_cyc4_tau4_chain_and_batch():
     g = g_cyc4()
     forest, beta = prepared(g, 4)
-    sched = ChainScheduler(g, forest, beta, 4)
+    sched = ChainScheduler(g, forest, budget_slots(forest, beta), 4)
     chain = sched.build_chain()
     # Ends are the two minimum-c roots (all tie at 2): lowest id first,
     # highest id last, middles ascending -> the chain runs v1..v4.
@@ -31,7 +33,8 @@ def test_cyc4_tau4_chain_and_batch():
     assert sched.expiration_bruteforce(chain) == 1
     sched.apply_chain(chain, 1)
     assert [sched.c(r) for r in chain.roots] == [3, 4, 4, 3]
-    assert {v: w for v, w in sched.beta.items() if w} == {0: 1, 3: 1}
+    assert {v: w for v, w in sched.remaining_beta().items() if w} == \
+        {0: 1, 3: 1}
 
 
 def test_cyc4_tau4_run_to_demand_one():
@@ -39,7 +42,8 @@ def test_cyc4_tau4_run_to_demand_one():
     forest, beta = prepared(g, 4)
     adds, sched = run_chains(g, forest, beta, 4, check_expiration=True)
     assert adds.entries == ((0, 1, 1), (1, 2, 1), (2, 3, 1))
-    assert {v: w for v, w in sched.beta.items() if w} == {0: 1, 3: 1}
+    assert {v: w for v, w in sched.remaining_beta().items() if w} == \
+        {0: 1, 3: 1}
     roots = [r for r in forest.roots() if 4 - forest.nodes[r].c == 1]
     assert sorted(min(forest.nodes[r].terminals) for r in roots) == [0, 3]
 
@@ -51,17 +55,26 @@ def test_path_tau3_single_copy():
     # One chain copy raises both c values to 2 (demand 1); the second
     # unit comes from the matching phase.
     assert adds.entries == ((0, 2, 1),)
-    assert sched.beta == {0: 1, 2: 1}
+    assert sched.remaining_beta() == {0: 1, 2: 1}
 
 
 def test_apply_zero_copies_is_noop():
     g = g_cyc4()
     forest, beta = prepared(g, 4)
-    sched = ChainScheduler(g, forest, beta, 4)
+    sched = ChainScheduler(g, forest, budget_slots(forest, beta), 4)
     chain = sched.build_chain()
     before = [sched.c(r) for r in chain.roots]
     assert sched.apply_chain(chain, 0) == []
     assert [sched.c(r) for r in chain.roots] == before
+
+
+def test_overlong_batch_raises():
+    g = g_cyc4()
+    forest, beta = prepared(g, 4)
+    sched = ChainScheduler(g, forest, budget_slots(forest, beta), 4)
+    chain = sched.build_chain()
+    with pytest.raises(RuntimeError):
+        sched.apply_chain(chain, sched.expiration(chain) + 1)
 
 
 def test_all_demands_low_gives_empty():
@@ -96,7 +109,8 @@ def test_lazy_c_matches_eager_recompute_small_corpus():
             continue
         forest, beta = prepared(g, tau, seed=idx)
         mode = "hld" if idx % 2 == 0 else "naive"
-        sched = EagerCheckedScheduler(g, forest, beta, tau, mode=mode)
+        sched = EagerCheckedScheduler(g, forest, budget_slots(forest, beta),
+                                      tau, mode=mode)
         sched.run(check_expiration=True)
         hits += 1
         # Afterwards: connectivity tau-1 and only demand <= 1 roots.
@@ -113,14 +127,12 @@ def test_no_new_extreme_after_each_batch():
         tau = conn + 2
         forest, beta = prepared(g, tau, seed=idx)
         original = set(oracle.extreme_sets_bruteforce(g).vertex_sets())
-        sched = ChainScheduler(g, forest, beta, tau)
+        sched = ChainScheduler(g, forest, budget_slots(forest, beta), tau)
         chain = sched.build_chain()
         while chain is not None:
             t = sched.expiration(chain)
-            snapshot = {r: set(sched.forest.subtree(r)) for r in chain.roots}
-            deleted = sched.apply_chain(chain, t)
+            sched.apply_chain(chain, t)
             cur = add_edges(g, EdgeAdditions(tuple(sched.out)).merged())
             now = set(oracle.extreme_sets_bruteforce(cur).vertex_sets())
             assert now <= original, (idx, now - original)
-            patched = sched._patch(chain, deleted, snapshot)
-            chain = patched if patched is not None else sched.build_chain()
+            chain = sched.build_chain()

@@ -1,9 +1,10 @@
 from steineraug import oracle
 from steineraug.chains import run_chains
-from steineraug.deg_chains import DegChainScheduler, split_off_chains
+from steineraug.deg_chains import ledger_scheduler, split_off_chains
 from steineraug.deg_external import deg_external_augment
 from steineraug.external import external_augment
 from steineraug.graph import EdgeAdditions, add_edges, steiner_connectivity
+from steineraug.matching import build_K
 from steineraug.supreme import supreme_forest
 
 from conftest import g_split, random_connected
@@ -20,15 +21,15 @@ def test_split_fixture_nonterminal_endpoint():
     # the root containing s must be a nonterminal (v1 or v2).
     g, _ = g_split()
     state = deg_state(g, 5, {0: 0, 1: 2, 2: 2, 3: 2})
-    sched = DegChainScheduler(g, state)
-    chain = sched.pick_chain()
+    sched = ledger_scheduler(g, state)
+    chain = sched.build_chain()
     assert chain is not None
     ends = [chain.a[chain.roots[0]].vertex, chain.b[chain.roots[-1]].vertex]
     assert sorted(ends)[0] in (1, 2)      # nonterminal side
     assert 3 in ends                      # terminal side
     adds = sched.run(check_expiration=True)
     assert adds.total_weight >= 1
-    assert all(sched.dem(r) <= 1 for r in sched.sub.roots())
+    assert all(sched.dem(r) <= 1 for r in sched.forest.roots())
 
 
 def test_no_demand_roots_empty_output():
@@ -36,7 +37,7 @@ def test_no_demand_roots_empty_output():
     state = deg_state(g, 4, beta)      # both roots have demand exactly 1
     adds, sched = split_off_chains(g, state)
     assert adds.entries == ()
-    assert len(sched.demand_one_groups()) == 2
+    assert len(build_K(sched.forest, 4)) == 2
 
 
 def test_ledger_respects_budget_and_connectivity():
@@ -91,17 +92,17 @@ def test_lazy_c_matches_eager_and_no_new_extreme():
         state = deg_state(g, tau, big, seed=idx)
         forest = state.forest
         original = set(oracle.extreme_sets_bruteforce(g).vertex_sets())
-        sched = DegChainScheduler(g, state)
+        sched = ledger_scheduler(g, state)
         while True:
-            chain = sched.pick_chain()
+            chain = sched.build_chain()
             if chain is None:
                 break
             t = sched.expiration(chain)
             assert t == sched.expiration_bruteforce(chain)
-            sched.apply_and_maintain(chain, t)
+            sched.apply_chain(chain, t)
             cur = add_edges(g, EdgeAdditions(tuple(sched.out)).merged())
-            for i in sched.sub.live():
-                mu = forest.nodes[sched.orig_of[i]].mu_tilde
+            for i in sched.forest.live():
+                mu = sched.forest.nodes[i].mu_tilde
                 assert sched.tree.value(i) == \
                     oracle.flow_free_cut_value(cur, mu)
             now = set(oracle.extreme_sets_bruteforce(cur).vertex_sets())

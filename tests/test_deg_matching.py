@@ -3,7 +3,10 @@ import random
 from steineraug.deg_chains import split_off_chains
 from steineraug.deg_external import deg_external_augment
 from steineraug.deg_matching import deg_augment_by_one, find_surrogates
-from steineraug.graph import add_edges, steiner_connectivity
+from steineraug.external import external_augment, make_even
+from steineraug.graph import Graph, add_edges, star_graph, steiner_connectivity
+from steineraug.matching import build_K
+from steineraug.pipeline import splitoff_pipeline
 from steineraug.supreme import supreme_forest
 
 from conftest import g_split, random_connected
@@ -26,7 +29,7 @@ def test_deg_augment_split_fixture():
     forest.compute_rdem(4)
     state = deg_external_augment(g, 4, beta, forest)
     _, sched = split_off_chains(g, state)
-    K_prime = sched.demand_one_groups()
+    K_prime = build_K(sched.forest, 4)
     assert sorted(K_prime, key=min) == [frozenset({0}), frozenset({3})]
     rem = sched.remaining_beta()
     for check in ("terminal", "surrogate"):
@@ -58,7 +61,7 @@ def test_deg_matching_respects_budgets_random():
         state = deg_external_augment(g, tau, big, forest)
         chain_adds, sched = split_off_chains(g, state)
         g1 = add_edges(g, chain_adds) if chain_adds.entries else g
-        K_prime = sched.demand_one_groups()
+        K_prime = build_K(sched.forest, tau)
         if not K_prime or steiner_connectivity(g1) >= tau:
             continue
         rem = sched.remaining_beta()
@@ -69,3 +72,30 @@ def test_deg_matching_respects_budgets_random():
         assert steiner_connectivity(add_edges(g1, adds)) >= tau
         done += 1
     assert done >= 15
+
+
+def test_odd_groups_without_spare_inside_use_outside_budget():
+    """Regression: the chain phase leaves an odd number of demand-1
+    groups, each with one unit of budget inside its supreme set, and
+    one spare unit outside all of them.  The odd edge must go there."""
+    rng = random.Random(1)
+    n = 48
+    edges = [(rng.randrange(v), v, rng.randint(1, 3)) for v in range(1, n)]
+    for _ in range(n):
+        u, v = rng.sample(range(n), 2)
+        edges.append((min(u, v), max(u, v), rng.randint(1, 3)))
+    terminals = rng.sample(range(n), n // 3)
+    g = Graph.build(n, edges, terminals)
+    tau = steiner_connectivity(g) + 3
+    forest = supreme_forest(g, seed=1)
+    forest.compute_rdem(tau)
+    beta = make_even(external_augment(forest, tau)).beta
+    gx, x = star_graph(g, beta)
+
+    adds, report = splitoff_pipeline(gx, x, seed=1)
+    assert adds.total_weight == gx.degree(x) // 2
+    assert "self_loops_dropped" not in report
+    for u in range(g.n):
+        assert adds.degree(u) <= beta.get(u, 0), u
+    assert steiner_connectivity(add_edges(g, adds)) >= \
+        steiner_connectivity(gx)

@@ -150,20 +150,17 @@ def test_path_sum_tree_basics():
         a = next(i for i in f.live() if f.nodes[i].terminals == frozenset({0}))
         b = next(i for i in f.live() if f.nodes[i].terminals == frozenset({1}))
         root = f.roots()[0]
-        t.path_add_excl_lca(a, a, 7)          # no-op
         assert (t.value(a), t.value(b), t.value(root)) == (2, 3, 5)
-        t.path_add_excl_lca(a, b, 1)          # siblings: parent excluded
-        assert (t.value(a), t.value(b), t.value(root)) == (3, 4, 5)
         t.root_path_add(a, 2)
-        assert (t.value(a), t.value(root)) == (5, 7)
+        assert (t.value(a), t.value(root)) == (4, 7)
 
 
 def test_path_sum_tree_cross_tree():
     f = F(({0}, 1), ({1}, 1))
     t = PathSumTree(f, mode="hld")
-    t.path_add_excl_lca(0, 1, 4)              # different trees: both full paths
+    t.root_path_add(0, 4)                     # one root path per tree
+    t.root_path_add(1, 4)
     assert t.value(0) == 5 and t.value(1) == 5
-    assert t.live_lca(0, 1) is None
 
 
 def test_path_sum_tree_differential():
@@ -180,8 +177,9 @@ def test_path_sum_tree_differential():
             if op < 0.45:
                 a, b = rng.choice(live), rng.choice(live)
                 d = rng.randint(1, 3)
-                ta.path_add_excl_lca(a, b, d)
-                tb.path_add_excl_lca(a, b, d)
+                for x in (a, b):
+                    ta.root_path_add(x, d)
+                    tb.root_path_add(x, d)
             elif op < 0.8:
                 a, d = rng.choice(live), rng.randint(1, 3)
                 ta.root_path_add(a, d)
@@ -192,7 +190,6 @@ def test_path_sum_tree_differential():
                 fb.delete_node(a)
             for i in fa.live():
                 assert ta.value(i) == tb.value(i), (trial, i)
-                assert ta.live_lca(i, i) == i
 
 
 def test_serialization_runs():

@@ -63,7 +63,8 @@ def test_augment_by_one_cyc4_tau4_tail():
     g1 = add_edges(g, chain_adds)
     K = build_K(forest, 4)
     assert K == [frozenset({0}), frozenset({3})]
-    adds = augment_by_one(g1, K, 4, random.Random(0), beta=sched.beta)
+    adds = augment_by_one(g1, K, 4, random.Random(0),
+                          beta=sched.remaining_beta())
     assert adds.entries == ((0, 3, 1),)
     final = add_edges(g1, adds)
     assert steiner_connectivity(final) == 4
@@ -106,6 +107,7 @@ def test_matching_total_is_half_K_rounded_up():
         chain_adds, sched = run_chains(g, forest, beta, tau)
         g1 = add_edges(g, chain_adds)
         K = build_K(forest, tau)
-        adds = augment_by_one(g1, K, tau, random.Random(idx), beta=sched.beta)
+        adds = augment_by_one(g1, K, tau, random.Random(idx),
+                              beta=sched.remaining_beta())
         assert adds.total_weight == (len(K) + 1) // 2
         assert steiner_connectivity(add_edges(g1, adds)) >= tau

@@ -1,10 +1,14 @@
+import hashlib
+
 import pytest
 
 from steineraug import oracle
+from steineraug.external import external_augment, make_even
 from steineraug.graph import EdgeAdditions, Graph, add_edges, star_graph, \
     steiner_connectivity
 from steineraug.pipeline import (RejectedInstanceError, augment_pipeline,
                                  splitoff_pipeline)
+from steineraug.supreme import supreme_forest
 
 from conftest import g_cyc4, g_path, g_split, random_connected
 
@@ -114,3 +118,46 @@ def test_cross_pipeline_consistency():
         assert steiner_connectivity(add_edges(g, adds)) >= tau
         done += 1
     assert done >= 20
+
+
+def _digest(rows) -> str:
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+def test_augment_output_pin():
+    """Exact outputs on a fixed corpus; a change here is an output change
+    and has to be stated in CHANGES.md."""
+    rows = []
+    for idx in range(40):
+        g = random_connected(idx)
+        conn = steiner_connectivity(g)
+        for bump in (1, 2, 3):
+            tau = conn + bump
+            if tau < 2:
+                continue
+            adds, _ = augment_pipeline(g, tau, seed=idx)
+            rows.append((idx, tau, sorted(adds.merged().entries)))
+    assert len(rows) == 120
+    assert _digest(rows) == "7fba0d4f8991a7a3"
+
+
+def test_splitoff_output_pin():
+    """Exact outputs on test_04-style stars (even optimal external
+    solution as x's star)."""
+    rows = []
+    for idx in range(30):
+        g = random_connected(idx)
+        conn = steiner_connectivity(g)
+        tau = conn + 1 + (idx % 2)
+        if conn < 1 or tau < 2:
+            continue
+        forest = supreme_forest(g, seed=idx)
+        forest.compute_rdem(tau)
+        beta = make_even(external_augment(forest, tau)).beta
+        if len([u for u, w in beta.items() if w > 0]) < 2:
+            continue
+        gx, x = star_graph(g, beta)
+        adds, _ = splitoff_pipeline(gx, x, seed=idx)
+        rows.append((idx, sorted(adds.merged().entries)))
+    assert len(rows) == 30
+    assert _digest(rows) == "4adbca9736dce990"
