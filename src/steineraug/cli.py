@@ -27,6 +27,13 @@ class InputError(ValueError):
     pass
 
 
+def _ints(line: str) -> list[int]:
+    try:
+        return [int(p) for p in line.split()]
+    except ValueError as exc:
+        raise InputError(f"non-integer field in {line!r}") from exc
+
+
 def parse_graph_text(text: str) -> tuple[Graph, Optional[int]]:
     lines = []
     for raw in text.splitlines():
@@ -35,26 +42,24 @@ def parse_graph_text(text: str) -> tuple[Graph, Optional[int]]:
             lines.append(line)
     if not lines:
         raise InputError("empty graph file")
-    head = lines[0].split()
+    head = _ints(lines[0])
     if len(head) not in (3, 4):
         raise InputError("header must be 'n m |T| [tau]'")
-    try:
-        n, m, nt = int(head[0]), int(head[1]), int(head[2])
-        tau = int(head[3]) if len(head) == 4 else None
-    except ValueError as exc:
-        raise InputError(f"bad header: {exc}") from exc
+    n, m, nt = head[:3]
+    tau = head[3] if len(head) == 4 else None
     if len(lines) != 2 + m:
         raise InputError(f"expected {m} edge lines plus a terminal line")
     edges = []
     for line in lines[1:1 + m]:
-        parts = line.split()
+        parts = _ints(line)
         if len(parts) != 3:
             raise InputError(f"bad edge line: {line!r}")
-        u, v, w = (int(p) for p in parts)
-        edges.append((u, v, w))
-    terminals = [int(p) for p in lines[1 + m].split()]
+        edges.append(tuple(parts))
+    terminals = _ints(lines[1 + m])
     if len(terminals) != nt:
         raise InputError(f"expected {nt} terminals, got {len(terminals)}")
+    if len(set(terminals)) < 2:
+        raise InputError("need at least 2 distinct terminals")
     try:
         return Graph.build(n, edges, terminals), tau
     except ValueError as exc:

@@ -63,12 +63,13 @@ def _path_bottom_up(path: HeavyPath) -> list[int]:
 
 
 def _delta_for(state: DegExternalState, top: int, exclude: int) -> int:
-    """rdem(top) minus the rdem of heavy-path heads strictly below it."""
-    f = state.forest
+    """rdem(top) minus the rdem of the outermost heavy-path heads strictly
+    below it; a nested head's demand is already inside its outer head's."""
+    f, path_of = state.forest, state.hld.path_of
     tops = {p.nodes[0] for p in state.hld.paths}
     sub = set(f.subtree(top))
-    below = sum(f.nodes[w].rdem for w in tops
-                if w in sub and w != exclude)
+    below = sum(f.nodes[w].rdem for w in tops if w in sub and w != exclude
+                and path_of[f.nodes[w].parent] == path_of[top])
     return f.nodes[top].rdem - below
 
 

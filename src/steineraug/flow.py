@@ -177,14 +177,15 @@ def earliest_min_cut(g: Graph, A: Iterable[int], B: Iterable[int],
     return res.source_side
 
 
-def latest_min_cut(g: Graph, A: Iterable[int], B: Iterable[int],
-                   weights: Optional[Mapping[tuple[int, int], int]] = None
-                   ) -> frozenset[int]:
-    """A-side-maximal A-B min cut: complement of the sink-reaching set."""
-    res, arcs = _solve_undirected(g, A, B, weights)
+def min_cut_sides(g: Graph, A: Iterable[int], B: Iterable[int],
+                  weights: Optional[Mapping[tuple[int, int], int]] = None
+                  ) -> tuple[frozenset[int], frozenset[int]]:
+    """Minimal A side and minimal B side of the A-B min cuts from one flow:
+    the residual-reachable set and the set residually reaching B, which is
+    `earliest_min_cut(g, B, A)` whichever max flow the kernel returns."""
     B = frozenset(B)
-    # v residually reaches the sink set iff some residual arc path leads
-    # from v into B.  Walk residual arcs backwards from B.
+    res, arcs = _solve_undirected(g, A, B, weights)
+    # Walk residual arcs backwards from B.
     back: dict[int, list[int]] = {v: [] for v in range(g.n)}
     for i, (u, v, c) in enumerate(arcs):
         f = res.flows[i]
@@ -200,7 +201,14 @@ def latest_min_cut(g: Graph, A: Iterable[int], B: Iterable[int],
             if u not in reach_sink:
                 reach_sink.add(u)
                 queue.append(u)
-    return frozenset(range(g.n)) - frozenset(reach_sink)
+    return res.source_side, frozenset(reach_sink)
+
+
+def latest_min_cut(g: Graph, A: Iterable[int], B: Iterable[int],
+                   weights: Optional[Mapping[tuple[int, int], int]] = None
+                   ) -> frozenset[int]:
+    """A-side-maximal A-B min cut: complement of the sink-reaching set."""
+    return frozenset(range(g.n)) - min_cut_sides(g, A, B, weights)[1]
 
 
 def cut_threshold(g: Graph, s: int, phi: int,

@@ -10,6 +10,7 @@ graph together with their cut values and perturbed vertex sets.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -70,61 +71,56 @@ def _contract_weights(weights: Mapping[tuple[int, int], int],
     return out
 
 
-def _partially_overlap(X: frozenset, Y: frozenset) -> bool:
-    return bool(X & Y) and bool(X - Y) and bool(Y - X)
-
-
 def _crossing_repair(sets: list[frozenset[int]], cut_fn) -> list[frozenset[int]]:
     """Remove one set of each partially overlapping pair.
 
     By posi-modularity d(X-Y) <= d(X) or d(Y-X) <= d(Y); the condition
     certifies the removed set non-extreme (hence non-supreme), so every
-    supreme set survives and the result is laminar.
+    supreme set survives and the result is laminar.  A removal creates no
+    crossing, so one pass over pairs i < j meets the same pairs in the
+    same order as a rescan after each removal.  `cut_fn` maps a vertex
+    bitmask to its cut value and is memoized.
     """
     fam = list(dict.fromkeys(sets))
+    masks = [sum(1 << v for v in X) for X in fam]
+    cut = functools.cache(cut_fn)
     removed = [False] * len(fam)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(fam)):
-            if removed[i]:
+    for i, mi in enumerate(masks):
+        if removed[i]:
+            continue
+        for j in range(i + 1, len(fam)):
+            if removed[j]:
                 continue
-            for j in range(i + 1, len(fam)):
-                if removed[j]:
-                    continue
-                X, Y = fam[i], fam[j]
-                if not _partially_overlap(X, Y):
-                    continue
-                if cut_fn(X - Y) <= cut_fn(X):
-                    removed[i] = True
-                else:
-                    removed[j] = True
-                changed = True
+            mj = masks[j]
+            inter = mi & mj
+            if not inter or inter == mi or inter == mj:
+                continue
+            if cut(mi ^ inter) <= cut(mi):
+                removed[i] = True
                 break
-            if changed:
-                break
-    return [fam[i] for i in range(len(fam)) if not removed[i]]
+            removed[j] = True
+    return [X for X, r in zip(fam, removed) if not r]
 
 
 def _base_case(g: Graph, weights: Mapping[tuple[int, int], int]
                ) -> list[frozenset[int]]:
-    """Earliest min cut of every ordered terminal bipartition + repair."""
+    """Earliest min cut of every ordered terminal bipartition + repair,
+    in mask order.  T1 -> T2 and T2 -> T1 are one min-cut problem whose
+    two minimal sides one max flow gives (`flow.min_cut_sides`), so the
+    2^k - 2 ordered bipartitions cost 2^(k-1) - 1 flows."""
     ts = sorted(g.terminals)
     k = len(ts)
-    fam: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    for mask in range(1, (1 << k) - 1):
+    full = (1 << k) - 1
+    sides: dict[int, frozenset[int]] = {}
+    for mask in range(1, 1 << (k - 1)):
         T1 = frozenset(ts[i] for i in range(k) if (mask >> i) & 1)
-        T2 = frozenset(ts) - T1
-        X = flow.earliest_min_cut(g, T1, T2, weights)
-        if X not in seen:
-            seen.add(X)
-            fam.append(X)
+        sides[mask], sides[full ^ mask] = flow.min_cut_sides(
+            g, T1, frozenset(ts) - T1, weights)
+    fam = [sides[mask] for mask in range(1, full)]
 
-    def cut_fn(S: frozenset[int]) -> int:
-        side = set(S)
+    def cut_fn(M: int) -> int:
         return sum(w for (u, v), w in weights.items()
-                   if (u in side) != (v in side))
+                   if ((M >> u) ^ (M >> v)) & 1)
 
     return _crossing_repair(fam, cut_fn)
 
@@ -152,12 +148,14 @@ def _recurse(g: Graph, weights: dict[tuple[int, int], int],
     n_all = stats["n"]
     cap = 64 * max(1, math.ceil(math.log2(max(n_all, 2))))
     T1: Optional[frozenset[int]] = None
+    lam_of: dict[int, dict[int, int]] = {}  # s -> lambda(s, u) in g
     for _ in range(cap):
         s = rng.choice(ts)
         t = rng.choice([u for u in ts if u != s])
-        # Naive cut threshold restricted to terminals: one max flow each.
-        lams = {u: flow.min_cut_value(g, {s}, {u}, weights)
-                for u in ts if u != s}
+        if s not in lam_of:  # naive threshold on terminals, one flow each
+            lam_of[s] = {u: flow.min_cut_value(g, {s}, {u}, weights)
+                         for u in ts if u != s}
+        lams = lam_of[s]
         phi = lams[t]
         cand1 = frozenset({s} | {u for u in ts if u != s and lams[u] >= phi})
         cand2 = frozenset(ts) - cand1
@@ -220,9 +218,11 @@ def find_supreme_candidates(pg: PerturbedGraph, base_case: int = 10,
 
 
 def _assert_laminar(sets: list[frozenset[int]]) -> None:
-    for i in range(len(sets)):
+    masks = [sum(1 << v for v in X) for X in sets]
+    for i, mi in enumerate(masks):
         for j in range(i + 1, len(sets)):
-            if _partially_overlap(sets[i], sets[j]):
+            inter = mi & masks[j]
+            if inter and inter != mi and inter != masks[j]:
                 raise AssertionError(
                     f"candidate family not laminar: {sorted(sets[i])} vs "
                     f"{sorted(sets[j])}")

@@ -139,3 +139,16 @@ def test_env_seed(tmp_path, capsys, monkeypatch):
 def test_bench_command(capsys):
     assert cli.main(["bench", "--sizes", "12", "--repeats", "1"]) == 0
     assert "python" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", [
+    "2 1 2\n0 1 x\n0 1\n",           # non-integer edge field
+    "2 1 2\n0 1 1\n0 y\n",           # non-integer terminal
+    "2 1 2\n0 1 1\n0 0\n",           # repeated terminal, one distinct
+])
+def test_malformed_fields_exit_with_error(tmp_path, capsys, text):
+    with pytest.raises(cli.InputError):
+        cli.parse_graph_text(text)
+    path = write(tmp_path, "g.txt", text)
+    assert cli.main(["augment", path, "--tau", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

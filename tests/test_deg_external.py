@@ -160,3 +160,16 @@ def test_infeasible_budget_rejected():
     forest = ready_forest(g, 3)
     with pytest.raises(InfeasibleBudgetError):
         deg_external_augment(g, 3, {0: 1, 1: 0, 2: 2}, forest)
+
+
+def test_nested_lower_heads_are_not_subtracted_twice():
+    # Root {1,6,7} is an L2 node whose light child {6,7} has a light child
+    # {7}; its path demand must subtract only the outermost heads below.
+    g = random_connected(39)
+    tau = steiner_connectivity(g) + 8
+    forest = ready_forest(g, tau, seed=39)
+    k = external_augment(ready_forest(g, tau, seed=39), tau).total_weight
+    state = deg_external_augment(g, tau, {u: 4 * tau for u in range(g.n)},
+                                 forest)
+    assert state.solution().total_weight == k
+    assert steiner_connectivity(star_graph(g, state.wx)[0]) >= tau

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from steineraug import flow
 from steineraug.flow import (FlowNetwork, NoFiniteCutError, cut_threshold,
                              earliest_min_cut, isolating_cuts,
-                             latest_min_cut, max_flow, min_cut_value)
+                             latest_min_cut, max_flow, min_cut_sides,
+                             min_cut_value)
 from steineraug.graph import cut_value
 
-from conftest import g_cyc4, g_expo, g_path, g_split, random_connected
+from conftest import (g_cyc4, g_cycle, g_expo, g_path, g_split,
+                      random_connected)
 
 
 def test_max_flow_examples():
@@ -83,6 +85,25 @@ def test_earliest_subset_of_latest_and_both_minimum():
                 side = frozenset({a}) | frozenset(sub)
                 if cut_value(g, side) == lam:
                     assert early <= side <= late
+
+
+def test_min_cut_sides_match_earliest_cuts_both_ways():
+    # cyc4 and the unit-weight cycle have many min cuts per bipartition.
+    graphs = [g_path(), g_cyc4(), g_cycle(6), g_expo(5)]
+    graphs += [random_connected(idx, n_max=8) for idx in range(40)]
+    checked = 0
+    for g in graphs:
+        ts = sorted(g.terminals)
+        for r in range(1, len(ts)):
+            for A in itertools.combinations(ts, r):
+                A = frozenset(A)
+                B = frozenset(ts) - A
+                a_side, b_side = min_cut_sides(g, A, B)
+                assert a_side == earliest_min_cut(g, A, B)
+                assert b_side == earliest_min_cut(g, B, A)
+                assert not a_side & b_side
+                checked += 1
+    assert checked > 1000
 
 
 def test_cut_threshold_examples():

@@ -1,8 +1,12 @@
+import itertools
+import random
+
 import pytest
 
-from steineraug import oracle
+from steineraug import flow, oracle
 from steineraug.graph import cut_value
-from steineraug.supreme import perturb, supreme_forest
+from steineraug.supreme import (_base_case, _crossing_repair, perturb,
+                                supreme_forest)
 
 from conftest import g_cyc4, g_expo, g_path, random_connected
 
@@ -64,3 +68,89 @@ def test_needs_two_terminals():
     g = Graph.build(2, [(0, 1, 1)], [0])
     with pytest.raises(ValueError):
         supreme_forest(g, seed=0)
+
+
+def _crossing_repair_restart(sets, cut_fn):
+    """Reference: rescan from the first pair after every removal."""
+    fam = list(dict.fromkeys(sets))
+    removed = [False] * len(fam)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(fam)):
+            if removed[i]:
+                continue
+            for j in range(i + 1, len(fam)):
+                if removed[j]:
+                    continue
+                X, Y = fam[i], fam[j]
+                if not (X & Y and X - Y and Y - X):
+                    continue
+                if cut_fn(X - Y) <= cut_fn(X):
+                    removed[i] = True
+                else:
+                    removed[j] = True
+                changed = True
+                break
+            if changed:
+                break
+    return [fam[i] for i in range(len(fam)) if not removed[i]]
+
+
+def _base_family(g, weights):
+    """Reference: one earliest min cut per ordered terminal bipartition."""
+    ts = sorted(g.terminals)
+    fam = []
+    for mask in range(1, (1 << len(ts)) - 1):
+        T1 = frozenset(t for i, t in enumerate(ts) if (mask >> i) & 1)
+        X = flow.earliest_min_cut(g, T1, frozenset(ts) - T1, weights)
+        if X not in fam:
+            fam.append(X)
+    return fam
+
+
+def _weight_cut(weights):
+    def by_set(S):
+        return sum(w for (u, v), w in weights.items() if (u in S) != (v in S))
+
+    def by_mask(M):
+        return by_set({v for v in range(M.bit_length()) if (M >> v) & 1})
+    return by_set, by_mask
+
+
+def test_crossing_repair_single_pass_matches_restart_random_families():
+    rng = random.Random(7)
+    for trial in range(300):
+        n = rng.randint(2, 9)
+        weights = {(u, v): rng.randint(1, 4)
+                   for u, v in itertools.combinations(range(n), 2)
+                   if rng.random() < 0.6}
+        sets = [frozenset(v for v in range(n) if rng.random() < 0.5)
+                for _ in range(rng.randint(0, 25))]
+        sets = [X for X in sets if X]
+        by_set, by_mask = _weight_cut(weights)
+        assert _crossing_repair(sets, by_mask) == \
+            _crossing_repair_restart(sets, by_set), trial
+
+
+def test_crossing_repair_single_pass_matches_restart_base_families():
+    crossing = 0
+    for idx in range(60):
+        g = random_connected(idx)
+        pg = perturb(g, seed=idx)
+        fam = _base_family(g, pg.weights)
+        by_set, by_mask = _weight_cut(pg.weights)
+        want = _crossing_repair_restart(fam, by_set)
+        crossing += len(want) < len(fam)
+        assert _crossing_repair(fam, by_mask) == want
+        assert _base_case(g, pg.weights) == want
+    assert crossing > 0
+
+
+def test_base_case_one_flow_per_complementary_pair():
+    for idx in range(20):
+        g = random_connected(idx)
+        k = len(g.terminals)
+        before = flow.max_flow_call_count()
+        _base_case(g, perturb(g, seed=idx).weights)
+        assert flow.max_flow_call_count() - before == 2 ** (k - 1) - 1
