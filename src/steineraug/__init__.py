@@ -16,8 +16,8 @@ The package computes, for a weighted undirected graph with a terminal set:
 from .graph import Graph, EdgeAdditions, cut_value, projection, is_steiner_cut, \
     contract, add_edges, steiner_connectivity
 from .flow import FlowNetwork, FlowResult, max_flow, earliest_min_cut, \
-    latest_min_cut, cut_threshold, isolating_cuts, flow_backend_name, \
-    max_flow_call_count, reset_max_flow_call_count
+    isolating_cuts, flow_backend_name, max_flow_call_count, \
+    reset_max_flow_call_count
 from .forest import LaminarForest, ForestNode, PathSumTree, HeavyPathDecomposition
 from .supreme import supreme_forest, perturb, find_supreme_candidates, postprocess
 from .external import ExternalSolution, external_augment, make_even, \

@@ -1,8 +1,8 @@
-"""Pure-Python Dinic max-flow kernel.
+"""Pure-Python Dinic max-flow kernel, the package's only flow kernel.
 
-Reference implementation with unbounded Python integers.  The compiled
-kernel (_dinic_cy) mirrors this routine arc-for-arc so both backends
-produce identical flow assignments; keep the iteration order in sync.
+Capacities are unbounded Python integers.  The arc order and the DFS
+order fix which max flow is returned; the degree-constrained external
+phase reads per-arc flows, so changing either can change outputs.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ import os
 import sys
 from typing import Optional
 
-from . import bench as bench_mod
 from . import oracle
 from .deg_external import InfeasibleBudgetError
 from .graph import EdgeAdditions, Graph
@@ -130,10 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=int, default=None)
     _add_common(p)
 
-    p = sub.add_parser("splitoff", help="split off the external vertex")
+    p = sub.add_parser("splitoff", help="split off the external vertex n-1")
     p.add_argument("graph")
-    p.add_argument("--x", type=int, default=None,
-                   help="external vertex id (default: n-1)")
     _add_common(p)
 
     p = sub.add_parser("supreme", help="print the supreme-set forest")
@@ -149,11 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--tau", type=int, default=None)
     p.add_argument("--oracle-limit", type=int, default=oracle.DEFAULT_LIMIT)
-
-    p = sub.add_parser("bench", help="compare the flow kernels")
-    p.add_argument("--sizes", type=int, nargs="+", default=[30, 60, 100])
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=None)
     return ap
 
 
@@ -192,8 +184,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "splitoff":
         g, _ = load_graph(args.graph)
-        x = args.x if args.x is not None else g.n - 1
-        adds, report = splitoff_pipeline(g, x, seed=seed,
+        adds, report = splitoff_pipeline(g, g.n - 1, seed=seed,
                                          base_case=args.base_case)
         _emit_edges(adds, report, args.format)
         return 0
@@ -229,7 +220,10 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "oracle":
         g, file_tau = load_graph(args.graph)
         tau = args.tau if args.tau is not None else file_tau
-        fam = oracle.extreme_sets_bruteforce(g, limit=args.oracle_limit)
+        try:
+            fam = oracle.extreme_sets_bruteforce(g, limit=args.oracle_limit)
+        except oracle.OracleSizeError as exc:
+            raise InputError(str(exc)) from exc
         out: dict = {"extreme_sets": [{"members": sorted(m), "cut": d}
                                       for (m, d) in fam.sets]}
         if tau is not None and tau >= 2:
@@ -237,12 +231,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 g, tau, limit=args.oracle_limit)
             out["optimal_augmentation"] = (out["optimal_external"] + 1) // 2
         print(json.dumps(out, indent=2, sort_keys=True))
-        return 0
-
-    if args.command == "bench":
-        rows = bench_mod.run_bench(args.sizes, repeats=args.repeats,
-                                   seed=seed)
-        print(bench_mod.format_rows(rows))
         return 0
 
     raise InputError(f"unknown command {args.command}")

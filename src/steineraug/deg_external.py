@@ -158,10 +158,11 @@ def _highest_critical(state: DegExternalState, path: HeavyPath) -> int:
 def process_path(state: DegExternalState, path: HeavyPath) -> None:
     net, meta = build_H(state, path)
     res = flow.max_flow(net)
-    assert res.value == state.tau, \
-        f"path {path.id}: flow value {res.value} != tau {state.tau}"
-    assert res.flows[meta["yx_index"]] == meta["delta"], \
-        "the (y, x) arc must be saturated"
+    if res.value != state.tau:
+        raise RuntimeError(
+            f"path {path.id}: flow value {res.value} != tau {state.tau}")
+    if res.flows[meta["yx_index"]] != meta["delta"]:
+        raise RuntimeError(f"path {path.id}: the (y, x) arc is not saturated")
     state.deltas[path.id] = meta["delta"]
     rm = _highest_critical(state, path)
     mu_m = state.forest.nodes[rm].mu_tilde
@@ -201,7 +202,9 @@ def deg_external_augment(g: Graph, tau: int, beta: dict[int, int],
         process_path(state, path)
     total = sum(state.wx.values())
     want = sum(forest.nodes[r].rdem for r in forest.roots())
-    assert total == want, f"total {total} != optimum {want}"
+    if total != want:
+        raise RuntimeError(f"total {total} != optimum {want}")
     for u, w in state.wx.items():
-        assert w <= beta.get(u, 0), f"budget exceeded at {u}"
+        if w > beta.get(u, 0):
+            raise RuntimeError(f"budget exceeded at {u}")
     return state

@@ -1,10 +1,8 @@
 """Maximum-flow engine and derived cut primitives.
 
-The solver is a blocking-flow (Dinic) kernel behind a narrow interface.
-Two interchangeable kernels exist: a compiled Cython one on int64
-capacities and a pure-Python one on unbounded integers.  The compiled
-kernel is preferred when available and when capacities fit int64 safely;
-perturbed-weight instances route to the Python kernel automatically.
+The solver is the pure-Python blocking-flow (Dinic) kernel in `_dinic`
+behind a narrow interface.  It works on unbounded Python integers, so
+perturbed weights of any size are exact.
 
 A global, atomic invocation counter supports the acceptance call-count
 budget.
@@ -12,7 +10,6 @@ budget.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -21,14 +18,8 @@ from typing import Iterable, Mapping, Optional
 from . import _dinic
 from .graph import Graph
 
-try:
-    from . import _dinic_cy
-except ImportError:  # pragma: no cover - build-environment dependent
-    _dinic_cy = None
-
-#: int64 safety margin for the compiled kernel: the sum of all capacities
-#: (which bounds any flow value and the infinity sentinel) must stay below this.
-_INT64_SAFE = 1 << 62
+#: Read by perfbench/layers.py, which traces a compiled kernel if one is set.
+_dinic_cy = None
 
 _counter_lock = threading.Lock()
 _call_count = 0
@@ -45,11 +36,8 @@ def reset_max_flow_call_count() -> None:
 
 
 def flow_backend_name() -> str:
-    """Which kernel a small-capacity instance would use."""
-    forced = os.environ.get("STEINERAUG_FLOW_BACKEND")
-    if forced == "py" or _dinic_cy is None:
-        return "python"
-    return "compiled"
+    """The kernel's name; perfbench/run.py records it in every run."""
+    return "python"
 
 
 INF = None  # sentinel for infinite capacity in FlowNetwork arcs
@@ -88,17 +76,7 @@ class NoFiniteCutError(ValueError):
 
 
 def _kernel_for(total_cap: int):
-    forced = os.environ.get("STEINERAUG_FLOW_BACKEND")
-    if forced == "py":
-        return _dinic.max_flow_kernel
-    if forced == "c":
-        if _dinic_cy is None:
-            raise RuntimeError("compiled flow kernel not available")
-        if total_cap >= _INT64_SAFE:
-            raise RuntimeError("capacities exceed the compiled kernel's range")
-        return _dinic_cy.max_flow_kernel
-    if _dinic_cy is not None and total_cap < _INT64_SAFE:
-        return _dinic_cy.max_flow_kernel
+    # A module-level seam: perfbench/layers.py wraps it to trace the kernel.
     return _dinic.max_flow_kernel
 
 
@@ -202,35 +180,6 @@ def min_cut_sides(g: Graph, A: Iterable[int], B: Iterable[int],
                 reach_sink.add(u)
                 queue.append(u)
     return res.source_side, frozenset(reach_sink)
-
-
-def latest_min_cut(g: Graph, A: Iterable[int], B: Iterable[int],
-                   weights: Optional[Mapping[tuple[int, int], int]] = None
-                   ) -> frozenset[int]:
-    """A-side-maximal A-B min cut: complement of the sink-reaching set."""
-    return frozenset(range(g.n)) - min_cut_sides(g, A, B, weights)[1]
-
-
-def cut_threshold(g: Graph, s: int, phi: int,
-                  weights: Optional[Mapping[tuple[int, int], int]] = None,
-                  candidates: Optional[Iterable[int]] = None) -> frozenset[int]:
-    """ct(s, phi) = {s} union {t : lambda(s, t) >= phi}.
-
-    Implemented naively with one max flow per candidate vertex; the
-    sub-quadratic threshold algorithm is out of scope.  `candidates`
-    restricts the vertices tested (callers that only need terminals).
-    """
-    if candidates is None:
-        candidates = range(g.n)
-    out = {s}
-    if phi <= 0:
-        return frozenset(candidates) | out
-    for t in candidates:
-        if t == s:
-            continue
-        if min_cut_value(g, {s}, {t}, weights) >= phi:
-            out.add(t)
-    return frozenset(out)
 
 
 def isolating_cuts(g: Graph, parts: list[frozenset[int]]

@@ -22,9 +22,14 @@ HARD_CAP = 16
 DEFAULT_LIMIT = 12
 
 
+class OracleSizeError(ValueError):
+    """The graph has more vertices than the oracle's size limit."""
+
+
 def _check_size(g: Graph, limit: int) -> None:
     if g.n > min(limit, HARD_CAP):
-        raise ValueError(f"oracle size limit exceeded: n={g.n} > {min(limit, HARD_CAP)}")
+        raise OracleSizeError(
+            f"oracle size limit exceeded: n={g.n} > {min(limit, HARD_CAP)}")
 
 
 def _all_cut_values(g: Graph) -> list[int]:

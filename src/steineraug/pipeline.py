@@ -107,8 +107,6 @@ def _remove_vertex(g: Graph, x: int) -> tuple[Graph, dict[int, int]]:
             beta[other] = beta.get(other, 0) + w
         else:
             edges.append((u, v, w))
-    if x != g.n - 1:
-        raise RejectedInstanceError("external vertex must be the last id")
     return Graph.build(g.n - 1, edges, sorted(g.terminals)), beta
 
 
@@ -117,6 +115,8 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0,
                       ) -> tuple[EdgeAdditions, dict]:
     """Complete splitting-off at x: replace its star by d(x)/2 edges
     preserving the Steiner connectivity."""
+    if x != g_with_x.n - 1:
+        raise RejectedInstanceError("external vertex must be the last id")
     if x in g_with_x.terminals:
         raise RejectedInstanceError("external vertex must be nonterminal")
     dx = g_with_x.degree(x)
@@ -167,7 +167,8 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0,
             report["phases"]["matching"] = match_adds.total_weight
             for u in list(rem):
                 rem[u] -= match_adds.degree(u)
-                assert rem[u] >= 0
+                if rem[u] < 0:
+                    raise RuntimeError(f"matching exceeded the budget at {u}")
             out = chain_adds.combine(match_adds)
         else:
             out = chain_adds
@@ -201,6 +202,7 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0,
 
     report["total_weight"] = out.total_weight
     report["max_flow_calls"] = flow.max_flow_call_count() - calls_before
-    assert out.total_weight == dx // 2 - dropped // 2, \
-        f"split weight {out.total_weight} != {dx // 2 - dropped // 2}"
+    if out.total_weight != dx // 2 - dropped // 2:
+        raise RuntimeError(
+            f"split weight {out.total_weight} != {dx // 2 - dropped // 2}")
     return out, report

@@ -136,9 +136,20 @@ def test_env_seed(tmp_path, capsys, monkeypatch):
     assert out["report"]["seed"] == 7
 
 
-def test_bench_command(capsys):
-    assert cli.main(["bench", "--sizes", "12", "--repeats", "1"]) == 0
-    assert "python" in capsys.readouterr().out
+CYCLE14 = ("14 14 2 3\n"
+           + "".join(f"{i} {(i + 1) % 14} 1\n" for i in range(14))
+           + "0 7\n")
+
+
+@pytest.mark.parametrize("text,args", [
+    (CYC4, ["--oracle-limit", "-1"]),   # every graph exceeds a negative limit
+    (CYCLE14, []),                      # 14 vertices, default limit 12
+], ids=["negative-limit", "cycle14"])
+def test_oracle_size_limit_is_input_error(tmp_path, capsys, text, args):
+    path = write(tmp_path, "g.txt", text)
+    assert cli.main(["oracle", path] + args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: oracle size limit exceeded")
 
 
 @pytest.mark.parametrize("text", [

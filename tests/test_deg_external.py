@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from steineraug import oracle
+from steineraug import flow, oracle
 from steineraug.deg_external import (DegExternalState, InfeasibleBudgetError,
                                      build_H, check_feasibility,
                                      deg_external_augment, process_path)
@@ -123,6 +123,20 @@ def test_process_paths_path_fixture():
     for path in order:
         process_path(state, path)
     assert state.wx == {0: 2, 2: 2}
+
+
+def test_short_h_network_flow_raises(monkeypatch):
+    # The guard on the H-network flow value must trip, also under -O.
+    state = fresh_state(g_path(), 3, {0: 2, 1: 0, 2: 2})
+    real = flow.max_flow
+
+    def short(net):
+        res = real(net)
+        return flow.FlowResult(res.value - 1, res.flows, res.source_side)
+
+    monkeypatch.setattr(flow, "max_flow", short)
+    with pytest.raises(RuntimeError, match="flow value"):
+        process_path(state, state.hld.paths[0])
 
 
 def test_deg_external_nonterminal_routing():

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from steineraug import oracle
+from steineraug import flow, oracle
 from steineraug.external import external_augment, make_even
 from steineraug.graph import EdgeAdditions, Graph, add_edges, star_graph, \
     steiner_connectivity
@@ -83,6 +83,17 @@ def test_splitoff_rejections():
     g, x = star_graph(base, {0: 2})
     with pytest.raises(RejectedInstanceError):
         splitoff_pipeline(g, x)
+
+
+@pytest.mark.parametrize("x", [9, -1, 1])
+def test_splitoff_rejects_x_other_than_last_id(x):
+    # Vertex 1 of the G_split star is a nonterminal of degree 2, so it
+    # would be a valid external vertex if it had the last id.
+    g, _ = star_graph(*g_split())
+    calls = flow.max_flow_call_count()
+    with pytest.raises(RejectedInstanceError, match="last id"):
+        splitoff_pipeline(g, x)
+    assert flow.max_flow_call_count() == calls
 
 
 def test_splitoff_zero_degree_trivial():
