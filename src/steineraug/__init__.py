@@ -6,7 +6,8 @@ The package computes, for a weighted undirected graph with a terminal set:
   projection), via randomized perturbation, divide and conquer over
   terminal bipartitions, and post-order clean-up traversals;
 - a minimum-weight augmentation raising Steiner connectivity to a target
-  tau (external star, augmentation chains, random matchings);
+  tau (external star, augmentation chains whose c values live on the
+  forest nodes, random matchings);
 - a complete splitting-off of an external vertex under per-vertex degree
   budgets (heavy-path flow networks, the same chain scheduler over the
   external phase's ledger, surrogate matchings);
@@ -18,7 +19,7 @@ from .graph import Graph, EdgeAdditions, cut_value, projection, is_steiner_cut, 
 from .flow import FlowNetwork, FlowResult, max_flow, earliest_min_cut, \
     isolating_cuts, flow_backend_name, max_flow_call_count, \
     reset_max_flow_call_count
-from .forest import LaminarForest, ForestNode, PathSumTree, HeavyPathDecomposition
+from .forest import LaminarForest, ForestNode, HeavyPathDecomposition
 from .supreme import supreme_forest, perturb, find_supreme_candidates, postprocess
 from .external import ExternalSolution, external_augment, make_even, \
     augmentation_lower_bound

@@ -14,8 +14,9 @@ Each batch commits t_F = min(t1, t2, t3) copies of the chain: t1 is
 when a slot runs dry, t2 when a root reaches demand 1, t3 when a node's
 c meets a child's (the node is then deleted).  The chain is rebuilt
 after every batch; the phase stops when every root has demand <= 1,
-i.e. connectivity tau-1.  expiration_bruteforce is the step-by-step
-reference for t_F.
+i.e. connectivity tau-1.  The c values live on the forest nodes and are
+current after every batch: a batch adds t times each node's rate, the
+number of endpoint uses below it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .forest import LaminarForest, PathSumTree
+from .forest import LaminarForest
 from .graph import EdgeAdditions, Graph
 
 _INF = float("inf")
@@ -65,22 +66,24 @@ class Chain:
 
 
 class ChainScheduler:
-    """Owns the forest, the lazily maintained c values and the slots."""
+    """Owns the forest (whose nodes carry the c values) and the slots."""
 
     def __init__(self, g: Graph, forest: LaminarForest, slots: list[Slot],
-                 tau: int, mode: str = "hld") -> None:
+                 tau: int) -> None:
         self.g = g
         self.forest = forest
         self.tau = tau
         self.slots = sorted(slots, key=lambda s: s.key)
-        self.tree = PathSumTree(forest, mode=mode)
+        # Construction-time parents: deletion splices, so from a deleted
+        # node they still lead to its deepest live ancestor.
+        self.static_parent = {i: forest.nodes[i].parent for i in forest.live()}
         self.out: list[tuple[int, int, int]] = []
         self.chain: Optional[Chain] = None
         self.edge_update_count = 0
         self.event_counts = {"slot": 0, "dem": 0, "delete": 0}
 
     def c(self, r: int) -> int:
-        return self.tree.value(r)
+        return self.forest.nodes[r].c
 
     def dem(self, r: int) -> int:
         return self.tau - self.c(r)
@@ -89,7 +92,7 @@ class ChainScheduler:
         """Deepest live node at or above i; None once all are deleted (a
         terminal of a deleted root that none of its children holds)."""
         while i is not None and self.forest.nodes[i].deleted:
-            i = self.tree.static_parent[i]
+            i = self.static_parent[i]
         return i
 
     def remaining_beta(self) -> dict[int, int]:
@@ -169,27 +172,6 @@ class ChainScheduler:
             raise RuntimeError("chain invalid at birth")
         return int(t_f)
 
-    def expiration_bruteforce(self, chain: Chain) -> int:
-        """Eager one-copy-at-a-time simulation of the same stopping rule."""
-        d_f = chain.d_F()
-        rem = {s: s.remaining for s in d_f}
-        cval = {i: self.c(i) for i in self.forest.live()}
-        rate = self.rates(chain)
-        t = 0
-        while True:
-            if any(rem[s] < d for s, d in d_f.items()):
-                return t
-            for s, d in d_f.items():
-                rem[s] -= d
-            for i, rr in rate.items():
-                cval[i] += rr
-            t += 1
-            if any(self.tau - cval[r] <= 1 for r in chain.roots):
-                return t
-            if any(cval[r] >= cval[w]
-                   for r in rate for w in self.forest.children(r)):
-                return t
-
     # -- application ------------------------------------------------------
 
     def apply_chain(self, chain: Chain, t: int) -> list[int]:
@@ -203,8 +185,8 @@ class ChainScheduler:
         for s, d in d_f.items():
             s.remaining -= t * d
         self.out.extend((u, v, t) for (u, v) in chain.edges())
-        for s in chain.uses():
-            self.tree.root_path_add(self.lowest_live(s.node), t)
+        for i, rate in self.rates(chain).items():
+            self.forest.nodes[i].c += t * rate
         # Deletion rule c(R) >= c(W); bottom-up, each node sees its
         # surviving descendants as children.
         deleted = []
@@ -219,13 +201,9 @@ class ChainScheduler:
         self.event_counts["delete"] += len(deleted)
         return deleted
 
-    def run(self, check_expiration: bool = False) -> EdgeAdditions:
+    def run(self) -> EdgeAdditions:
         while (chain := self.build_chain()) is not None:
-            t = self.expiration(chain)
-            if check_expiration:
-                sim = self.expiration_bruteforce(chain)
-                assert t == sim, f"lazy t_F {t} != simulated {sim}"
-            self.apply_chain(chain, t)
+            self.apply_chain(chain, self.expiration(chain))
         n = self.g.n
         for cause, count in self.event_counts.items():
             assert count <= 3 * self.forest._next_id + n, \
@@ -234,9 +212,6 @@ class ChainScheduler:
         assert total <= 16 * n, f"chain events {total} exceed {16 * n}"
         assert self.edge_update_count <= 16 * n, \
             f"chain-edge updates {self.edge_update_count} exceed {16 * n}"
-        # Materialize the lazily maintained values back onto the forest.
-        for i in self.forest.live():
-            self.forest.nodes[i].c = self.c(i)
         return EdgeAdditions(tuple(self.out)).merged()
 
 
@@ -254,15 +229,13 @@ def budget_slots(forest: LaminarForest, beta: dict[int, int]) -> list[Slot]:
             if w > 0 and v in lowest]
 
 
-def run_chains(g: Graph, forest: LaminarForest, beta: dict[int, int], tau: int,
-               mode: str = "hld", check_expiration: bool = False
+def run_chains(g: Graph, forest: LaminarForest, beta: dict[int, int], tau: int
                ) -> tuple[EdgeAdditions, ChainScheduler]:
     """Run the chain phase; returns the additions and the final state.
 
     The forest must have rdem computed (nodes with c >= tau contracted);
     beta is the external solution made even.  Afterwards every live root
-    has demand <= 1 and the forest's c values are current.
+    has demand <= 1.
     """
-    sched = ChainScheduler(g, forest, budget_slots(forest, beta), tau,
-                           mode=mode)
-    return sched.run(check_expiration=check_expiration), sched
+    sched = ChainScheduler(g, forest, budget_slots(forest, beta), tau)
+    return sched.run(), sched

@@ -73,17 +73,22 @@ def load_graph(path: str) -> tuple[Graph, Optional[int]]:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def load_solution(path: str) -> EdgeAdditions:
+def load_solution(path: str, n: int) -> EdgeAdditions:
+    """Solution edges over vertices 0..n-1."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read solution {path}: {exc}") from exc
     try:
-        entries = tuple((int(e["u"]), int(e["v"]), int(e["w"])) for e in data)
+        adds = EdgeAdditions(tuple((int(e["u"]), int(e["v"]), int(e["w"]))
+                                   for e in data))
     except (TypeError, KeyError, ValueError) as exc:
         raise InputError(f"bad solution entries: {exc}") from exc
-    return EdgeAdditions(entries)
+    for (u, v, w) in adds.entries:
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"solution endpoint out of range: {(u, v, w)}")
+    return adds
 
 
 def edges_json(adds: EdgeAdditions) -> list[dict]:
@@ -206,7 +211,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "verify":
         g, file_tau = load_graph(args.graph)
         tau = _resolve_tau(args.tau, file_tau)
-        adds = load_solution(args.solution)
+        adds = load_solution(args.solution, g.n)
         ok, witness = oracle.verify_solution(g, tau, adds)
         if ok:
             print("PASS")

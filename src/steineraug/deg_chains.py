@@ -18,8 +18,7 @@ from .forest import LaminarForest
 from .graph import EdgeAdditions, Graph
 
 
-def ledger_scheduler(g: Graph, state: DegExternalState,
-                     mode: str = "hld") -> ChainScheduler:
+def ledger_scheduler(g: Graph, state: DegExternalState) -> ChainScheduler:
     """Scheduler over the L_high sub-forest with one slot per ledger entry."""
     forest, hld = state.forest, state.hld
     lhigh: set[int] = set()
@@ -38,21 +37,21 @@ def ledger_scheduler(g: Graph, state: DegExternalState,
         path = hld.paths[asg.path_id]
         if asg.level == "upper":
             leaf = path.nodes[-1]
-            assert forest.nodes[leaf].in_L2, \
-                "upper paths must bottom out at an L2 node"
+            if not forest.nodes[leaf].in_L2:
+                raise RuntimeError("upper paths must bottom out at an L2 node")
         else:
             leaf = next((anc for anc in forest.ancestors(path.nodes[0])
                          if forest.nodes[anc].in_L2), None)
-            assert leaf is not None, "lower path without L2 ancestor"
+            if leaf is None:
+                raise RuntimeError("lower path without L2 ancestor")
         rank = 0 if asg.level == "lower" else 1
         slots.append(Slot(asg.vertex, asg.weight,
                           sub_id[forest.nodes[leaf].terminals],
                           (rank, path.depth, asg.vertex, asg.path_id)))
-    return ChainScheduler(g, sub, slots, state.tau, mode=mode)
+    return ChainScheduler(g, sub, slots, state.tau)
 
 
-def split_off_chains(g: Graph, state: DegExternalState, mode: str = "hld",
-                     check_expiration: bool = False
+def split_off_chains(g: Graph, state: DegExternalState
                      ) -> tuple[EdgeAdditions, ChainScheduler]:
-    sched = ledger_scheduler(g, state, mode=mode)
-    return sched.run(check_expiration=check_expiration), sched
+    sched = ledger_scheduler(g, state)
+    return sched.run(), sched

@@ -29,7 +29,7 @@ class DegAssignment:
     vertex: int
     weight: int
     path_id: int
-    level: Optional[str]
+    level: str
 
 
 @dataclass
@@ -177,25 +177,23 @@ def process_path(state: DegExternalState, path: HeavyPath) -> None:
 
 
 def deg_external_augment(g: Graph, tau: int, beta: dict[int, int],
-                         forest: LaminarForest,
-                         hld: Optional[HeavyPathDecomposition] = None
-                         ) -> DegExternalState:
+                         forest: LaminarForest) -> DegExternalState:
     """Process every heavy path bottom-up; the result is feasible and of
     optimal total value sum(rdem over roots).
 
-    The forest must already have rdem computed for tau.  By default the
-    two-level decomposition (upper paths ending at the highest critical
-    nodes) is used so the assignment records feed the chain phase.
+    The forest must already have rdem computed for tau.  The paths are
+    those of the two-level decomposition (upper paths ending at the
+    highest critical nodes), so the assignment records feed the chain
+    phase.
     """
     if not check_feasibility(g, tau, beta):
         raise InfeasibleBudgetError("budget cannot reach the target")
-    if hld is None:
-        forest.mark_critical(tau)
-        if forest.live():
-            forest.compute_L2_Lhigh()
-            hld = forest.heavy_light(stop_at_l2=True)
-        else:
-            hld = HeavyPathDecomposition([], {})
+    forest.mark_critical(tau)
+    if forest.live():
+        forest.compute_L2_Lhigh()
+        hld = forest.heavy_light()
+    else:
+        hld = HeavyPathDecomposition([], {})
     state = DegExternalState(g, tau, dict(beta), forest, hld)
     order = sorted(hld.paths, key=lambda p: (-p.depth, p.nodes[0]))
     for path in order:

@@ -13,11 +13,11 @@ group to vacant degree outside every supreme set.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import flow
 from .graph import EdgeAdditions, Graph, add_edges
-from .matching import designated_terminal, match_groups
+from .matching import match_groups
 
 
 def find_surrogates(g: Graph, K_prime: Sequence[frozenset[int]],
@@ -43,15 +43,8 @@ def find_surrogates(g: Graph, K_prime: Sequence[frozenset[int]],
 
 def deg_augment_by_one(g: Graph, tau: int, beta: dict[int, int],
                        K_prime: Sequence[frozenset[int]],
-                       rng: random.Random,
-                       check: str = "terminal") -> EdgeAdditions:
-    """Matching step with surrogate endpoints; budget-respecting.
-
-    `check` selects the feasibility certificate's star attachment:
-    "terminal" (the unconstrained form) or "surrogate" (so the
-    certificate itself respects the budget); both accept the same
-    matchings on small instances.
-    """
+                       rng: random.Random) -> EdgeAdditions:
+    """Matching step with surrogate endpoints; budget-respecting."""
     if not K_prime:
         return EdgeAdditions(())
     info = find_surrogates(g, K_prime, beta)
@@ -89,9 +82,7 @@ def deg_augment_by_one(g: Graph, tau: int, beta: dict[int, int],
             odd = EdgeAdditions(((u, spare[0], 1),))
             g = add_edges(g, odd)
 
-    star_vertex = surrogate if check == "surrogate" else designated_terminal
     return odd.combine(match_groups(g, groups, tau, rng,
                                     edge_vertex=surrogate,
-                                    star_vertex=star_vertex,
                                     on_commit=consume,
                                     capacity=budget_inside))

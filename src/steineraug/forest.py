@@ -1,7 +1,7 @@
 """Rooted laminar forest of terminal sets with the tree machinery the
-augmentation schedulers need: rdem DP, critical marking, L2/L_high,
-heavy-light decomposition, node deletion with child reattachment, and a
-path-update structure over node values.
+augmentation schedulers need: rdem DP, critical marking, L2/L_high, the
+two-level heavy-light decomposition of the external phase, and node
+deletion with child reattachment.
 """
 
 from __future__ import annotations
@@ -29,8 +29,10 @@ class LaminarForest:
     """Mutable rooted forest over disjoint-or-nested terminal sets.
 
     Deletion splices a node out (children reattach to the parent), so a
-    survivor's ancestor set only ever shrinks; this is what lets the
-    path-update structure keep using the construction-time topology.
+    survivor's live ancestors are exactly its construction-time ancestors
+    that are still live.  The chain scheduler relies on this: walking the
+    construction-time parents from a deleted node reaches its deepest
+    live ancestor (lowest_live).
     """
 
     def __init__(self) -> None:
@@ -188,8 +190,8 @@ class LaminarForest:
             self.nodes[i].in_L2 = i in l2
         return l2, lhigh
 
-    def heavy_light(self, stop_at_l2: bool = False) -> "HeavyPathDecomposition":
-        return HeavyPathDecomposition.build(self, stop_at_l2=stop_at_l2)
+    def heavy_light(self) -> "HeavyPathDecomposition":
+        return HeavyPathDecomposition.build(self)
 
     # -- serialization ----------------------------------------------------
 
@@ -230,16 +232,16 @@ class HeavyPath:
     id: int
     nodes: list[int]      # top (closest to root) to bottom (a leaf)
     depth: int            # number of heavy paths met walking top -> tree root
-    level: Optional[str]  # None, "upper", or "lower"
+    level: str            # "upper" or "lower"
 
 
 class HeavyPathDecomposition:
-    """Heavy-light decomposition of a laminar forest.
+    """Two-level heavy-light decomposition of a laminar forest.
 
-    In the two-level variant (stop_at_l2), L_high is decomposed on its
-    own (upper level, paths bottoming out at L2 nodes) and each subtree
-    hanging below an L2 node is decomposed separately (lower level).
-    Every live node belongs to exactly one path.
+    L_high is decomposed on its own (upper level, paths bottoming out at
+    L2 nodes) and each subtree hanging below an L2 node is decomposed
+    separately (lower level).  Every live node belongs to exactly one
+    path.
     """
 
     def __init__(self, paths: list[HeavyPath], path_of: dict[int, int]):
@@ -247,19 +249,13 @@ class HeavyPathDecomposition:
         self.path_of = path_of
 
     @classmethod
-    def build(cls, f: LaminarForest, stop_at_l2: bool = False
-              ) -> "HeavyPathDecomposition":
-        live = set(f.live())
-        if stop_at_l2:
-            l2 = {i for i in live if f.nodes[i].in_L2}
-            if not l2:
-                raise ValueError("stop_at_l2 requires L2 flags (compute_L2_Lhigh)")
-            lhigh: set[int] = set()
-            for i in l2:
-                lhigh.update(f.ancestors(i))
-        else:
-            l2 = set()
-            lhigh = set()
+    def build(cls, f: LaminarForest) -> "HeavyPathDecomposition":
+        l2 = {i for i in f.live() if f.nodes[i].in_L2}
+        if not l2:
+            raise ValueError("no L2 flags set (compute_L2_Lhigh)")
+        lhigh: set[int] = set()
+        for i in l2:
+            lhigh.update(f.ancestors(i))
 
         def restricted_children(u: int, region: Optional[set[int]]) -> list[int]:
             chs = [ch for ch in f.nodes[u].children]
@@ -268,7 +264,7 @@ class HeavyPathDecomposition:
             return chs
 
         def decompose(top_nodes: list[int], region: Optional[set[int]],
-                      cut_below: set[int], level: Optional[str],
+                      cut_below: set[int], level: str,
                       paths: list[HeavyPath], path_of: dict[int, int]) -> None:
             # Subtree sizes within the region, not descending past cut_below.
             size: dict[int, int] = {}
@@ -312,17 +308,14 @@ class HeavyPathDecomposition:
 
         paths: list[HeavyPath] = []
         path_of: dict[int, int] = {}
-        if not stop_at_l2:
-            decompose(f.roots(), None, set(), None, paths, path_of)
-        else:
-            decompose([r for r in f.roots() if r in lhigh], lhigh, l2,
-                      "upper", paths, path_of)
-            lower_tops = []
-            for i in sorted(l2):
-                lower_tops.extend(sorted(f.nodes[i].children))
-            decompose(lower_tops, None, set(), "lower", paths, path_of)
-            # Roots outside L_high (no critical node below would be odd,
-            # but leaves are always critical so every root is in L_high).
+        decompose([r for r in f.roots() if r in lhigh], lhigh, l2,
+                  "upper", paths, path_of)
+        lower_tops = []
+        for i in sorted(l2):
+            lower_tops.extend(sorted(f.nodes[i].children))
+        decompose(lower_tops, None, set(), "lower", paths, path_of)
+        # Roots outside L_high (no critical node below would be odd,
+        # but leaves are always critical so every root is in L_high).
 
         # Path depth: 1 for paths headed by a forest root, else one more
         # than the depth of the parent's path.
@@ -341,93 +334,3 @@ class HeavyPathDecomposition:
         for pid in range(len(paths)):
             depth_of(pid)
         return cls(paths, path_of)
-
-    def walk_path_count(self, f: LaminarForest, leaf: int) -> int:
-        """Number of distinct heavy paths met on the leaf-to-root walk."""
-        seen = set()
-        for u in f.ancestors(leaf):
-            seen.add(self.path_of[u])
-        return len(seen)
-
-
-class _Fenwick:
-    """Fenwick tree supporting range add / point query."""
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.bit = [0] * (n + 1)
-
-    def _add(self, i: int, delta: int) -> None:
-        i += 1
-        while i <= self.n:
-            self.bit[i] += delta
-            i += i & (-i)
-
-    def range_add(self, lo: int, hi: int, delta: int) -> None:
-        """Add delta to positions lo..hi inclusive."""
-        self._add(lo, delta)
-        if hi + 1 < self.n:
-            self._add(hi + 1, -delta)
-
-    def point(self, i: int) -> int:
-        i += 1
-        acc = 0
-        while i > 0:
-            acc += self.bit[i]
-            i -= i & (-i)
-        return acc
-
-
-class PathSumTree:
-    """Per-node values with path additions toward the root.
-
-    Built over a snapshot of the forest topology.  Later node deletions
-    in the forest are fine: splicing preserves the ancestor sets of the
-    survivors, so static root-path updates remain correct on live nodes
-    (deleted nodes accumulate garbage that is never read).
-
-    mode "hld" uses heavy-path intervals over a Fenwick tree (O(log^2 n)
-    per update); mode "naive" walks the construction-time parent pointers
-    and is kept as the differential-testing reference.
-    """
-
-    def __init__(self, f: LaminarForest, mode: str = "hld") -> None:
-        if mode not in ("hld", "naive"):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.f = f
-        self.mode = mode
-        self.base = {i: f.nodes[i].c for i in f.live()}
-        self.static_parent = {i: f.nodes[i].parent for i in f.live()}
-        if mode == "naive":
-            self.delta: dict[int, int] = {i: 0 for i in f.live()}
-            return
-        self.hld = f.heavy_light()
-        self.pos: dict[int, int] = {}
-        cursor = 0
-        for p in self.hld.paths:
-            for u in p.nodes:
-                self.pos[u] = cursor
-                cursor += 1
-        self.fen = _Fenwick(cursor)
-
-    def root_path_add(self, a: int, delta: int) -> None:
-        """Add delta on the full a->root path (a included)."""
-        if self.f.nodes[a].deleted:
-            raise ValueError(f"node {a} is deleted")
-        u: Optional[int] = a
-        if self.mode == "naive":
-            while u is not None:
-                self.delta[u] += delta
-                u = self.static_parent[u]
-            return
-        while u is not None:
-            head = self.hld.paths[self.hld.path_of[u]].nodes[0]
-            self.fen.range_add(self.pos[head], self.pos[u], delta)
-            u = self.static_parent[head]
-
-    def value(self, i: int) -> int:
-        if self.f.nodes[i].deleted:
-            raise ValueError(f"node {i} is deleted")
-        if self.mode == "naive":
-            return self.base[i] + self.delta[i]
-        return self.base[i] + self.fen.point(self.pos[i])

@@ -44,17 +44,13 @@ def designated_terminal(group: frozenset[int],
 
 
 def is_feasible_partial(g_cur: Graph, K_remaining: Sequence[frozenset[int]],
-                        M: Sequence[tuple[int, int]], tau: int,
-                        star_vertex: Optional[Callable[[frozenset[int]], int]]
-                        = None) -> bool:
+                        M: Sequence[tuple[int, int]], tau: int) -> bool:
     """Connectivity check for graph + matching + unit star into the
-    still-unmatched groups."""
-    if star_vertex is None:
-        star_vertex = designated_terminal
+    still-unmatched groups (at their designated terminals)."""
     h = add_edges(g_cur, EdgeAdditions(tuple((u, v, 1) for (u, v) in M)))
     beta: dict[int, int] = {}
     for grp in K_remaining:
-        v = star_vertex(grp)
+        v = designated_terminal(grp)
         beta[v] = beta.get(v, 0) + 1
     if beta:
         h, _ = star_graph(h, beta)
@@ -64,7 +60,6 @@ def is_feasible_partial(g_cur: Graph, K_remaining: Sequence[frozenset[int]],
 def match_groups(g: Graph, K: Sequence[frozenset[int]], tau: int,
                  rng: random.Random,
                  edge_vertex: Callable[[frozenset[int]], int],
-                 star_vertex: Callable[[frozenset[int]], int],
                  on_commit: Optional[Callable[[frozenset[int], int], None]]
                  = None,
                  capacity: Optional[Callable[[frozenset[int]], int]]
@@ -73,7 +68,6 @@ def match_groups(g: Graph, K: Sequence[frozenset[int]], tau: int,
 
     edge_vertex maps a group to the vertex its matched edge attaches to
     (must be stable between the feasibility check and the commit);
-    star_vertex supplies the certificate star's attachment point;
     on_commit reports consumed endpoints (for budget bookkeeping).
     """
     if not K:
@@ -132,7 +126,7 @@ def match_groups(g: Graph, K: Sequence[frozenset[int]], tau: int,
                  for (a, b) in pairs]
             remaining = [groups[i] for i in range(len(groups))
                          if i not in set(picked)]
-            if is_feasible_partial(g_cur, remaining, M, tau, star_vertex):
+            if is_feasible_partial(g_cur, remaining, M, tau):
                 accepted = pairs
         commit([(groups[a], groups[b]) for (a, b) in accepted])
         matched = {i for pair in accepted for i in pair}
@@ -152,5 +146,4 @@ def augment_by_one(g: Graph, K: Sequence[frozenset[int]], tau: int,
     attaching each edge to its group's designated terminal."""
     return match_groups(
         g, K, tau, rng,
-        edge_vertex=lambda grp: designated_terminal(grp, beta),
-        star_vertex=designated_terminal)
+        edge_vertex=lambda grp: designated_terminal(grp, beta))

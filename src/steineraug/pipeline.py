@@ -8,6 +8,7 @@ optimum value, max-flow invocation count).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Optional
 
 from . import flow
@@ -25,7 +26,7 @@ class RejectedInstanceError(ValueError):
     """Input violates a pipeline precondition (diagnostic in args)."""
 
 
-def _terminal_components(g: Graph) -> list[list[int]]:
+def _components(g: Graph) -> list[list[int]]:
     adj: dict[int, list[int]] = {u: [] for u in range(g.n)}
     for (u, v, _) in g.edges:
         adj[u].append(v)
@@ -45,10 +46,22 @@ def _terminal_components(g: Graph) -> list[list[int]]:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
-        terms = sorted(set(comp) & g.terminals)
-        if terms:
-            comps.append(terms)
+        comps.append(comp)
     return comps
+
+
+def _terminal_components(g: Graph) -> list[list[int]]:
+    return [terms for comp in _components(g)
+            if (terms := sorted(set(comp) & g.terminals))]
+
+
+def _cut_edge_neighbours(g: Graph, beta: dict[int, int]) -> list[int]:
+    """For g = G - x and beta = x's edge weights (_remove_vertex): the
+    neighbours u of x, in beta's order, whose x-u edges are a cut edge of
+    G, i.e. u is the only neighbour of x in its component of g."""
+    comp_of = {u: i for i, comp in enumerate(_components(g)) for u in comp}
+    count = Counter(comp_of[u] for u in beta)
+    return [u for u in beta if count[comp_of[u]] == 1]
 
 
 def augment_pipeline(g: Graph, tau: int, seed: int = 0, base_case: int = 10
@@ -111,8 +124,7 @@ def _remove_vertex(g: Graph, x: int) -> tuple[Graph, dict[int, int]]:
 
 
 def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0,
-                      base_case: int = 10, check: str = "terminal"
-                      ) -> tuple[EdgeAdditions, dict]:
+                      base_case: int = 10) -> tuple[EdgeAdditions, dict]:
     """Complete splitting-off at x: replace its star by d(x)/2 edges
     preserving the Steiner connectivity."""
     if x != g_with_x.n - 1:
@@ -125,19 +137,13 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0,
                                    "phases": {}, "max_flow_calls": 0}
     if dx % 2 == 1:
         raise RejectedInstanceError(f"degree of x is odd ({dx})")
-    for (u, v), w in g_with_x.coalesced().items():
-        if x not in (u, v):
-            continue
-        other = v if u == x else u
-        rest = tuple(e for e in g_with_x.edges
-                     if {e[0], e[1]} != {x, other})
-        probe = Graph.build(g_with_x.n, rest, sorted(g_with_x.terminals))
-        if flow.min_cut_value(probe, {x}, {other}) == 0:
-            raise RejectedInstanceError(f"cut edge between x and {other}")
+    g, beta = _remove_vertex(g_with_x, x)
+    cut = _cut_edge_neighbours(g, beta)
+    if cut:
+        raise RejectedInstanceError(f"cut edge between x and {cut[0]}")
 
     calls_before = flow.max_flow_call_count()
     tau = steiner_connectivity(g_with_x)
-    g, beta = _remove_vertex(g_with_x, x)
     report: dict = {"tau": tau, "seed": seed, "dx": dx,
                     "target_weight": dx // 2, "phases": {}}
 
@@ -162,8 +168,7 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0,
         K_prime = build_K(sched.forest, tau)
         if steiner_connectivity(g1) < tau:
             rng = random.Random(seed ^ 0x5DEECE66D)
-            match_adds = deg_augment_by_one(g1, tau, rem, K_prime, rng,
-                                            check=check)
+            match_adds = deg_augment_by_one(g1, tau, rem, K_prime, rng)
             report["phases"]["matching"] = match_adds.total_weight
             for u in list(rem):
                 rem[u] -= match_adds.degree(u)

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from steineraug.chains import ChainScheduler
 from steineraug.graph import Graph
 
 
@@ -61,3 +62,41 @@ def path():
 @pytest.fixture
 def cyc4():
     return g_cyc4()
+
+
+def expiration_bruteforce(sched: ChainScheduler, chain) -> int:
+    """Reference for ChainScheduler.expiration: eager one-copy-at-a-time
+    simulation of the same stopping rule."""
+    d_f = chain.d_F()
+    rem = {s: s.remaining for s in d_f}
+    cval = {i: sched.c(i) for i in sched.forest.live()}
+    rate = sched.rates(chain)
+    t = 0
+    while True:
+        if any(rem[s] < d for s, d in d_f.items()):
+            return t
+        for s, d in d_f.items():
+            rem[s] -= d
+        for i, rr in rate.items():
+            cval[i] += rr
+        t += 1
+        if any(sched.tau - cval[r] <= 1 for r in chain.roots):
+            return t
+        if any(cval[r] >= cval[w]
+               for r in rate for w in sched.forest.children(r)):
+            return t
+
+
+@pytest.fixture
+def checked_expiration(monkeypatch):
+    """Every ChainScheduler.expiration call in the test also asserts that
+    it equals expiration_bruteforce."""
+    expiration = ChainScheduler.expiration
+
+    def checked(sched, chain):
+        t = expiration(sched, chain)
+        sim = expiration_bruteforce(sched, chain)
+        assert t == sim, f"t_F {t} != simulated {sim}"
+        return t
+
+    monkeypatch.setattr(ChainScheduler, "expiration", checked)

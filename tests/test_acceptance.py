@@ -23,7 +23,7 @@ from steineraug.matching import is_feasible_partial
 from steineraug.pipeline import augment_pipeline, splitoff_pipeline
 from steineraug.supreme import supreme_forest
 
-from conftest import g_cycle, g_expo, random_connected
+from conftest import expiration_bruteforce, g_cycle, g_expo, random_connected
 
 CORPUS_SIZE = 200
 _corpus = None
@@ -170,23 +170,21 @@ def test_06_lazy_scheduler_differential():
         if tau < 2:
             continue
         deg_variant = idx % 2 == 0
-        mode = "hld" if idx % 4 < 2 else "naive"
         if deg_variant:
             forest = supreme_forest(g, seed=idx)
             forest.compute_rdem(tau)
             big = {u: 4 * tau for u in range(g.n)}
             state = deg_external_augment(g, tau, big, forest)
-            sched = ledger_scheduler(g, state, mode=mode)
+            sched = ledger_scheduler(g, state)
         else:
             forest = supreme_forest(g, seed=idx)
             forest.compute_rdem(tau)
             beta = make_even(external_augment(forest, tau)).beta
-            sched = ChainScheduler(g, forest, budget_slots(forest, beta), tau,
-                                   mode=mode)
+            sched = ChainScheduler(g, forest, budget_slots(forest, beta), tau)
         chain = sched.build_chain()
         while chain is not None:
             t = sched.expiration(chain)
-            assert t == sched.expiration_bruteforce(chain), idx
+            assert t == expiration_bruteforce(sched, chain), idx
             sched.apply_chain(chain, t)
             live_c = {i: sched.c(i) for i in sched.forest.live()}
             mu_of = {i: sched.forest.nodes[i].mu_tilde for i in live_c}

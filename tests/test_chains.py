@@ -8,7 +8,7 @@ from steineraug.external import external_augment, make_even
 from steineraug.graph import EdgeAdditions, add_edges, steiner_connectivity
 from steineraug.supreme import supreme_forest
 
-from conftest import g_cyc4, g_path, random_connected
+from conftest import expiration_bruteforce, g_cyc4, g_path, random_connected
 
 
 def prepared(g, tau, seed=1):
@@ -30,17 +30,17 @@ def test_cyc4_tau4_chain_and_batch():
     assert chain.edges() == [(0, 1), (1, 2), (2, 3)]
     # t1 = floor(2/2) = 1 at the middles, t2 = 1, t3 = inf.
     assert sched.expiration(chain) == 1
-    assert sched.expiration_bruteforce(chain) == 1
+    assert expiration_bruteforce(sched, chain) == 1
     sched.apply_chain(chain, 1)
     assert [sched.c(r) for r in chain.roots] == [3, 4, 4, 3]
     assert {v: w for v, w in sched.remaining_beta().items() if w} == \
         {0: 1, 3: 1}
 
 
-def test_cyc4_tau4_run_to_demand_one():
+def test_cyc4_tau4_run_to_demand_one(checked_expiration):
     g = g_cyc4()
     forest, beta = prepared(g, 4)
-    adds, sched = run_chains(g, forest, beta, 4, check_expiration=True)
+    adds, sched = run_chains(g, forest, beta, 4)
     assert adds.entries == ((0, 1, 1), (1, 2, 1), (2, 3, 1))
     assert {v: w for v, w in sched.remaining_beta().items() if w} == \
         {0: 1, 3: 1}
@@ -48,10 +48,10 @@ def test_cyc4_tau4_run_to_demand_one():
     assert sorted(min(forest.nodes[r].terminals) for r in roots) == [0, 3]
 
 
-def test_path_tau3_single_copy():
+def test_path_tau3_single_copy(checked_expiration):
     g = g_path()
     forest, beta = prepared(g, 3)
-    adds, sched = run_chains(g, forest, beta, 3, check_expiration=True)
+    adds, sched = run_chains(g, forest, beta, 3)
     # One chain copy raises both c values to 2 (demand 1); the second
     # unit comes from the matching phase.
     assert adds.entries == ((0, 2, 1),)
@@ -86,7 +86,7 @@ def test_all_demands_low_gives_empty():
 
 class EagerCheckedScheduler(ChainScheduler):
     """Recomputes every live c value from the actual graph after each
-    batch (the eager reference for the lazy path sums)."""
+    batch (the eager reference for the c values kept on the forest)."""
 
     def apply_chain(self, chain, t):
         deleted = super().apply_chain(chain, t)
@@ -99,7 +99,7 @@ class EagerCheckedScheduler(ChainScheduler):
         return deleted
 
 
-def test_lazy_c_matches_eager_recompute_small_corpus():
+def test_lazy_c_matches_eager_recompute_small_corpus(checked_expiration):
     hits = 0
     for idx in range(40):
         g = random_connected(idx, n_max=8)
@@ -108,10 +108,9 @@ def test_lazy_c_matches_eager_recompute_small_corpus():
         if tau < 2:
             continue
         forest, beta = prepared(g, tau, seed=idx)
-        mode = "hld" if idx % 2 == 0 else "naive"
         sched = EagerCheckedScheduler(g, forest, budget_slots(forest, beta),
-                                      tau, mode=mode)
-        sched.run(check_expiration=True)
+                                      tau)
+        sched.run()
         hits += 1
         # Afterwards: connectivity tau-1 and only demand <= 1 roots.
         cur = add_edges(g, EdgeAdditions(tuple(sched.out)).merged())

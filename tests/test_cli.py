@@ -163,3 +163,15 @@ def test_malformed_fields_exit_with_error(tmp_path, capsys, text):
     path = write(tmp_path, "g.txt", text)
     assert cli.main(["augment", path, "--tau", "3"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("entry", [
+    {"u": 0, "v": 9, "w": 1},        # endpoint outside 0..n-1
+    {"u": 0, "v": 1, "w": 0},        # non-positive weight
+    {"u": 1, "v": 1, "w": 1},        # self-loop
+], ids=["out-of-range", "zero-weight", "self-loop"])
+def test_verify_bad_solution_entry_is_input_error(tmp_path, capsys, entry):
+    gpath = write(tmp_path, "g.txt", CYC4)
+    spath = write(tmp_path, "sol.json", json.dumps([entry]))
+    assert cli.main(["verify", gpath, spath]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

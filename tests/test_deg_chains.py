@@ -1,3 +1,5 @@
+import pytest
+
 from steineraug import oracle
 from steineraug.chains import run_chains
 from steineraug.deg_chains import ledger_scheduler, split_off_chains
@@ -7,7 +9,7 @@ from steineraug.graph import EdgeAdditions, add_edges, steiner_connectivity
 from steineraug.matching import build_K
 from steineraug.supreme import supreme_forest
 
-from conftest import g_split, random_connected
+from conftest import expiration_bruteforce, g_split, random_connected
 
 
 def deg_state(g, tau, beta, seed=1):
@@ -16,7 +18,7 @@ def deg_state(g, tau, beta, seed=1):
     return deg_external_augment(g, tau, beta, forest)
 
 
-def test_split_fixture_nonterminal_endpoint():
+def test_split_fixture_nonterminal_endpoint(checked_expiration):
     # G_split family at tau=5 with no budget on s: the chain endpoint for
     # the root containing s must be a nonterminal (v1 or v2).
     g, _ = g_split()
@@ -27,7 +29,7 @@ def test_split_fixture_nonterminal_endpoint():
     ends = [chain.a[chain.roots[0]].vertex, chain.b[chain.roots[-1]].vertex]
     assert sorted(ends)[0] in (1, 2)      # nonterminal side
     assert 3 in ends                      # terminal side
-    adds = sched.run(check_expiration=True)
+    adds = sched.run()
     assert adds.total_weight >= 1
     assert all(sched.dem(r) <= 1 for r in sched.forest.roots())
 
@@ -40,7 +42,7 @@ def test_no_demand_roots_empty_output():
     assert len(build_K(sched.forest, 4)) == 2
 
 
-def test_ledger_respects_budget_and_connectivity():
+def test_ledger_respects_budget_and_connectivity(checked_expiration):
     checked = 0
     for idx in range(40):
         g = random_connected(idx, n_max=8)
@@ -50,9 +52,7 @@ def test_ledger_respects_budget_and_connectivity():
             continue
         big = {u: 4 * tau for u in range(g.n)}
         state = deg_state(g, tau, big, seed=idx)
-        mode = "hld" if idx % 2 == 0 else "naive"
-        adds, sched = split_off_chains(g, state, mode=mode,
-                                       check_expiration=True)
+        adds, sched = split_off_chains(g, state)
         checked += 1
         for u in range(g.n):
             assert adds.degree(u) <= state.wx.get(u, 0)
@@ -61,7 +61,8 @@ def test_ledger_respects_budget_and_connectivity():
     assert checked >= 25
 
 
-def test_unconstrained_equivalent_budget_matches_chain_weight():
+def test_unconstrained_equivalent_budget_matches_chain_weight(
+        checked_expiration):
     agree = 0
     for idx in range(30):
         g = random_connected(idx, n_max=8)
@@ -77,7 +78,7 @@ def test_unconstrained_equivalent_budget_matches_chain_weight():
         forest_d = supreme_forest(g, seed=idx)
         forest_d.compute_rdem(tau)
         state = deg_external_augment(g, tau, dict(beta), forest_d)
-        deg_adds, _ = split_off_chains(g, state, check_expiration=True)
+        deg_adds, _ = split_off_chains(g, state)
         assert deg_adds.total_weight == chain_adds.total_weight, idx
         agree += 1
     assert agree >= 20
@@ -98,12 +99,31 @@ def test_lazy_c_matches_eager_and_no_new_extreme():
             if chain is None:
                 break
             t = sched.expiration(chain)
-            assert t == sched.expiration_bruteforce(chain)
+            assert t == expiration_bruteforce(sched, chain)
             sched.apply_chain(chain, t)
             cur = add_edges(g, EdgeAdditions(tuple(sched.out)).merged())
             for i in sched.forest.live():
                 mu = sched.forest.nodes[i].mu_tilde
-                assert sched.tree.value(i) == \
+                assert sched.c(i) == \
                     oracle.flow_free_cut_value(cur, mu)
             now = set(oracle.extreme_sets_bruteforce(cur).vertex_sets())
             assert now <= original
+
+
+@pytest.mark.parametrize("level,message", [
+    ("upper", "must bottom out at an L2 node"),
+    ("lower", "without L2 ancestor"),
+], ids=["upper", "lower"])
+def test_ledger_guards_raise_on_corrupt_assignments(level, message):
+    # random_connected(1) at tau=conn+2 has ledger entries on both levels.
+    g = random_connected(1, n_max=8)
+    tau = steiner_connectivity(g) + 2
+    state = deg_state(g, tau, {u: 4 * tau for u in range(g.n)}, seed=1)
+    assert {a.level for a in state.assignments} == {"lower", "upper"}
+    for asg in state.assignments:
+        asg.level = level
+    if level == "lower":
+        for nd in state.forest.nodes.values():
+            nd.in_L2 = False
+    with pytest.raises(RuntimeError, match=message):
+        ledger_scheduler(g, state)

@@ -25,7 +25,7 @@ def fresh_state(g, tau, beta, seed=1):
     forest = ready_forest(g, tau, seed)
     forest.mark_critical(tau)
     forest.compute_L2_Lhigh()
-    hld = forest.heavy_light(stop_at_l2=True) if forest.live() else \
+    hld = forest.heavy_light() if forest.live() else \
         HeavyPathDecomposition([], {})
     return DegExternalState(g, tau, dict(beta), forest, hld)
 

@@ -32,11 +32,9 @@ def test_deg_augment_split_fixture():
     K_prime = build_K(sched.forest, 4)
     assert sorted(K_prime, key=min) == [frozenset({0}), frozenset({3})]
     rem = sched.remaining_beta()
-    for check in ("terminal", "surrogate"):
-        adds = deg_augment_by_one(g, 4, dict(rem), K_prime,
-                                  random.Random(0), check=check)
-        assert adds.entries == ((1, 3, 1),)
-        assert steiner_connectivity(add_edges(g, adds)) == 4
+    adds = deg_augment_by_one(g, 4, dict(rem), K_prime, random.Random(0))
+    assert adds.entries == ((1, 3, 1),)
+    assert steiner_connectivity(add_edges(g, adds)) == 4
 
 
 def test_two_groups_forced_surrogate_edge():

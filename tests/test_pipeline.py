@@ -6,7 +6,8 @@ from steineraug import flow, oracle
 from steineraug.external import external_augment, make_even
 from steineraug.graph import EdgeAdditions, Graph, add_edges, star_graph, \
     steiner_connectivity
-from steineraug.pipeline import (RejectedInstanceError, augment_pipeline,
+from steineraug.pipeline import (RejectedInstanceError, _cut_edge_neighbours,
+                                 _remove_vertex, augment_pipeline,
                                  splitoff_pipeline)
 from steineraug.supreme import supreme_forest
 
@@ -83,6 +84,47 @@ def test_splitoff_rejections():
     g, x = star_graph(base, {0: 2})
     with pytest.raises(RejectedInstanceError):
         splitoff_pipeline(g, x)
+
+
+def _cut_edge_neighbours_by_flow(g, x):
+    """Flow definition: the x-u edges are cut edges iff no flow joins x
+    and u once all of them are removed."""
+    out = []
+    for (u, v) in g.coalesced():
+        if x not in (u, v):
+            continue
+        other = v if u == x else u
+        rest = tuple(e for e in g.edges if {e[0], e[1]} != {x, other})
+        probe = Graph.build(g.n, rest, sorted(g.terminals))
+        if flow.min_cut_value(probe, {x}, {other}) == 0:
+            out.append(other)
+    return out
+
+
+def test_cut_edge_precheck_matches_flow_definition():
+    stars = []
+    for idx in range(40):                 # test_04-style stars
+        g = random_connected(idx)
+        conn = steiner_connectivity(g)
+        tau = conn + 1 + (idx % 2)
+        if conn < 1 or tau < 2:
+            continue
+        forest = supreme_forest(g, seed=idx)
+        forest.compute_rdem(tau)
+        beta = make_even(external_augment(forest, tau)).beta
+        stars.append(star_graph(g, beta))
+    # Parallel x-u edges over a base with two components {0,1}, {2,3,4}.
+    base = ((0, 1, 1), (2, 3, 1), (3, 4, 2))
+    for extra in (((0, 5, 1), (0, 5, 1)),
+                  ((0, 5, 1), (0, 5, 1), (2, 5, 1), (4, 5, 1)),
+                  ((0, 5, 1), (1, 5, 2), (2, 5, 1), (2, 5, 1))):
+        stars.append((Graph.build(6, base + extra, [0, 2]), 5))
+    found = set()
+    for g, x in stars:
+        cut = _cut_edge_neighbours(*_remove_vertex(g, x))
+        assert cut == _cut_edge_neighbours_by_flow(g, x), g
+        found.add(bool(cut))
+    assert found == {False, True}
 
 
 @pytest.mark.parametrize("x", [9, -1, 1])
