@@ -1,8 +1,16 @@
 """Pure-Python Dinic max-flow kernel, the package's only flow kernel.
 
-Capacities are unbounded Python integers.  The arc order and the DFS
-order fix which max flow is returned; the degree-constrained external
-phase reads per-arc flows, so changing either can change outputs.
+It runs on a prepared residual graph (`flow.FlowNetwork`): adjacency
+lists of arc ids, arc heads, and residual capacities that the solve
+updates in place, arc a ^ 1 being the reverse of arc a.  Sources and
+sinks are given per solve, so one graph serves many cuts.  Capacities
+are unbounded Python integers.
+
+The arc order and the DFS order fix which max flow is returned; the
+degree-constrained external phase reads per-arc flows, so changing
+either can change outputs.  The sources are tried in the given order,
+each until it is blocked, which finds the same augmenting paths as a
+super source joined to them in that order.
 """
 
 from __future__ import annotations
@@ -10,88 +18,90 @@ from __future__ import annotations
 from collections import deque
 
 
-def max_flow_kernel(n: int, src: list[int], dst: list[int], cap: list[int],
-                    s: int, t: int) -> tuple[int, list[int], set[int]]:
-    """Blocking-flow max flow on a directed arc list.
+def max_flow_kernel(head: list[list[int]], to: list[int], cap: list[int],
+                    sources: list[int], sinks: list[int]
+                    ) -> tuple[int, frozenset[int], frozenset[int]]:
+    """Blocking-flow max flow from `sources` to `sinks` over `cap`.
 
-    Returns (value, per-input-arc flow, source-side residual-reachable set).
+    Returns (value, source side, sink side): the vertices the final
+    residual graph reaches from the sources, and those reaching a sink.
     """
-    m = len(src)
-    head: list[list[int]] = [[] for _ in range(n)]
-    to: list[int] = []
-    capacity: list[int] = []
-    for i in range(m):
-        head[src[i]].append(2 * i)
-        to.append(dst[i])
-        capacity.append(cap[i])
-        head[dst[i]].append(2 * i + 1)
-        to.append(src[i])
-        capacity.append(0)
-
+    n = len(head)
+    is_sink = [False] * n
+    for t in sinks:
+        is_sink[t] = True
     total = 0
-    level = [0] * n
-    iter_idx = [0] * n
     while True:
-        for i in range(n):
-            level[i] = -1
-        level[s] = 0
-        queue = deque([s])
+        # Levels by BFS, not expanded past the nearest sinks' level.
+        level = [-1] * n
+        for r in sources:
+            level[r] = 0
+        queue = deque(sources)
+        depth = n
         while queue:
             u = queue.popleft()
+            d = level[u] + 1
+            if d > depth:
+                break
             for a in head[u]:
                 v = to[a]
-                if capacity[a] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
+                if cap[a] and level[v] < 0:
+                    level[v] = d
+                    if is_sink[v]:
+                        depth = d
                     queue.append(v)
-        if level[t] < 0:
+        if depth == n:
             break
-        for i in range(n):
-            iter_idx[i] = 0
-        while True:
-            # One augmenting path per iteration, found by an iterative DFS
-            # over admissible arcs (level increases by one, positive residual).
+        it = [0] * n
+        for r in sources:
+            # Augmenting paths by an iterative DFS over admissible arcs
+            # (level up by one, positive residual).  After a push the walk
+            # resumes at the first saturated arc: a restart from r would
+            # retrace the same arcs up to it.
             path: list[int] = []
-            u = s
-            pushed = 0
+            u = r
             while True:
-                if u == t:
-                    pushed = min(capacity[a] for a in path)
+                if is_sink[u]:
+                    pushed = min(map(cap.__getitem__, path))
                     for a in path:
-                        capacity[a] -= pushed
-                        capacity[a ^ 1] += pushed
-                    break
-                advanced = False
-                while iter_idx[u] < len(head[u]):
-                    a = head[u][iter_idx[u]]
-                    v = to[a]
-                    if capacity[a] > 0 and level[v] == level[u] + 1:
-                        path.append(a)
-                        u = v
-                        advanced = True
-                        break
-                    iter_idx[u] += 1
-                if advanced:
+                        cap[a] -= pushed
+                        cap[a ^ 1] += pushed
+                    total += pushed
+                    for j, a in enumerate(path):
+                        if not cap[a]:
+                            break
+                    del path[j:]
+                    u = to[a ^ 1]
                     continue
-                # Dead end: retreat, and never try this vertex again this phase.
+                arcs = head[u]
+                i = it[u]
+                nxt = level[u] + 1
+                while i < len(arcs):
+                    a = arcs[i]
+                    if cap[a] and level[to[a]] == nxt:
+                        break
+                    i += 1
+                it[u] = i
+                if i < len(arcs):
+                    path.append(a)
+                    u = to[a]
+                    continue
+                # Dead end: never try this vertex again this phase.
                 level[u] = -1
                 if not path:
                     break
                 a = path.pop()
                 u = to[a ^ 1]
-                iter_idx[u] += 1
-            if pushed == 0:
-                break
-            total += pushed
+                it[u] += 1
 
-    reachable: set[int] = {s}
-    queue = deque([s])
+    reach_sink = set(sinks)
+    queue = deque(sinks)
     while queue:
-        u = queue.popleft()
-        for a in head[u]:
-            v = to[a]
-            if capacity[a] > 0 and v not in reachable:
-                reachable.add(v)
-                queue.append(v)
-
-    flows = [cap[i] - capacity[2 * i] for i in range(m)]
-    return total, flows, reachable
+        v = queue.popleft()
+        for a in head[v]:
+            u = to[a]
+            if cap[a ^ 1] and u not in reach_sink:
+                reach_sink.add(u)
+                queue.append(u)
+    source_side = frozenset(v for v in range(n) if level[v] >= 0)
+    return total, source_side, frozenset(reach_sink)

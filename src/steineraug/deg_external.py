@@ -141,8 +141,7 @@ def build_H(state: DegExternalState, path: HeavyPath
     yx_index = len(arcs)
     arcs.append((y, sink, delta))
 
-    net = flow.FlowNetwork(next_id, tuple(arcs),
-                           frozenset({block_of[0]}), frozenset({sink}))
+    net = flow.FlowNetwork(next_id, arcs)
     meta = {"uy_arcs": uy_arcs, "yx_index": yx_index, "delta": delta,
             "sink": sink, "source": block_of[0], "comp": comp, "y": y}
     return net, meta
@@ -157,7 +156,7 @@ def _highest_critical(state: DegExternalState, path: HeavyPath) -> int:
 
 def process_path(state: DegExternalState, path: HeavyPath) -> None:
     net, meta = build_H(state, path)
-    res = flow.max_flow(net)
+    res = flow.max_flow(net, (meta["source"],), (meta["sink"],))
     if res.value != state.tau:
         raise RuntimeError(
             f"path {path.id}: flow value {res.value} != tau {state.tau}")

@@ -172,15 +172,12 @@ def steiner_connectivity(g: Graph) -> int:
     ts = sorted(g.terminals)
     if len(ts) < 2:
         raise ValueError("Steiner connectivity needs at least 2 terminals")
-    s = ts[0]
-    best = None
-    for t in ts[1:]:
-        lam = flow.min_cut_value(g, {s}, {t})
-        if best is None or lam < best:
-            best = lam
-            if best == 0:
-                break
-    assert best is not None
+    net = flow.FlowNetwork.undirected(g)
+    best = flow.max_flow(net, ts[:1], ts[1:2]).value
+    for t in ts[2:]:
+        if best == 0:
+            break
+        best = min(best, flow.max_flow(net, ts[:1], (t,)).value)
     return best
 
 

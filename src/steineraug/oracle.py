@@ -224,11 +224,10 @@ def verify_solution(g: Graph, tau: int, F: EdgeAdditions,
         for u in range(g.n):
             if F.degree(u) > beta.get(u, 0):
                 return False, u
-    h = add_edges(g, F)
+    net = flow.FlowNetwork.undirected(add_edges(g, F))
     ts = sorted(g.terminals)
-    s = ts[0]
     for t in ts[1:]:
-        lam = flow.min_cut_value(h, {s}, {t})
-        if lam < tau:
-            return False, flow.earliest_min_cut(h, {s}, {t})
+        res = flow.max_flow(net, ts[:1], (t,))
+        if res.value < tau:
+            return False, res.source_side
     return True, None

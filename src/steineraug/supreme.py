@@ -106,16 +106,18 @@ def _base_case(g: Graph, weights: Mapping[tuple[int, int], int]
                ) -> list[frozenset[int]]:
     """Earliest min cut of every ordered terminal bipartition + repair,
     in mask order.  T1 -> T2 and T2 -> T1 are one min-cut problem whose
-    two minimal sides one max flow gives (`flow.min_cut_sides`), so the
-    2^k - 2 ordered bipartitions cost 2^(k-1) - 1 flows."""
+    two minimal sides one max flow gives, so the 2^k - 2 ordered
+    bipartitions cost 2^(k-1) - 1 flows, all on one network."""
     ts = sorted(g.terminals)
     k = len(ts)
     full = (1 << k) - 1
+    net = flow.FlowNetwork.undirected(g, weights)
     sides: dict[int, frozenset[int]] = {}
     for mask in range(1, 1 << (k - 1)):
-        T1 = frozenset(ts[i] for i in range(k) if (mask >> i) & 1)
-        sides[mask], sides[full ^ mask] = flow.min_cut_sides(
-            g, T1, frozenset(ts) - T1, weights)
+        T1 = [ts[i] for i in range(k) if (mask >> i) & 1]
+        T2 = [ts[i] for i in range(k) if not (mask >> i) & 1]
+        res = flow.max_flow(net, T1, T2)
+        sides[mask], sides[full ^ mask] = res.source_side, res.sink_side
     fam = [sides[mask] for mask in range(1, full)]
 
     def cut_fn(M: int) -> int:
@@ -147,13 +149,14 @@ def _recurse(g: Graph, weights: dict[tuple[int, int], int],
 
     n_all = stats["n"]
     cap = 64 * max(1, math.ceil(math.log2(max(n_all, 2))))
+    net = flow.FlowNetwork.undirected(g, weights)
     T1: Optional[frozenset[int]] = None
     lam_of: dict[int, dict[int, int]] = {}  # s -> lambda(s, u) in g
     for _ in range(cap):
         s = rng.choice(ts)
         t = rng.choice([u for u in ts if u != s])
         if s not in lam_of:  # naive threshold on terminals, one flow each
-            lam_of[s] = {u: flow.min_cut_value(g, {s}, {u}, weights)
+            lam_of[s] = {u: flow.max_flow(net, (s,), (u,)).value
                          for u in ts if u != s}
         lams = lam_of[s]
         phi = lams[t]
@@ -170,7 +173,7 @@ def _recurse(g: Graph, weights: dict[tuple[int, int], int],
         raise BalanceError("balanced bipartition not found within the retry cap")
     T2 = frozenset(ts) - T1
 
-    S1 = flow.earliest_min_cut(g, T1, T2, weights)
+    S1 = flow.max_flow(net, T1, T2).source_side
     S2 = frozenset(range(g.n)) - S1
     s2_orig = _expand(S2, labels)
 

@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from steineraug import flow
 from steineraug.flow import (FlowNetwork, NoFiniteCutError, earliest_min_cut,
-                             isolating_cuts, max_flow, min_cut_sides,
-                             min_cut_value)
+                             isolating_cuts, max_flow, min_cut_value)
 from steineraug.graph import cut_value
 
 from conftest import (g_cyc4, g_cycle, g_expo, g_path, g_split,
@@ -14,6 +13,12 @@ from conftest import (g_cyc4, g_cycle, g_expo, g_path, g_split,
 
 
 # Reference cut primitives with no production caller, checked below.
+
+def min_cut_sides(g, A, B):
+    """Minimal A side and minimal B side of the A-B min cuts."""
+    res = max_flow(FlowNetwork.undirected(g), A, B)
+    return res.source_side, res.sink_side
+
 
 def latest_min_cut(g, A, B):
     """A-side-maximal A-B min cut: complement of the sink-reaching set."""
@@ -32,33 +37,32 @@ def cut_threshold(g, s, phi):
 def test_max_flow_examples():
     assert min_cut_value(g_path(), {0}, {2}) == 1
     assert min_cut_value(g_cyc4(), {0}, {2}) == 2
-    net = FlowNetwork(2, ((0, 1, 0),), frozenset({0}), frozenset({1}))
-    assert max_flow(net).value == 0
+    net = FlowNetwork(2, ((0, 1, 0),))
+    assert max_flow(net, {0}, {1}).value == 0
 
 
 def test_max_flow_flows_respect_capacities():
     net = FlowNetwork(4, ((0, 1, 2), (0, 2, 1), (1, 3, 1), (2, 3, 2),
-                          (1, 2, 1)), frozenset({0}), frozenset({3}))
-    res = max_flow(net)
+                          (1, 2, 1)))
+    res = max_flow(net, {0}, {3})
     assert res.value == 3
     for f, (u, v, c) in zip(res.flows, net.arcs):
         assert 0 <= f <= c
 
 
 def test_infinite_capacity_and_no_finite_cut():
-    net = FlowNetwork(3, ((0, 1, None), (1, 2, 5)),
-                      frozenset({0}), frozenset({2}))
-    assert max_flow(net).value == 5
-    bad = FlowNetwork(2, ((0, 1, None),), frozenset({0}), frozenset({1}))
+    net = FlowNetwork(3, ((0, 1, None), (1, 2, 5)))
+    assert max_flow(net, {0}, {2}).value == 5
+    bad = FlowNetwork(2, ((0, 1, None),))
     with pytest.raises(NoFiniteCutError):
-        max_flow(bad)
+        max_flow(bad, {0}, {1})
 
 
 def test_network_validation():
     with pytest.raises(ValueError):
-        FlowNetwork(2, (), frozenset({0}), frozenset({0}))
+        max_flow(FlowNetwork(2, ()), {0}, {0})
     with pytest.raises(ValueError):
-        FlowNetwork(2, ((0, 1, -1),), frozenset({0}), frozenset({1}))
+        FlowNetwork(2, ((0, 1, -1),))
 
 
 def test_call_counter():
