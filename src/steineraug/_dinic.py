@@ -75,14 +75,15 @@ def max_flow_kernel(head: list[list[int]], to: list[int], cap: list[int],
                     continue
                 arcs = head[u]
                 i = it[u]
+                na = len(arcs)
                 nxt = level[u] + 1
-                while i < len(arcs):
+                while i < na:
                     a = arcs[i]
                     if cap[a] and level[to[a]] == nxt:
                         break
                     i += 1
                 it[u] = i
-                if i < len(arcs):
+                if i < na:
                     path.append(a)
                     u = to[a]
                     continue
