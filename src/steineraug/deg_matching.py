@@ -36,7 +36,9 @@ def find_surrogates(g: Graph, K_prime: Sequence[frozenset[int]],
     for k in groups:
         mu = cuts[k]
         vac = sorted(v for v in mu if beta.get(v, 0) >= 1)
-        assert vac, f"no vacant vertex inside the supreme set of {sorted(k)}"
+        if not vac:
+            raise RuntimeError(
+                f"no vacant vertex inside the supreme set of {sorted(k)}")
         out[k] = (mu, vac[0])
     return out
 
@@ -53,12 +55,15 @@ def deg_augment_by_one(g: Graph, tau: int, beta: dict[int, int],
     def surrogate(grp: frozenset[int]) -> int:
         mu, _ = info[grp]
         vac = sorted(v for v in mu if remaining.get(v, 0) >= 1)
-        assert vac, f"budget exhausted inside supreme set of {sorted(grp)}"
+        if not vac:
+            raise RuntimeError(
+                f"budget exhausted inside supreme set of {sorted(grp)}")
         return vac[0]
 
     def consume(grp: frozenset[int], v: int) -> None:
         remaining[v] -= 1
-        assert remaining[v] >= 0
+        if remaining[v] < 0:
+            raise RuntimeError(f"budget overdrawn at {v}")
 
     def budget_inside(grp: frozenset[int]) -> int:
         mu, _ = info[grp]

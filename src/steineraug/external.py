@@ -38,13 +38,15 @@ def external_augment(f: LaminarForest, tau: int) -> ExternalSolution:
         nd = f.nodes[i]
         child_sum = sum(f.nodes[ch].rdem for ch in nd.children)
         w = nd.rdem - child_sum
-        assert w >= 0, "rdem recurrence violated"
+        if w < 0:
+            raise RuntimeError(f"node {i}: rdem recurrence violated")
         if w > 0:
             u = min(nd.terminals)
             beta[u] = beta.get(u, 0) + w
         # After visiting R, the weight inside R must total rdem(R).
         inside = sum(v for t, v in beta.items() if t in nd.terminals)
-        assert inside == nd.rdem, f"node {i}: weight {inside} != rdem {nd.rdem}"
+        if inside != nd.rdem:
+            raise RuntimeError(f"node {i}: weight {inside} != rdem {nd.rdem}")
     return ExternalSolution(beta)
 
 

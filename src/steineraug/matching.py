@@ -133,7 +133,8 @@ def match_groups(g: Graph, K: Sequence[frozenset[int]], tau: int,
         groups = [groups[i] for i in range(len(groups)) if i not in matched]
 
     if groups:
-        assert len(groups) == 2
+        if len(groups) != 2:
+            raise RuntimeError(f"{len(groups)} groups left to match")
         commit([(groups[0], groups[1])])
 
     return EdgeAdditions(tuple(out)).merged()

@@ -64,6 +64,96 @@ def _cut_edge_neighbours(g: Graph, beta: dict[int, int]) -> list[int]:
     return [u for u in beta if count[comp_of[u]] == 1]
 
 
+def _fill_level(vals: list[int], s: int) -> int:
+    """Taking s units off `vals`, one at a time from a largest value,
+    brings every value >= F to F or F - 1: the least F >= 1 with
+    sum(w - F for w > F) <= s.  While s < sum(vals), F is the largest
+    value left."""
+    lo, hi = 1, max(vals)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sum(w - mid for w in vals if w > mid) <= s:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _pair_band(rem: dict[int, int], band: list[int], low: int,
+               pairs: Counter) -> None:
+    """Pair the two largest remainders in `band` (ties: smaller id) while
+    all of them exceed `low`, the largest remainder outside the band, so
+    no other vertex is among the two largest.  The band stays within one
+    of its maximum and its pattern below the maximum recurs, so whole
+    periods of it are applied at once."""
+    band = sorted(band)
+    seen: dict[tuple[int, ...], int] = {}
+    tops: list[int] = []
+    steps: list[tuple[int, int]] = []
+    while min(rem[x] for x in band) > low:
+        top = max(rem[x] for x in band)
+        state = tuple(top - rem[x] for x in band)
+        if state in seen:
+            p = seen[state]
+            drop = tops[p] - top
+            times = (top - max(state) - low - 1) // drop
+            for pair, c in Counter(steps[p:]).items():
+                pairs[pair] += c * times
+            for x in band:
+                rem[x] -= drop * times
+            top -= drop * times
+            seen.clear()
+            tops.clear()
+            steps.clear()
+        seen[state] = len(steps)
+        tops.append(top)
+        a, b = sorted(sorted(band, key=lambda x: (-rem[x], x))[:2])
+        pairs[a, b] += 1
+        steps.append((a, b))
+        rem[a] -= 1
+        rem[b] -= 1
+
+
+def _pair_leftover(remaining: dict[int, int]) -> tuple[Counter, int]:
+    """Pair up the units of `remaining`, always joining the two largest
+    remainders (ties: smaller id), in batches.  Returns the units per
+    pair (u < v) and the units left at a single vertex."""
+    rem = {u: w for u, w in remaining.items() if w > 0}
+    pairs: Counter = Counter()
+    while True:
+        live = sorted((x for x in rem if rem[x] > 0),
+                      key=lambda x: (-rem[x], x))
+        if len(live) < 2:
+            return pairs, sum(rem[x] for x in live)
+        u, top = live[0], rem[live[0]]
+        if top == rem[live[1]]:
+            band = [x for x in live if rem[x] >= top - 1]
+            low = max((rem[x] for x in live if rem[x] < top - 1), default=0)
+            _pair_band(rem, band, low, pairs)
+            continue
+        # u alone on top pairs with a largest of the rest for the first j
+        # steps, until it no longer exceeds all of them or they run out.
+        rest = live[1:]
+        vals = [rem[x] for x in rest]
+        lo, hi = 1, sum(vals)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if top - mid <= _fill_level(vals, mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        j = lo
+        level = _fill_level(vals, j)
+        group = [x for x in rest if rem[x] >= level]
+        lowered = j - sum(rem[x] - level for x in group)
+        for i, x in enumerate(sorted(group)):
+            new = level - 1 if i < lowered else level
+            if rem[x] > new:
+                pairs[min(u, x), max(u, x)] += rem[x] - new
+                rem[x] = new
+        rem[u] -= j
+
+
 def augment_pipeline(g: Graph, tau: int, seed: int = 0, base_case: int = 10
                      ) -> tuple[EdgeAdditions, dict]:
     """Minimum-weight edge additions raising Steiner connectivity to tau."""
@@ -179,27 +269,10 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0,
             out = chain_adds
         remaining = {u: w for u, w in rem.items() if w > 0}
 
-    # Pair up the leftover budget one unit at a time, always joining the
-    # two largest remainders; these edges only add weight on top of an
-    # already-tau-connected graph.
-    leftover: list[tuple[int, int, int]] = []
-    dropped = 0
-    while True:
-        live = sorted((u for u, w in remaining.items() if w > 0),
-                      key=lambda u: (-remaining[u], u))
-        if not live:
-            break
-        if len(live) == 1:
-            # Forced self-loops carry no connectivity and are dropped.
-            dropped += remaining[live[0]]
-            remaining[live[0]] = 0
-            break
-        u, v = live[0], live[1]
-        leftover.append((u, v, 1))
-        remaining[u] -= 1
-        remaining[v] -= 1
-    if leftover:
-        extra = EdgeAdditions(tuple(leftover)).merged()
+    # Leftover budget is paired on top of an already tau-connected graph.
+    pairs, dropped = _pair_leftover(remaining)
+    if pairs:
+        extra = EdgeAdditions(tuple((u, v, c) for (u, v), c in pairs.items()))
         out = out.combine(extra)
         report["phases"]["leftover"] = extra.total_weight
     if dropped:

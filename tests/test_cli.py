@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steineraug import cli
 
@@ -175,3 +180,72 @@ def test_verify_bad_solution_entry_is_input_error(tmp_path, capsys, entry):
     spath = write(tmp_path, "sol.json", json.dumps([entry]))
     assert cli.main(["verify", gpath, spath]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# Fuzzing: any text gets a clean answer.  Numbers stay small, so that a
+# well-formed input is a small graph and every run stays cheap.
+_TOKEN = st.one_of(st.integers(-2, 9).map(str),
+                   st.sampled_from(["x", "1.5", "#", "0x1", "-", "1e3",
+                                    "\u0663", "\t", "{}"]))
+_LINE = st.lists(_TOKEN, max_size=5).map(" ".join)
+_TEXT = st.lists(_LINE, max_size=9).map("\n".join)
+
+
+@st.composite
+def _graph_shaped_text(draw):
+    """A valid small graph file, often with one token or line spoiled."""
+    n = draw(st.integers(2, 6))
+    lines = []
+    for _ in range(draw(st.integers(0, 9))):
+        u, d = draw(st.integers(0, n - 1)), draw(st.integers(1, n - 1))
+        lines.append(f"{u} {(u + d) % n} {draw(st.integers(1, 3))}")
+    terminals = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=5,
+                              unique=True))
+    tau = draw(st.sampled_from(["", " 0", " 1", " 2", " 3", " 4"]))
+    lines = [f"{n} {len(lines)} {len(terminals)}{tau}", *lines,
+             " ".join(map(str, terminals))]
+    spoil = draw(st.integers(0, 2))
+    if spoil == 1:                      # one token replaced
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split()
+        j = draw(st.integers(0, len(tokens) - 1))
+        tokens[j] = draw(_TOKEN)
+        lines[i] = " ".join(tokens)
+    elif spoil == 2:                    # one line dropped or doubled
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i:i + 1] = [lines[i]] * draw(st.integers(0, 2))
+    return "\n".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_TEXT, _graph_shaped_text()))
+def test_parse_graph_text_answers_any_text(text):
+    try:
+        g, tau = cli.parse_graph_text(text)
+    except cli.InputError:
+        return
+    assert g.n >= 1 and len(g.terminals) >= 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_TEXT, _graph_shaped_text()),
+       st.sampled_from([["augment"], ["augment", "--tau", "3"],
+                        ["splitoff"], ["supreme"], ["verify"],
+                        ["oracle", "--tau", "3"]]))
+def test_cli_answers_any_text_without_traceback(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = Path(tmp) / "g.txt"
+        graph.write_text(text)
+        argv = [command[0], str(graph)]
+        if command[0] == "verify":
+            solution = Path(tmp) / "sol.json"
+            solution.write_text("[]")
+            argv.append(str(solution))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(argv + command[1:])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
+

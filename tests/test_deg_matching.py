@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from steineraug.deg_chains import split_off_chains
 from steineraug.deg_external import deg_external_augment
 from steineraug.deg_matching import deg_augment_by_one, find_surrogates
@@ -97,3 +99,10 @@ def test_odd_groups_without_spare_inside_use_outside_budget():
         assert adds.degree(u) <= beta.get(u, 0), u
     assert steiner_connectivity(add_edges(g, adds)) >= \
         steiner_connectivity(gx)
+
+
+def test_no_vacant_vertex_in_supreme_set_raises():
+    # The surrogate guard must trip, also under -O: no budget anywhere.
+    g, _ = g_split()
+    with pytest.raises(RuntimeError, match="no vacant vertex"):
+        find_surrogates(g, [frozenset({0}), frozenset({3})], {})

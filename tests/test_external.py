@@ -4,7 +4,7 @@ from steineraug.external import (ExternalSolution, augmentation_lower_bound,
                                  external_augment, make_even)
 from steineraug.supreme import supreme_forest
 
-from conftest import g_cyc4, g_path
+from conftest import g_cyc4, g_path, random_connected
 
 
 def solved_forest(g, tau, seed=1):
@@ -43,3 +43,13 @@ def test_augmentation_lower_bound():
     assert augmentation_lower_bound(ExternalSolution({0: 2, 1: 2})) == 2
     assert augmentation_lower_bound(ExternalSolution({0: 4, 1: 3})) == 4
     assert augmentation_lower_bound(ExternalSolution({})) == 0
+
+
+def test_inconsistent_rdem_raises():
+    # The output guards must trip, also under -O: a child demanding more
+    # than its parent breaks the rdem recurrence.
+    f = solved_forest(random_connected(8), 4)
+    child = next(i for i in f.live() if f.nodes[i].parent is not None)
+    f.nodes[child].rdem = f.nodes[f.nodes[child].parent].rdem + 1
+    with pytest.raises(RuntimeError, match="rdem recurrence"):
+        external_augment(f, 4)

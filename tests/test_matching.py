@@ -6,7 +6,8 @@ from steineraug.chains import run_chains
 from steineraug.external import external_augment, make_even
 from steineraug.graph import add_edges, steiner_connectivity
 from steineraug.matching import (MatchingRetryError, augment_by_one, build_K,
-                                 designated_terminal, is_feasible_partial)
+                                 designated_terminal, is_feasible_partial,
+                                 match_groups)
 from steineraug.supreme import supreme_forest
 
 from conftest import g_cyc4, g_path, random_connected
@@ -111,3 +112,21 @@ def test_matching_total_is_half_K_rounded_up():
                               beta=sched.remaining_beta())
         assert adds.total_weight == (len(K) + 1) // 2
         assert steiner_connectivity(add_edges(g1, adds)) >= tau
+
+
+class _RepeatingShuffle(random.Random):
+    """Shuffles into a list that repeats its second entry, so a matching
+    round retires an odd number of groups."""
+
+    def shuffle(self, x):
+        x[:] = x[:2] + x[1:-1]
+
+
+def test_odd_number_of_groups_left_raises():
+    # The guard on the final pair must trip, also under -O.
+    g = random_connected(0, n_max=12)
+    groups = [frozenset({v}) for v in range(8)]
+    assert g.n >= 8
+    with pytest.raises(RuntimeError, match="groups left"):
+        match_groups(g, groups, 1, _RepeatingShuffle(0),
+                     edge_vertex=min)

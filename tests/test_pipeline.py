@@ -1,4 +1,7 @@
 import hashlib
+import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -7,8 +10,8 @@ from steineraug.external import external_augment, make_even
 from steineraug.graph import EdgeAdditions, Graph, add_edges, star_graph, \
     steiner_connectivity
 from steineraug.pipeline import (RejectedInstanceError, _cut_edge_neighbours,
-                                 _remove_vertex, augment_pipeline,
-                                 splitoff_pipeline)
+                                 _pair_leftover, _remove_vertex,
+                                 augment_pipeline, splitoff_pipeline)
 from steineraug.supreme import supreme_forest
 
 from conftest import g_cyc4, g_path, g_split, random_connected
@@ -214,3 +217,68 @@ def test_splitoff_output_pin():
         rows.append((idx, sorted(adds.merged().entries)))
     assert len(rows) == 30
     assert _digest(rows) == "4adbca9736dce990"
+
+
+def unit_leftover_pairs(remaining):
+    """Reference: pair the leftover budget one unit at a time, always
+    joining the two largest remainders (ties: smaller id)."""
+    remaining = dict(remaining)
+    pairs = Counter()
+    while True:
+        live = sorted((u for u, w in remaining.items() if w > 0),
+                      key=lambda u: (-remaining[u], u))
+        if not live:
+            return pairs, 0
+        if len(live) == 1:
+            return pairs, remaining[live[0]]
+        u, v = live[0], live[1]
+        pairs[min(u, v), max(u, v)] += 1
+        remaining[u] -= 1
+        remaining[v] -= 1
+
+
+def test_leftover_batches_match_unit_loop():
+    rng = random.Random(11)
+    for _ in range(3000):
+        base = rng.randint(0, 60)
+        spread = rng.choice([0, 1, 2, 5, 60])
+        remaining = {rng.randrange(30): max(0, base + rng.randint(-spread,
+                                                                  spread))
+                     for _ in range(rng.randint(0, 12))}
+        if rng.random() < 0.3:           # one vertex far above the rest
+            remaining[rng.randrange(30)] = rng.randint(0, 400)
+        assert _pair_leftover(remaining) == unit_leftover_pairs(remaining)
+
+
+def _leftover_star(W):
+    """x (vertex 5) joined to 2, 3 and 4 with W, W - 2 and 4: the graph
+    without x already has the Steiner connectivity 1 of the graph with
+    x, so all of x's budget reaches the leftover pairing."""
+    edges = [(0, 1, 1), (1, 2, 1), (1, 3, 1), (1, 4, 1),
+             (2, 5, W), (3, 5, W - 2), (4, 5, 4)]
+    return Graph.build(6, edges, [0, 1])
+
+
+def _leftover_star_edges(W):
+    return [(2, 3, W - 3), (2, 4, 3), (3, 4, 1)]
+
+
+def test_leftover_star_matches_unit_loop_on_small_weights():
+    for W in range(6, 30):
+        pairs, dropped = unit_leftover_pairs({2: W, 3: W - 2, 4: 4})
+        assert dropped == 0
+        assert sorted((u, v, c) for (u, v), c in pairs.items()) == \
+            _leftover_star_edges(W)
+        adds, report = splitoff_pipeline(_leftover_star(W), 5, seed=0)
+        assert report["phases"] == {"leftover": W + 1}
+        assert list(adds.merged().entries) == _leftover_star_edges(W)
+
+
+def test_leftover_pairing_at_a_billion_is_fast():
+    W = 10 ** 9
+    start = time.perf_counter()
+    adds, report = splitoff_pipeline(_leftover_star(W), 5, seed=0)
+    assert time.perf_counter() - start < 2.0
+    assert report["phases"] == {"leftover": W + 1}
+    assert list(adds.merged().entries) == _leftover_star_edges(W)
+
