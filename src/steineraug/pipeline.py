@@ -96,7 +96,7 @@ def _pair_band(rem: dict[int, int], band: list[int], low: int,
         if state in seen:
             p = seen[state]
             drop = tops[p] - top
-            times = (top - max(state) - low - 1) // drop
+            times = (min(rem[x] for x in band) - low - 1) // drop
             for pair, c in Counter(steps[p:]).items():
                 pairs[pair] += c * times
             for x in band:
