@@ -19,7 +19,8 @@ from .deg_external import InfeasibleBudgetError
 from .graph import EdgeAdditions, Graph
 from .matching import MatchingRetryError
 from .pipeline import RejectedInstanceError, augment_pipeline, splitoff_pipeline
-from .supreme import supreme_forest
+from .supreme import (BASE_CASE, FULL_ENUMERATION_LIMIT, check_base_case,
+                      supreme_forest)
 
 
 class InputError(ValueError):
@@ -118,9 +119,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="RNG seed (default: $STEINERAUG_SEED or 0)")
     p.add_argument("--format", choices=["json", "dot", "text"],
                    default="json")
-    p.add_argument("--base-case", type=int, default=10,
-                   help="terminal count below which the supreme-set "
-                        "search enumerates directly")
+    p.add_argument("--base-case", type=int, default=BASE_CASE,
+                   help="terminal count at or below which the supreme-set "
+                        "recursion enumerates every terminal bipartition "
+                        "(2^(k-1)-1 flows at k terminals); 2.."
+                        f"{FULL_ENUMERATION_LIMIT}, default {BASE_CASE}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,6 +181,11 @@ def _dispatch(args: argparse.Namespace) -> int:
     seed = getattr(args, "seed", None)
     if seed is None:
         seed = _default_seed()
+    if hasattr(args, "base_case"):
+        try:
+            check_base_case(args.base_case)
+        except ValueError as exc:
+            raise InputError(f"--base-case: {exc}") from exc
 
     if args.command == "augment":
         g, file_tau = load_graph(args.graph)

@@ -15,9 +15,10 @@ budget.
 
 from __future__ import annotations
 
+import functools
 import operator
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
 from . import _dinic
@@ -84,9 +85,16 @@ class FlowNetwork:
 @dataclass(frozen=True)
 class FlowResult:
     value: int
-    flows: tuple[int, ...]          # per arc, u -> v (< 0: v -> u, undirected)
     source_side: frozenset[int]     # minimal: residually reached from sources
     sink_side: frozenset[int]       # minimal: residually reaching the sinks
+    net: FlowNetwork = field(repr=False)
+    residual: list[int] = field(repr=False)   # capacities after the solve
+
+    @functools.cached_property
+    def flows(self) -> tuple[int, ...]:
+        """Per arc, u -> v (< 0: v -> u, undirected); built on first read,
+        since only the H networks of `deg_external` read it."""
+        return tuple(map(operator.sub, self.net.cap[::2], self.residual[::2]))
 
 
 class NoFiniteCutError(ValueError):
@@ -116,8 +124,7 @@ def max_flow(net: FlowNetwork, sources: Iterable[int],
         net.head, net.to, cap, sources, sinks)
     if value >= net.inf:
         raise NoFiniteCutError("no finite cut separates sources from sinks")
-    flows = tuple(map(operator.sub, net.cap[::2], cap[::2]))
-    return FlowResult(value, flows, source_side, sink_side)
+    return FlowResult(value, source_side, sink_side, net, cap)
 
 
 def min_cut_value(g: Graph, A: Iterable[int], B: Iterable[int],

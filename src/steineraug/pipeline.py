@@ -2,7 +2,8 @@
 complete splitting-off of an external vertex.
 
 Both return the added edges plus a JSON-friendly report (phase totals,
-optimum value, max-flow invocation count).
+optimum value, max-flow invocation count and, when the supreme forest
+was built, what its recursion did under "supreme").
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .deg_matching import deg_augment_by_one
 from .external import external_augment, make_even
 from .graph import EdgeAdditions, Graph, add_edges, steiner_connectivity
 from .matching import augment_by_one, build_K
-from .supreme import supreme_forest
+from .supreme import BASE_CASE, recursion_report, supreme_forest
 
 
 class RejectedInstanceError(ValueError):
@@ -154,8 +155,8 @@ def _pair_leftover(remaining: dict[int, int]) -> tuple[Counter, int]:
         rem[u] -= j
 
 
-def augment_pipeline(g: Graph, tau: int, seed: int = 0, base_case: int = 10
-                     ) -> tuple[EdgeAdditions, dict]:
+def augment_pipeline(g: Graph, tau: int, seed: int = 0,
+                     base_case: int = BASE_CASE) -> tuple[EdgeAdditions, dict]:
     """Minimum-weight edge additions raising Steiner connectivity to tau."""
     if tau < 1:
         raise RejectedInstanceError("target connectivity must be >= 1")
@@ -181,7 +182,9 @@ def augment_pipeline(g: Graph, tau: int, seed: int = 0, base_case: int = 10
                        flow.max_flow_call_count() - calls_before})
         return EdgeAdditions(()), report
 
-    forest = supreme_forest(g, seed=seed, base_case=base_case)
+    stats: dict = {}
+    forest = supreme_forest(g, seed=seed, base_case=base_case, stats=stats)
+    report["supreme"] = recursion_report(stats)
     forest.compute_rdem(tau)
     sol = external_augment(forest, tau)
     k = sol.total_weight
@@ -214,7 +217,7 @@ def _remove_vertex(g: Graph, x: int) -> tuple[Graph, dict[int, int]]:
 
 
 def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0,
-                      base_case: int = 10) -> tuple[EdgeAdditions, dict]:
+                      base_case: int = BASE_CASE) -> tuple[EdgeAdditions, dict]:
     """Complete splitting-off at x: replace its star by d(x)/2 edges
     preserving the Steiner connectivity."""
     if x != g_with_x.n - 1:
@@ -240,7 +243,9 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0,
     out = EdgeAdditions(())
     remaining = dict(beta)
     if steiner_connectivity(g) < tau:
-        forest = supreme_forest(g, seed=seed, base_case=base_case)
+        stats: dict = {}
+        forest = supreme_forest(g, seed=seed, base_case=base_case, stats=stats)
+        report["supreme"] = recursion_report(stats)
         forest.compute_rdem(tau)
         try:
             state = deg_external_augment(g, tau, beta, forest)

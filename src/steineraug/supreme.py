@@ -3,9 +3,16 @@
 Phase 1 perturbs edge weights so that min cuts are unique with high
 probability.  Phase 2 finds a laminar candidate family containing every
 supreme set of the perturbed graph by divide and conquer over terminal
-bipartitions.  Phase 3 prunes the candidates with three post-order
-traversals, leaving exactly the supreme-set projections of the original
-graph together with their cut values and perturbed vertex sets.
+bipartitions: a node with more than `base_case` terminals splits them
+into two balanced halves by a cut threshold and recurses on the two
+contracted sides, and a node with at most `base_case` terminals (a base
+case) takes the earliest min cut of every terminal bipartition, which
+costs 2^(k-1) - 1 flows at k terminals.  A smaller `base_case` trades
+those flows for recursion depth; the default, `BASE_CASE`, has the
+fewest flows on the benchmark pools (README).  Phase 3 prunes the
+candidates with three post-order traversals, leaving exactly the
+supreme-set projections of the original graph together with their cut
+values and perturbed vertex sets.
 """
 
 from __future__ import annotations
@@ -21,6 +28,11 @@ from .forest import LaminarForest
 from .graph import Graph, contract, is_steiner_cut, projection
 
 PERTURBED_BOUND = 1 << 127
+#: Default terminal count at or below which a recursion node enumerates.
+BASE_CASE = 5
+#: Largest terminal count a node is enumerated at in full when no
+#: balanced bipartition is found, and so the largest `base_case` accepted.
+FULL_ENUMERATION_LIMIT = 12
 
 
 class BalanceError(RuntimeError):
@@ -134,23 +146,15 @@ def _expand(X, labels: list[frozenset[int]]) -> frozenset[int]:
     return frozenset(out)
 
 
-def _recurse(g: Graph, weights: dict[tuple[int, int], int],
-             labels: list[frozenset[int]], rng: random.Random,
-             base_case: int, stats: dict, depth: int) -> set[frozenset[int]]:
-    stats["max_depth"] = max(stats["max_depth"], depth)
-    stats.setdefault("layer_vertices", {}).setdefault(depth, 0)
-    stats["layer_vertices"][depth] += g.n
-
-    ts = sorted(g.terminals)
-    # Below 4 terminals no bipartition leaves >= 2 on each side, which is
-    # what makes both contracted sub-instances strictly smaller.
-    if len(ts) <= max(base_case, 3):
-        return {_expand(X, labels) for X in _base_case(g, weights)}
-
-    n_all = stats["n"]
+def _balanced_split(g: Graph, weights: dict[tuple[int, int], int],
+                    ts: list[int], rng: random.Random, n_all: int
+                    ) -> Optional[frozenset[int]]:
+    """Minimal source side of a min cut between a balanced terminal
+    bipartition found by the cut threshold, or None if none is found
+    within the retry cap.  Its flow network is freed on return, before
+    the caller recurses."""
     cap = 64 * max(1, math.ceil(math.log2(max(n_all, 2))))
     net = flow.FlowNetwork.undirected(g, weights)
-    T1: Optional[frozenset[int]] = None
     lam_of: dict[int, dict[int, int]] = {}  # s -> lambda(s, u) in g
     for _ in range(cap):
         s = rng.choice(ts)
@@ -164,16 +168,32 @@ def _recurse(g: Graph, weights: dict[tuple[int, int], int],
         cand2 = frozenset(ts) - cand1
         if (len(cand1) >= 2 and len(cand2) >= 2
                 and 16 * len(cand1) >= len(ts) and 16 * len(cand2) >= len(ts)):
-            T1 = cand1
-            break
-    if T1 is None:
-        if len(ts) <= 12:
+            return flow.max_flow(net, cand1, cand2).source_side
+    return None
+
+
+def _recurse(g: Graph, weights: dict[tuple[int, int], int],
+             labels: list[frozenset[int]], rng: random.Random,
+             base_case: int, stats: dict, depth: int) -> set[frozenset[int]]:
+    stats["max_depth"] = max(stats["max_depth"], depth)
+    layers = stats["layer_vertices"]
+    layers[depth] = layers.get(depth, 0) + g.n
+
+    ts = sorted(g.terminals)
+    # Below 4 terminals no bipartition leaves >= 2 on each side, which is
+    # what makes both contracted sub-instances strictly smaller.
+    if len(ts) <= max(base_case, 3):
+        counts = stats["base_cases"]
+        counts[len(ts)] = counts.get(len(ts), 0) + 1
+        return {_expand(X, labels) for X in _base_case(g, weights)}
+
+    S1 = _balanced_split(g, weights, ts, rng, stats["n"])
+    if S1 is None:
+        if len(ts) <= FULL_ENUMERATION_LIMIT:
             # Rare at this size; full enumeration is still affordable.
+            stats["fallbacks"] += 1
             return {_expand(X, labels) for X in _base_case(g, weights)}
         raise BalanceError("balanced bipartition not found within the retry cap")
-    T2 = frozenset(ts) - T1
-
-    S1 = flow.max_flow(net, T1, T2).source_side
     S2 = frozenset(range(g.n)) - S1
     s2_orig = _expand(S2, labels)
 
@@ -185,10 +205,9 @@ def _recurse(g: Graph, weights: dict[tuple[int, int], int],
             lab2[phi[v]] = lab2[phi[v]] | labels[v]
         return h, w2, lab2
 
-    g1, w1, lab1 = sub_instance(S1)
-    F1 = _recurse(g1, w1, lab1, rng, base_case, stats, depth + 1)
-    g2, w2, lab2 = sub_instance(S2)
-    F2 = _recurse(g2, w2, lab2, rng, base_case, stats, depth + 1)
+    # Each sub-instance is built only for its own call and freed after.
+    F1 = _recurse(*sub_instance(S1), rng, base_case, stats, depth + 1)
+    F2 = _recurse(*sub_instance(S2), rng, base_case, stats, depth + 1)
 
     # Merge: keep all of L1 (its t1-bearing sets expand to supersets of
     # S1, covering supreme X >= S1; its t1-free sets are subsets of S2,
@@ -203,14 +222,29 @@ def _recurse(g: Graph, weights: dict[tuple[int, int], int],
     return merged
 
 
-def find_supreme_candidates(pg: PerturbedGraph, base_case: int = 10,
+def check_base_case(base_case: int) -> None:
+    """Raise ValueError unless 2 <= base_case <= FULL_ENUMERATION_LIMIT:
+    a base case of k terminals costs 2^(k-1) - 1 flows."""
+    if not 2 <= base_case <= FULL_ENUMERATION_LIMIT:
+        raise ValueError(f"base_case must be in 2..{FULL_ENUMERATION_LIMIT}, "
+                         f"got {base_case}")
+
+
+def find_supreme_candidates(pg: PerturbedGraph, base_case: int = BASE_CASE,
                             seed: int = 0, stats: Optional[dict] = None
                             ) -> list[frozenset[int]]:
-    """Laminar family of Steiner cuts containing all supreme sets of g~."""
+    """Laminar family of Steiner cuts containing all supreme sets of g~.
+
+    `stats` receives the recursion's `max_depth`, its vertex total per
+    depth (`layer_vertices`), the base cases per terminal count
+    (`base_cases`) and the nodes enumerated in full because no balanced
+    bipartition was found (`fallbacks`)."""
+    check_base_case(base_case)
     g = pg.base
     if stats is None:
         stats = {}
-    stats.update({"max_depth": 0, "n": g.n})
+    stats.update({"max_depth": 0, "n": g.n, "layer_vertices": {},
+                  "base_cases": {}, "fallbacks": 0})
     rng = random.Random(seed)
     labels = [frozenset({v}) for v in range(g.n)]
     fam = _recurse(g, dict(pg.weights), labels, rng, base_case, stats, 0)
@@ -304,9 +338,10 @@ def postprocess(candidates: list[frozenset[int]], g: Graph,
     return LaminarForest.from_family(entries)
 
 
-def supreme_forest(g: Graph, seed: int, base_case: int = 10,
+def supreme_forest(g: Graph, seed: int, base_case: int = BASE_CASE,
                    stats: Optional[dict] = None) -> LaminarForest:
-    """Full pipeline: perturb, find candidates, postprocess."""
+    """Full pipeline: perturb, find candidates, postprocess.  `stats` is
+    filled as by `find_supreme_candidates`."""
     if len(g.terminals) < 2:
         raise ValueError("need at least 2 terminals")
     pg = perturb(g, seed)
@@ -317,7 +352,16 @@ def supreme_forest(g: Graph, seed: int, base_case: int = 10,
     depth = stats.get("max_depth", 0)
     bound = 25 * math.log(max(len(g.terminals), 2)) + 5
     assert depth <= bound, f"recursion depth {depth} exceeds {bound}"
-    for layer, total in stats.get("layer_vertices", {}).items():
+    for layer, total in stats["layer_vertices"].items():
         cap = 8 * g.n * max(1.0, math.log(max(g.n, 2)))
         assert total <= cap, f"layer {layer} vertex total {total} exceeds {cap}"
     return postprocess(fam, g, pg)
+
+
+def recursion_report(stats: dict) -> dict:
+    """The JSON-friendly part of `stats` that the pipelines report."""
+    return {"max_depth": stats["max_depth"],
+            "max_layer_vertices": max(stats["layer_vertices"].values()),
+            "base_cases": {str(k): c
+                           for k, c in sorted(stats["base_cases"].items())},
+            "fallbacks": stats["fallbacks"]}

@@ -54,6 +54,18 @@ def random_connected(idx: int, n_max: int = 10, w_max: int = 5) -> Graph:
     return Graph.build(n, edges, terminals)
 
 
+def tree_plus_2n(n: int, seed: int, n_terminals: int) -> Graph:
+    """test_08's generator: a random spanning tree plus 2n random edges,
+    weights 1..5, and `n_terminals` random terminals."""
+    rng = random.Random(seed)
+    edges = [(rng.randrange(v), v, rng.randint(1, 5))
+             for v in range(1, n)]
+    for _ in range(2 * n):
+        u, v = rng.sample(range(n), 2)
+        edges.append((min(u, v), max(u, v), rng.randint(1, 5)))
+    return Graph.build(n, edges, rng.sample(range(n), n_terminals))
+
+
 @pytest.fixture
 def path():
     return g_path()

@@ -170,6 +170,36 @@ def test_malformed_fields_exit_with_error(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+CYCLE8 = ("8 8 8 3\n"
+          + "".join(f"{i} {(i + 1) % 8} 1\n" for i in range(8))
+          + "0 1 2 3 4 5 6 7\n")
+
+
+@pytest.mark.parametrize("command", ["augment", "splitoff", "supreme"])
+@pytest.mark.parametrize("base_case", ["1", "13"])
+def test_base_case_out_of_range_is_input_error(tmp_path, capsys, command,
+                                               base_case):
+    path = write(tmp_path, "g.txt", CYCLE8)
+    assert cli.main([command, path, "--base-case", base_case]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --base-case: base_case must be in 2..12")
+
+
+@pytest.mark.parametrize("base_case", ["2", "12"])
+def test_base_case_range_ends_are_accepted(tmp_path, capsys, base_case):
+    path = write(tmp_path, "g.txt", CYCLE8)
+    assert cli.main(["augment", path, "--base-case", base_case]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["total_weight"] == 4
+
+
+def test_augment_cycle8_reaches_the_recursion(tmp_path, capsys):
+    path = write(tmp_path, "g.txt", CYCLE8)
+    assert cli.main(["augment", path]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["supreme"]["max_depth"] >= 1
+    assert report["total_weight"] == 4
+
+
 @pytest.mark.parametrize("entry", [
     {"u": 0, "v": 9, "w": 1},        # endpoint outside 0..n-1
     {"u": 0, "v": 1, "w": 0},        # non-positive weight

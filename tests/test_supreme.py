@@ -1,14 +1,19 @@
+import functools
 import itertools
+import math
 import random
 
 import pytest
 
 from steineraug import flow, oracle
-from steineraug.graph import cut_value
-from steineraug.supreme import (_base_case, _crossing_repair, perturb,
-                                supreme_forest)
+from steineraug.graph import cut_value, steiner_connectivity
+from steineraug.pipeline import augment_pipeline
+from steineraug.supreme import (BASE_CASE, FULL_ENUMERATION_LIMIT, _base_case,
+                                _crossing_repair, find_supreme_candidates,
+                                perturb, supreme_forest)
 
-from conftest import g_cyc4, g_expo, g_path, random_connected
+from conftest import (g_cycle, g_cyc4, g_expo, g_path, random_connected,
+                      tree_plus_2n)
 
 
 def forest_signature(f):
@@ -154,3 +159,81 @@ def test_base_case_one_flow_per_complementary_pair():
         before = flow.max_flow_call_count()
         _base_case(g, perturb(g, seed=idx).weights)
         assert flow.max_flow_call_count() - before == 2 ** (k - 1) - 1
+
+
+CORPUS_SIZE = 200
+
+
+@functools.cache
+def _oracle_signature(idx):
+    return forest_signature(
+        oracle.supreme_sets_bruteforce(random_connected(idx)))
+
+
+@pytest.mark.parametrize("base_case", [3, 4])
+def test_recursion_oracle_equivalence(base_case):
+    """test_01's corpus, >= 99% first-seed gate and reseed rule, at a
+    base case small enough that the randomized recursion runs."""
+    first_try = above = recursed = 0
+    for idx in range(CORPUS_SIZE):
+        g = random_connected(idx)
+        want = _oracle_signature(idx)
+        stats: dict = {}
+        f = supreme_forest(g, seed=idx, base_case=base_case, stats=stats)
+        if forest_signature(f) == want:
+            first_try += 1
+        else:
+            f = supreme_forest(g, seed=idx + 10_007, base_case=base_case)
+            assert forest_signature(f) == want, \
+                f"instance {idx} failed on the reseed too"
+        above += len(g.terminals) > max(base_case, 3)
+        recursed += stats["max_depth"] >= 1
+    assert first_try >= math.ceil(0.99 * CORPUS_SIZE), first_try
+    # Most instances above the base case split instead of falling back.
+    assert above >= 50 and recursed >= 0.9 * above, (above, recursed)
+
+
+def full_signature(f):
+    return sorted((tuple(sorted(f.nodes[i].terminals)), f.nodes[i].c,
+                   tuple(sorted(f.nodes[i].mu_tilde))) for i in f.live())
+
+
+def test_recursion_matches_full_enumeration():
+    """On one perturbation the supreme family is unique, so the recursion
+    must return the forest that enumerating every bipartition returns."""
+    rng = random.Random(8)
+    depths: dict[int, list[int]] = {BASE_CASE: [], 3: []}
+    for i in range(40):
+        n, k = rng.randint(16, 40), rng.randint(6, 11)
+        g = tree_plus_2n(n, 8000 + i, k)
+        want = full_signature(supreme_forest(g, seed=i, base_case=k))
+        for bc in depths:
+            stats: dict = {}
+            f = supreme_forest(g, seed=i, base_case=bc, stats=stats)
+            assert full_signature(f) == want, (i, bc)
+            depths[bc].append(stats["max_depth"])
+    assert min(depths[3]) >= 1, depths[3]
+    assert max(depths[BASE_CASE]) >= 1, depths[BASE_CASE]
+
+
+@pytest.mark.parametrize("base_case", [-1, 0, 1, FULL_ENUMERATION_LIMIT + 1])
+def test_base_case_out_of_range_raises(base_case):
+    g = g_cycle(8)
+    with pytest.raises(ValueError, match="base_case must be in 2..12"):
+        supreme_forest(g, seed=0, base_case=base_case)
+    with pytest.raises(ValueError, match="base_case must be in 2..12"):
+        find_supreme_candidates(perturb(g, 0), base_case=base_case)
+
+
+def test_pipeline_reports_recursion_within_bounds():
+    """What the recursion did, on test_08's n=200 instance, within the
+    depth and layer bounds that `supreme_forest` asserts."""
+    n = 200
+    g = tree_plus_2n(n, 31337 + n, n // 3)
+    _, report = augment_pipeline(g, steiner_connectivity(g) + 1, seed=n)
+    rec = report["supreme"]
+    assert 1 <= rec["max_depth"] <= 25 * math.log(n // 3) + 5
+    assert 0 < rec["max_layer_vertices"] <= 8 * n * math.log(n)
+    sizes = {int(k): c for k, c in rec["base_cases"].items()}
+    assert sizes and max(sizes) <= max(BASE_CASE, 3), sizes
+    assert min(sizes) >= 2 and rec["fallbacks"] >= 0
