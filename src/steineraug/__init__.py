@@ -15,7 +15,7 @@ The package computes, for a weighted undirected graph with a terminal set:
 """
 
 from .graph import Graph, EdgeAdditions, cut_value, projection, is_steiner_cut, \
-    contract, add_edges, steiner_connectivity
+    add_edges, steiner_connectivity
 from .flow import FlowNetwork, FlowResult, max_flow, earliest_min_cut, \
     isolating_cuts, flow_backend_name, max_flow_call_count, \
     reset_max_flow_call_count

@@ -21,15 +21,13 @@ from .graph import EdgeAdditions, Graph
 def ledger_scheduler(g: Graph, state: DegExternalState) -> ChainScheduler:
     """Scheduler over the L_high sub-forest with one slot per ledger entry."""
     forest, hld = state.forest, state.hld
-    lhigh: set[int] = set()
-    for i in forest.live():
-        if forest.nodes[i].in_L2:
-            lhigh.update(forest.ancestors(i))
-    # Closed under ancestors, so parenthood is inherited; from_family
-    # remaps the ids and keeps c and mu_tilde.
+    # L_high is the nodes of the upper paths.  It is closed under
+    # ancestors, so parenthood is inherited; from_family remaps the ids
+    # and keeps c and mu_tilde.
     sub = LaminarForest.from_family(
         [(forest.nodes[i].terminals, forest.nodes[i].c,
-          forest.nodes[i].mu_tilde) for i in sorted(lhigh)])
+          forest.nodes[i].mu_tilde)
+         for p in hld.paths if p.level == "upper" for i in p.nodes])
     sub_id = {sub.nodes[j].terminals: j for j in sub.live()}
 
     slots = []

@@ -82,7 +82,8 @@ def build_H(state: DegExternalState, path: HeavyPath
     rs = _path_bottom_up(path)
     rk = rs[-1]
     mu = f.nodes[rk].mu_tilde
-    assert mu is not None, f"node {rk} lost its vertex set"
+    if mu is None:
+        raise RuntimeError(f"node {rk} lost its vertex set")
 
     # Vertex blocks: one node per terminal layer R_i \ R_{i-1}, one per
     # uncontracted vertex of mu, one for everything else including x.
@@ -92,7 +93,8 @@ def build_H(state: DegExternalState, path: HeavyPath
     prev: frozenset[int] = frozenset()
     for r in rs:
         layer = f.nodes[r].terminals - prev
-        assert layer, "heavy path layers must strictly grow"
+        if not layer:
+            raise RuntimeError("heavy path layers must strictly grow")
         for u in layer:
             comp[u] = next_id
         block_of.append(next_id)
@@ -122,7 +124,8 @@ def build_H(state: DegExternalState, path: HeavyPath
     uy_arcs: dict[int, int] = {}    # arc index -> original vertex
     for u in range(g.n):
         cap = state.beta.get(u, 0) - state.wx.get(u, 0)
-        assert cap >= 0, f"budget exceeded at {u} before processing"
+        if cap < 0:
+            raise RuntimeError(f"budget exceeded at {u} before processing")
         if cap > 0 and comp[u] != sink:
             uy_arcs[len(arcs)] = u
             arcs.append((comp[u], y, cap))
@@ -130,13 +133,15 @@ def build_H(state: DegExternalState, path: HeavyPath
         arcs.append((block_of[i + 1], block_of[i], None))
 
     delta = _delta_for(state, rk, exclude=rk)
-    assert delta >= 0, "negative per-path demand"
+    if delta < 0:
+        raise RuntimeError("negative per-path demand")
     # Monotonicity of the prefix demands along the path.
     prev_val = None
     for r in rs:
         val = _delta_for(state, r, exclude=rk)
-        assert prev_val is None or val >= prev_val, \
-            "per-path demand must be monotone along the path"
+        if prev_val is not None and val < prev_val:
+            raise RuntimeError(
+                "per-path demand must be monotone along the path")
         prev_val = val
     yx_index = len(arcs)
     arcs.append((y, sink, delta))
@@ -168,8 +173,9 @@ def process_path(state: DegExternalState, path: HeavyPath) -> None:
     for idx, u in meta["uy_arcs"].items():
         fval = res.flows[idx]
         if fval > 0:
-            assert mu_m is None or u in mu_m, \
-                "new weight must land inside the highest critical set"
+            if mu_m is not None and u not in mu_m:
+                raise RuntimeError(
+                    "new weight must land inside the highest critical set")
             state.wx[u] = state.wx.get(u, 0) + fval
             state.assignments.append(
                 DegAssignment(u, fval, path.id, path.level))
@@ -189,7 +195,6 @@ def deg_external_augment(g: Graph, tau: int, beta: dict[int, int],
         raise InfeasibleBudgetError("budget cannot reach the target")
     forest.mark_critical(tau)
     if forest.live():
-        forest.compute_L2_Lhigh()
         hld = forest.heavy_light()
     else:
         hld = HeavyPathDecomposition([], {})

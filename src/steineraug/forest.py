@@ -241,7 +241,7 @@ class HeavyPathDecomposition:
     L_high is decomposed on its own (upper level, paths bottoming out at
     L2 nodes) and each subtree hanging below an L2 node is decomposed
     separately (lower level).  Every live node belongs to exactly one
-    path.
+    path, so the upper paths' nodes are exactly L_high.
     """
 
     def __init__(self, paths: list[HeavyPath], path_of: dict[int, int]):
@@ -250,23 +250,21 @@ class HeavyPathDecomposition:
 
     @classmethod
     def build(cls, f: LaminarForest) -> "HeavyPathDecomposition":
-        l2 = {i for i in f.live() if f.nodes[i].in_L2}
+        """Decompose f after `mark_critical`; sets the L2 flags."""
+        l2, lhigh = f.compute_L2_Lhigh()
         if not l2:
-            raise ValueError("no L2 flags set (compute_L2_Lhigh)")
-        lhigh: set[int] = set()
-        for i in l2:
-            lhigh.update(f.ancestors(i))
+            raise ValueError("no critical node (mark_critical)")
 
         def restricted_children(u: int, region: Optional[set[int]]) -> list[int]:
-            chs = [ch for ch in f.nodes[u].children]
-            if region is not None:
-                chs = [ch for ch in chs if ch in region]
-            return chs
+            return [ch for ch in f.nodes[u].children
+                    if region is None or ch in region]
 
+        # L2 nodes have no children inside L_high (their descendants have
+        # a critical proper ancestor), so upper paths stop at them.
         def decompose(top_nodes: list[int], region: Optional[set[int]],
-                      cut_below: set[int], level: str,
-                      paths: list[HeavyPath], path_of: dict[int, int]) -> None:
-            # Subtree sizes within the region, not descending past cut_below.
+                      level: str, paths: list[HeavyPath],
+                      path_of: dict[int, int]) -> None:
+            # Subtree sizes within the region.
             size: dict[int, int] = {}
             for top in top_nodes:
                 order = []
@@ -274,14 +272,10 @@ class HeavyPathDecomposition:
                 while stack:
                     u = stack.pop()
                     order.append(u)
-                    if u not in cut_below:
-                        stack.extend(restricted_children(u, region))
+                    stack.extend(restricted_children(u, region))
                 for u in reversed(order):
-                    s = 1
-                    if u not in cut_below:
-                        for ch in restricted_children(u, region):
-                            s += size[ch]
-                    size[u] = s
+                    size[u] = 1 + sum(size[ch]
+                                      for ch in restricted_children(u, region))
             for top in top_nodes:
                 stack = [top]
                 while stack:
@@ -290,8 +284,6 @@ class HeavyPathDecomposition:
                     u = head
                     while True:
                         path.append(u)
-                        if u in cut_below:
-                            break
                         chs = restricted_children(u, region)
                         if not chs:
                             break
@@ -308,14 +300,12 @@ class HeavyPathDecomposition:
 
         paths: list[HeavyPath] = []
         path_of: dict[int, int] = {}
-        decompose([r for r in f.roots() if r in lhigh], lhigh, l2,
-                  "upper", paths, path_of)
+        decompose([r for r in f.roots() if r in lhigh], lhigh, "upper",
+                  paths, path_of)
         lower_tops = []
         for i in sorted(l2):
             lower_tops.extend(sorted(f.nodes[i].children))
-        decompose(lower_tops, None, set(), "lower", paths, path_of)
-        # Roots outside L_high (no critical node below would be odd,
-        # but leaves are always critical so every root is in L_high).
+        decompose(lower_tops, None, "lower", paths, path_of)
 
         # Path depth: 1 for paths headed by a forest root, else one more
         # than the depth of the parent's path.

@@ -8,7 +8,7 @@ returns a new value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 # Perturbed weights (see supreme.py) are m*N*w + r with N = 1 + sum of all
@@ -125,31 +125,6 @@ def is_steiner_cut(g: Graph, X: Iterable[int]) -> bool:
     """True iff X separates some but not all terminals."""
     p = projection(g, X)
     return bool(p) and p != g.terminals
-
-
-def contract(g: Graph, K: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Merge vertex set K into one node; drop self-loops, keep parallels.
-
-    Returns the contracted graph and the vertex mapping phi (old -> new).
-    The merged node is a terminal iff K contains a terminal.
-    """
-    K = set(K)
-    if not K:
-        raise ValueError("cannot contract an empty set")
-    keep = [u for u in range(g.n) if u not in K]
-    phi: dict[int, int] = {}
-    for i, u in enumerate(keep):
-        phi[u] = i
-    merged = len(keep)
-    for u in K:
-        phi[u] = merged
-    edges = []
-    for (u, v, w) in g.edges:
-        a, b = phi[u], phi[v]
-        if a != b:
-            edges.append((a, b, w))
-    terminals = frozenset(phi[t] for t in g.terminals)
-    return Graph(merged + 1, tuple(edges), terminals), phi
 
 
 def add_edges(g: Graph, F: EdgeAdditions) -> Graph:

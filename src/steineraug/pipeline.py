@@ -170,6 +170,7 @@ def augment_pipeline(g: Graph, tau: int, seed: int = 0,
                         for i in range(len(comps) - 1))
         out = EdgeAdditions(entries)
         report["phases"]["tree"] = out.total_weight
+        report["optimum"] = len(comps) - 1
         report["total_weight"] = out.total_weight
         report["max_flow_calls"] = flow.max_flow_call_count() - calls_before
         return out, report

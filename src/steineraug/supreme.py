@@ -9,10 +9,11 @@ contracted sides, and a node with at most `base_case` terminals (a base
 case) takes the earliest min cut of every terminal bipartition, which
 costs 2^(k-1) - 1 flows at k terminals.  A smaller `base_case` trades
 those flows for recursion depth; the default, `BASE_CASE`, has the
-fewest flows on the benchmark pools (README).  Phase 3 prunes the
-candidates with three post-order traversals, leaving exactly the
-supreme-set projections of the original graph together with their cut
-values and perturbed vertex sets.
+fewest flows on the benchmark pools (README).  A recursion node is its
+terminals, weight map and the original vertices (label) of each vertex.
+Phase 3 prunes the candidate tree with three post-order splicing
+passes, leaving exactly the supreme-set projections of the original
+graph together with their cut values and perturbed vertex sets.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Mapping, Optional
 
 from . import flow
 from .forest import LaminarForest
-from .graph import Graph, contract, is_steiner_cut, projection
+from .graph import Graph, cut_value, is_steiner_cut, projection
 
 PERTURBED_BOUND = 1 << 127
 #: Default terminal count at or below which a recursion node enumerates.
@@ -43,13 +44,9 @@ class BalanceError(RuntimeError):
 class PerturbedGraph:
     base: Graph
     weights: dict[tuple[int, int], int]  # coalesced edge -> perturbed weight
-    N: int
-    seed: int
 
     def cut_value(self, X) -> int:
-        side = set(X)
-        return sum(w for (u, v), w in self.weights.items()
-                   if (u in side) != (v in side))
+        return cut_value(self.base, X, self.weights)
 
 
 def perturb(g: Graph, seed: int) -> PerturbedGraph:
@@ -68,11 +65,21 @@ def perturb(g: Graph, seed: int) -> PerturbedGraph:
         weights[e] = m * N * coal[e] + rng.randint(1, N)
     if sum(weights.values()) >= PERTURBED_BOUND:
         raise OverflowError("perturbed weights exceed the 128-bit bound")
-    return PerturbedGraph(g, weights, N, seed)
+    return PerturbedGraph(g, weights)
 
 
-def _contract_weights(weights: Mapping[tuple[int, int], int],
-                      phi: dict[int, int]) -> dict[tuple[int, int], int]:
+def _contract(K: frozenset[int], terminals: frozenset[int],
+              weights: Mapping[tuple[int, int], int],
+              labels: list[frozenset[int]]
+              ) -> tuple[frozenset[int], dict[tuple[int, int], int],
+                         list[frozenset[int]]]:
+    """Merge the vertices K of a recursion node into one, its last vertex;
+    the others keep their order.  Returns the contracted node's terminals,
+    weights (an edge inside K would be a self-loop and is dropped, and
+    parallel edges are summed) and labels."""
+    keep = [u for u in range(len(labels)) if u not in K]
+    phi = {u: i for i, u in enumerate(keep)}
+    phi.update(dict.fromkeys(K, len(keep)))
     out: dict[tuple[int, int], int] = {}
     for (u, v), w in weights.items():
         a, b = phi[u], phi[v]
@@ -80,7 +87,8 @@ def _contract_weights(weights: Mapping[tuple[int, int], int],
             continue
         key = (a, b) if a < b else (b, a)
         out[key] = out.get(key, 0) + w
-    return out
+    return (frozenset(phi[t] for t in terminals), out,
+            [labels[u] for u in keep] + [_expand(K, labels)])
 
 
 def _crossing_repair(sets: list[frozenset[int]], cut_fn) -> list[frozenset[int]]:
@@ -114,16 +122,13 @@ def _crossing_repair(sets: list[frozenset[int]], cut_fn) -> list[frozenset[int]]
     return [X for X, r in zip(fam, removed) if not r]
 
 
-def _base_case(g: Graph, weights: Mapping[tuple[int, int], int]
-               ) -> list[frozenset[int]]:
-    """Earliest min cut of every ordered terminal bipartition + repair,
-    in mask order.  T1 -> T2 and T2 -> T1 are one min-cut problem whose
-    two minimal sides one max flow gives, so the 2^k - 2 ordered
-    bipartitions cost 2^(k-1) - 1 flows, all on one network."""
-    ts = sorted(g.terminals)
+def _base_case(net: flow.FlowNetwork, ts: list[int]) -> list[frozenset[int]]:
+    """Earliest min cut of every ordered bipartition of the sorted
+    terminals `ts` + repair, in mask order.  T1 -> T2 and T2 -> T1 are one
+    min-cut problem whose two minimal sides one max flow gives, so the
+    2^k - 2 ordered bipartitions cost 2^(k-1) - 1 flows."""
     k = len(ts)
     full = (1 << k) - 1
-    net = flow.FlowNetwork.undirected(g, weights)
     sides: dict[int, frozenset[int]] = {}
     for mask in range(1, 1 << (k - 1)):
         T1 = [ts[i] for i in range(k) if (mask >> i) & 1]
@@ -133,29 +138,22 @@ def _base_case(g: Graph, weights: Mapping[tuple[int, int], int]
     fam = [sides[mask] for mask in range(1, full)]
 
     def cut_fn(M: int) -> int:
-        return sum(w for (u, v), w in weights.items()
-                   if ((M >> u) ^ (M >> v)) & 1)
+        return sum(w for (u, v, w) in net.arcs if ((M >> u) ^ (M >> v)) & 1)
 
     return _crossing_repair(fam, cut_fn)
 
 
 def _expand(X, labels: list[frozenset[int]]) -> frozenset[int]:
-    out: set[int] = set()
-    for v in X:
-        out |= labels[v]
-    return frozenset(out)
+    return frozenset().union(*(labels[v] for v in X))
 
 
-def _balanced_split(g: Graph, weights: dict[tuple[int, int], int],
-                    ts: list[int], rng: random.Random, n_all: int
-                    ) -> Optional[frozenset[int]]:
+def _balanced_split(net: flow.FlowNetwork, ts: list[int], rng: random.Random,
+                    n_all: int) -> Optional[frozenset[int]]:
     """Minimal source side of a min cut between a balanced terminal
     bipartition found by the cut threshold, or None if none is found
-    within the retry cap.  Its flow network is freed on return, before
-    the caller recurses."""
+    within the retry cap."""
     cap = 64 * max(1, math.ceil(math.log2(max(n_all, 2))))
-    net = flow.FlowNetwork.undirected(g, weights)
-    lam_of: dict[int, dict[int, int]] = {}  # s -> lambda(s, u) in g
+    lam_of: dict[int, dict[int, int]] = {}  # s -> lambda(s, u) at this node
     for _ in range(cap):
         s = rng.choice(ts)
         t = rng.choice([u for u in ts if u != s])
@@ -172,42 +170,40 @@ def _balanced_split(g: Graph, weights: dict[tuple[int, int], int],
     return None
 
 
-def _recurse(g: Graph, weights: dict[tuple[int, int], int],
+def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
              labels: list[frozenset[int]], rng: random.Random,
              base_case: int, stats: dict, depth: int) -> set[frozenset[int]]:
+    """Candidates of one recursion node, whose vertices are 0..n-1 with
+    n = len(labels), as sets of original vertices."""
+    n = len(labels)
     stats["max_depth"] = max(stats["max_depth"], depth)
     layers = stats["layer_vertices"]
-    layers[depth] = layers.get(depth, 0) + g.n
+    layers[depth] = layers.get(depth, 0) + n
 
-    ts = sorted(g.terminals)
+    ts = sorted(terminals)
+    net = flow.FlowNetwork(n, [(u, v, w) for (u, v), w in weights.items()],
+                           False)
     # Below 4 terminals no bipartition leaves >= 2 on each side, which is
     # what makes both contracted sub-instances strictly smaller.
     if len(ts) <= max(base_case, 3):
         counts = stats["base_cases"]
         counts[len(ts)] = counts.get(len(ts), 0) + 1
-        return {_expand(X, labels) for X in _base_case(g, weights)}
+        return {_expand(X, labels) for X in _base_case(net, ts)}
 
-    S1 = _balanced_split(g, weights, ts, rng, stats["n"])
+    S1 = _balanced_split(net, ts, rng, stats["n"])
     if S1 is None:
         if len(ts) <= FULL_ENUMERATION_LIMIT:
             # Rare at this size; full enumeration is still affordable.
             stats["fallbacks"] += 1
-            return {_expand(X, labels) for X in _base_case(g, weights)}
+            return {_expand(X, labels) for X in _base_case(net, ts)}
         raise BalanceError("balanced bipartition not found within the retry cap")
-    S2 = frozenset(range(g.n)) - S1
+    del net  # freed before the recursion, as is each sub-instance after it
+    S2 = frozenset(range(n)) - S1
     s2_orig = _expand(S2, labels)
-
-    def sub_instance(K: frozenset[int]):
-        h, phi = contract(g, K)
-        w2 = _contract_weights(weights, phi)
-        lab2: list[frozenset[int]] = [frozenset() for _ in range(h.n)]
-        for v in range(g.n):
-            lab2[phi[v]] = lab2[phi[v]] | labels[v]
-        return h, w2, lab2
-
-    # Each sub-instance is built only for its own call and freed after.
-    F1 = _recurse(*sub_instance(S1), rng, base_case, stats, depth + 1)
-    F2 = _recurse(*sub_instance(S2), rng, base_case, stats, depth + 1)
+    F1 = _recurse(*_contract(S1, terminals, weights, labels), rng, base_case,
+                  stats, depth + 1)
+    F2 = _recurse(*_contract(S2, terminals, weights, labels), rng, base_case,
+                  stats, depth + 1)
 
     # Merge: keep all of L1 (its t1-bearing sets expand to supersets of
     # S1, covering supreme X >= S1; its t1-free sets are subsets of S2,
@@ -247,7 +243,8 @@ def find_supreme_candidates(pg: PerturbedGraph, base_case: int = BASE_CASE,
                   "base_cases": {}, "fallbacks": 0})
     rng = random.Random(seed)
     labels = [frozenset({v}) for v in range(g.n)]
-    fam = _recurse(g, dict(pg.weights), labels, rng, base_case, stats, 0)
+    fam = _recurse(g.terminals, dict(pg.weights), labels, rng, base_case,
+                   stats, 0)
     out = sorted((X for X in fam if is_steiner_cut(g, X)),
                  key=lambda X: (len(X), sorted(X)))
     _assert_laminar(out)
@@ -265,77 +262,51 @@ def _assert_laminar(sets: list[frozenset[int]]) -> None:
                     f"{sorted(sets[j])}")
 
 
-def candidate_cut_values(sets: list[frozenset[int]], g: Graph,
-                         weights: Optional[Mapping[tuple[int, int], int]] = None
-                         ) -> list[int]:
-    """Cut value d(X) of each candidate set, under `weights` if given."""
-    coal = g.coalesced() if weights is None else weights
-    out = []
-    for X in sets:
-        side = set(X)
-        out.append(sum(w for (u, v), w in coal.items()
-                       if (u in side) != (v in side)))
-    return out
-
-
 def postprocess(candidates: list[frozenset[int]], g: Graph,
                 pg: PerturbedGraph) -> LaminarForest:
-    """Three post-order traversals turning candidates into the forest of
+    """Three post-order passes turning candidates into the forest of
     supreme-set terminal projections of g.
 
-    Traversal 1 removes a node when some child matches or beats its
-    perturbed cut value; traversal 2 removes a node whose parent has the
-    same terminal projection (after it, the family is exactly the supreme
-    sets of g~); traversal 3 repeats traversal 1 with the original
-    weights, leaving projections whose original supreme set exists, with
+    The candidates form one tree, a set's parent being its smallest strict
+    superset; a removed node is spliced out, its children moving to its
+    parent.  Pass 1 removes a node when some child matches or beats its
+    perturbed cut value; pass 2 removes a node whose parent has the same
+    terminal projection (after it, the family is exactly the supreme sets
+    of g~); pass 3 repeats pass 1 with the original weights, leaving
+    projections whose original supreme set exists, with
     c(R) = d(mu(R)) = d(mu~(R)).
     """
-    sets = sorted(set(candidates), key=lambda X: (len(X), sorted(X)))
-    sets = [X for X in sets if is_steiner_cut(g, X)]
+    # Ascending (len, sorted) order is a post-order, and a set's smallest
+    # strict superset is the first one after it.
+    sets = sorted({X for X in candidates if is_steiner_cut(g, X)},
+                  key=lambda X: (len(X), sorted(X)))
+    parent = [next((j for j in range(i + 1, len(sets)) if X < sets[j]), None)
+              for i, X in enumerate(sets)]
+    children: list[list[int]] = [[] for _ in sets]
+    for i, p in enumerate(parent):
+        if p is not None:
+            children[p].append(i)
+    live = [True] * len(sets)
 
-    live = list(range(len(sets)))
-    values_tilde = candidate_cut_values(sets, g, pg.weights)
-    values_orig = candidate_cut_values(sets, g)
-
-    def run_traversal(live_idx: list[int], remove_fn) -> list[int]:
-        cur = sorted(live_idx, key=lambda i: (len(sets[i]), sorted(sets[i])))
-        parents = {}
-        for pos, i in enumerate(cur):
-            best = None
-            for j in cur:
-                if sets[i] < sets[j] and (best is None
-                                          or len(sets[j]) < len(sets[best])):
-                    best = j
-            parents[i] = best
-        children: dict[Optional[int], list[int]] = {}
-        for i in cur:
-            children.setdefault(parents[i], []).append(i)
-        # Post-order = ascending size here (children are strictly smaller).
-        alive = set(cur)
-        kids = {i: list(children.get(i, [])) for i in cur}
-        for i in cur:
-            if remove_fn(i, kids.get(i, []), parents.get(i)):
-                alive.discard(i)
-                p = parents[i]
+    def prune(remove) -> None:
+        for i in range(len(sets)):
+            if live[i] and remove(i):
+                live[i] = False
+                p = parent[i]
+                for ch in children[i]:
+                    parent[ch] = p
                 if p is not None:
-                    kids[p] = [x for x in kids[p] if x != i] + kids.get(i, [])
-                for ch in kids.get(i, []):
-                    parents[ch] = p
-        return [i for i in cur if i in alive]
+                    children[p].remove(i)
+                    children[p] += children[i]
 
-    # Traversal 1: perturbed values.
-    live = run_traversal(live, lambda i, ch, p: any(
-        values_tilde[w] <= values_tilde[i] for w in ch))
-    # Traversal 2: duplicate projections collapse to the outermost set.
+    d_tilde = [cut_value(g, X, pg.weights) for X in sets]
+    d = [cut_value(g, X) for X in sets]
     proj = [projection(g, X) for X in sets]
-    live = run_traversal(live, lambda i, ch, p: p is not None
-                         and proj[p] == proj[i])
-    # Traversal 3: original values.
-    live = run_traversal(live, lambda i, ch, p: any(
-        values_orig[w] <= values_orig[i] for w in ch))
-
-    entries = [(proj[i], values_orig[i], sets[i]) for i in live]
-    return LaminarForest.from_family(entries)
+    prune(lambda i: any(d_tilde[w] <= d_tilde[i] for w in children[i]))
+    prune(lambda i: parent[i] is not None and proj[parent[i]] == proj[i])
+    prune(lambda i: any(d[w] <= d[i] for w in children[i]))
+    return LaminarForest.from_family(
+        (proj[i], d[i], sets[i]) for i in range(len(sets)) if live[i])
 
 
 def supreme_forest(g: Graph, seed: int, base_case: int = BASE_CASE,

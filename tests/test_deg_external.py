@@ -140,6 +140,14 @@ def test_short_h_network_flow_raises(monkeypatch):
         process_path(state, state.hld.paths[0])
 
 
+def test_budget_exceeded_before_build_H_raises():
+    # The guard on the remaining (u, y) capacity must trip, also under -O.
+    state = fresh_state(g_path(), 3, {0: 2, 1: 0, 2: 2})
+    state.wx[0] = 3
+    with pytest.raises(RuntimeError, match="budget exceeded at 0"):
+        build_H(state, state.hld.paths[0])
+
+
 def test_deg_external_nonterminal_routing():
     # G_split at tau=4 with no budget on s: the weight must land on the
     # nonterminal vertices v1 (and t on the other side).

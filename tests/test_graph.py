@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steineraug.graph import (EdgeAdditions, Graph, add_edges, contract,
-                              cut_value, is_steiner_cut, projection,
-                              star_graph, steiner_connectivity)
+from steineraug.graph import (EdgeAdditions, Graph, add_edges, cut_value,
+                              is_steiner_cut, projection, star_graph,
+                              steiner_connectivity)
 
 from conftest import g_cyc4, g_expo, g_path, random_connected
 
@@ -37,24 +37,6 @@ def test_projection_and_steiner_cut():
     assert is_steiner_cut(g, {0})
     assert not is_steiner_cut(g, {1})          # no terminal inside
     assert not is_steiner_cut(g, {0, 1, 2})    # all terminals inside
-
-
-def test_contract_single_vertex_is_isomorphic():
-    g = g_path()
-    h, phi = contract(g, {2})
-    assert h.n == g.n
-    assert sorted((min(phi[u], phi[v]), max(phi[u], phi[v]), w)
-                  for (u, v, w) in g.edges) == \
-        sorted((min(u, v), max(u, v), w) for (u, v, w) in h.edges)
-
-
-def test_contract_merges_and_drops_loops():
-    g = g_cyc4()
-    h, phi = contract(g, {0, 1})
-    assert h.n == 3
-    assert phi[0] == phi[1]
-    # The (0,1) edge became a self-loop and is gone.
-    assert sum(w for (_, _, w) in h.edges) == 3
 
 
 def test_add_edges_examples():

@@ -45,6 +45,24 @@ def test_augment_noop_and_tau1():
         augment_pipeline(g_path(), 0)
 
 
+def test_augment_tau1_optimum_over_terminal_components():
+    # Disjoint corpus graphs, each a terminal component, plus one part
+    # whose terminals are dropped: joining the components is optimal.
+    for idx in range(30):
+        parts = [random_connected(4 * idx + j, n_max=6)
+                 for j in range(2 + idx % 3)] + [random_connected(4 * idx + 3)]
+        edges, terminals, off = [], [], 0
+        for j, h in enumerate(parts):
+            edges += [(u + off, v + off, w) for (u, v, w) in h.edges]
+            if j < len(parts) - 1:
+                terminals += [t + off for t in h.terminals]
+            off += h.n
+        g = Graph.build(off, edges, terminals)
+        adds, report = augment_pipeline(g, 1, seed=idx)
+        assert adds.total_weight == report["optimum"] == len(parts) - 2
+        assert oracle.verify_solution(g, 1, adds)[0]
+
+
 def test_augment_report_fields_and_determinism():
     a1, r1 = augment_pipeline(g_cyc4(), 4, seed=9)
     a2, r2 = augment_pipeline(g_cyc4(), 4, seed=9)

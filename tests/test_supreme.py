@@ -6,11 +6,14 @@ import random
 import pytest
 
 from steineraug import flow, oracle
-from steineraug.graph import cut_value, steiner_connectivity
+from steineraug.forest import LaminarForest
+from steineraug.graph import (Graph, cut_value, is_steiner_cut, projection,
+                              steiner_connectivity)
 from steineraug.pipeline import augment_pipeline
 from steineraug.supreme import (BASE_CASE, FULL_ENUMERATION_LIMIT, _base_case,
-                                _crossing_repair, find_supreme_candidates,
-                                perturb, supreme_forest)
+                                _contract, _crossing_repair,
+                                find_supreme_candidates, perturb,
+                                postprocess, supreme_forest)
 
 from conftest import (g_cycle, g_cyc4, g_expo, g_path, random_connected,
                       tree_plus_2n)
@@ -68,8 +71,38 @@ def test_supreme_forest_mu_cut_values_match():
             assert nd.terminals == nd.mu_tilde & g.terminals
 
 
+def singletons(g):
+    return [frozenset({v}) for v in range(g.n)]
+
+
+def test_contract_single_vertex_is_isomorphic():
+    g = g_path()
+    weights = g.coalesced()
+    terminals, w2, labels = _contract(frozenset({1}), g.terminals, weights,
+                                      singletons(g))
+    # The labels give the vertex map, here a bijection moving 1 last.
+    assert labels == [frozenset({0}), frozenset({2}), frozenset({1})]
+    phi = {next(iter(L)): i for i, L in enumerate(labels)}
+    assert terminals == {phi[t] for t in g.terminals}
+    assert w2 == {tuple(sorted((phi[u], phi[v]))): w
+                  for (u, v), w in weights.items()}
+
+
+def test_contract_merges_and_drops_loops():
+    g = g_cyc4()
+    terminals, w2, labels = _contract(frozenset({0, 1}), g.terminals,
+                                      g.coalesced(), singletons(g))
+    assert labels == [frozenset({2}), frozenset({3}), frozenset({0, 1})]
+    assert terminals == {0, 1, 2}
+    # The (0,1) edge became a self-loop and is gone.
+    assert w2 == {(0, 1): 1, (0, 2): 1, (1, 2): 1}
+    # Merging opposite corners makes parallel edges, which are summed.
+    _, w2, _ = _contract(frozenset({0, 2}), g.terminals, g.coalesced(),
+                         singletons(g))
+    assert w2 == {(0, 2): 2, (1, 2): 2}
+
+
 def test_needs_two_terminals():
-    from steineraug.graph import Graph
     g = Graph.build(2, [(0, 1, 1)], [0])
     with pytest.raises(ValueError):
         supreme_forest(g, seed=0)
@@ -148,7 +181,8 @@ def test_crossing_repair_single_pass_matches_restart_base_families():
         want = _crossing_repair_restart(fam, by_set)
         crossing += len(want) < len(fam)
         assert _crossing_repair(fam, by_mask) == want
-        assert _base_case(g, pg.weights) == want
+        net = flow.FlowNetwork.undirected(g, pg.weights)
+        assert _base_case(net, sorted(g.terminals)) == want
     assert crossing > 0
 
 
@@ -157,7 +191,8 @@ def test_base_case_one_flow_per_complementary_pair():
         g = random_connected(idx)
         k = len(g.terminals)
         before = flow.max_flow_call_count()
-        _base_case(g, perturb(g, seed=idx).weights)
+        net = flow.FlowNetwork.undirected(g, perturb(g, seed=idx).weights)
+        _base_case(net, sorted(g.terminals))
         assert flow.max_flow_call_count() - before == 2 ** (k - 1) - 1
 
 
@@ -237,3 +272,98 @@ def test_pipeline_reports_recursion_within_bounds():
     sizes = {int(k): c for k, c in rec["base_cases"].items()}
     assert sizes and max(sizes) <= max(BASE_CASE, 3), sizes
     assert min(sizes) >= 2 and rec["fallbacks"] >= 0
+
+
+def _postprocess_rebuild(candidates, g, pg, fired=None):
+    """Reference for `postprocess`: rebuilds the candidate tree for each of
+    the three traversals with a quadratic superset search.  `fired`, if
+    given, receives the number of nodes each traversal removes."""
+    sets = sorted(set(candidates), key=lambda X: (len(X), sorted(X)))
+    sets = [X for X in sets if is_steiner_cut(g, X)]
+    live = list(range(len(sets)))
+    values_tilde = [cut_value(g, X, pg.weights) for X in sets]
+    values_orig = [cut_value(g, X) for X in sets]
+
+    def run_traversal(live_idx, remove_fn):
+        cur = sorted(live_idx, key=lambda i: (len(sets[i]), sorted(sets[i])))
+        parents = {}
+        for i in cur:
+            best = None
+            for j in cur:
+                if sets[i] < sets[j] and (best is None
+                                          or len(sets[j]) < len(sets[best])):
+                    best = j
+            parents[i] = best
+        children = {}
+        for i in cur:
+            children.setdefault(parents[i], []).append(i)
+        alive = set(cur)
+        kids = {i: list(children.get(i, [])) for i in cur}
+        for i in cur:
+            if remove_fn(i, kids.get(i, []), parents.get(i)):
+                alive.discard(i)
+                p = parents[i]
+                if p is not None:
+                    kids[p] = [x for x in kids[p] if x != i] + kids.get(i, [])
+                for ch in kids.get(i, []):
+                    parents[ch] = p
+        out = [i for i in cur if i in alive]
+        if fired is not None:
+            fired.append(len(cur) - len(out))
+        return out
+
+    live = run_traversal(live, lambda i, ch, p: any(
+        values_tilde[w] <= values_tilde[i] for w in ch))
+    proj = [projection(g, X) for X in sets]
+    live = run_traversal(live, lambda i, ch, p: p is not None
+                         and proj[p] == proj[i])
+    live = run_traversal(live, lambda i, ch, p: any(
+        values_orig[w] <= values_orig[i] for w in ch))
+    return LaminarForest.from_family(
+        [(proj[i], values_orig[i], sets[i]) for i in live])
+
+
+def tree_signature(f):
+    return [(i, sorted(f.nodes[i].terminals), f.nodes[i].c,
+             sorted(f.nodes[i].mu_tilde), f.nodes[i].parent)
+            for i in f.live()]
+
+
+def _random_laminar(rng, n, tries=40):
+    fam = []
+    for _ in range(tries):
+        X = frozenset(v for v in range(n) if rng.random() < rng.random())
+        if X and all(not (X & Y) or X <= Y or Y <= X for Y in fam):
+            fam.append(X)
+    return fam
+
+
+def test_postprocess_matches_rebuild_reference_random_laminar():
+    """Unit weights up to 2 tie many cut values and few terminals repeat
+    projections, so every traversal removes nodes somewhere."""
+    rng = random.Random(11)
+    removed = [0, 0, 0]
+    for trial in range(400):
+        n = rng.randint(3, 9)
+        edges = [(u, v, rng.randint(1, 2))
+                 for u, v in itertools.combinations(range(n), 2)
+                 if rng.random() < 0.5]
+        g = Graph.build(n, edges or [(0, 1, 1)],
+                        rng.sample(range(n), rng.randint(2, min(n, 4))))
+        pg = perturb(g, seed=trial)
+        fam = _random_laminar(rng, n)
+        fired: list[int] = []
+        want = tree_signature(_postprocess_rebuild(fam, g, pg, fired))
+        assert tree_signature(postprocess(fam, g, pg)) == want, trial
+        removed = [a + b for a, b in zip(removed, fired)]
+    assert min(removed) > 0, removed
+
+
+@pytest.mark.parametrize("base_case", [2, 3, 5])
+def test_postprocess_matches_rebuild_reference_corpus(base_case):
+    for idx in range(60):
+        g = random_connected(idx, n_max=12)
+        pg = perturb(g, seed=idx)
+        fam = find_supreme_candidates(pg, base_case=base_case, seed=idx)
+        assert tree_signature(postprocess(fam, g, pg)) == \
+            tree_signature(_postprocess_rebuild(fam, g, pg)), idx
