@@ -4,7 +4,10 @@ Given per-vertex budgets beta for edges toward an external vertex x, add
 external weight of total value sum of rdem over the forest roots without
 exceeding any budget.  One directed max flow per heavy path decides
 where that path's share of the weight lands; flow routed through the
-helper vertex y becomes new (u, x) weight.
+helper vertex y becomes new (u, x) weight.  The paths, the critical
+nodes and L2 are those of `forest.HeavyPathDecomposition`.  Each new
+weight block is one ledger entry (`DegAssignment`) naming the path that
+placed it; the chain phase (deg_chains) spends the ledger.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ class DegAssignment:
     vertex: int
     weight: int
     path_id: int
-    level: str
 
 
 @dataclass
@@ -62,13 +64,13 @@ def _path_bottom_up(path: HeavyPath) -> list[int]:
     return list(reversed(path.nodes))
 
 
-def _delta_for(state: DegExternalState, top: int, exclude: int) -> int:
+def _delta_for(state: DegExternalState, top: int) -> int:
     """rdem(top) minus the rdem of the outermost heavy-path heads strictly
     below it; a nested head's demand is already inside its outer head's."""
     f, path_of = state.forest, state.hld.path_of
     tops = {p.nodes[0] for p in state.hld.paths}
     sub = set(f.subtree(top))
-    below = sum(f.nodes[w].rdem for w in tops if w in sub and w != exclude
+    below = sum(f.nodes[w].rdem for w in tops if w in sub and w != top
                 and path_of[f.nodes[w].parent] == path_of[top])
     return f.nodes[top].rdem - below
 
@@ -132,13 +134,13 @@ def build_H(state: DegExternalState, path: HeavyPath
     for i in range(len(rs) - 1):
         arcs.append((block_of[i + 1], block_of[i], None))
 
-    delta = _delta_for(state, rk, exclude=rk)
+    delta = _delta_for(state, rk)
     if delta < 0:
         raise RuntimeError("negative per-path demand")
     # Monotonicity of the prefix demands along the path.
     prev_val = None
     for r in rs:
-        val = _delta_for(state, r, exclude=rk)
+        val = _delta_for(state, r)
         if prev_val is not None and val < prev_val:
             raise RuntimeError(
                 "per-path demand must be monotone along the path")
@@ -152,13 +154,6 @@ def build_H(state: DegExternalState, path: HeavyPath
     return net, meta
 
 
-def _highest_critical(state: DegExternalState, path: HeavyPath) -> int:
-    for r in path.nodes:            # top to bottom
-        if state.forest.nodes[r].critical:
-            return r
-    raise AssertionError("heavy path without a critical node")
-
-
 def process_path(state: DegExternalState, path: HeavyPath) -> None:
     net, meta = build_H(state, path)
     res = flow.max_flow(net, (meta["source"],), (meta["sink"],))
@@ -168,7 +163,9 @@ def process_path(state: DegExternalState, path: HeavyPath) -> None:
     if res.flows[meta["yx_index"]] != meta["delta"]:
         raise RuntimeError(f"path {path.id}: the (y, x) arc is not saturated")
     state.deltas[path.id] = meta["delta"]
-    rm = _highest_critical(state, path)
+    # Highest critical node on the path; there is one, since every path
+    # ends at an L2 node or at a leaf, and leaves are critical.
+    rm = next(r for r in path.nodes if r in state.hld.critical)
     mu_m = state.forest.nodes[rm].mu_tilde
     for idx, u in meta["uy_arcs"].items():
         fval = res.flows[idx]
@@ -177,8 +174,7 @@ def process_path(state: DegExternalState, path: HeavyPath) -> None:
                 raise RuntimeError(
                     "new weight must land inside the highest critical set")
             state.wx[u] = state.wx.get(u, 0) + fval
-            state.assignments.append(
-                DegAssignment(u, fval, path.id, path.level))
+            state.assignments.append(DegAssignment(u, fval, path.id))
 
 
 def deg_external_augment(g: Graph, tau: int, beta: dict[int, int],
@@ -193,11 +189,7 @@ def deg_external_augment(g: Graph, tau: int, beta: dict[int, int],
     """
     if not check_feasibility(g, tau, beta):
         raise InfeasibleBudgetError("budget cannot reach the target")
-    forest.mark_critical(tau)
-    if forest.live():
-        hld = forest.heavy_light()
-    else:
-        hld = HeavyPathDecomposition([], {})
+    hld = HeavyPathDecomposition.build(forest)
     state = DegExternalState(g, tau, dict(beta), forest, hld)
     order = sorted(hld.paths, key=lambda p: (-p.depth, p.nodes[0]))
     for path in order:

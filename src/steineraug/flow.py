@@ -35,12 +35,6 @@ def max_flow_call_count() -> int:
     return _call_count
 
 
-def reset_max_flow_call_count() -> None:
-    global _call_count
-    with _counter_lock:
-        _call_count = 0
-
-
 def flow_backend_name() -> str:
     """The kernel's name; perfbench/run.py records it in every run."""
     return "python"

@@ -1,7 +1,7 @@
 """Rooted laminar forest of terminal sets with the tree machinery the
-augmentation schedulers need: rdem DP, critical marking, L2/L_high, the
-two-level heavy-light decomposition of the external phase, and node
-deletion with child reattachment.
+augmentation schedulers need: the rdem DP, node deletion with child
+reattachment, and the two-level heavy-light decomposition of the
+external phase, which alone decides the critical nodes, L2 and L_high.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ class ForestNode:
     mu_tilde: Optional[frozenset[int]] = None
     parent: Optional[int] = None
     children: list[int] = field(default_factory=list)
-    critical: bool = False
-    in_L2: bool = False
     deleted: bool = False
 
 
@@ -165,34 +163,6 @@ class LaminarForest:
             child_sum = sum(self.nodes[ch].rdem for ch in nd.children)
             nd.rdem = max(tau - nd.c, child_sum)
 
-    def mark_critical(self, tau: int) -> None:
-        """critical iff own demand strictly exceeds the children's rdem sum."""
-        for i in self.live():
-            nd = self.nodes[i]
-            child_sum = sum(self.nodes[ch].rdem for ch in nd.children)
-            nd.critical = (tau - nd.c) > child_sum
-
-    def compute_L2_Lhigh(self) -> tuple[set[int], set[int]]:
-        """L2 = critical nodes with no critical proper ancestor;
-        L_high = union of L2-to-root paths (L2 nodes included)."""
-        l2: set[int] = set()
-        for i in self.live():
-            if not self.nodes[i].critical:
-                continue
-            if any(self.nodes[a].critical
-                   for a in self.ancestors(i, include_self=False)):
-                continue
-            l2.add(i)
-        lhigh: set[int] = set()
-        for i in l2:
-            lhigh.update(self.ancestors(i))
-        for i in self.live():
-            self.nodes[i].in_L2 = i in l2
-        return l2, lhigh
-
-    def heavy_light(self) -> "HeavyPathDecomposition":
-        return HeavyPathDecomposition.build(self)
-
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
@@ -205,8 +175,6 @@ class LaminarForest:
                 "parent": nd.parent,
                 "c": nd.c,
                 "rdem": nd.rdem,
-                "critical": nd.critical,
-                "in_L2": nd.in_L2,
                 "mu_tilde": sorted(nd.mu_tilde) if nd.mu_tilde is not None else None,
             })
         return json.dumps(data, indent=2)
@@ -215,9 +183,8 @@ class LaminarForest:
         lines = ["digraph laminar {", "  node [shape=box];"]
         for i in self.live():
             nd = self.nodes[i]
-            label = "{%s} c=%d rdem=%d%s" % (
-                ",".join(map(str, sorted(nd.terminals))), nd.c, nd.rdem,
-                " L2" if nd.in_L2 else (" crit" if nd.critical else ""))
+            label = "{%s} c=%d rdem=%d" % (
+                ",".join(map(str, sorted(nd.terminals))), nd.c, nd.rdem)
             lines.append(f'  n{i} [label="{label}"];')
         for i in self.live():
             p = self.nodes[i].parent
@@ -227,100 +194,87 @@ class LaminarForest:
         return "\n".join(lines)
 
 
+
+
 @dataclass
 class HeavyPath:
     id: int
     nodes: list[int]      # top (closest to root) to bottom (a leaf)
     depth: int            # number of heavy paths met walking top -> tree root
     level: str            # "upper" or "lower"
+    anchor: int           # the L2 node the path ends at or hangs below
 
 
+@dataclass
 class HeavyPathDecomposition:
-    """Two-level heavy-light decomposition of a laminar forest.
+    """Two-level heavy-light decomposition of a forest with rdem set.
 
-    L_high is decomposed on its own (upper level, paths bottoming out at
-    L2 nodes) and each subtree hanging below an L2 node is decomposed
-    separately (lower level).  Every live node belongs to exactly one
-    path, so the upper paths' nodes are exactly L_high.
+    A live node is critical when its rdem exceeds its children's rdem
+    sum: `compute_rdem` sets rdem = max(tau - c, child sum), so that is
+    tau - c > child sum.  L2 is the critical nodes with no critical
+    proper ancestor, and L_high their ancestors, L2 included.  L_high is
+    decomposed on its own (upper level) and each subtree hanging below
+    an L2 node separately (lower level).  Every live node belongs to
+    exactly one path, so the upper paths' nodes are exactly L_high.
     """
 
-    def __init__(self, paths: list[HeavyPath], path_of: dict[int, int]):
-        self.paths = paths
-        self.path_of = path_of
+    paths: list[HeavyPath]
+    path_of: dict[int, int]
+    critical: set[int]
+    l2: set[int]
+    lhigh: set[int]
 
     @classmethod
     def build(cls, f: LaminarForest) -> "HeavyPathDecomposition":
-        """Decompose f after `mark_critical`; sets the L2 flags."""
-        l2, lhigh = f.compute_L2_Lhigh()
-        if not l2:
-            raise ValueError("no critical node (mark_critical)")
+        """Decompose f after `compute_rdem`; an empty f has no paths."""
+        live = f.live()
+        critical = {i for i in live if f.nodes[i].rdem
+                    > sum(f.nodes[ch].rdem for ch in f.nodes[i].children)}
+        l2 = {i for i in critical
+              if critical.isdisjoint(f.ancestors(i, include_self=False))}
+        if live and not l2:
+            raise ValueError("no critical node (compute_rdem first)")
+        lhigh = {a for i in l2 for a in f.ancestors(i)}
+        paths: list[HeavyPath] = []
+        path_of: dict[int, int] = {}
 
-        def restricted_children(u: int, region: Optional[set[int]]) -> list[int]:
-            return [ch for ch in f.nodes[u].children
-                    if region is None or ch in region]
+        def decompose(tops: list[int], region: Optional[set[int]],
+                      level: str) -> None:
+            def kids(u: int) -> list[int]:
+                return [ch for ch in f.nodes[u].children
+                        if region is None or ch in region]
 
-        # L2 nodes have no children inside L_high (their descendants have
-        # a critical proper ancestor), so upper paths stop at them.
-        def decompose(top_nodes: list[int], region: Optional[set[int]],
-                      level: str, paths: list[HeavyPath],
-                      path_of: dict[int, int]) -> None:
-            # Subtree sizes within the region.
+            order = []
+            stack = list(tops)
+            while stack:
+                u = stack.pop()
+                order.append(u)
+                stack.extend(kids(u))
             size: dict[int, int] = {}
-            for top in top_nodes:
-                order = []
+            for u in reversed(order):
+                size[u] = 1 + sum(size[ch] for ch in kids(u))
+            for top in tops:
                 stack = [top]
                 while stack:
                     u = stack.pop()
-                    order.append(u)
-                    stack.extend(restricted_children(u, region))
-                for u in reversed(order):
-                    size[u] = 1 + sum(size[ch]
-                                      for ch in restricted_children(u, region))
-            for top in top_nodes:
-                stack = [top]
-                while stack:
-                    head = stack.pop()
-                    path = []
-                    u = head
-                    while True:
-                        path.append(u)
-                        chs = restricted_children(u, region)
-                        if not chs:
-                            break
+                    nodes = [u]
+                    while chs := kids(u):
                         # Heavy child: max size, ties to the lower id.
-                        heavy = min(chs, key=lambda ch: (-size[ch], ch))
-                        for ch in chs:
-                            if ch != heavy:
-                                stack.append(ch)
-                        u = heavy
-                    pid = len(paths)
-                    paths.append(HeavyPath(pid, path, depth=0, level=level))
-                    for v in path:
-                        path_of[v] = pid
+                        u = min(chs, key=lambda ch: (-size[ch], ch))
+                        stack.extend(ch for ch in chs if ch != u)
+                        nodes.append(u)
+                    # The path holding the head's parent is already built.
+                    par = f.nodes[nodes[0]].parent
+                    up = None if par is None else paths[path_of[par]]
+                    path = HeavyPath(
+                        len(paths), nodes, 1 if up is None else up.depth + 1,
+                        level, nodes[-1] if level == "upper" else up.anchor)
+                    paths.append(path)
+                    path_of.update(dict.fromkeys(nodes, path.id))
 
-        paths: list[HeavyPath] = []
-        path_of: dict[int, int] = {}
-        decompose([r for r in f.roots() if r in lhigh], lhigh, "upper",
-                  paths, path_of)
-        lower_tops = []
-        for i in sorted(l2):
-            lower_tops.extend(sorted(f.nodes[i].children))
-        decompose(lower_tops, None, "lower", paths, path_of)
-
-        # Path depth: 1 for paths headed by a forest root, else one more
-        # than the depth of the parent's path.
-        def depth_of(pid: int) -> int:
-            p = paths[pid]
-            if p.depth:
-                return p.depth
-            head = p.nodes[0]
-            par = f.nodes[head].parent
-            if par is None:
-                p.depth = 1
-            else:
-                p.depth = depth_of(path_of[par]) + 1
-            return p.depth
-
-        for pid in range(len(paths)):
-            depth_of(pid)
-        return cls(paths, path_of)
+        # Every leaf is critical, so every root is in L_high, and the
+        # leaves of L_high are the L2 nodes: upper paths end at them.
+        decompose(f.roots(), lhigh, "upper")
+        decompose([ch for i in sorted(l2)
+                   for ch in sorted(f.nodes[i].children)], None, "lower")
+        return cls(paths, path_of, critical, l2, lhigh)

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-# Perturbed weights (see supreme.py) are m*N*w + r with N = 1 + sum of all
-# weights; requiring the raw weight total to stay below 2**40 keeps every
-# perturbed cut value comfortably inside 128-bit arithmetic.
+# A check on outside input.  With total weight W <= 2**40 the perturbed
+# weights (supreme.perturb: m*N*w + r, N = W + 1, at most m <= W edges)
+# sum to at most m*N**2 < 2**121, which bounds every cut and flow value.
 WEIGHT_SUM_BOUND = 1 << 40
 
 

@@ -102,35 +102,26 @@ def match_groups(g: Graph, K: Sequence[frozenset[int]], tau: int,
         commit([(groups[i], groups[j])])
         groups.pop(i)
 
-    cap = 64 * max(1, math.ceil(math.log2(max(2, g.n))))
+    attempts = 128 * max(1, math.ceil(math.log2(max(2, g.n))))
     while len(groups) >= 4:
         p = len(groups) // 4
-        accepted = None
-        attempts = 0
-        reseeded = False
-        while accepted is None:
-            if attempts >= cap:
-                if not reseeded:
-                    rng = random.Random(rng.getrandbits(64))
-                    reseeded = True
-                    attempts = 0
-                else:
-                    raise MatchingRetryError(
-                        f"no feasible matching in {2 * cap} attempts")
-            attempts += 1
+        for _ in range(attempts):
             order = list(range(len(groups)))
             rng.shuffle(order)
             picked = order[:2 * p]
             pairs = [(picked[2 * i], picked[2 * i + 1]) for i in range(p)]
             M = [(edge_vertex(groups[a]), edge_vertex(groups[b]))
                  for (a, b) in pairs]
-            remaining = [groups[i] for i in range(len(groups))
-                         if i not in set(picked)]
+            matched = set(picked)
+            remaining = [grp for i, grp in enumerate(groups)
+                         if i not in matched]
             if is_feasible_partial(g_cur, remaining, M, tau):
-                accepted = pairs
-        commit([(groups[a], groups[b]) for (a, b) in accepted])
-        matched = {i for pair in accepted for i in pair}
-        groups = [groups[i] for i in range(len(groups)) if i not in matched]
+                break
+        else:
+            raise MatchingRetryError(
+                f"no feasible matching in {attempts} attempts")
+        commit([(groups[a], groups[b]) for (a, b) in pairs])
+        groups = remaining
 
     if groups:
         if len(groups) != 2:

@@ -262,17 +262,14 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0,
             if spare:
                 rem[u] = rem.get(u, 0) + spare
         K_prime = build_K(sched.forest, tau)
-        if steiner_connectivity(g1) < tau:
-            rng = random.Random(seed ^ 0x5DEECE66D)
-            match_adds = deg_augment_by_one(g1, tau, rem, K_prime, rng)
-            report["phases"]["matching"] = match_adds.total_weight
-            for u in list(rem):
-                rem[u] -= match_adds.degree(u)
-                if rem[u] < 0:
-                    raise RuntimeError(f"matching exceeded the budget at {u}")
-            out = chain_adds.combine(match_adds)
-        else:
-            out = chain_adds
+        rng = random.Random(seed ^ 0x5DEECE66D)
+        match_adds = deg_augment_by_one(g1, tau, rem, K_prime, rng)
+        report["phases"]["matching"] = match_adds.total_weight
+        for u in list(rem):
+            rem[u] -= match_adds.degree(u)
+            if rem[u] < 0:
+                raise RuntimeError(f"matching exceeded the budget at {u}")
+        out = chain_adds.combine(match_adds)
         remaining = {u: w for u, w in rem.items() if w > 0}
 
     # Leftover budget is paired on top of an already tau-connected graph.

@@ -28,7 +28,6 @@ from . import flow
 from .forest import LaminarForest
 from .graph import Graph, cut_value, is_steiner_cut, projection
 
-PERTURBED_BOUND = 1 << 127
 #: Default terminal count at or below which a recursion node enumerates.
 BASE_CASE = 5
 #: Largest terminal count a node is enumerated at in full when no
@@ -63,8 +62,6 @@ def perturb(g: Graph, seed: int) -> PerturbedGraph:
     weights = {}
     for e in sorted(coal):
         weights[e] = m * N * coal[e] + rng.randint(1, N)
-    if sum(weights.values()) >= PERTURBED_BOUND:
-        raise OverflowError("perturbed weights exceed the 128-bit bound")
     return PerturbedGraph(g, weights)
 
 

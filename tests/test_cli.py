@@ -128,6 +128,12 @@ def test_io_error_exit_code(tmp_path, capsys):
     assert cli.main(["augment", bad, "--tau", "3"]) == 1
 
 
+def test_total_weight_above_bound_is_input_error(tmp_path, capsys):
+    path = write(tmp_path, "g.txt", f"3 2 2 3\n0 1 {2**40}\n1 2 1\n0 2\n")
+    assert cli.main(["augment", path]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_missing_tau_is_input_error(tmp_path):
     path = write(tmp_path, "g.txt", "2 1 2\n0 1 5\n0 1\n")
     assert cli.main(["augment", path]) == 1

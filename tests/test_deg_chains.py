@@ -1,5 +1,3 @@
-import pytest
-
 from steineraug import oracle
 from steineraug.chains import run_chains
 from steineraug.deg_chains import ledger_scheduler, split_off_chains
@@ -108,22 +106,3 @@ def test_lazy_c_matches_eager_and_no_new_extreme():
                     oracle.flow_free_cut_value(cur, mu)
             now = set(oracle.extreme_sets_bruteforce(cur).vertex_sets())
             assert now <= original
-
-
-@pytest.mark.parametrize("level,message", [
-    ("upper", "must bottom out at an L2 node"),
-    ("lower", "without L2 ancestor"),
-], ids=["upper", "lower"])
-def test_ledger_guards_raise_on_corrupt_assignments(level, message):
-    # random_connected(1) at tau=conn+2 has ledger entries on both levels.
-    g = random_connected(1, n_max=8)
-    tau = steiner_connectivity(g) + 2
-    state = deg_state(g, tau, {u: 4 * tau for u in range(g.n)}, seed=1)
-    assert {a.level for a in state.assignments} == {"lower", "upper"}
-    for asg in state.assignments:
-        asg.level = level
-    if level == "lower":
-        for nd in state.forest.nodes.values():
-            nd.in_L2 = False
-    with pytest.raises(RuntimeError, match=message):
-        ledger_scheduler(g, state)

@@ -24,10 +24,7 @@ def ready_forest(g, tau, seed=1):
 
 def fresh_state(g, tau, beta, seed=1):
     forest = ready_forest(g, tau, seed)
-    forest.mark_critical(tau)
-    forest.compute_L2_Lhigh()
-    hld = forest.heavy_light() if forest.live() else \
-        HeavyPathDecomposition([], {})
+    hld = HeavyPathDecomposition.build(forest)
     return DegExternalState(g, tau, dict(beta), forest, hld)
 
 

@@ -1,6 +1,10 @@
 import pytest
 
-from steineraug.forest import LaminarForest
+from steineraug.forest import HeavyPathDecomposition, LaminarForest
+from steineraug.graph import steiner_connectivity
+from steineraug.supreme import supreme_forest
+
+from conftest import random_connected
 
 
 def F(*sets):
@@ -57,47 +61,76 @@ def test_mark_critical():
     # Chain {0,1} > {0} with equal demands: only the leaf is critical.
     f = F(({0, 1}, 1), ({0}, 1))
     f.compute_rdem(3)
-    f.mark_critical(3)
-    root, leaf = f.roots()[0], f.leaves()[0]
-    assert f.nodes[leaf].critical
-    assert not f.nodes[root].critical
+    leaf = f.leaves()[0]
+    assert HeavyPathDecomposition.build(f).critical == {leaf}
     # Root demanding more than its children: critical.
     f2 = F(({0, 1}, 0), ({0}, 2))
     f2.compute_rdem(3)
-    f2.mark_critical(3)
-    assert f2.nodes[f2.roots()[0]].critical
+    assert f2.roots()[0] in HeavyPathDecomposition.build(f2).critical
 
 
 def test_L2_Lhigh():
     # Only leaves critical -> L2 = leaves, L_high = everything.
     f = F(({0, 1}, 1), ({0}, 1), ({1}, 1))
     f.compute_rdem(3)
-    f.mark_critical(3)
-    l2, lhigh = f.compute_L2_Lhigh()
-    assert l2 == set(f.leaves())
-    assert lhigh == set(f.live())
+    hld = HeavyPathDecomposition.build(f)
+    assert hld.l2 == set(f.leaves())
+    assert hld.lhigh == set(f.live())
     # Critical root shadows critical descendants.
     f2 = F(({0, 1}, 0), ({0}, 2))
     f2.compute_rdem(3)
-    f2.mark_critical(3)
-    l2, lhigh = f2.compute_L2_Lhigh()
-    assert l2 == {f2.roots()[0]} == lhigh
+    hld2 = HeavyPathDecomposition.build(f2)
+    assert hld2.l2 == {f2.roots()[0]} == hld2.lhigh
 
 
 def test_heavy_light_stop_at_l2_splits_paths():
     # Chain of 3 where the middle node is the highest critical one.
     f = F(({0, 1, 2}, 4), ({0, 1}, 1), ({0}, 3))
     f.compute_rdem(5)
-    f.mark_critical(5)
-    l2, _ = f.compute_L2_Lhigh()
+    hld = HeavyPathDecomposition.build(f)
     mid = next(i for i in f.live()
                if f.nodes[i].terminals == frozenset({0, 1}))
-    assert l2 == {mid}
-    hld = f.heavy_light()
+    assert hld.l2 == {mid}
     upper = [p for p in hld.paths if p.level == "upper"]
     lower = [p for p in hld.paths if p.level == "lower"]
     assert len(upper) == 1 and upper[0].nodes[-1] == mid
     assert len(lower) == 1 and len(lower[0].nodes) == 1
+    assert [p.anchor for p in hld.paths] == [mid, mid]
+    assert [p.depth for p in hld.paths] == [1, 2]
+
+
+def test_build_needs_rdem():
+    f = F(({0, 1}, 1), ({0}, 1))
+    with pytest.raises(ValueError, match="compute_rdem"):
+        HeavyPathDecomposition.build(f)
+    assert HeavyPathDecomposition.build(LaminarForest()).paths == []
+
+
+def test_anchors_l2_and_critical_on_corpus():
+    checked = 0
+    for idx in range(40):
+        g = random_connected(idx)
+        conn = steiner_connectivity(g)
+        for tau in range(max(conn + 1, 2), conn + 4):
+            f = supreme_forest(g, seed=idx)
+            f.compute_rdem(tau)
+            hld = HeavyPathDecomposition.build(f)
+            nodes = f.nodes
+            assert hld.critical == {
+                i for i in f.live() if tau - nodes[i].c
+                > sum(nodes[ch].rdem for ch in nodes[i].children)}
+            # The anchor is the one L2 node on the root path of the
+            # path's bottom: an upper path ends at it, a lower one hangs
+            # below it.
+            for p in hld.paths:
+                on_root_path = hld.l2.intersection(f.ancestors(p.nodes[-1]))
+                assert on_root_path == {p.anchor}
+            upper = {i for p in hld.paths if p.level == "upper"
+                     for i in p.nodes}
+            assert upper == {a for i in hld.l2 for a in f.ancestors(i)}
+            assert sorted(hld.path_of) == f.live()
+            checked += 1
+    assert checked >= 100
 
 
 def test_serialization_runs():

@@ -21,6 +21,13 @@ def test_validation_rejects_bad_graphs():
         Graph.build(2, [(0, 1, 1)], [])            # no terminals
 
 
+def test_total_weight_bound():
+    edges = [(0, 1, 2**40 - 1), (1, 2, 1)]
+    assert sum(w for (_, _, w) in Graph.build(3, edges, [0, 2]).edges) == 2**40
+    with pytest.raises(ValueError, match="bound"):
+        Graph.build(3, edges + [(0, 2, 1)], [0, 2])
+
+
 def test_cut_value_path():
     g = g_path()
     assert cut_value(g, {0}) == 1

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from steineraug import matching
 from steineraug.chains import run_chains
 from steineraug.external import external_augment, make_even
 from steineraug.graph import add_edges, steiner_connectivity
@@ -130,3 +131,19 @@ def test_odd_number_of_groups_left_raises():
     with pytest.raises(RuntimeError, match="groups left"):
         match_groups(g, groups, 1, _RepeatingShuffle(0),
                      edge_vertex=min)
+
+
+def test_retry_budget_exhausted_raises(monkeypatch):
+    # tau = 10 is out of reach of a 4-cycle plus unit edges, so every
+    # feasibility check fails; with n = 4 the budget is 2 * 64 * 2 checks.
+    checks = []
+
+    def counted(*args):
+        checks.append(args)
+        return is_feasible_partial(*args)
+
+    monkeypatch.setattr(matching, "is_feasible_partial", counted)
+    groups = [frozenset({v}) for v in range(4)]
+    with pytest.raises(MatchingRetryError, match="in 256 attempts"):
+        match_groups(g_cyc4(), groups, 10, random.Random(0), edge_vertex=min)
+    assert len(checks) == 256
