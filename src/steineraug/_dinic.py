@@ -11,6 +11,10 @@ degree-constrained external phase reads per-arc flows, so changing
 either can change outputs.  The sources are tried in the given order,
 each until it is blocked, which finds the same augmenting paths as a
 super source joined to them in that order.
+
+The last BFS of the loop gives the minimal source side for free; the
+minimal sink side needs a reverse search of the residual graph, which
+`flow.FlowResult.sink_side` runs only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ from collections import deque
 
 def max_flow_kernel(head: list[list[int]], to: list[int], cap: list[int],
                     sources: list[int], sinks: list[int]
-                    ) -> tuple[int, frozenset[int], frozenset[int]]:
+                    ) -> tuple[int, frozenset[int]]:
     """Blocking-flow max flow from `sources` to `sinks` over `cap`.
 
-    Returns (value, source side, sink side): the vertices the final
-    residual graph reaches from the sources, and those reaching a sink.
+    Returns (value, source side): the source side is the vertices the
+    final residual graph reaches from the sources.
     """
     n = len(head)
     is_sink = [False] * n
@@ -95,14 +99,4 @@ def max_flow_kernel(head: list[list[int]], to: list[int], cap: list[int],
                 u = to[a ^ 1]
                 it[u] += 1
 
-    reach_sink = set(sinks)
-    queue = deque(sinks)
-    while queue:
-        v = queue.popleft()
-        for a in head[v]:
-            u = to[a]
-            if cap[a ^ 1] and u not in reach_sink:
-                reach_sink.add(u)
-                queue.append(u)
-    source_side = frozenset(v for v in range(n) if level[v] >= 0)
-    return total, source_side, frozenset(reach_sink)
+    return total, frozenset(v for v in range(n) if level[v] >= 0)

@@ -15,7 +15,6 @@ import sys
 from typing import Optional
 
 from . import oracle
-from .deg_external import InfeasibleBudgetError
 from .graph import EdgeAdditions, Graph
 from .matching import MatchingRetryError
 from .pipeline import RejectedInstanceError, augment_pipeline, splitoff_pipeline
@@ -171,8 +170,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RejectedInstanceError, InfeasibleBudgetError,
-            MatchingRetryError) as exc:
+    except (RejectedInstanceError, MatchingRetryError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
 

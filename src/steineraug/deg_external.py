@@ -57,7 +57,7 @@ def check_feasibility(g: Graph, tau: int, beta: dict[int, int]) -> bool:
         return False
     pos = {u: w for u, w in beta.items() if w > 0}
     h = star_graph(g, pos)[0] if pos else g
-    return steiner_connectivity(h) >= tau
+    return steiner_connectivity(h, tau) >= tau
 
 
 def _path_bottom_up(path: HeavyPath) -> list[int]:
@@ -185,10 +185,17 @@ def deg_external_augment(g: Graph, tau: int, beta: dict[int, int],
     The forest must already have rdem computed for tau.  The paths are
     those of the two-level decomposition (upper paths ending at the
     highest critical nodes), so the assignment records feed the chain
-    phase.
+    phase.  Raises InfeasibleBudgetError if beta cannot reach tau.
     """
     if not check_feasibility(g, tau, beta):
         raise InfeasibleBudgetError("budget cannot reach the target")
+    return _augment_feasible(g, tau, beta, forest)
+
+
+def _augment_feasible(g: Graph, tau: int, beta: dict[int, int],
+                      forest: LaminarForest) -> DegExternalState:
+    """`deg_external_augment` for a beta known to reach tau, as x's own
+    star does when tau is the connectivity of g plus x."""
     hld = HeavyPathDecomposition.build(forest)
     state = DegExternalState(g, tau, dict(beta), forest, hld)
     order = sorted(hld.paths, key=lambda p: (-p.depth, p.nodes[0]))

@@ -7,7 +7,9 @@ copying only the residual capacities.  An undirected network has one
 residual arc pair per coalesced edge, with capacity w each way; a
 directed one has one pair per arc, reverse capacity 0.  Both run the
 one pure-Python blocking-flow (Dinic) loop in `_dinic`, on unbounded
-Python integers, so perturbed weights of any size are exact.
+Python integers, so perturbed weights of any size are exact.  A solve
+returns its value and minimal source side; the minimal sink side and
+the per-arc flows are derived from the residual capacities when read.
 
 A global, atomic invocation counter supports the acceptance call-count
 budget.
@@ -18,6 +20,7 @@ from __future__ import annotations
 import functools
 import operator
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
@@ -80,9 +83,25 @@ class FlowNetwork:
 class FlowResult:
     value: int
     source_side: frozenset[int]     # minimal: residually reached from sources
-    sink_side: frozenset[int]       # minimal: residually reaching the sinks
     net: FlowNetwork = field(repr=False)
     residual: list[int] = field(repr=False)   # capacities after the solve
+    sinks: tuple[int, ...] = field(repr=False)
+
+    @functools.cached_property
+    def sink_side(self) -> frozenset[int]:
+        """Minimal sink side: the vertices residually reaching a sink.
+        Found on first read, since only the base case reads it."""
+        head, to, res = self.net.head, self.net.to, self.residual
+        side = set(self.sinks)
+        queue = deque(self.sinks)
+        while queue:
+            v = queue.popleft()
+            for a in head[v]:
+                u = to[a]
+                if res[a ^ 1] and u not in side:
+                    side.add(u)
+                    queue.append(u)
+        return frozenset(side)
 
     @functools.cached_property
     def flows(self) -> tuple[int, ...]:
@@ -114,11 +133,11 @@ def max_flow(net: FlowNetwork, sources: Iterable[int],
     if sources[0] < 0 or sinks[0] < 0 or max(sources[-1], sinks[-1]) >= net.n:
         raise ValueError("source or sink out of range")
     cap = net.cap[:]
-    value, source_side, sink_side = _kernel_for(net.inf)(
+    value, source_side = _kernel_for(net.inf)(
         net.head, net.to, cap, sources, sinks)
     if value >= net.inf:
         raise NoFiniteCutError("no finite cut separates sources from sinks")
-    return FlowResult(value, source_side, sink_side, net, cap)
+    return FlowResult(value, source_side, net, cap, tuple(sinks))
 
 
 def min_cut_value(g: Graph, A: Iterable[int], B: Iterable[int],

@@ -135,8 +135,10 @@ def add_edges(g: Graph, F: EdgeAdditions) -> Graph:
     return Graph(g.n, g.edges + F.entries, g.terminals)
 
 
-def steiner_connectivity(g: Graph) -> int:
-    """Minimum cut value over all Steiner cuts.
+def steiner_connectivity(g: Graph, stop_below: int = 1) -> int:
+    """Minimum cut value over all Steiner cuts, or the first lambda found
+    below `stop_below`, so `steiner_connectivity(g, tau) < tau` decides
+    `steiner_connectivity(g) < tau` with no flow past the first witness.
 
     Every Steiner cut separates a fixed terminal s from some other
     terminal, so the minimum equals min over t in T-{s} of lambda(s, t).
@@ -150,7 +152,7 @@ def steiner_connectivity(g: Graph) -> int:
     net = flow.FlowNetwork.undirected(g)
     best = flow.max_flow(net, ts[:1], ts[1:2]).value
     for t in ts[2:]:
-        if best == 0:
+        if best < stop_below:
             break
         best = min(best, flow.max_flow(net, ts[:1], (t,)).value)
     return best

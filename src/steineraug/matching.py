@@ -54,7 +54,7 @@ def is_feasible_partial(g_cur: Graph, K_remaining: Sequence[frozenset[int]],
         beta[v] = beta.get(v, 0) + 1
     if beta:
         h, _ = star_graph(h, beta)
-    return steiner_connectivity(h) >= tau
+    return steiner_connectivity(h, tau) >= tau
 
 
 def match_groups(g: Graph, K: Sequence[frozenset[int]], tau: int,

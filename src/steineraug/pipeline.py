@@ -15,7 +15,7 @@ from typing import Optional
 from . import flow
 from .chains import run_chains
 from .deg_chains import split_off_chains
-from .deg_external import InfeasibleBudgetError, deg_external_augment
+from .deg_external import _augment_feasible
 from .deg_matching import deg_augment_by_one
 from .external import external_augment, make_even
 from .graph import EdgeAdditions, Graph, add_edges, steiner_connectivity
@@ -243,15 +243,14 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0,
 
     out = EdgeAdditions(())
     remaining = dict(beta)
-    if steiner_connectivity(g) < tau:
+    if steiner_connectivity(g, tau) < tau:
         stats: dict = {}
         forest = supreme_forest(g, seed=seed, base_case=base_case, stats=stats)
         report["supreme"] = recursion_report(stats)
         forest.compute_rdem(tau)
-        try:
-            state = deg_external_augment(g, tau, beta, forest)
-        except InfeasibleBudgetError as exc:
-            raise RejectedInstanceError(str(exc)) from exc
+        # beta is x's own star, so it reaches tau = lambda(g + x) and
+        # deg_external_augment's feasibility check would always pass.
+        state = _augment_feasible(g, tau, beta, forest)
         chain_adds, sched = split_off_chains(g, state)
         report["phases"]["chains"] = chain_adds.total_weight
         g1 = add_edges(g, chain_adds)

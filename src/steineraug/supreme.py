@@ -7,7 +7,9 @@ bipartitions: a node with more than `base_case` terminals splits them
 into two balanced halves by a cut threshold and recurses on the two
 contracted sides, and a node with at most `base_case` terminals (a base
 case) takes the earliest min cut of every terminal bipartition, which
-costs 2^(k-1) - 1 flows at k terminals.  A smaller `base_case` trades
+costs 2^(k-1) - 1 flows at k terminals.  A split node reads every
+threshold it tries off one equivalent-flow tree of its k terminals, so
+it costs k - 1 flows for the tree and one for the split.  A smaller `base_case` trades
 those flows for recursion depth; the default, `BASE_CASE`, has the
 fewest flows on the benchmark pools (README).  A recursion node is its
 terminals, weight map and the original vertices (label) of each vertex.
@@ -144,20 +146,57 @@ def _expand(X, labels: list[frozenset[int]]) -> frozenset[int]:
     return frozenset().union(*(labels[v] for v in X))
 
 
+def _flow_tree(net: flow.FlowNetwork, ts: list[int]
+               ) -> dict[int, list[tuple[int, int]]]:
+    """Gusfield's equivalent-flow tree over the sorted terminals `ts`, as
+    adjacency lists of (neighbour, lambda) pairs: lambda(s, u) is the
+    least value on the tree path from s to u.  Each later terminal starts
+    below ts[0]; u is cut from its tree parent, and the later terminals
+    in the minimal source side that share that parent move below u.
+    |T| - 1 flows (Gusfield, SIAM J. Comput. 1990)."""
+    parent = dict.fromkeys(ts[1:], ts[0])
+    adj: dict[int, list[tuple[int, int]]] = {t: [] for t in ts}
+    for i, u in enumerate(ts[1:], 1):
+        p = parent[u]
+        res = flow.max_flow(net, (u,), (p,))
+        for v in ts[i + 1:]:
+            if parent[v] == p and v in res.source_side:
+                parent[v] = u
+        adj[u].append((p, res.value))
+        adj[p].append((u, res.value))
+    return adj
+
+
+def _lambda_row(tree: dict[int, list[tuple[int, int]]], s: int
+                ) -> dict[int, int]:
+    """lambda(s, u) for every other terminal u: path minima from s."""
+    row = {s: math.inf}
+    stack = [s]
+    while stack:
+        u = stack.pop()
+        for v, c in tree[u]:
+            if v not in row:
+                row[v] = min(row[u], c)
+                stack.append(v)
+    del row[s]
+    return row
+
+
 def _balanced_split(net: flow.FlowNetwork, ts: list[int], rng: random.Random,
                     n_all: int) -> Optional[frozenset[int]]:
     """Minimal source side of a min cut between a balanced terminal
     bipartition found by the cut threshold, or None if none is found
-    within the retry cap."""
+    within the retry cap.  Each drawn source s and sink t give the
+    threshold lambda(s, t); the terminals u with lambda(s, u) at or above
+    it join s.  Every row lambda(s, .) is read off one equivalent-flow
+    tree, so a node of |T| terminals costs |T| - 1 flows for the
+    thresholds, however many sources it draws, plus one for the split."""
     cap = 64 * max(1, math.ceil(math.log2(max(n_all, 2))))
-    lam_of: dict[int, dict[int, int]] = {}  # s -> lambda(s, u) at this node
+    tree = _flow_tree(net, ts)
     for _ in range(cap):
         s = rng.choice(ts)
         t = rng.choice([u for u in ts if u != s])
-        if s not in lam_of:  # naive threshold on terminals, one flow each
-            lam_of[s] = {u: flow.max_flow(net, (s,), (u,)).value
-                         for u in ts if u != s}
-        lams = lam_of[s]
+        lams = _lambda_row(tree, s)
         phi = lams[t]
         cand1 = frozenset({s} | {u for u in ts if u != s and lams[u] >= phi})
         cand2 = frozenset(ts) - cand1

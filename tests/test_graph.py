@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from steineraug.flow import max_flow_call_count
 from steineraug.graph import (EdgeAdditions, Graph, add_edges, cut_value,
                               is_steiner_cut, projection, star_graph,
                               steiner_connectivity)
@@ -70,6 +71,23 @@ def test_steiner_connectivity_fixtures():
     # Disconnected terminals -> 0.
     g = Graph.build(4, [(0, 1, 1), (2, 3, 1)], [0, 2])
     assert steiner_connectivity(g) == 0
+
+
+def test_steiner_connectivity_stops_at_first_lambda_below():
+    """steiner_connectivity(g, tau) < tau decides conn < tau exactly, and
+    stops at the first terminal found below tau."""
+    stopped = 0
+    for idx in range(60):
+        g = random_connected(idx)
+        conn = steiner_connectivity(g)
+        for tau in range(conn - 1, conn + 3):
+            before = max_flow_call_count()
+            below = steiner_connectivity(g, tau) < tau
+            calls = max_flow_call_count() - before
+            assert below == (conn < tau), (idx, tau)
+            assert calls <= len(g.terminals) - 1
+            stopped += calls < len(g.terminals) - 1
+    assert stopped > 0
 
 
 def test_star_graph():

@@ -90,6 +90,22 @@ def test_splitoff_gsplit_fixture():
     assert steiner_connectivity(add_edges(base, adds)) >= report["tau"]
 
 
+def test_splitoff_skips_the_feasibility_check_of_x_star(monkeypatch):
+    """x's own star reaches tau = lambda(g + x), so the pipeline skips
+    deg_external_augment's check: |T| - 1 flows fewer than with it."""
+    from steineraug import deg_external, pipeline
+    gx = Graph.build(7, [(0, 1, 2), (0, 2, 1), (0, 3, 3), (2, 4, 2),
+                         (1, 5, 4), (0, 4, 3), (3, 5, 5), (0, 6, 2),
+                         (2, 6, 2)], range(6))
+    adds, report = splitoff_pipeline(gx, 6)
+    monkeypatch.setattr(pipeline, "_augment_feasible",
+                        deg_external.deg_external_augment)
+    adds_checked, report_checked = splitoff_pipeline(gx, 6)
+    assert adds == adds_checked and report["phases"]["matching"] >= 1
+    assert report_checked["max_flow_calls"] - report["max_flow_calls"] == \
+        len(gx.terminals) - 1
+
+
 def test_splitoff_rejections():
     base = g_cyc4()
     # Terminal x.

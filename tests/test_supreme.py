@@ -11,7 +11,8 @@ from steineraug.graph import (Graph, cut_value, is_steiner_cut, projection,
                               steiner_connectivity)
 from steineraug.pipeline import augment_pipeline
 from steineraug.supreme import (BASE_CASE, FULL_ENUMERATION_LIMIT, _base_case,
-                                _contract, _crossing_repair,
+                                _balanced_split, _contract, _crossing_repair,
+                                _flow_tree, _lambda_row,
                                 find_supreme_candidates, perturb,
                                 postprocess, supreme_forest)
 
@@ -194,6 +195,79 @@ def test_base_case_one_flow_per_complementary_pair():
         net = flow.FlowNetwork.undirected(g, perturb(g, seed=idx).weights)
         _base_case(net, sorted(g.terminals))
         assert flow.max_flow_call_count() - before == 2 ** (k - 1) - 1
+
+
+def _naive_row(net, ts, s):
+    """lambda(s, u) for every other terminal u, one flow each."""
+    return {u: flow.max_flow(net, (s,), (u,)).value for u in ts if u != s}
+
+
+def _random_multigraph(rng, n, w_max):
+    """Random edges with repeats; w_max 1 makes every weight equal."""
+    return [(*rng.sample(range(n), 2), rng.randint(1, w_max))
+            for _ in range(rng.randint(n, 3 * n))]
+
+
+def test_flow_tree_rows_match_naive_rows():
+    """Every ordered terminal pair: the tree's path minimum equals the
+    direct flow, with tied (equal) weights, terminals split over two
+    components (lambda = 0) and perturbed weights."""
+    rng = random.Random(10)
+    zeros = 0
+    for i in range(90):
+        n = rng.randint(4, 12)
+        if i % 3 == 0:
+            arcs = _random_multigraph(rng, n, 1)
+        elif i % 3 == 1:
+            h = n // 2
+            arcs = ([(u, v, w) for u, v, w in _random_multigraph(rng, h, 3)]
+                    + [(u + h, v + h, w)
+                       for u, v, w in _random_multigraph(rng, n - h, 3)])
+        else:
+            g = random_connected(i)
+            n, arcs = g.n, [(u, v, w) for (u, v), w
+                            in perturb(g, seed=i).weights.items()]
+        net = flow.FlowNetwork(n, arcs, False)
+        ts = sorted(rng.sample(range(n), rng.randint(2, n)))
+        tree = _flow_tree(net, ts)
+        for s in ts:
+            want = _naive_row(net, ts, s)
+            assert _lambda_row(tree, s) == want, (i, s)
+            zeros += 0 in want.values()
+    assert zeros > 0
+
+
+class _SourceRecorder(random.Random):
+    """Records the sources `_balanced_split` draws: its choices over all
+    |T| terminals (a sink is drawn from the other |T| - 1)."""
+
+    def __init__(self, seed, k):
+        super().__init__(seed)
+        self.k = k
+        self.sources: set[int] = set()
+
+    def choice(self, seq):
+        x = super().choice(seq)
+        if len(seq) == self.k:
+            self.sources.add(x)
+        return x
+
+
+def test_balanced_split_costs_one_tree_and_one_split():
+    """|T| - 1 flows for the equivalent-flow tree and one for the split,
+    however many sources the retry loop draws."""
+    most_sources = 0
+    for i in range(30):
+        g = tree_plus_2n(30, 500 + i, 12)
+        net = flow.FlowNetwork.undirected(g, perturb(g, seed=i).weights)
+        ts = sorted(g.terminals)
+        rng = _SourceRecorder(i, len(ts))
+        before = flow.max_flow_call_count()
+        side = _balanced_split(net, ts, rng, g.n)
+        calls = flow.max_flow_call_count() - before
+        assert calls == len(ts) - (side is None), (i, calls)
+        most_sources = max(most_sources, len(rng.sources))
+    assert most_sources >= 2
 
 
 CORPUS_SIZE = 200
