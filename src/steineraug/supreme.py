@@ -9,13 +9,30 @@ contracted sides, and a node with at most `base_case` terminals (a base
 case) takes the earliest min cut of every terminal bipartition, which
 costs 2^(k-1) - 1 flows at k terminals.  A split node reads every
 threshold it tries off one equivalent-flow tree of its k terminals, so
-it costs k - 1 flows for the tree and one for the split.  A smaller `base_case` trades
-those flows for recursion depth; the default, `BASE_CASE`, has the
-fewest flows on the benchmark pools (README).  A recursion node is its
-terminals, weight map and the original vertices (label) of each vertex.
-Phase 3 prunes the candidate tree with three post-order splicing
-passes, leaving exactly the supreme-set projections of the original
-graph together with their cut values and perturbed vertex sets.
+it costs k - 1 flows for the tree and one for the split.  A smaller
+`base_case` trades those flows for recursion depth; the default,
+`BASE_CASE`, was chosen by flows on the benchmark pools (README).  A
+recursion node is its terminals, weight map and the original vertices
+(label) of each vertex.  Phase 3 prunes the candidate tree with three
+post-order splicing passes, leaving exactly the supreme-set projections
+of the original graph together with their cut values and perturbed
+vertex sets.
+
+Given a target tau, phase 2 is truncated: a child of a split node whose
+terminals the node's flow tree already proves pairwise tau-connected
+(`_proves_high`) is skipped whole, at no flow.  Every candidate it or a
+node below it could return has d >= tau, since contraction only raises
+cuts, and the pipelines delete every such node (`compute_rdem`).  The
+forest left after `compute_rdem(tau)` is the same with and without the
+truncation:
+- crossing repair runs inside one base case, and a skipped child is
+  skipped whole, so no set of it meets the other candidates there;
+- the merge step only filters sets, one at a time;
+- postprocess pass 1 removes every node of d >= tau that has a
+  descendant of d < tau, so the sets of d < tau keep the same parents,
+  and no later pass removes one of them for a set of d >= tau.
+A skipped child draws no random numbers, so later splits may differ;
+each run still returns the supreme sets of d < tau whp.
 """
 
 from __future__ import annotations
@@ -45,6 +62,7 @@ class BalanceError(RuntimeError):
 class PerturbedGraph:
     base: Graph
     weights: dict[tuple[int, int], int]  # coalesced edge -> perturbed weight
+    scale: int  # m*N: d(X) >= tau exactly when d~(X) > tau*scale
 
     def cut_value(self, X) -> int:
         return cut_value(self.base, X, self.weights)
@@ -55,6 +73,8 @@ def perturb(g: Graph, seed: int) -> PerturbedGraph:
 
     Preserves the order of unequal cut values, and keeps extreme sets
     extreme; random offsets break ties so min cuts become unique whp.
+    The offsets of the at most m edges a cut crosses add at most m*N,
+    the `scale` of one unit of original weight.
     """
     coal = g.coalesced()
     total = sum(coal.values())
@@ -64,7 +84,7 @@ def perturb(g: Graph, seed: int) -> PerturbedGraph:
     weights = {}
     for e in sorted(coal):
         weights[e] = m * N * coal[e] + rng.randint(1, N)
-    return PerturbedGraph(g, weights)
+    return PerturbedGraph(g, weights, m * N)
 
 
 def _contract(K: frozenset[int], terminals: frozenset[int],
@@ -182,17 +202,18 @@ def _lambda_row(tree: dict[int, list[tuple[int, int]]], s: int
     return row
 
 
-def _balanced_split(net: flow.FlowNetwork, ts: list[int], rng: random.Random,
-                    n_all: int) -> Optional[frozenset[int]]:
+def _balanced_split(net: flow.FlowNetwork, ts: list[int],
+                    tree: dict[int, list[tuple[int, int]]],
+                    rng: random.Random, n_all: int
+                    ) -> Optional[frozenset[int]]:
     """Minimal source side of a min cut between a balanced terminal
     bipartition found by the cut threshold, or None if none is found
     within the retry cap.  Each drawn source s and sink t give the
     threshold lambda(s, t); the terminals u with lambda(s, u) at or above
-    it join s.  Every row lambda(s, .) is read off one equivalent-flow
-    tree, so a node of |T| terminals costs |T| - 1 flows for the
+    it join s.  Every row lambda(s, .) is read off the equivalent-flow
+    tree of `ts`, so a node of |T| terminals costs |T| - 1 flows for the
     thresholds, however many sources it draws, plus one for the split."""
     cap = 64 * max(1, math.ceil(math.log2(max(n_all, 2))))
-    tree = _flow_tree(net, ts)
     for _ in range(cap):
         s = rng.choice(ts)
         t = rng.choice([u for u in ts if u != s])
@@ -206,11 +227,32 @@ def _balanced_split(net: flow.FlowNetwork, ts: list[int], rng: random.Random,
     return None
 
 
+def _proves_high(tree: dict[int, list[tuple[int, int]]], ts: list[int],
+                 K: frozenset[int], high: int) -> bool:
+    """Whether the flow tree of a node's terminals `ts` proves that every
+    Steiner cut of the child contracting the vertices K exceeds `high`.
+
+    A Steiner cut of the child separates two of its terminals outside K,
+    or one of them from the contracted vertex, which holds every terminal
+    t in K; so it separates two of A + {t}, A the terminals outside K.
+    With a in A, lambda(u, v) >= min(lambda(u, a), lambda(a, v)), so one
+    row of the tree suffices: every pair of A + {t} exceeds `high` when
+    lambda(a, .) does on A and on some t in K.  The cut is one of the
+    node too, as contraction only removes cuts."""
+    a, *rest = [u for u in ts if u not in K]
+    row = _lambda_row(tree, a)
+    return (all(row[u] > high for u in rest)
+            and any(row[t] > high for t in ts if t in K))
+
+
 def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
              labels: list[frozenset[int]], rng: random.Random,
-             base_case: int, stats: dict, depth: int) -> set[frozenset[int]]:
+             base_case: int, stats: dict, depth: int,
+             high: Optional[int]) -> set[frozenset[int]]:
     """Candidates of one recursion node, whose vertices are 0..n-1 with
-    n = len(labels), as sets of original vertices."""
+    n = len(labels), as sets of original vertices.  A child whose
+    Steiner cuts the flow tree proves above the perturbed value `high`
+    returns none (`pruned`)."""
     n = len(labels)
     stats["max_depth"] = max(stats["max_depth"], depth)
     layers = stats["layer_vertices"]
@@ -226,7 +268,8 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
         counts[len(ts)] = counts.get(len(ts), 0) + 1
         return {_expand(X, labels) for X in _base_case(net, ts)}
 
-    S1 = _balanced_split(net, ts, rng, stats["n"])
+    tree = _flow_tree(net, ts)
+    S1 = _balanced_split(net, ts, tree, rng, stats["n"])
     if S1 is None:
         if len(ts) <= FULL_ENUMERATION_LIMIT:
             # Rare at this size; full enumeration is still affordable.
@@ -236,10 +279,16 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
     del net  # freed before the recursion, as is each sub-instance after it
     S2 = frozenset(range(n)) - S1
     s2_orig = _expand(S2, labels)
-    F1 = _recurse(*_contract(S1, terminals, weights, labels), rng, base_case,
-                  stats, depth + 1)
-    F2 = _recurse(*_contract(S2, terminals, weights, labels), rng, base_case,
-                  stats, depth + 1)
+
+    def child(K: frozenset[int]) -> set[frozenset[int]]:
+        if high is not None and _proves_high(tree, ts, K, high):
+            stats["pruned"] += 1
+            return set()
+        return _recurse(*_contract(K, terminals, weights, labels), rng,
+                        base_case, stats, depth + 1, high)
+
+    F1 = child(S1)
+    F2 = child(S2)
 
     # Merge: keep all of L1 (its t1-bearing sets expand to supersets of
     # S1, covering supreme X >= S1; its t1-free sets are subsets of S2,
@@ -263,24 +312,29 @@ def check_base_case(base_case: int) -> None:
 
 
 def find_supreme_candidates(pg: PerturbedGraph, base_case: int = BASE_CASE,
-                            seed: int = 0, stats: Optional[dict] = None
+                            seed: int = 0, stats: Optional[dict] = None,
+                            tau: Optional[int] = None
                             ) -> list[frozenset[int]]:
-    """Laminar family of Steiner cuts containing all supreme sets of g~.
+    """Laminar family of Steiner cuts containing all supreme sets of g~,
+    or with `tau` all those of d < tau (the truncation of the module
+    docstring).
 
     `stats` receives the recursion's `max_depth`, its vertex total per
     depth (`layer_vertices`), the base cases per terminal count
-    (`base_cases`) and the nodes enumerated in full because no balanced
-    bipartition was found (`fallbacks`)."""
+    (`base_cases`), the nodes enumerated in full because no balanced
+    bipartition was found (`fallbacks`) and the children skipped as
+    tau-connected (`pruned`)."""
     check_base_case(base_case)
     g = pg.base
     if stats is None:
         stats = {}
     stats.update({"max_depth": 0, "n": g.n, "layer_vertices": {},
-                  "base_cases": {}, "fallbacks": 0})
+                  "base_cases": {}, "fallbacks": 0, "pruned": 0})
     rng = random.Random(seed)
     labels = [frozenset({v}) for v in range(g.n)]
+    high = None if tau is None else tau * pg.scale
     fam = _recurse(g.terminals, dict(pg.weights), labels, rng, base_case,
-                   stats, 0)
+                   stats, 0, high)
     out = sorted((X for X in fam if is_steiner_cut(g, X)),
                  key=lambda X: (len(X), sorted(X)))
     _assert_laminar(out)
@@ -346,16 +400,19 @@ def postprocess(candidates: list[frozenset[int]], g: Graph,
 
 
 def supreme_forest(g: Graph, seed: int, base_case: int = BASE_CASE,
-                   stats: Optional[dict] = None) -> LaminarForest:
+                   stats: Optional[dict] = None,
+                   tau: Optional[int] = None) -> LaminarForest:
     """Full pipeline: perturb, find candidates, postprocess.  `stats` is
-    filled as by `find_supreme_candidates`."""
+    filled as by `find_supreme_candidates`.  With `tau` the recursion is
+    truncated at tau: nodes with c >= tau may be missing, and the forest
+    after `compute_rdem(tau)` is the same."""
     if len(g.terminals) < 2:
         raise ValueError("need at least 2 terminals")
     pg = perturb(g, seed)
     if stats is None:
         stats = {}
     fam = find_supreme_candidates(pg, base_case=base_case, seed=seed ^ 0x9E3779B9,
-                                  stats=stats)
+                                  stats=stats, tau=tau)
     depth = stats.get("max_depth", 0)
     bound = 25 * math.log(max(len(g.terminals), 2)) + 5
     assert depth <= bound, f"recursion depth {depth} exceeds {bound}"
@@ -371,4 +428,4 @@ def recursion_report(stats: dict) -> dict:
             "max_layer_vertices": max(stats["layer_vertices"].values()),
             "base_cases": {str(k): c
                            for k, c in sorted(stats["base_cases"].items())},
-            "fallbacks": stats["fallbacks"]}
+            "fallbacks": stats["fallbacks"], "pruned": stats["pruned"]}

@@ -5,6 +5,8 @@ import pytest
 from steineraug import oracle
 from steineraug.graph import EdgeAdditions, Graph, cut_value, is_steiner_cut
 
+from augmentation_oracle import (frank_greedy_external,
+                                 optimal_augmentation_value)
 from conftest import g_cyc4, g_expo, g_path, random_connected
 
 
@@ -64,20 +66,20 @@ def test_optimal_external_values():
 
 
 def test_optimal_augmentation_values():
-    assert oracle.optimal_augmentation_value(g_path(), 3) == 2
-    assert oracle.optimal_augmentation_value(g_cyc4(), 3) == 2
-    assert oracle.optimal_augmentation_value(g_cyc4(), 4) == 4
+    assert optimal_augmentation_value(g_path(), 3) == 2
+    assert optimal_augmentation_value(g_cyc4(), 3) == 2
+    assert optimal_augmentation_value(g_cyc4(), 4) == 4
     # Exhaustive search cross-check on the tiny fixtures.
-    assert oracle.optimal_augmentation_value(g_path(), 3, exhaustive=True) == 2
-    assert oracle.optimal_augmentation_value(g_cyc4(), 3, exhaustive=True) == 2
+    assert optimal_augmentation_value(g_path(), 3, exhaustive=True) == 2
+    assert optimal_augmentation_value(g_cyc4(), 3, exhaustive=True) == 2
     with pytest.raises(ValueError):
-        oracle.optimal_augmentation_value(g_path(), 1)
+        optimal_augmentation_value(g_path(), 1)
 
 
 def test_frank_greedy_fixtures():
-    assert oracle.frank_greedy_external(g_path(), 3) == {0: 2, 2: 2}
-    assert oracle.frank_greedy_external(g_cyc4(), 2) == {}  # already there
-    wx = oracle.frank_greedy_external(g_cyc4(), 3)
+    assert frank_greedy_external(g_path(), 3) == {0: 2, 2: 2}
+    assert frank_greedy_external(g_cyc4(), 2) == {}  # already there
+    wx = frank_greedy_external(g_cyc4(), 3)
     assert wx == {0: 1, 1: 1, 2: 1, 3: 1}
 
 

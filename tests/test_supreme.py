@@ -1,3 +1,4 @@
+import copy
 import functools
 import itertools
 import math
@@ -9,7 +10,7 @@ from steineraug import flow, oracle
 from steineraug.forest import LaminarForest
 from steineraug.graph import (Graph, cut_value, is_steiner_cut, projection,
                               steiner_connectivity)
-from steineraug.pipeline import augment_pipeline
+from steineraug.pipeline import augment_pipeline, splitoff_pipeline
 from steineraug.supreme import (BASE_CASE, FULL_ENUMERATION_LIMIT, _base_case,
                                 _balanced_split, _contract, _crossing_repair,
                                 _flow_tree, _lambda_row,
@@ -263,7 +264,7 @@ def test_balanced_split_costs_one_tree_and_one_split():
         ts = sorted(g.terminals)
         rng = _SourceRecorder(i, len(ts))
         before = flow.max_flow_call_count()
-        side = _balanced_split(net, ts, rng, g.n)
+        side = _balanced_split(net, ts, _flow_tree(net, ts), rng, g.n)
         calls = flow.max_flow_call_count() - before
         assert calls == len(ts) - (side is None), (i, calls)
         most_sources = max(most_sources, len(rng.sources))
@@ -346,6 +347,78 @@ def test_pipeline_reports_recursion_within_bounds():
     sizes = {int(k): c for k, c in rec["base_cases"].items()}
     assert sizes and max(sizes) <= max(BASE_CASE, 3), sizes
     assert min(sizes) >= 2 and rec["fallbacks"] >= 0
+
+
+def _rdem_signature(f, tau):
+    """Each node left by `compute_rdem(tau)`, by value, not by id."""
+    f.compute_rdem(tau)
+    out = []
+    for i in f.live():
+        nd = f.nodes[i]
+        up = (None if nd.parent is None
+              else sorted(f.nodes[nd.parent].terminals))
+        out.append((sorted(nd.terminals), up, nd.c, nd.rdem,
+                    sorted(nd.mu_tilde)))
+    return sorted(out)
+
+
+def test_perturbed_scale_decides_tau():
+    """lambda >= tau exactly when the perturbed lambda exceeds tau*scale,
+    for every terminal pair and tau around lambda."""
+    for idx in range(60):
+        g = random_connected(idx)
+        pg = perturb(g, seed=idx)
+        exact = flow.FlowNetwork.undirected(g)
+        tilde = flow.FlowNetwork.undirected(g, pg.weights)
+        s, *rest = sorted(g.terminals)
+        for t in rest:
+            lam = flow.max_flow(exact, (s,), (t,)).value
+            lam_tilde = flow.max_flow(tilde, (s,), (t,)).value
+            for tau in (lam - 1, lam, lam + 1):
+                assert (lam >= tau) == (lam_tilde > tau * pg.scale), idx
+
+
+@pytest.mark.parametrize("base_case", [2, 3, 5])
+def test_truncated_forest_equals_full_after_rdem(base_case):
+    """With tau the recursion skips children its flow trees prove
+    tau-connected; what `compute_rdem(tau)` leaves is the full forest's,
+    and the truncated run makes no more flows."""
+    graphs = ([random_connected(i) for i in range(400)]
+              + [random_connected(i, n_max=14) for i in range(150)]
+              + [tree_plus_2n(30, 900 + i, 10) for i in range(40)])
+    pruned = 0
+    for idx, g in enumerate(graphs):
+        conn = steiner_connectivity(g)
+        before = flow.max_flow_call_count()
+        full = supreme_forest(g, seed=idx, base_case=base_case)
+        full_flows = flow.max_flow_call_count() - before
+        for tau in range(conn + 1, conn + 4):
+            stats: dict = {}
+            before = flow.max_flow_call_count()
+            f = supreme_forest(g, seed=idx, base_case=base_case, stats=stats,
+                               tau=tau)
+            assert flow.max_flow_call_count() - before <= full_flows, idx
+            assert _rdem_signature(f, tau) == \
+                _rdem_signature(copy.deepcopy(full), tau), (idx, tau)
+            pruned += stats["pruned"] > 0
+    assert pruned >= 300, pruned
+
+
+def test_splitoff_star7_prunes_a_child():
+    """The 7-vertex star of CI: splitting off vertex 6 skips one child at
+    tau = 5 (25 flows, 32 without the truncation); the forest built
+    without tau skips none."""
+    edges = [(0, 1, 2), (0, 2, 1), (0, 3, 3), (2, 4, 2), (1, 5, 4),
+             (0, 4, 3), (3, 5, 5)]
+    g = Graph.build(7, edges + [(0, 6, 2), (2, 6, 2)], range(6))
+    _, report = splitoff_pipeline(g, 6)
+    assert report["tau"] == 5 and report["supreme"]["pruned"] >= 1, report
+    assert report["max_flow_calls"] == 25, report
+    stats: dict = {}
+    before = flow.max_flow_call_count()
+    supreme_forest(Graph.build(6, edges, range(6)), seed=0, stats=stats)
+    assert stats["pruned"] == 0
+    assert flow.max_flow_call_count() - before == 20
 
 
 def _postprocess_rebuild(candidates, g, pg, fired=None):
