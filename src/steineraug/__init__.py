@@ -3,7 +3,7 @@
 The package computes, for a weighted undirected graph with a terminal set:
 
 - the laminar forest of supreme sets (maximal extreme sets per terminal
-  projection), via randomized perturbation, divide and conquer over
+  projection), via a deterministic perturbation, divide and conquer over
   terminal bipartitions, and post-order clean-up traversals;
 - a minimum-weight augmentation raising Steiner connectivity to a target
   tau (external star, augmentation chains whose c values live on the

@@ -3,7 +3,7 @@
 Graph text format: first line ``n m |T| [tau]``, then m lines ``u v w``,
 then one line with the terminal ids; ``#`` starts a comment.  Solutions
 are JSON arrays of ``{"u":..,"v":..,"w":..}``.  Exit codes: 0 success,
-2 infeasible/rejected/failed verification, 1 I/O or format error.
+2 infeasible/rejected/failed verification, 1 I/O, format or usage error.
 """
 
 from __future__ import annotations
@@ -109,13 +109,26 @@ def _emit_edges(adds: EdgeAdditions, report: dict, fmt: str) -> None:
                          indent=2, sort_keys=True))
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("STEINERAUG_SEED", "0"))
+def _seed(args: argparse.Namespace) -> int:  # --seed, $STEINERAUG_SEED or 0
+    if args.seed is not None:
+        return args.seed
+    text = os.environ.get("STEINERAUG_SEED", "0")
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InputError(f"STEINERAUG_SEED is not an integer: {text!r}") from exc
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed (default: $STEINERAUG_SEED or 0)")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # exit 1 as input errors do, not 2
+        raise InputError(message)
+
+
+def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
+    if seed:
+        p.add_argument("--seed", type=int, default=None,
+                       help="seed of the +1 matching "
+                            "(default: $STEINERAUG_SEED or 0)")
     p.add_argument("--format", choices=["json", "dot", "text"],
                    default="json")
     p.add_argument("--base-case", type=int, default=BASE_CASE,
@@ -126,7 +139,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="steineraug",
         description="Steiner connectivity augmentation and splitting-off")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -142,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("supreme", help="print the supreme-set forest")
     p.add_argument("graph")
-    _add_common(p)
+    _add_common(p, seed=False)
 
     p = sub.add_parser("verify", help="check a solution file")
     p.add_argument("graph")
@@ -164,9 +177,8 @@ def _resolve_tau(arg_tau: Optional[int], file_tau: Optional[int]) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(build_parser().parse_args(argv))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -176,9 +188,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = _default_seed()
     if hasattr(args, "base_case"):
         try:
             check_base_case(args.base_case)
@@ -188,21 +197,21 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "augment":
         g, file_tau = load_graph(args.graph)
         tau = _resolve_tau(args.tau, file_tau)
-        adds, report = augment_pipeline(g, tau, seed=seed,
+        adds, report = augment_pipeline(g, tau, seed=_seed(args),
                                         base_case=args.base_case)
         _emit_edges(adds, report, args.format)
         return 0
 
     if args.command == "splitoff":
         g, _ = load_graph(args.graph)
-        adds, report = splitoff_pipeline(g, g.n - 1, seed=seed,
+        adds, report = splitoff_pipeline(g, g.n - 1, seed=_seed(args),
                                          base_case=args.base_case)
         _emit_edges(adds, report, args.format)
         return 0
 
     if args.command == "supreme":
         g, _ = load_graph(args.graph)
-        forest = supreme_forest(g, seed=seed, base_case=args.base_case)
+        forest = supreme_forest(g, base_case=args.base_case)
         if args.format == "dot":
             print(forest.to_dot())
         elif args.format == "text":

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-# A check on outside input.  With total weight W <= 2**40 the perturbed
-# weights (supreme.perturb: m*N*w + r, N = W + 1, at most m <= W edges)
-# sum to at most m*N**2 < 2**121, which bounds every cut and flow value.
+# A check on outside input.  The perturbed weights (supreme.perturb:
+# 2**m * w + 2**i over m coalesced edges) have m + log2(W) + 1 bits at
+# total weight W; flows run on exact Python integers of any size.
 WEIGHT_SUM_BOUND = 1 << 40
 
 

@@ -184,8 +184,7 @@ def augment_pipeline(g: Graph, tau: int, seed: int = 0,
         return EdgeAdditions(()), report
 
     stats: dict = {}
-    forest = supreme_forest(g, seed=seed, base_case=base_case, stats=stats,
-                            tau=tau)
+    forest = supreme_forest(g, base_case=base_case, stats=stats, tau=tau)
     report["supreme"] = recursion_report(stats)
     forest.compute_rdem(tau)
     sol = external_augment(forest, tau)
@@ -246,8 +245,7 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0,
     remaining = dict(beta)
     if steiner_connectivity(g, tau) < tau:
         stats: dict = {}
-        forest = supreme_forest(g, seed=seed, base_case=base_case, stats=stats,
-                                tau=tau)
+        forest = supreme_forest(g, base_case=base_case, stats=stats, tau=tau)
         report["supreme"] = recursion_report(stats)
         forest.compute_rdem(tau)
         # beta is x's own star, so it reaches tau = lambda(g + x) and

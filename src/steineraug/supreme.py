@@ -1,22 +1,23 @@
 """Three-phase computation of the supreme-set laminar forest.
 
-Phase 1 perturbs edge weights so that min cuts are unique with high
-probability.  Phase 2 finds a laminar candidate family containing every
-supreme set of the perturbed graph by divide and conquer over terminal
-bipartitions: a node with more than `base_case` terminals splits them
-into two balanced halves by a cut threshold and recurses on the two
-contracted sides, and a node with at most `base_case` terminals (a base
-case) takes the earliest min cut of every terminal bipartition, which
-costs 2^(k-1) - 1 flows at k terminals.  A split node reads every
-threshold it tries off one equivalent-flow tree of its k terminals, so
-it costs k - 1 flows for the tree and one for the split.  A smaller
-`base_case` trades those flows for recursion depth; the default,
-`BASE_CASE`, was chosen by flows on the benchmark pools (README).  A
-recursion node is its terminals, weight map and the original vertices
-(label) of each vertex.  Phase 3 prunes the candidate tree with three
-post-order splicing passes, leaving exactly the supreme-set projections
-of the original graph together with their cut values and perturbed
-vertex sets.
+Phase 1 perturbs edge weights so that distinct crossing-edge sets have
+distinct cut values: every min cut is unique as an edge set.  Phase 2
+finds a laminar candidate family containing every supreme set of the
+perturbed graph by divide and conquer over terminal bipartitions: a node
+with more than `base_case` terminals splits them into two balanced
+halves by a cut threshold and recurses on the two contracted sides, and
+a node with at most `base_case` terminals (a base case) takes the
+earliest min cut of every terminal bipartition, which costs 2^(k-1) - 1
+flows at k terminals.  A split node reads its threshold sets off one
+equivalent-flow tree of its k terminals, so it costs k - 1 flows for the
+tree and one for the split.  A smaller `base_case` trades those flows
+for recursion depth; the default, `BASE_CASE`, was chosen by flows on
+the benchmark pools (README).  A recursion node is its terminals, weight
+map and the original vertices (label) of each vertex.  Phase 3 prunes
+the candidate tree with three post-order splicing passes, leaving
+exactly the supreme-set projections of the original graph together with
+their cut values and perturbed vertex sets.  Nothing is drawn at random:
+the forest is a function of the graph.
 
 Given a target tau, phase 2 is truncated: a child of a split node whose
 terminals the node's flow tree already proves pairwise tau-connected
@@ -25,21 +26,20 @@ node below it could return has d >= tau, since contraction only raises
 cuts, and the pipelines delete every such node (`compute_rdem`).  The
 forest left after `compute_rdem(tau)` is the same with and without the
 truncation:
+- a node's split depends on the node alone, so every node that is not
+  skipped is the same node as without tau;
 - crossing repair runs inside one base case, and a skipped child is
   skipped whole, so no set of it meets the other candidates there;
 - the merge step only filters sets, one at a time;
 - postprocess pass 1 removes every node of d >= tau that has a
   descendant of d < tau, so the sets of d < tau keep the same parents,
   and no later pass removes one of them for a set of d >= tau.
-A skipped child draws no random numbers, so later splits may differ;
-each run still returns the supreme sets of d < tau whp.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -55,36 +55,31 @@ FULL_ENUMERATION_LIMIT = 12
 
 
 class BalanceError(RuntimeError):
-    """Resampling failed to find a balanced terminal bipartition."""
+    """No threshold set of a node's flow tree is a balanced terminal
+    bipartition, and the node is too large to enumerate in full."""
 
 
 @dataclass(frozen=True)
 class PerturbedGraph:
     base: Graph
     weights: dict[tuple[int, int], int]  # coalesced edge -> perturbed weight
-    scale: int  # m*N: d(X) >= tau exactly when d~(X) > tau*scale
+    scale: int  # 2^m: d(X) >= tau exactly when d~(X) > tau*scale
 
     def cut_value(self, X) -> int:
         return cut_value(self.base, X, self.weights)
 
 
-def perturb(g: Graph, seed: int) -> PerturbedGraph:
-    """w~(e) = m*N*w(e) + r(e) with r(e) uniform in 1..N and N > sum w.
+def perturb(g: Graph) -> PerturbedGraph:
+    """w~(e) = 2^m*w(e) + 2^i, e the i-th of the m sorted coalesced edges.
 
-    Preserves the order of unequal cut values, and keeps extreme sets
-    extreme; random offsets break ties so min cuts become unique whp.
-    The offsets of the at most m edges a cut crosses add at most m*N,
-    the `scale` of one unit of original weight.
-    """
+    A cut's offset, the sum of 2^i over the edges it crosses, names its
+    crossing-edge set, so min cuts are unique; it lies in [1, 2^m - 1] on
+    a cut of value >= 1, so 2^m is the `scale` of one unit of original
+    weight and unequal cut values keep their order."""
     coal = g.coalesced()
-    total = sum(coal.values())
-    N = total + 1
-    m = max(len(coal), 1)
-    rng = random.Random(seed)
-    weights = {}
-    for e in sorted(coal):
-        weights[e] = m * N * coal[e] + rng.randint(1, N)
-    return PerturbedGraph(g, weights, m * N)
+    m = len(coal)
+    weights = {e: (coal[e] << m) + (1 << i) for i, e in enumerate(sorted(coal))}
+    return PerturbedGraph(g, weights, 1 << m)
 
 
 def _contract(K: frozenset[int], terminals: frozenset[int],
@@ -203,28 +198,33 @@ def _lambda_row(tree: dict[int, list[tuple[int, int]]], s: int
 
 
 def _balanced_split(net: flow.FlowNetwork, ts: list[int],
-                    tree: dict[int, list[tuple[int, int]]],
-                    rng: random.Random, n_all: int
+                    tree: dict[int, list[tuple[int, int]]]
                     ) -> Optional[frozenset[int]]:
-    """Minimal source side of a min cut between a balanced terminal
-    bipartition found by the cut threshold, or None if none is found
-    within the retry cap.  Each drawn source s and sink t give the
-    threshold lambda(s, t); the terminals u with lambda(s, u) at or above
-    it join s.  Every row lambda(s, .) is read off the equivalent-flow
-    tree of `ts`, so a node of |T| terminals costs |T| - 1 flows for the
-    thresholds, however many sources it draws, plus one for the split."""
-    cap = 64 * max(1, math.ceil(math.log2(max(n_all, 2))))
-    for _ in range(cap):
-        s = rng.choice(ts)
-        t = rng.choice([u for u in ts if u != s])
-        lams = _lambda_row(tree, s)
-        phi = lams[t]
-        cand1 = frozenset({s} | {u for u in ts if u != s and lams[u] >= phi})
-        cand2 = frozenset(ts) - cand1
-        if (len(cand1) >= 2 and len(cand2) >= 2
-                and 16 * len(cand1) >= len(ts) and 16 * len(cand2) >= len(ts)):
-            return flow.max_flow(net, cand1, cand2).source_side
-    return None
+    """Minimal source side of a min cut between the most balanced
+    threshold set of the sorted terminals `ts` and the rest (one flow), or
+    None if none leaves >= 2 and >= |T|/16 terminals on each side.  Each
+    join of the positive edges of the flow tree `tree`, in decreasing
+    lambda, makes a threshold set {u : lambda(s, u) >= phi}, phi the edge's
+    value; a tie of the largest smaller side goes to the smaller least
+    terminal, then to the first formed.  The perturbation makes positive
+    tree values distinct."""
+    edges = sorted(((c, u, v) for u in ts for v, c in tree[u]
+                    if u < v and c > 0), reverse=True)
+    if any(a[0] == b[0] for a, b in zip(edges, edges[1:])):
+        raise RuntimeError("tied positive flow-tree values: cuts not unique")
+    k, comp = len(ts), {t: [t] for t in ts}
+    best, best_key = None, None
+    for _, u, v in edges:
+        big, small = sorted((comp[u], comp[v]), key=len, reverse=True)
+        big += small
+        comp.update(dict.fromkeys(small, big))
+        side = min(len(big), k - len(big))
+        key = (side, -min(big))
+        if side >= 2 and 16 * side >= k and (best is None or key > best_key):
+            best, best_key = frozenset(big), key
+    if best is None:
+        return None
+    return flow.max_flow(net, best, frozenset(ts) - best).source_side
 
 
 def _proves_high(tree: dict[int, list[tuple[int, int]]], ts: list[int],
@@ -246,9 +246,8 @@ def _proves_high(tree: dict[int, list[tuple[int, int]]], ts: list[int],
 
 
 def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
-             labels: list[frozenset[int]], rng: random.Random,
-             base_case: int, stats: dict, depth: int,
-             high: Optional[int]) -> set[frozenset[int]]:
+             labels: list[frozenset[int]], base_case: int, stats: dict,
+             depth: int, high: Optional[int]) -> set[frozenset[int]]:
     """Candidates of one recursion node, whose vertices are 0..n-1 with
     n = len(labels), as sets of original vertices.  A child whose
     Steiner cuts the flow tree proves above the perturbed value `high`
@@ -269,13 +268,13 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
         return {_expand(X, labels) for X in _base_case(net, ts)}
 
     tree = _flow_tree(net, ts)
-    S1 = _balanced_split(net, ts, tree, rng, stats["n"])
+    S1 = _balanced_split(net, ts, tree)
     if S1 is None:
         if len(ts) <= FULL_ENUMERATION_LIMIT:
             # Rare at this size; full enumeration is still affordable.
             stats["fallbacks"] += 1
             return {_expand(X, labels) for X in _base_case(net, ts)}
-        raise BalanceError("balanced bipartition not found within the retry cap")
+        raise BalanceError(f"no balanced threshold set of {len(ts)} terminals")
     del net  # freed before the recursion, as is each sub-instance after it
     S2 = frozenset(range(n)) - S1
     s2_orig = _expand(S2, labels)
@@ -284,23 +283,17 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
         if high is not None and _proves_high(tree, ts, K, high):
             stats["pruned"] += 1
             return set()
-        return _recurse(*_contract(K, terminals, weights, labels), rng,
+        return _recurse(*_contract(K, terminals, weights, labels),
                         base_case, stats, depth + 1, high)
 
-    F1 = child(S1)
-    F2 = child(S2)
-
+    F1, F2 = child(S1), child(S2)
     # Merge: keep all of L1 (its t1-bearing sets expand to supersets of
     # S1, covering supreme X >= S1; its t1-free sets are subsets of S2,
     # covering supreme X inside S2) plus the t2-free part of L2 (subsets
     # of S1).  Sets of L2 containing t2 would partially overlap the
     # S1-supersets from L1, and every supreme set is covered without
     # them, so they are dropped.
-    merged = set(F1)
-    for X in F2:
-        if not (s2_orig <= X):
-            merged.add(X)
-    return merged
+    return F1 | {X for X in F2 if not s2_orig <= X}
 
 
 def check_base_case(base_case: int) -> None:
@@ -312,7 +305,7 @@ def check_base_case(base_case: int) -> None:
 
 
 def find_supreme_candidates(pg: PerturbedGraph, base_case: int = BASE_CASE,
-                            seed: int = 0, stats: Optional[dict] = None,
+                            stats: Optional[dict] = None,
                             tau: Optional[int] = None
                             ) -> list[frozenset[int]]:
     """Laminar family of Steiner cuts containing all supreme sets of g~,
@@ -328,13 +321,12 @@ def find_supreme_candidates(pg: PerturbedGraph, base_case: int = BASE_CASE,
     g = pg.base
     if stats is None:
         stats = {}
-    stats.update({"max_depth": 0, "n": g.n, "layer_vertices": {},
-                  "base_cases": {}, "fallbacks": 0, "pruned": 0})
-    rng = random.Random(seed)
+    stats.update({"max_depth": 0, "layer_vertices": {}, "base_cases": {},
+                  "fallbacks": 0, "pruned": 0})
     labels = [frozenset({v}) for v in range(g.n)]
     high = None if tau is None else tau * pg.scale
-    fam = _recurse(g.terminals, dict(pg.weights), labels, rng, base_case,
-                   stats, 0, high)
+    fam = _recurse(g.terminals, dict(pg.weights), labels, base_case, stats,
+                   0, high)
     out = sorted((X for X in fam if is_steiner_cut(g, X)),
                  key=lambda X: (len(X), sorted(X)))
     _assert_laminar(out)
@@ -399,20 +391,20 @@ def postprocess(candidates: list[frozenset[int]], g: Graph,
         (proj[i], d[i], sets[i]) for i in range(len(sets)) if live[i])
 
 
-def supreme_forest(g: Graph, seed: int, base_case: int = BASE_CASE,
+def supreme_forest(g: Graph, seed=None, base_case: int = BASE_CASE,
                    stats: Optional[dict] = None,
                    tau: Optional[int] = None) -> LaminarForest:
     """Full pipeline: perturb, find candidates, postprocess.  `stats` is
     filled as by `find_supreme_candidates`.  With `tau` the recursion is
     truncated at tau: nodes with c >= tau may be missing, and the forest
     after `compute_rdem(tau)` is the same."""
+    # `seed` is ignored (the forest draws nothing); kept for old callers.
     if len(g.terminals) < 2:
         raise ValueError("need at least 2 terminals")
-    pg = perturb(g, seed)
+    pg = perturb(g)
     if stats is None:
         stats = {}
-    fam = find_supreme_candidates(pg, base_case=base_case, seed=seed ^ 0x9E3779B9,
-                                  stats=stats, tau=tau)
+    fam = find_supreme_candidates(pg, base_case=base_case, stats=stats, tau=tau)
     depth = stats.get("max_depth", 0)
     bound = 25 * math.log(max(len(g.terminals), 2)) + 5
     assert depth <= bound, f"recursion depth {depth} exceeds {bound}"

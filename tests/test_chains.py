@@ -11,8 +11,8 @@ from steineraug.supreme import supreme_forest
 from conftest import expiration_bruteforce, g_cyc4, g_path, random_connected
 
 
-def prepared(g, tau, seed=1):
-    forest = supreme_forest(g, seed=seed)
+def prepared(g, tau):
+    forest = supreme_forest(g)
     forest.compute_rdem(tau)
     beta = make_even(external_augment(forest, tau)).beta
     return forest, beta
@@ -107,7 +107,7 @@ def test_lazy_c_matches_eager_recompute_small_corpus(checked_expiration):
         tau = conn + 1 + (idx % 3)
         if tau < 2:
             continue
-        forest, beta = prepared(g, tau, seed=idx)
+        forest, beta = prepared(g, tau)
         sched = EagerCheckedScheduler(g, forest, budget_slots(forest, beta),
                                       tau)
         sched.run()
@@ -124,7 +124,7 @@ def test_no_new_extreme_after_each_batch():
         g = random_connected(idx, n_max=7)
         conn = steiner_connectivity(g)
         tau = conn + 2
-        forest, beta = prepared(g, tau, seed=idx)
+        forest, beta = prepared(g, tau)
         original = set(oracle.extreme_sets_bruteforce(g).vertex_sets())
         sched = ChainScheduler(g, forest, budget_slots(forest, beta), tau)
         chain = sched.build_chain()

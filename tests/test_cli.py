@@ -147,6 +147,30 @@ def test_env_seed(tmp_path, capsys, monkeypatch):
     assert out["report"]["seed"] == 7
 
 
+def test_env_seed_not_an_integer_is_input_error(tmp_path, capsys,
+                                                monkeypatch):
+    path = write(tmp_path, "g.txt", CYC4)
+    monkeypatch.setenv("STEINERAUG_SEED", "abc")
+    assert cli.main(["augment", path]) == 1
+    assert capsys.readouterr().err.startswith("error: STEINERAUG_SEED")
+    # Only augment and splitoff read the seed.
+    assert cli.main(["supreme", path]) == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["augment", "{path}", "--bogus"],
+    ["augment", "{path}", "--seed", "x"],
+    ["supreme", "{path}", "--seed", "1"],   # the forest takes no seed
+    ["frobnicate"],
+    [],
+], ids=["unknown-flag", "non-integer-seed", "supreme-seed", "unknown-command",
+        "no-command"])
+def test_usage_error_exits_1(tmp_path, capsys, args):
+    path = write(tmp_path, "g.txt", CYC4)
+    assert cli.main([a.format(path=path) for a in args]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 CYCLE14 = ("14 14 2 3\n"
            + "".join(f"{i} {(i + 1) % 14} 1\n" for i in range(14))
            + "0 7\n")

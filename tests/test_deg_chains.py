@@ -10,8 +10,8 @@ from steineraug.supreme import supreme_forest
 from conftest import expiration_bruteforce, g_split, random_connected
 
 
-def deg_state(g, tau, beta, seed=1):
-    forest = supreme_forest(g, seed=seed)
+def deg_state(g, tau, beta):
+    forest = supreme_forest(g)
     forest.compute_rdem(tau)
     return deg_external_augment(g, tau, beta, forest)
 
@@ -49,7 +49,7 @@ def test_ledger_respects_budget_and_connectivity(checked_expiration):
         if tau < 2:
             continue
         big = {u: 4 * tau for u in range(g.n)}
-        state = deg_state(g, tau, big, seed=idx)
+        state = deg_state(g, tau, big)
         adds, sched = split_off_chains(g, state)
         checked += 1
         for u in range(g.n):
@@ -66,14 +66,14 @@ def test_unconstrained_equivalent_budget_matches_chain_weight(
         g = random_connected(idx, n_max=8)
         conn = steiner_connectivity(g)
         tau = conn + 2
-        forest_u = supreme_forest(g, seed=idx)
+        forest_u = supreme_forest(g)
         forest_u.compute_rdem(tau)
         beta = external_augment(forest_u, tau).beta
         if sum(beta.values()) == 0:
             continue
         chain_adds, _ = run_chains(g, forest_u, dict(beta), tau)
 
-        forest_d = supreme_forest(g, seed=idx)
+        forest_d = supreme_forest(g)
         forest_d.compute_rdem(tau)
         state = deg_external_augment(g, tau, dict(beta), forest_d)
         deg_adds, _ = split_off_chains(g, state)
@@ -88,7 +88,7 @@ def test_lazy_c_matches_eager_and_no_new_extreme():
         conn = steiner_connectivity(g)
         tau = conn + 2
         big = {u: 4 * tau for u in range(g.n)}
-        state = deg_state(g, tau, big, seed=idx)
+        state = deg_state(g, tau, big)
         forest = state.forest
         original = set(oracle.extreme_sets_bruteforce(g).vertex_sets())
         sched = ledger_scheduler(g, state)

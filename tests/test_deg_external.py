@@ -16,14 +16,14 @@ from steineraug.supreme import supreme_forest
 from conftest import g_path, g_split, random_connected
 
 
-def ready_forest(g, tau, seed=1):
-    f = supreme_forest(g, seed=seed)
+def ready_forest(g, tau):
+    f = supreme_forest(g)
     f.compute_rdem(tau)
     return f
 
 
-def fresh_state(g, tau, beta, seed=1):
-    forest = ready_forest(g, tau, seed)
+def fresh_state(g, tau, beta):
+    forest = ready_forest(g, tau)
     hld = HeavyPathDecomposition.build(forest)
     return DegExternalState(g, tau, dict(beta), forest, hld)
 
@@ -165,10 +165,10 @@ def test_deg_external_matches_unconstrained_optimum():
         tau = conn + 1 + (idx % 3)
         if tau < 2:
             continue
-        forest = ready_forest(g, tau, seed=idx)
+        forest = ready_forest(g, tau)
         k = external_augment(forest, tau).total_weight
         big = {u: 4 * tau for u in range(g.n)}
-        forest2 = ready_forest(g, tau, seed=idx)
+        forest2 = ready_forest(g, tau)
         state = deg_external_augment(g, tau, big, forest2)
         assert state.solution().total_weight == k
         seen += 1
@@ -187,8 +187,8 @@ def test_nested_lower_heads_are_not_subtracted_twice():
     # {7}; its path demand must subtract only the outermost heads below.
     g = random_connected(39)
     tau = steiner_connectivity(g) + 8
-    forest = ready_forest(g, tau, seed=39)
-    k = external_augment(ready_forest(g, tau, seed=39), tau).total_weight
+    forest = ready_forest(g, tau)
+    k = external_augment(ready_forest(g, tau), tau).total_weight
     state = deg_external_augment(g, tau, {u: 4 * tau for u in range(g.n)},
                                  forest)
     assert state.solution().total_weight == k

@@ -27,7 +27,7 @@ def test_find_surrogates_split_fixture():
 
 def test_deg_augment_split_fixture():
     g, beta = g_split()
-    forest = supreme_forest(g, seed=1)
+    forest = supreme_forest(g)
     forest.compute_rdem(4)
     state = deg_external_augment(g, 4, beta, forest)
     _, sched = split_off_chains(g, state)
@@ -56,7 +56,7 @@ def test_deg_matching_respects_budgets_random():
         if tau < 2:
             continue
         big = {u: 4 * tau for u in range(g.n)}
-        forest = supreme_forest(g, seed=idx)
+        forest = supreme_forest(g)
         forest.compute_rdem(tau)
         state = deg_external_augment(g, tau, big, forest)
         chain_adds, sched = split_off_chains(g, state)
@@ -87,7 +87,7 @@ def test_odd_groups_without_spare_inside_use_outside_budget():
     terminals = rng.sample(range(n), n // 3)
     g = Graph.build(n, edges, terminals)
     tau = steiner_connectivity(g) + 3
-    forest = supreme_forest(g, seed=1)
+    forest = supreme_forest(g)
     forest.compute_rdem(tau)
     beta = make_even(external_augment(forest, tau)).beta
     gx, x = star_graph(g, beta)

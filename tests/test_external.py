@@ -7,8 +7,8 @@ from steineraug.supreme import supreme_forest
 from conftest import g_cyc4, g_path, random_connected
 
 
-def solved_forest(g, tau, seed=1):
-    f = supreme_forest(g, seed=seed)
+def solved_forest(g, tau):
+    f = supreme_forest(g)
     f.compute_rdem(tau)
     return f
 

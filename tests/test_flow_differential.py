@@ -217,7 +217,7 @@ def test_undirected_cuts_match_reference():
     checked = 0
     for trial in range(150):
         g = _random_multigraph(rng)
-        weight_maps = [None, perturb(g, seed=trial).weights,
+        weight_maps = [None, perturb(g).weights,
                        {e: rng.getrandbits(100) + 1
                         for e in g.coalesced()}]
         for weights in weight_maps:
@@ -233,7 +233,7 @@ def test_undirected_cuts_match_reference():
 def test_undirected_cuts_on_corpus_match_reference():
     for idx in range(60):
         g = random_connected(idx, n_max=12)
-        weights = perturb(g, seed=idx).weights
+        weights = perturb(g).weights
         net = flow.FlowNetwork.undirected(g, weights)
         ts = sorted(g.terminals)
         for t in ts[1:]:
@@ -276,7 +276,7 @@ def test_h_network_flows_match_reference_on_corpus(monkeypatch):
             tau = conn + 1 + (idx % 2)
             if conn < 1:
                 continue
-            forest = supreme_forest(g, seed=idx)
+            forest = supreme_forest(g)
             forest.compute_rdem(tau)
             beta = make_even(external_augment(forest, tau)).beta
             if len([u for u, w in beta.items() if w > 0]) < 2:

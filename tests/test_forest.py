@@ -112,7 +112,7 @@ def test_anchors_l2_and_critical_on_corpus():
         g = random_connected(idx)
         conn = steiner_connectivity(g)
         for tau in range(max(conn + 1, 2), conn + 4):
-            f = supreme_forest(g, seed=idx)
+            f = supreme_forest(g)
             f.compute_rdem(tau)
             hld = HeavyPathDecomposition.build(f)
             nodes = f.nodes

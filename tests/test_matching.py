@@ -14,8 +14,8 @@ from steineraug.supreme import supreme_forest
 from conftest import g_cyc4, g_path, random_connected
 
 
-def forest_for(g, tau, seed=1):
-    f = supreme_forest(g, seed=seed)
+def forest_for(g, tau):
+    f = supreme_forest(g)
     f.compute_rdem(tau)
     return f
 
@@ -104,7 +104,7 @@ def test_matching_total_is_half_K_rounded_up():
         tau = conn + 1
         if tau < 2:
             continue
-        forest = forest_for(g, tau, seed=idx)
+        forest = forest_for(g, tau)
         beta = make_even(external_augment(forest, tau)).beta
         chain_adds, sched = run_chains(g, forest, beta, tau)
         g1 = add_edges(g, chain_adds)

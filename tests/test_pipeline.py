@@ -146,7 +146,7 @@ def test_cut_edge_precheck_matches_flow_definition():
         tau = conn + 1 + (idx % 2)
         if conn < 1 or tau < 2:
             continue
-        forest = supreme_forest(g, seed=idx)
+        forest = supreme_forest(g)
         forest.compute_rdem(tau)
         beta = make_even(external_augment(forest, tau)).beta
         stars.append(star_graph(g, beta))
@@ -196,7 +196,7 @@ def test_cross_pipeline_consistency():
             continue
         from steineraug.external import external_augment, make_even
         from steineraug.supreme import supreme_forest
-        f = supreme_forest(g, seed=idx)
+        f = supreme_forest(g)
         f.compute_rdem(tau)
         beta = make_even(external_augment(f, tau)).beta
         if len([u for u, w in beta.items() if w > 0]) < 2:
@@ -241,7 +241,7 @@ def test_splitoff_output_pin():
         tau = conn + 1 + (idx % 2)
         if conn < 1 or tau < 2:
             continue
-        forest = supreme_forest(g, seed=idx)
+        forest = supreme_forest(g)
         forest.compute_rdem(tau)
         beta = make_even(external_augment(forest, tau)).beta
         if len([u for u, w in beta.items() if w > 0]) < 2:
