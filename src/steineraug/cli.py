@@ -18,8 +18,8 @@ from . import oracle
 from .graph import EdgeAdditions, Graph
 from .matching import MatchingRetryError
 from .pipeline import RejectedInstanceError, augment_pipeline, splitoff_pipeline
-from .supreme import (BASE_CASE, FULL_ENUMERATION_LIMIT, check_base_case,
-                      supreme_forest)
+from .supreme import (BASE_CASE, FULL_ENUMERATION_LIMIT, BalanceError,
+                      check_base_case, supreme_forest)
 
 
 class InputError(ValueError):
@@ -178,13 +178,18 @@ def _resolve_tau(arg_tau: Optional[int], file_tau: Optional[int]) -> int:
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        return _dispatch(build_parser().parse_args(argv))
+        code = _dispatch(build_parser().parse_args(argv))
+        sys.stdout.flush()  # a closed reader fails here, not at exit
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RejectedInstanceError, MatchingRetryError) as exc:
+    except (RejectedInstanceError, MatchingRetryError, BalanceError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # reader gone: the exit flush must not fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 def _dispatch(args: argparse.Namespace) -> int:

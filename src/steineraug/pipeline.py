@@ -3,7 +3,10 @@ complete splitting-off of an external vertex.
 
 Both return the added edges plus a JSON-friendly report (phase totals,
 optimum value, max-flow invocation count and, when the supreme forest
-was built, what its recursion did under "supreme").
+was built, what its recursion did under "supreme").  Each builds the
+forest with tau first; the recursion's root gives lambda(g), which
+augmentation reports as "initial_connectivity", after |T| - 1 flows when
+it is >= tau, or 2^(|T|-1) - 1 at a root of at most `base_case` terminals.
 """
 
 from __future__ import annotations
@@ -175,16 +178,15 @@ def augment_pipeline(g: Graph, tau: int, seed: int = 0,
         report["max_flow_calls"] = flow.max_flow_call_count() - calls_before
         return out, report
 
-    conn = steiner_connectivity(g)
-    report["initial_connectivity"] = conn
+    stats: dict = {}
+    forest = supreme_forest(g, base_case=base_case, stats=stats, tau=tau)
+    conn = report["initial_connectivity"] = stats["connectivity"]
     if conn >= tau:
         report.update({"total_weight": 0, "k": 0, "optimum": 0,
                        "max_flow_calls":
                        flow.max_flow_call_count() - calls_before})
         return EdgeAdditions(()), report
 
-    stats: dict = {}
-    forest = supreme_forest(g, base_case=base_case, stats=stats, tau=tau)
     report["supreme"] = recursion_report(stats)
     forest.compute_rdem(tau)
     sol = external_augment(forest, tau)
@@ -243,9 +245,10 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0,
 
     out = EdgeAdditions(())
     remaining = dict(beta)
-    if steiner_connectivity(g, tau) < tau:
-        stats: dict = {}
+    stats: dict = {"connectivity": tau}
+    if tau > 0:  # else lambda(g) < tau cannot hold
         forest = supreme_forest(g, base_case=base_case, stats=stats, tau=tau)
+    if stats["connectivity"] < tau:
         report["supreme"] = recursion_report(stats)
         forest.compute_rdem(tau)
         # beta is x's own star, so it reaches tau = lambda(g + x) and

@@ -19,13 +19,17 @@ exactly the supreme-set projections of the original graph together with
 their cut values and perturbed vertex sets.  Nothing is drawn at random:
 the forest is a function of the graph.
 
-Given a target tau, phase 2 is truncated: a child of a split node whose
-terminals the node's flow tree already proves pairwise tau-connected
-(`_proves_high`) is skipped whole, at no flow.  Every candidate it or a
-node below it could return has d >= tau, since contraction only raises
-cuts, and the pipelines delete every such node (`compute_rdem`).  The
-forest left after `compute_rdem(tau)` is the same with and without the
-truncation:
+The root of phase 2 gives lambda(g) at no extra flow: lambda~ // 2^m,
+lambda~ its least flow-tree edge or base-case flow value (exact, as a
+cut crossing an edge has offset in [1, 2^m - 1]).  Given a target tau,
+phase 2 is truncated: a node whose own flow tree has every edge above
+tau*2^m (at the root, lambda(g) >= tau) returns before its split flow,
+and a child of a split node whose terminals the node's flow tree proves
+pairwise tau-connected (`_proves_high`) is skipped, at no flow.  Every
+candidate such a node or a node below it could return has d >= tau, as
+contraction only raises cuts, and the pipelines delete every such node
+(`compute_rdem`).  So the forest after `compute_rdem(tau)` is the same
+with and without the truncation:
 - a node's split depends on the node alone, so every node that is not
   skipped is the same node as without tau;
 - crossing repair runs inside one base case, and a skipped child is
@@ -136,11 +140,12 @@ def _crossing_repair(sets: list[frozenset[int]], cut_fn) -> list[frozenset[int]]
     return [X for X, r in zip(fam, removed) if not r]
 
 
-def _base_case(net: flow.FlowNetwork, ts: list[int]) -> list[frozenset[int]]:
+def _base_case(net: flow.FlowNetwork, ts: list[int],
+               values: Optional[list[int]] = None) -> list[frozenset[int]]:
     """Earliest min cut of every ordered bipartition of the sorted
-    terminals `ts` + repair, in mask order.  T1 -> T2 and T2 -> T1 are one
-    min-cut problem whose two minimal sides one max flow gives, so the
-    2^k - 2 ordered bipartitions cost 2^(k-1) - 1 flows."""
+    terminals `ts` + repair, in mask order; flow values go to `values`.
+    T1 -> T2 and T2 -> T1 share one flow, which gives both minimal sides,
+    so the 2^k - 2 ordered bipartitions cost 2^(k-1) - 1 flows."""
     k = len(ts)
     full = (1 << k) - 1
     sides: dict[int, frozenset[int]] = {}
@@ -149,6 +154,8 @@ def _base_case(net: flow.FlowNetwork, ts: list[int]) -> list[frozenset[int]]:
         T2 = [ts[i] for i in range(k) if not (mask >> i) & 1]
         res = flow.max_flow(net, T1, T2)
         sides[mask], sides[full ^ mask] = res.source_side, res.sink_side
+        if values is not None:
+            values.append(res.value)
     fam = [sides[mask] for mask in range(1, full)]
 
     def cut_fn(M: int) -> int:
@@ -247,11 +254,12 @@ def _proves_high(tree: dict[int, list[tuple[int, int]]], ts: list[int],
 
 def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
              labels: list[frozenset[int]], base_case: int, stats: dict,
-             depth: int, high: Optional[int]) -> set[frozenset[int]]:
-    """Candidates of one recursion node, whose vertices are 0..n-1 with
-    n = len(labels), as sets of original vertices.  A child whose
-    Steiner cuts the flow tree proves above the perturbed value `high`
-    returns none (`pruned`)."""
+             depth: int, high: Optional[int]
+             ) -> tuple[set[frozenset[int]], int]:
+    """Candidates of one recursion node (vertices 0..n-1, n = len(labels))
+    as sets of original vertices, and its least Steiner cut value; none
+    (`pruned`) if its flow tree has every edge above the perturbed value
+    `high`, and none from a child that tree proves above it."""
     n = len(labels)
     stats["max_depth"] = max(stats["max_depth"], depth)
     layers = stats["layer_vertices"]
@@ -265,15 +273,21 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
     if len(ts) <= max(base_case, 3):
         counts = stats["base_cases"]
         counts[len(ts)] = counts.get(len(ts), 0) + 1
-        return {_expand(X, labels) for X in _base_case(net, ts)}
+        values: list[int] = []
+        fam = _base_case(net, ts, values)
+        return {_expand(X, labels) for X in fam}, min(values)
 
     tree = _flow_tree(net, ts)
+    low = min(c for u in ts for _, c in tree[u])
+    if high is not None and low > high:
+        stats["pruned"] += 1
+        return set(), low
     S1 = _balanced_split(net, ts, tree)
     if S1 is None:
         if len(ts) <= FULL_ENUMERATION_LIMIT:
             # Rare at this size; full enumeration is still affordable.
             stats["fallbacks"] += 1
-            return {_expand(X, labels) for X in _base_case(net, ts)}
+            return {_expand(X, labels) for X in _base_case(net, ts)}, low
         raise BalanceError(f"no balanced threshold set of {len(ts)} terminals")
     del net  # freed before the recursion, as is each sub-instance after it
     S2 = frozenset(range(n)) - S1
@@ -284,7 +298,7 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
             stats["pruned"] += 1
             return set()
         return _recurse(*_contract(K, terminals, weights, labels),
-                        base_case, stats, depth + 1, high)
+                        base_case, stats, depth + 1, high)[0]
 
     F1, F2 = child(S1), child(S2)
     # Merge: keep all of L1 (its t1-bearing sets expand to supersets of
@@ -293,7 +307,7 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
     # of S1).  Sets of L2 containing t2 would partially overlap the
     # S1-supersets from L1, and every supreme set is covered without
     # them, so they are dropped.
-    return F1 | {X for X in F2 if not s2_orig <= X}
+    return F1 | {X for X in F2 if not s2_orig <= X}, low
 
 
 def check_base_case(base_case: int) -> None:
@@ -315,18 +329,18 @@ def find_supreme_candidates(pg: PerturbedGraph, base_case: int = BASE_CASE,
     `stats` receives the recursion's `max_depth`, its vertex total per
     depth (`layer_vertices`), the base cases per terminal count
     (`base_cases`), the nodes enumerated in full because no balanced
-    bipartition was found (`fallbacks`) and the children skipped as
-    tau-connected (`pruned`)."""
+    bipartition was found (`fallbacks`), the nodes and children skipped
+    as tau-connected (`pruned`) and lambda(g) (`connectivity`)."""
     check_base_case(base_case)
     g = pg.base
-    if stats is None:
-        stats = {}
+    stats = {} if stats is None else stats
     stats.update({"max_depth": 0, "layer_vertices": {}, "base_cases": {},
                   "fallbacks": 0, "pruned": 0})
     labels = [frozenset({v}) for v in range(g.n)]
     high = None if tau is None else tau * pg.scale
-    fam = _recurse(g.terminals, dict(pg.weights), labels, base_case, stats,
-                   0, high)
+    fam, low = _recurse(g.terminals, dict(pg.weights), labels, base_case,
+                        stats, 0, high)
+    stats["connectivity"] = low // pg.scale
     out = sorted((X for X in fam if is_steiner_cut(g, X)),
                  key=lambda X: (len(X), sorted(X)))
     _assert_laminar(out)
@@ -402,8 +416,7 @@ def supreme_forest(g: Graph, seed=None, base_case: int = BASE_CASE,
     if len(g.terminals) < 2:
         raise ValueError("need at least 2 terminals")
     pg = perturb(g)
-    if stats is None:
-        stats = {}
+    stats = {} if stats is None else stats
     fam = find_supreme_candidates(pg, base_case=base_case, stats=stats, tau=tau)
     depth = stats.get("max_depth", 0)
     bound = 25 * math.log(max(len(g.terminals), 2)) + 5

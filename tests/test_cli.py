@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -119,6 +122,38 @@ def test_splitoff_infeasible_exit_code(tmp_path, capsys):
     odd = write(tmp_path, "g.txt",
                 "5 5 4\n0 1 1\n1 2 1\n2 3 1\n3 0 1\n0 4 1\n0 1 2 3\n")
     assert cli.main(["splitoff", odd]) == 2
+
+
+@pytest.mark.parametrize("command", ["augment", "supreme"])
+def test_terminals_in_13_components_are_infeasible(tmp_path, capsys,
+                                                   command):
+    """14 terminals, one edge: after the root's split a node has 13
+    terminals in 13 components, so no balanced threshold set exists and
+    the node is above FULL_ENUMERATION_LIMIT."""
+    terminals = " ".join(map(str, range(14)))
+    path = write(tmp_path, "g.txt", f"14 1 14 2\n0 1 1\n{terminals}\n")
+    assert cli.main([command, path]) == 2
+    assert capsys.readouterr().err.startswith("infeasible: ")
+
+
+def test_closed_stdout_pipe_exits_1(tmp_path):
+    """A reader that has gone gives exit 1 and no traceback."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for command, text in (("supreme", CYCLE8), ("augment", CYCLE8),
+                          ("splitoff", SPLIT)):
+        path = write(tmp_path, "g.txt", text)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "steineraug.cli", command, path],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1, (command, proc.stderr)
+        assert proc.stderr == b"", (command, proc.stderr)
 
 
 def test_io_error_exit_code(tmp_path, capsys):

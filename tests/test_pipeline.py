@@ -12,9 +12,9 @@ from steineraug.graph import EdgeAdditions, Graph, add_edges, star_graph, \
 from steineraug.pipeline import (RejectedInstanceError, _cut_edge_neighbours,
                                  _pair_leftover, _remove_vertex,
                                  augment_pipeline, splitoff_pipeline)
-from steineraug.supreme import supreme_forest
+from steineraug.supreme import BASE_CASE, supreme_forest
 
-from conftest import g_cyc4, g_path, g_split, random_connected
+from conftest import g_cyc4, g_cycle, g_path, g_split, random_connected
 
 
 def test_augment_cyc4_values():
@@ -72,6 +72,87 @@ def test_augment_report_fields_and_determinism():
         assert key in r1
 
 
+def _disconnected(idx: int) -> Graph:
+    """Two or three corpus graphs side by side, terminals of each kept,
+    so the Steiner connectivity is 0."""
+    parts = [random_connected(3 * idx + j, n_max=5)
+             for j in range(2 + idx % 2)]
+    edges, terminals, off = [], [], 0
+    for h in parts:
+        edges += [(u + off, v + off, w) for (u, v, w) in h.edges]
+        terminals += [t + off for t in h.terminals]
+        off += h.n
+    return Graph.build(off, edges, terminals)
+
+
+@pytest.mark.parametrize("base_case", [2, 3, 4, 5])
+def test_initial_connectivity_is_read_off_the_recursion_root(base_case):
+    """`initial_connectivity`, decoded from the root of the supreme
+    recursion, is lambda(g), at split roots and base-case roots, below tau
+    and at tau."""
+    graphs = ([random_connected(i) for i in range(120)]
+              + [_disconnected(i) for i in range(30)])
+    roots = Counter()
+    for idx, g in enumerate(graphs):
+        conn = steiner_connectivity(g)
+        roots[len(g.terminals) > max(base_case, 3)] += 1
+        for tau in {conn + 1, max(conn, 2)}:
+            if tau < 2:
+                continue
+            _, report = augment_pipeline(g, tau, base_case=base_case)
+            assert report["initial_connectivity"] == conn, (idx, tau)
+    assert roots[True] >= 10 and roots[False] >= 10, roots
+
+
+def test_connected_enough_costs_one_flow_tree_at_a_split_root():
+    """lambda(g) >= tau at a root above the base case: the root's flow
+    tree, |T| - 1 flows, decides it, and no edge is added."""
+    graphs = [g_cycle(8)] + [g for g in map(random_connected, range(200))
+                             if len(g.terminals) > BASE_CASE]
+    for idx, g in enumerate(graphs):
+        conn = steiner_connectivity(g)
+        for tau in range(2, conn + 1):
+            before = flow.max_flow_call_count()
+            adds, report = augment_pipeline(g, tau)
+            assert adds.entries == () and report["total_weight"] == 0, idx
+            assert report["initial_connectivity"] == conn, idx
+            assert report["max_flow_calls"] == len(g.terminals) - 1, idx
+            assert flow.max_flow_call_count() - before == \
+                len(g.terminals) - 1, idx
+
+
+def test_augment_asks_no_connectivity_before_the_matching(monkeypatch):
+    """The supreme recursion answers lambda(g): no `steiner_connectivity`
+    call is made before the +1 matching, which checks its own steps."""
+    from steineraug import graph, pipeline
+    log: list[str] = []
+
+    def logged(name, fn):
+        def wrapper(*args, **kwargs):
+            log.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (graph, pipeline):
+        monkeypatch.setattr(module, "steiner_connectivity",
+                            logged("connectivity", steiner_connectivity))
+    monkeypatch.setattr(pipeline, "augment_by_one",
+                        logged("matching", pipeline.augment_by_one))
+    matched = 0
+    cases = [(g_cycle(8), 2), (g_cycle(8), 3), (g_cyc4(), 3), (g_cyc4(), 4)]
+    for idx in range(40):
+        g = random_connected(idx)
+        conn = steiner_connectivity(g)
+        cases += [(g, tau) for tau in (conn + 1, conn + 3) if tau >= 2]
+    for g, tau in cases:
+        log.clear()
+        augment_pipeline(g, tau)
+        before = log[:log.index("matching")] if "matching" in log else log
+        assert "connectivity" not in before, (g, tau, log)
+        matched += "matching" in log
+    assert matched >= 20, matched
+
+
 def test_splitoff_star_on_cyc4():
     g, x = star_graph(g_cyc4(), {0: 1, 3: 1})
     adds, report = splitoff_pipeline(g, x)
@@ -104,6 +185,18 @@ def test_splitoff_skips_the_feasibility_check_of_x_star(monkeypatch):
     assert adds == adds_checked and report["phases"]["matching"] >= 1
     assert report_checked["max_flow_calls"] - report["max_flow_calls"] == \
         len(gx.terminals) - 1
+
+
+def test_splitoff_at_tau_0_builds_no_forest():
+    """Terminals in 14 components give tau = 0, where lambda(g) < tau
+    cannot hold: the star is paired as leftover after the one flow of
+    tau, and the supreme recursion, which needs a balanced bipartition at
+    13 terminals, is not run."""
+    edges = [(0, 1, 1), (1, 2, 1), (2, 0, 1), (0, 16, 1), (1, 16, 1)]
+    gx = Graph.build(17, edges, [0] + list(range(3, 16)))
+    adds, report = splitoff_pipeline(gx, 16)
+    assert adds.entries == ((0, 1, 1),) and report["tau"] == 0, report
+    assert report["max_flow_calls"] == 1 and "supreme" not in report
 
 
 def test_splitoff_rejections():

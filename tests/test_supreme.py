@@ -439,14 +439,14 @@ def test_truncated_forest_equals_full_after_rdem(base_case):
 
 def test_splitoff_star7_prunes_a_child():
     """The 7-vertex star of CI: splitting off vertex 6 skips one child at
-    tau = 5 (25 flows, 32 without the truncation); the forest built
+    tau = 5 (23 flows, 30 without the truncation); the forest built
     without tau skips none."""
     edges = [(0, 1, 2), (0, 2, 1), (0, 3, 3), (2, 4, 2), (1, 5, 4),
              (0, 4, 3), (3, 5, 5)]
     g = Graph.build(7, edges + [(0, 6, 2), (2, 6, 2)], range(6))
     _, report = splitoff_pipeline(g, 6)
     assert report["tau"] == 5 and report["supreme"]["pruned"] >= 1, report
-    assert report["max_flow_calls"] == 25, report
+    assert report["max_flow_calls"] == 23, report
     stats: dict = {}
     before = flow.max_flow_call_count()
     supreme_forest(Graph.build(6, edges, range(6)), stats=stats)
