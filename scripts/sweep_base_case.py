@@ -52,7 +52,7 @@ def sweep(name: str, base_cases: list[int], passes: int) -> dict:
     seen: dict[int, dict] = {}
     for p in range(passes):
         for bc in (base_cases if p % 2 == 0 else base_cases[::-1]):
-            flows = depth = fallbacks = 0
+            flows = depth = 0
             base = {}
             digests, problems = {}, []
             for inst in pool:
@@ -63,7 +63,6 @@ def sweep(name: str, base_cases: list[int], passes: int) -> dict:
                 rec = report.get("supreme")
                 if rec:
                     depth = max(depth, rec["max_depth"])
-                    fallbacks += rec["fallbacks"]
                     for k, c in rec["base_cases"].items():
                         base[k] = base.get(k, 0) + c
                 digests[inst.label] = run.digest(entries)
@@ -71,7 +70,7 @@ def sweep(name: str, base_cases: list[int], passes: int) -> dict:
             this = {"flows_per_pass": flows, "max_depth": depth,
                     "base_cases": dict(sorted(base.items(), key=lambda kv:
                                               int(kv[0]))),
-                    "fallbacks": fallbacks, "digests": digests,
+                    "digests": digests,
                     "problems": problems}
             if seen.setdefault(bc, this) != this:
                 raise RuntimeError(f"{name} bc={bc}: pass {p} differs")

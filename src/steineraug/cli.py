@@ -18,8 +18,7 @@ from . import oracle
 from .graph import EdgeAdditions, Graph
 from .matching import MatchingRetryError
 from .pipeline import RejectedInstanceError, augment_pipeline, splitoff_pipeline
-from .supreme import (BASE_CASE, FULL_ENUMERATION_LIMIT, BalanceError,
-                      check_base_case, supreme_forest)
+from .supreme import supreme_forest
 
 
 class InputError(ValueError):
@@ -131,11 +130,6 @@ def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
                             "(default: $STEINERAUG_SEED or 0)")
     p.add_argument("--format", choices=["json", "dot", "text"],
                    default="json")
-    p.add_argument("--base-case", type=int, default=BASE_CASE,
-                   help="terminal count at or below which the supreme-set "
-                        "recursion enumerates every terminal bipartition "
-                        "(2^(k-1)-1 flows at k terminals); 2.."
-                        f"{FULL_ENUMERATION_LIMIT}, default {BASE_CASE}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,7 +178,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RejectedInstanceError, MatchingRetryError, BalanceError) as exc:
+    except (RejectedInstanceError, MatchingRetryError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # reader gone: the exit flush must not fail
@@ -193,30 +187,22 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if hasattr(args, "base_case"):
-        try:
-            check_base_case(args.base_case)
-        except ValueError as exc:
-            raise InputError(f"--base-case: {exc}") from exc
-
     if args.command == "augment":
         g, file_tau = load_graph(args.graph)
         tau = _resolve_tau(args.tau, file_tau)
-        adds, report = augment_pipeline(g, tau, seed=_seed(args),
-                                        base_case=args.base_case)
+        adds, report = augment_pipeline(g, tau, seed=_seed(args))
         _emit_edges(adds, report, args.format)
         return 0
 
     if args.command == "splitoff":
         g, _ = load_graph(args.graph)
-        adds, report = splitoff_pipeline(g, g.n - 1, seed=_seed(args),
-                                         base_case=args.base_case)
+        adds, report = splitoff_pipeline(g, g.n - 1, seed=_seed(args))
         _emit_edges(adds, report, args.format)
         return 0
 
     if args.command == "supreme":
         g, _ = load_graph(args.graph)
-        forest = supreme_forest(g, base_case=args.base_case)
+        forest = supreme_forest(g)
         if args.format == "dot":
             print(forest.to_dot())
         elif args.format == "text":

@@ -19,16 +19,24 @@ exactly the supreme-set projections of the original graph together with
 their cut values and perturbed vertex sets.  Nothing is drawn at random:
 the forest is a function of the graph.
 
+Terminals in several components split by the same rule: the flow
+tree's zero edges join whole components, after every positive edge, and
+the split's side S1 is then a union of components with d(S1) = 0.  An
+extreme set X meeting both sides has d(X) = d(X & S1) + d(X - S1), and
+the part holding a terminal is a Steiner cut of no larger value, so X is
+not extreme: every extreme set lies in S1 or in S2, as at a positive
+split, and the merge step holds unchanged.
+
 The root of phase 2 gives lambda(g) at no extra flow: lambda~ // 2^m,
-lambda~ its least flow-tree edge or base-case flow value (exact, as a
-cut crossing an edge has offset in [1, 2^m - 1]).  Given a target tau,
-phase 2 is truncated: a node whose own flow tree has every edge above
-tau*2^m (at the root, lambda(g) >= tau) returns before its split flow,
-and a child of a split node whose terminals the node's flow tree proves
-pairwise tau-connected (`_proves_high`) is skipped, at no flow.  Every
-candidate such a node or a node below it could return has d >= tau, as
-contraction only raises cuts, and the pipelines delete every such node
-(`compute_rdem`).  So the forest after `compute_rdem(tau)` is the same
+lambda~ its least flow-tree edge or its base case's least flow value
+(exact, as a cut crossing an edge has offset in [1, 2^m - 1]).  Given a
+target tau, phase 2 is truncated: a node whose own flow tree has every
+edge above tau*2^m (at the root, lambda(g) >= tau) returns before its
+split flow, and a child of a split node whose terminals the node's flow
+tree proves pairwise tau-connected (`_proves_high`) is skipped, at no
+flow.  Every candidate such a node or a node below it could return has
+d >= tau, as contraction only raises cuts, and the pipelines delete
+every such node (`compute_rdem`).  So the forest after `compute_rdem(tau)` is the same
 with and without the truncation:
 - a node's split depends on the node alone, so every node that is not
   skipped is the same node as without tau;
@@ -53,14 +61,9 @@ from .graph import Graph, cut_value, is_steiner_cut, projection
 
 #: Default terminal count at or below which a recursion node enumerates.
 BASE_CASE = 5
-#: Largest terminal count a node is enumerated at in full when no
-#: balanced bipartition is found, and so the largest `base_case` accepted.
+#: Largest `base_case` accepted: a base case of k terminals costs
+#: 2^(k-1) - 1 flows.
 FULL_ENUMERATION_LIMIT = 12
-
-
-class BalanceError(RuntimeError):
-    """No threshold set of a node's flow tree is a balanced terminal
-    bipartition, and the node is too large to enumerate in full."""
 
 
 @dataclass(frozen=True)
@@ -140,28 +143,28 @@ def _crossing_repair(sets: list[frozenset[int]], cut_fn) -> list[frozenset[int]]
     return [X for X, r in zip(fam, removed) if not r]
 
 
-def _base_case(net: flow.FlowNetwork, ts: list[int],
-               values: Optional[list[int]] = None) -> list[frozenset[int]]:
+def _base_case(net: flow.FlowNetwork, ts: list[int]
+               ) -> tuple[list[frozenset[int]], int]:
     """Earliest min cut of every ordered bipartition of the sorted
-    terminals `ts` + repair, in mask order; flow values go to `values`.
+    terminals `ts` + repair, in mask order, and the least flow value.
     T1 -> T2 and T2 -> T1 share one flow, which gives both minimal sides,
     so the 2^k - 2 ordered bipartitions cost 2^(k-1) - 1 flows."""
     k = len(ts)
     full = (1 << k) - 1
     sides: dict[int, frozenset[int]] = {}
+    low = math.inf
     for mask in range(1, 1 << (k - 1)):
         T1 = [ts[i] for i in range(k) if (mask >> i) & 1]
         T2 = [ts[i] for i in range(k) if not (mask >> i) & 1]
         res = flow.max_flow(net, T1, T2)
         sides[mask], sides[full ^ mask] = res.source_side, res.sink_side
-        if values is not None:
-            values.append(res.value)
+        low = min(low, res.value)
     fam = [sides[mask] for mask in range(1, full)]
 
     def cut_fn(M: int) -> int:
         return sum(w for (u, v, w) in net.arcs if ((M >> u) ^ (M >> v)) & 1)
 
-    return _crossing_repair(fam, cut_fn)
+    return _crossing_repair(fam, cut_fn), low
 
 
 def _expand(X, labels: list[frozenset[int]]) -> frozenset[int]:
@@ -206,18 +209,25 @@ def _lambda_row(tree: dict[int, list[tuple[int, int]]], s: int
 
 def _balanced_split(net: flow.FlowNetwork, ts: list[int],
                     tree: dict[int, list[tuple[int, int]]]
-                    ) -> Optional[frozenset[int]]:
+                    ) -> frozenset[int]:
     """Minimal source side of a min cut between the most balanced
-    threshold set of the sorted terminals `ts` and the rest (one flow), or
-    None if none leaves >= 2 and >= |T|/16 terminals on each side.  Each
-    join of the positive edges of the flow tree `tree`, in decreasing
-    lambda, makes a threshold set {u : lambda(s, u) >= phi}, phi the edge's
-    value; a tie of the largest smaller side goes to the smaller least
-    terminal, then to the first formed.  The perturbation makes positive
-    tree values distinct."""
-    edges = sorted(((c, u, v) for u in ts for v, c in tree[u]
-                    if u < v and c > 0), reverse=True)
-    if any(a[0] == b[0] for a, b in zip(edges, edges[1:])):
+    threshold set of the sorted terminals `ts` (at least 4) and the rest,
+    one flow; balanced means >= 2 and >= |T|/16 terminals on each side.
+    Each join of an edge of the flow tree `tree`, in decreasing lambda,
+    makes a threshold set {u : lambda(s, u) >= phi}, phi the edge's value;
+    a tie of the largest smaller side goes to the smaller least terminal,
+    then to the first formed.  The perturbation makes positive tree values
+    distinct.  Zero edges come last, after every positive one has joined
+    each component's terminals, so a zero join makes a union of
+    components; its min cut has value 0 (module docstring).
+
+    A balanced join always exists: walking back from the last join, which
+    makes all k terminals, through the larger part of each join, every
+    part has at least half the terminals of the next, so the first part
+    with <= k - max(2, k/16) terminals has >= max(2, k/16)."""
+    edges = sorted(((c, u, v) for u in ts for v, c in tree[u] if u < v),
+                   reverse=True)
+    if any(a[0] == b[0] > 0 for a, b in zip(edges, edges[1:])):
         raise RuntimeError("tied positive flow-tree values: cuts not unique")
     k, comp = len(ts), {t: [t] for t in ts}
     best, best_key = None, None
@@ -229,8 +239,6 @@ def _balanced_split(net: flow.FlowNetwork, ts: list[int],
         key = (side, -min(big))
         if side >= 2 and 16 * side >= k and (best is None or key > best_key):
             best, best_key = frozenset(big), key
-    if best is None:
-        return None
     return flow.max_flow(net, best, frozenset(ts) - best).source_side
 
 
@@ -273,9 +281,8 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
     if len(ts) <= max(base_case, 3):
         counts = stats["base_cases"]
         counts[len(ts)] = counts.get(len(ts), 0) + 1
-        values: list[int] = []
-        fam = _base_case(net, ts, values)
-        return {_expand(X, labels) for X in fam}, min(values)
+        fam, low = _base_case(net, ts)
+        return {_expand(X, labels) for X in fam}, low
 
     tree = _flow_tree(net, ts)
     low = min(c for u in ts for _, c in tree[u])
@@ -283,12 +290,6 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
         stats["pruned"] += 1
         return set(), low
     S1 = _balanced_split(net, ts, tree)
-    if S1 is None:
-        if len(ts) <= FULL_ENUMERATION_LIMIT:
-            # Rare at this size; full enumeration is still affordable.
-            stats["fallbacks"] += 1
-            return {_expand(X, labels) for X in _base_case(net, ts)}, low
-        raise BalanceError(f"no balanced threshold set of {len(ts)} terminals")
     del net  # freed before the recursion, as is each sub-instance after it
     S2 = frozenset(range(n)) - S1
     s2_orig = _expand(S2, labels)
@@ -328,14 +329,15 @@ def find_supreme_candidates(pg: PerturbedGraph, base_case: int = BASE_CASE,
 
     `stats` receives the recursion's `max_depth`, its vertex total per
     depth (`layer_vertices`), the base cases per terminal count
-    (`base_cases`), the nodes enumerated in full because no balanced
-    bipartition was found (`fallbacks`), the nodes and children skipped
-    as tau-connected (`pruned`) and lambda(g) (`connectivity`)."""
+    (`base_cases`), the nodes and children skipped as tau-connected
+    (`pruned`) and lambda(g) (`connectivity`).  Every node above the base
+    case splits, terminals in several components included (module
+    docstring)."""
     check_base_case(base_case)
     g = pg.base
     stats = {} if stats is None else stats
     stats.update({"max_depth": 0, "layer_vertices": {}, "base_cases": {},
-                  "fallbacks": 0, "pruned": 0})
+                  "pruned": 0})
     labels = [frozenset({v}) for v in range(g.n)]
     high = None if tau is None else tau * pg.scale
     fam, low = _recurse(g.terminals, dict(pg.weights), labels, base_case,
@@ -433,4 +435,4 @@ def recursion_report(stats: dict) -> dict:
             "max_layer_vertices": max(stats["layer_vertices"].values()),
             "base_cases": {str(k): c
                            for k, c in sorted(stats["base_cases"].items())},
-            "fallbacks": stats["fallbacks"], "pruned": stats["pruned"]}
+            "pruned": stats["pruned"]}

@@ -124,16 +124,22 @@ def test_splitoff_infeasible_exit_code(tmp_path, capsys):
     assert cli.main(["splitoff", odd]) == 2
 
 
-@pytest.mark.parametrize("command", ["augment", "supreme"])
-def test_terminals_in_13_components_are_infeasible(tmp_path, capsys,
-                                                   command):
+def test_terminals_in_13_components_are_solved(tmp_path, capsys):
     """14 terminals, one edge: after the root's split a node has 13
-    terminals in 13 components, so no balanced threshold set exists and
-    the node is above FULL_ENUMERATION_LIMIT."""
+    terminals in 13 components, and it splits on zero flow-tree edges
+    like any other node."""
     terminals = " ".join(map(str, range(14)))
     path = write(tmp_path, "g.txt", f"14 1 14 2\n0 1 1\n{terminals}\n")
-    assert cli.main([command, path]) == 2
-    assert capsys.readouterr().err.startswith("infeasible: ")
+    assert cli.main(["augment", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert cli.main(["oracle", path, "--oracle-limit", "14"]) == 0
+    best = json.loads(capsys.readouterr().out)["optimal_augmentation"]
+    assert out["report"]["total_weight"] == best == 13
+    edges = write(tmp_path, "edges.json", json.dumps(out["edges"]))
+    assert cli.main(["verify", path, edges]) == 0
+    assert capsys.readouterr().out == "PASS\n"
+    assert cli.main(["supreme", path]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 15
 
 
 def test_closed_stdout_pipe_exits_1(tmp_path):
@@ -241,20 +247,10 @@ CYCLE8 = ("8 8 8 3\n"
 
 
 @pytest.mark.parametrize("command", ["augment", "splitoff", "supreme"])
-@pytest.mark.parametrize("base_case", ["1", "13"])
-def test_base_case_out_of_range_is_input_error(tmp_path, capsys, command,
-                                               base_case):
+def test_base_case_flag_is_a_usage_error(tmp_path, capsys, command):
     path = write(tmp_path, "g.txt", CYCLE8)
-    assert cli.main([command, path, "--base-case", base_case]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: --base-case: base_case must be in 2..12")
-
-
-@pytest.mark.parametrize("base_case", ["2", "12"])
-def test_base_case_range_ends_are_accepted(tmp_path, capsys, base_case):
-    path = write(tmp_path, "g.txt", CYCLE8)
-    assert cli.main(["augment", path, "--base-case", base_case]) == 0
-    assert json.loads(capsys.readouterr().out)["report"]["total_weight"] == 4
+    assert cli.main([command, path, "--base-case", "5"]) == 1
+    assert "unrecognized arguments: --base-case 5" in capsys.readouterr().err
 
 
 def test_augment_cycle8_reaches_the_recursion(tmp_path, capsys):

@@ -190,8 +190,7 @@ def test_splitoff_skips_the_feasibility_check_of_x_star(monkeypatch):
 def test_splitoff_at_tau_0_builds_no_forest():
     """Terminals in 14 components give tau = 0, where lambda(g) < tau
     cannot hold: the star is paired as leftover after the one flow of
-    tau, and the supreme recursion, which needs a balanced bipartition at
-    13 terminals, is not run."""
+    tau, and the supreme recursion is not run."""
     edges = [(0, 1, 1), (1, 2, 1), (2, 0, 1), (0, 16, 1), (1, 16, 1)]
     gx = Graph.build(17, edges, [0] + list(range(3, 16)))
     adds, report = splitoff_pipeline(gx, 16)
