@@ -124,12 +124,17 @@ def test_splitoff_infeasible_exit_code(tmp_path, capsys):
     assert cli.main(["splitoff", odd]) == 2
 
 
-def test_terminals_in_13_components_are_solved(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["augment", "supreme"])
+def test_terminals_in_13_components_are_solved(tmp_path, capsys, command):
     """14 terminals, one edge: after the root's split a node has 13
     terminals in 13 components, and it splits on zero flow-tree edges
     like any other node."""
     terminals = " ".join(map(str, range(14)))
     path = write(tmp_path, "g.txt", f"14 1 14 2\n0 1 1\n{terminals}\n")
+    if command == "supreme":
+        assert cli.main(["supreme", path]) == 0
+        assert len(json.loads(capsys.readouterr().out)) == 15
+        return
     assert cli.main(["augment", path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert cli.main(["oracle", path, "--oracle-limit", "14"]) == 0
@@ -138,8 +143,6 @@ def test_terminals_in_13_components_are_solved(tmp_path, capsys):
     edges = write(tmp_path, "edges.json", json.dumps(out["edges"]))
     assert cli.main(["verify", path, edges]) == 0
     assert capsys.readouterr().out == "PASS\n"
-    assert cli.main(["supreme", path]) == 0
-    assert len(json.loads(capsys.readouterr().out)) == 15
 
 
 def test_closed_stdout_pipe_exits_1(tmp_path):
@@ -247,10 +250,16 @@ CYCLE8 = ("8 8 8 3\n"
 
 
 @pytest.mark.parametrize("command", ["augment", "splitoff", "supreme"])
-def test_base_case_flag_is_a_usage_error(tmp_path, capsys, command):
+@pytest.mark.parametrize("base_case", ["1", "13"])
+def test_base_case_out_of_range_is_input_error(tmp_path, capsys, command,
+                                               base_case):
+    """The CLI has no --base-case flag: any value is an unknown option,
+    reported as an input error (exit 1)."""
     path = write(tmp_path, "g.txt", CYCLE8)
-    assert cli.main([command, path, "--base-case", "5"]) == 1
-    assert "unrecognized arguments: --base-case 5" in capsys.readouterr().err
+    assert cli.main([command, path, "--base-case", base_case]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"unrecognized arguments: --base-case {base_case}" in err
 
 
 def test_augment_cycle8_reaches_the_recursion(tmp_path, capsys):

@@ -447,6 +447,12 @@ def test_base_case_out_of_range_raises(base_case):
         find_supreme_candidates(perturb(g), base_case=base_case)
 
 
+@pytest.mark.parametrize("base_case", [2, FULL_ENUMERATION_LIMIT])
+def test_base_case_range_ends_are_accepted(base_case):
+    _, report = augment_pipeline(g_cycle(8), 3, base_case=base_case)
+    assert report["total_weight"] == 4
+
+
 def test_pipeline_reports_recursion_within_bounds():
     """What the recursion did, on test_08's n=200 instance, within the
     depth and layer bounds that `supreme_forest` asserts."""
