@@ -92,9 +92,6 @@ class EdgeAdditions:
     def degree(self, u: int) -> int:
         return sum(w for (a, b, w) in self.entries if u in (a, b))
 
-    def plus(self, u: int, v: int, w: int) -> "EdgeAdditions":
-        return EdgeAdditions(self.entries + ((u, v, w),))
-
     def combine(self, other: "EdgeAdditions") -> "EdgeAdditions":
         return EdgeAdditions(self.entries + other.entries).merged()
 

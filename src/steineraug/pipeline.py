@@ -6,7 +6,7 @@ optimum value, max-flow invocation count and, when the supreme forest
 was built, what its recursion did under "supreme").  Each builds the
 forest with tau first; the recursion's root gives lambda(g), which
 augmentation reports as "initial_connectivity", after |T| - 1 flows when
-it is >= tau, or 2^(|T|-1) - 1 at a root of at most `base_case` terminals.
+it is >= tau (3 at |T| = 3, where the root enumerates).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .deg_matching import deg_augment_by_one
 from .external import external_augment, make_even
 from .graph import EdgeAdditions, Graph, add_edges, steiner_connectivity
 from .matching import augment_by_one, build_K
-from .supreme import BASE_CASE, recursion_report, supreme_forest
+from .supreme import recursion_report, supreme_forest
 
 
 class RejectedInstanceError(ValueError):
@@ -158,8 +158,8 @@ def _pair_leftover(remaining: dict[int, int]) -> tuple[Counter, int]:
         rem[u] -= j
 
 
-def augment_pipeline(g: Graph, tau: int, seed: int = 0,
-                     base_case: int = BASE_CASE) -> tuple[EdgeAdditions, dict]:
+def augment_pipeline(g: Graph, tau: int, seed: int = 0
+                     ) -> tuple[EdgeAdditions, dict]:
     """Minimum-weight edge additions raising Steiner connectivity to tau."""
     if tau < 1:
         raise RejectedInstanceError("target connectivity must be >= 1")
@@ -179,7 +179,7 @@ def augment_pipeline(g: Graph, tau: int, seed: int = 0,
         return out, report
 
     stats: dict = {}
-    forest = supreme_forest(g, base_case=base_case, stats=stats, tau=tau)
+    forest = supreme_forest(g, stats=stats, tau=tau)
     conn = report["initial_connectivity"] = stats["connectivity"]
     if conn >= tau:
         report.update({"total_weight": 0, "k": 0, "optimum": 0,
@@ -219,8 +219,8 @@ def _remove_vertex(g: Graph, x: int) -> tuple[Graph, dict[int, int]]:
     return Graph.build(g.n - 1, edges, sorted(g.terminals)), beta
 
 
-def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0,
-                      base_case: int = BASE_CASE) -> tuple[EdgeAdditions, dict]:
+def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0
+                      ) -> tuple[EdgeAdditions, dict]:
     """Complete splitting-off at x: replace its star by d(x)/2 edges
     preserving the Steiner connectivity."""
     if x != g_with_x.n - 1:
@@ -247,7 +247,7 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0,
     remaining = dict(beta)
     stats: dict = {"connectivity": tau}
     if tau > 0:  # else lambda(g) < tau cannot hold
-        forest = supreme_forest(g, base_case=base_case, stats=stats, tau=tau)
+        forest = supreme_forest(g, stats=stats, tau=tau)
     if stats["connectivity"] < tau:
         report["supreme"] = recursion_report(stats)
         forest.compute_rdem(tau)

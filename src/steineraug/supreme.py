@@ -4,20 +4,17 @@ Phase 1 perturbs edge weights so that distinct crossing-edge sets have
 distinct cut values: every min cut is unique as an edge set.  Phase 2
 finds a laminar candidate family containing every supreme set of the
 perturbed graph by divide and conquer over terminal bipartitions: a node
-with more than `base_case` terminals splits them into two balanced
-halves by a cut threshold and recurses on the two contracted sides, and
-a node with at most `base_case` terminals (a base case) takes the
-earliest min cut of every terminal bipartition, which costs 2^(k-1) - 1
-flows at k terminals.  A split node reads its threshold sets off one
-equivalent-flow tree of its k terminals, so it costs k - 1 flows for the
-tree and one for the split.  A smaller `base_case` trades those flows
-for recursion depth; the default, `BASE_CASE`, was chosen by flows on
-the benchmark pools (README).  A recursion node is its terminals, weight
-map and the original vertices (label) of each vertex.  Phase 3 prunes
-the candidate tree with three post-order splicing passes, leaving
-exactly the supreme-set projections of the original graph together with
-their cut values and perturbed vertex sets.  Nothing is drawn at random:
-the forest is a function of the graph.
+with 4 or more terminals splits them into two balanced halves by a cut
+threshold and recurses on the two contracted sides, and a node with at
+most 3 terminals (a base case) takes the earliest min cut of every
+terminal bipartition, at most 3 flows.  A split node reads its threshold
+sets off one equivalent-flow tree of its k terminals, so it costs k - 1
+flows for the tree and one for the split.  A recursion node is its
+terminals, weight map and the original vertices (label) of each vertex.
+Phase 3 prunes the candidate tree with three post-order splicing passes,
+leaving exactly the supreme-set projections of the original graph
+together with their cut values and perturbed vertex sets.  Nothing is
+drawn at random: the forest is a function of the graph.
 
 Terminals in several components split by the same rule: the flow
 tree's zero edges join whole components, after every positive edge, and
@@ -58,13 +55,6 @@ from typing import Mapping, Optional
 from . import flow
 from .forest import LaminarForest
 from .graph import Graph, cut_value, is_steiner_cut, projection
-
-#: Default terminal count at or below which a recursion node enumerates.
-BASE_CASE = 5
-#: Largest `base_case` accepted: a base case of k terminals costs
-#: 2^(k-1) - 1 flows.
-FULL_ENUMERATION_LIMIT = 12
-
 
 @dataclass(frozen=True)
 class PerturbedGraph:
@@ -148,7 +138,9 @@ def _base_case(net: flow.FlowNetwork, ts: list[int]
     """Earliest min cut of every ordered bipartition of the sorted
     terminals `ts` + repair, in mask order, and the least flow value.
     T1 -> T2 and T2 -> T1 share one flow, which gives both minimal sides,
-    so the 2^k - 2 ordered bipartitions cost 2^(k-1) - 1 flows."""
+    so the 2^k - 2 ordered bipartitions cost 2^(k-1) - 1 flows.  The
+    recursion calls it below 4 terminals, at most 3 flows; the tests use
+    it at any k as the full-enumeration reference."""
     k = len(ts)
     full = (1 << k) - 1
     sides: dict[int, frozenset[int]] = {}
@@ -261,9 +253,8 @@ def _proves_high(tree: dict[int, list[tuple[int, int]]], ts: list[int],
 
 
 def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
-             labels: list[frozenset[int]], base_case: int, stats: dict,
-             depth: int, high: Optional[int]
-             ) -> tuple[set[frozenset[int]], int]:
+             labels: list[frozenset[int]], stats: dict, depth: int,
+             high: Optional[int]) -> tuple[set[frozenset[int]], int]:
     """Candidates of one recursion node (vertices 0..n-1, n = len(labels))
     as sets of original vertices, and its least Steiner cut value; none
     (`pruned`) if its flow tree has every edge above the perturbed value
@@ -278,7 +269,7 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
                            False)
     # Below 4 terminals no bipartition leaves >= 2 on each side, which is
     # what makes both contracted sub-instances strictly smaller.
-    if len(ts) <= max(base_case, 3):
+    if len(ts) <= 3:
         counts = stats["base_cases"]
         counts[len(ts)] = counts.get(len(ts), 0) + 1
         fam, low = _base_case(net, ts)
@@ -299,7 +290,7 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
             stats["pruned"] += 1
             return set()
         return _recurse(*_contract(K, terminals, weights, labels),
-                        base_case, stats, depth + 1, high)[0]
+                        stats, depth + 1, high)[0]
 
     F1, F2 = child(S1), child(S2)
     # Merge: keep all of L1 (its t1-bearing sets expand to supersets of
@@ -311,16 +302,7 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
     return F1 | {X for X in F2 if not s2_orig <= X}, low
 
 
-def check_base_case(base_case: int) -> None:
-    """Raise ValueError unless 2 <= base_case <= FULL_ENUMERATION_LIMIT:
-    a base case of k terminals costs 2^(k-1) - 1 flows."""
-    if not 2 <= base_case <= FULL_ENUMERATION_LIMIT:
-        raise ValueError(f"base_case must be in 2..{FULL_ENUMERATION_LIMIT}, "
-                         f"got {base_case}")
-
-
-def find_supreme_candidates(pg: PerturbedGraph, base_case: int = BASE_CASE,
-                            stats: Optional[dict] = None,
+def find_supreme_candidates(pg: PerturbedGraph, stats: Optional[dict] = None,
                             tau: Optional[int] = None
                             ) -> list[frozenset[int]]:
     """Laminar family of Steiner cuts containing all supreme sets of g~,
@@ -330,18 +312,16 @@ def find_supreme_candidates(pg: PerturbedGraph, base_case: int = BASE_CASE,
     `stats` receives the recursion's `max_depth`, its vertex total per
     depth (`layer_vertices`), the base cases per terminal count
     (`base_cases`), the nodes and children skipped as tau-connected
-    (`pruned`) and lambda(g) (`connectivity`).  Every node above the base
-    case splits, terminals in several components included (module
+    (`pruned`) and lambda(g) (`connectivity`).  Every node of 4 or more
+    terminals splits, terminals in several components included (module
     docstring)."""
-    check_base_case(base_case)
     g = pg.base
     stats = {} if stats is None else stats
     stats.update({"max_depth": 0, "layer_vertices": {}, "base_cases": {},
                   "pruned": 0})
     labels = [frozenset({v}) for v in range(g.n)]
     high = None if tau is None else tau * pg.scale
-    fam, low = _recurse(g.terminals, dict(pg.weights), labels, base_case,
-                        stats, 0, high)
+    fam, low = _recurse(g.terminals, dict(pg.weights), labels, stats, 0, high)
     stats["connectivity"] = low // pg.scale
     out = sorted((X for X in fam if is_steiner_cut(g, X)),
                  key=lambda X: (len(X), sorted(X)))
@@ -407,8 +387,7 @@ def postprocess(candidates: list[frozenset[int]], g: Graph,
         (proj[i], d[i], sets[i]) for i in range(len(sets)) if live[i])
 
 
-def supreme_forest(g: Graph, seed=None, base_case: int = BASE_CASE,
-                   stats: Optional[dict] = None,
+def supreme_forest(g: Graph, seed=None, stats: Optional[dict] = None,
                    tau: Optional[int] = None) -> LaminarForest:
     """Full pipeline: perturb, find candidates, postprocess.  `stats` is
     filled as by `find_supreme_candidates`.  With `tau` the recursion is
@@ -419,7 +398,7 @@ def supreme_forest(g: Graph, seed=None, base_case: int = BASE_CASE,
         raise ValueError("need at least 2 terminals")
     pg = perturb(g)
     stats = {} if stats is None else stats
-    fam = find_supreme_candidates(pg, base_case=base_case, stats=stats, tau=tau)
+    fam = find_supreme_candidates(pg, stats=stats, tau=tau)
     depth = stats.get("max_depth", 0)
     bound = 25 * math.log(max(len(g.terminals), 2)) + 5
     assert depth <= bound, f"recursion depth {depth} exceeds {bound}"

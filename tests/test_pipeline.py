@@ -12,7 +12,7 @@ from steineraug.graph import EdgeAdditions, Graph, add_edges, star_graph, \
 from steineraug.pipeline import (RejectedInstanceError, _cut_edge_neighbours,
                                  _pair_leftover, _remove_vertex,
                                  augment_pipeline, splitoff_pipeline)
-from steineraug.supreme import BASE_CASE, supreme_forest
+from steineraug.supreme import supreme_forest
 
 from conftest import g_cyc4, g_cycle, g_path, g_split, random_connected
 
@@ -72,10 +72,10 @@ def test_augment_report_fields_and_determinism():
         assert key in r1
 
 
-def _disconnected(idx: int) -> Graph:
+def _disconnected(idx: int, w_max: int = 5) -> Graph:
     """Two or three corpus graphs side by side, terminals of each kept,
     so the Steiner connectivity is 0."""
-    parts = [random_connected(3 * idx + j, n_max=5)
+    parts = [random_connected(3 * idx + j, n_max=5, w_max=w_max)
              for j in range(2 + idx % 2)]
     edges, terminals, off = [], [], 0
     for h in parts:
@@ -85,30 +85,32 @@ def _disconnected(idx: int) -> Graph:
     return Graph.build(off, edges, terminals)
 
 
-@pytest.mark.parametrize("base_case", [2, 3, 4, 5])
-def test_initial_connectivity_is_read_off_the_recursion_root(base_case):
+@pytest.mark.parametrize("w_max", [2, 3, 4, 5])
+def test_initial_connectivity_is_read_off_the_recursion_root(w_max):
     """`initial_connectivity`, decoded from the root of the supreme
     recursion, is lambda(g), at split roots and base-case roots, below tau
-    and at tau."""
-    graphs = ([random_connected(i) for i in range(120)]
-              + [_disconnected(i) for i in range(30)])
+    and at tau, on corpora of weights up to `w_max`."""
+    graphs = ([random_connected(i, w_max=w_max) for i in range(120)]
+              + [_disconnected(i, w_max) for i in range(30)])
     roots = Counter()
     for idx, g in enumerate(graphs):
         conn = steiner_connectivity(g)
-        roots[len(g.terminals) > max(base_case, 3)] += 1
+        roots[len(g.terminals) > 3] += 1
         for tau in {conn + 1, max(conn, 2)}:
             if tau < 2:
                 continue
-            _, report = augment_pipeline(g, tau, base_case=base_case)
+            _, report = augment_pipeline(g, tau)
             assert report["initial_connectivity"] == conn, (idx, tau)
     assert roots[True] >= 10 and roots[False] >= 10, roots
 
 
 def test_connected_enough_costs_one_flow_tree_at_a_split_root():
-    """lambda(g) >= tau at a root above the base case: the root's flow
-    tree, |T| - 1 flows, decides it, and no edge is added."""
+    """lambda(g) >= tau at a root of 4 or more terminals, which splits:
+    the root's flow tree, |T| - 1 flows, decides it, and no edge is
+    added.  Roots of 4 and 5 terminals are among them."""
     graphs = [g_cycle(8)] + [g for g in map(random_connected, range(200))
-                             if len(g.terminals) > BASE_CASE]
+                             if len(g.terminals) >= 4]
+    assert sum(len(g.terminals) in (4, 5) for g in graphs) >= 10
     for idx, g in enumerate(graphs):
         conn = steiner_connectivity(g)
         for tau in range(2, conn + 1):

@@ -1,5 +1,4 @@
 import copy
-import functools
 import itertools
 import math
 import random
@@ -11,9 +10,8 @@ from steineraug.forest import LaminarForest
 from steineraug.graph import (Graph, cut_value, is_steiner_cut, projection,
                               steiner_connectivity)
 from steineraug.pipeline import augment_pipeline, splitoff_pipeline
-from steineraug.supreme import (BASE_CASE, FULL_ENUMERATION_LIMIT, _base_case,
-                                _balanced_split, _contract, _crossing_repair,
-                                _flow_tree, _lambda_row,
+from steineraug.supreme import (_base_case, _balanced_split, _contract,
+                                _crossing_repair, _flow_tree, _lambda_row,
                                 find_supreme_candidates, perturb,
                                 postprocess, supreme_forest)
 
@@ -71,12 +69,16 @@ def test_supreme_forest_expo5_vertex_sets():
 
 
 def test_supreme_forest_small_base_case_recursion():
-    # Force actual recursion by shrinking the base case.
+    """Every node of 4 or more terminals splits, so the base cases have
+    at most 3 terminals and a root of 4 or more recurses."""
     for idx in range(25):
         g = random_connected(idx, n_max=10)
-        f = supreme_forest(g, base_case=2)
+        stats: dict = {}
+        f = supreme_forest(g, stats=stats)
         assert forest_signature(f) == forest_signature(
             oracle.supreme_sets_bruteforce(g))
+        assert max(stats["base_cases"]) <= 3, (idx, stats["base_cases"])
+        assert (stats["max_depth"] >= 1) == (len(g.terminals) >= 4), idx
 
 
 def test_supreme_forest_mu_cut_values_match():
@@ -333,44 +335,40 @@ def test_balanced_split_joins_zero_edges():
 CORPUS_SIZE = 200
 
 
-@functools.cache
-def _oracle_signature(idx):
-    return forest_signature(
-        oracle.supreme_sets_bruteforce(random_connected(idx)))
-
-
-@pytest.mark.parametrize("base_case", [2, 3, 4, 5])
-def test_recursion_oracle_equivalence(base_case):
-    """test_01's corpus: every instance matches the oracle on the first
-    call, at base cases small enough that the recursion runs; two calls
-    give the same forest, node ids and parents included."""
+@pytest.mark.parametrize("w_max", [2, 3, 4, 5])
+def test_recursion_oracle_equivalence(w_max):
+    """test_01's corpus, and the same shapes with weights up to 2, 3 or 4,
+    which tie more cut values: every instance matches the oracle on the
+    first call; two calls give the same forest, node ids and parents
+    included."""
     above = recursed = 0
     for idx in range(CORPUS_SIZE):
-        g = random_connected(idx)
+        g = random_connected(idx, w_max=w_max)
         stats: dict = {}
-        f = supreme_forest(g, base_case=base_case, stats=stats)
-        assert forest_signature(f) == _oracle_signature(idx), idx
+        f = supreme_forest(g, stats=stats)
+        assert forest_signature(f) == forest_signature(
+            oracle.supreme_sets_bruteforce(g)), idx
         if idx < 20:
-            assert tree_signature(supreme_forest(g, base_case=base_case)) \
-                == tree_signature(f), idx
-        above += len(g.terminals) > max(base_case, 3)
+            assert tree_signature(supreme_forest(g)) == tree_signature(f), idx
+        above += len(g.terminals) > 3
         recursed += stats["max_depth"] >= 1
-    # Every instance above the base case splits.
+    # Every instance of 4 or more terminals splits.
     assert above >= 50 and recursed == above, (above, recursed)
 
 
 DISCONNECTED_SIZE = 100
 
 
-def _disconnected(idx: int) -> Graph:
-    """2-4 `random_connected` parts of at most 5 vertices plus isolated
-    terminals, n <= 14 and |T| >= 6: more terminals than base case 5, in
-    as many as 14 components."""
+def _disconnected(idx: int, w_max: int = 5) -> Graph:
+    """2-4 `random_connected` parts of at most 5 vertices and weights up to
+    `w_max` plus isolated terminals, n <= 14 and |T| >= 6, in as many as
+    14 components."""
     rng = random.Random(0xD15C + idx)
     parts = rng.randint(2, 4)
     edges, terminals, n = [], [], 0
     for j in range(parts):
-        h = random_connected(1000 * idx + j, n_max=min(5, 12 // parts))
+        h = random_connected(1000 * idx + j, n_max=min(5, 12 // parts),
+                             w_max=w_max)
         edges += [(u + n, v + n, w) for u, v, w in h.edges]
         terminals += [t + n for t in h.terminals]
         n += h.n
@@ -378,38 +376,32 @@ def _disconnected(idx: int) -> Graph:
     return Graph.build(n + iso, edges, terminals + list(range(n, n + iso)))
 
 
-@functools.cache
-def _disconnected_oracle(idx):
-    return forest_signature(
-        oracle.supreme_sets_bruteforce(_disconnected(idx), limit=14))
-
-
-@pytest.mark.parametrize("base_case", [2, 3, 5])
-def test_recursion_oracle_equivalence_disconnected(base_case):
-    """Terminals in several components: every node above the base case
+@pytest.mark.parametrize("w_max", [2, 3, 5])
+def test_recursion_oracle_equivalence_disconnected(w_max):
+    """Terminals in several components: every node of 4 or more terminals
     splits, on zero flow-tree edges where needed, and the forest matches
     the oracle.  Each root has a zero tree edge (two parts hold
     terminals) and splits."""
     recursed = 0
     for idx in range(DISCONNECTED_SIZE):
-        g = _disconnected(idx)
-        assert g.n <= 14 and len(g.terminals) > max(base_case, 3), idx
+        g = _disconnected(idx, w_max)
+        assert g.n <= 14 and len(g.terminals) > 3, idx
         stats: dict = {}
-        f = supreme_forest(g, base_case=base_case, stats=stats)
-        assert forest_signature(f) == _disconnected_oracle(idx), idx
+        f = supreme_forest(g, stats=stats)
+        assert forest_signature(f) == forest_signature(
+            oracle.supreme_sets_bruteforce(g, limit=14)), idx
         recursed += stats["max_depth"] >= 1
     assert recursed == DISCONNECTED_SIZE
 
 
-@pytest.mark.parametrize("base_case", [2, BASE_CASE])
-def test_augment_disconnected_is_verified_and_optimal(base_case):
+@pytest.mark.parametrize("w_max", [2, 5])
+def test_augment_disconnected_is_verified_and_optimal(w_max):
     """On the same corpus the augmentation reaches tau and weighs
     ceil(k/2), k the oracle's optimal external value."""
     for idx in range(0, DISCONNECTED_SIZE, 2):
-        g = _disconnected(idx)
+        g = _disconnected(idx, w_max)
         tau = 2 + idx % 4 // 2
-        adds, report = augment_pipeline(g, tau, seed=idx,
-                                        base_case=base_case)
+        adds, report = augment_pipeline(g, tau, seed=idx)
         assert oracle.verify_solution(g, tau, adds)[0], idx
         k = oracle.optimal_external_value(g, tau, limit=14)
         assert adds.total_weight == report["optimum"] == (k + 1) // 2, idx
@@ -422,35 +414,33 @@ def full_signature(f):
 
 def test_recursion_matches_full_enumeration():
     """On one perturbation the supreme family is unique, so the recursion
-    must return the forest that enumerating every bipartition returns."""
+    must return the forest that enumerating every bipartition of the
+    root's terminals returns."""
     rng = random.Random(8)
-    depths: dict[int, list[int]] = {BASE_CASE: [], 3: []}
     for i in range(40):
         n, k = rng.randint(16, 40), rng.randint(6, 11)
         g = tree_plus_2n(n, 8000 + i, k)
-        want = full_signature(supreme_forest(g, base_case=k))
-        for bc in depths:
-            stats: dict = {}
-            f = supreme_forest(g, base_case=bc, stats=stats)
-            assert full_signature(f) == want, (i, bc)
-            depths[bc].append(stats["max_depth"])
-    assert min(depths[3]) >= 1, depths[3]
-    assert max(depths[BASE_CASE]) >= 1, depths[BASE_CASE]
+        pg = perturb(g)
+        fam, _ = _base_case(flow.FlowNetwork.undirected(g, pg.weights),
+                            sorted(g.terminals))
+        stats: dict = {}
+        f = supreme_forest(g, stats=stats)
+        assert full_signature(f) == full_signature(postprocess(fam, g, pg)), i
+        assert stats["max_depth"] >= 1, i
 
 
-@pytest.mark.parametrize("base_case", [-1, 0, 1, FULL_ENUMERATION_LIMIT + 1])
+@pytest.mark.parametrize("base_case", [-1, 0, 1, 13])
 def test_base_case_out_of_range_raises(base_case):
+    """The stopping rule is fixed: the functions that took a `base_case`
+    refuse it, whatever its value, instead of ignoring it."""
     g = g_cycle(8)
-    with pytest.raises(ValueError, match="base_case must be in 2..12"):
-        supreme_forest(g, base_case=base_case)
-    with pytest.raises(ValueError, match="base_case must be in 2..12"):
-        find_supreme_candidates(perturb(g), base_case=base_case)
-
-
-@pytest.mark.parametrize("base_case", [2, FULL_ENUMERATION_LIMIT])
-def test_base_case_range_ends_are_accepted(base_case):
-    _, report = augment_pipeline(g_cycle(8), 3, base_case=base_case)
-    assert report["total_weight"] == 4
+    calls = [lambda: supreme_forest(g, base_case=base_case),
+             lambda: find_supreme_candidates(perturb(g), base_case=base_case),
+             lambda: augment_pipeline(g, 3, base_case=base_case),
+             lambda: splitoff_pipeline(g, 7, base_case=base_case)]
+    for call in calls:
+        with pytest.raises(TypeError, match="base_case"):
+            call()
 
 
 def test_pipeline_reports_recursion_within_bounds():
@@ -463,7 +453,7 @@ def test_pipeline_reports_recursion_within_bounds():
     assert 1 <= rec["max_depth"] <= 25 * math.log(n // 3) + 5
     assert 0 < rec["max_layer_vertices"] <= 8 * n * math.log(n)
     sizes = {int(k): c for k, c in rec["base_cases"].items()}
-    assert sizes and max(sizes) <= max(BASE_CASE, 3), sizes
+    assert sizes and max(sizes) <= 3, sizes
     assert min(sizes) >= 2
 
 
@@ -496,25 +486,27 @@ def test_perturbed_scale_decides_tau():
                 assert (lam >= tau) == (lam_tilde > tau * pg.scale), idx
 
 
-@pytest.mark.parametrize("base_case", [2, 3, 5])
-def test_truncated_forest_equals_full_after_rdem(base_case):
+@pytest.mark.parametrize("w_max", [2, 3, 5])
+def test_truncated_forest_equals_full_after_rdem(w_max):
     """With tau the recursion skips children its flow trees prove
     tau-connected; what `compute_rdem(tau)` leaves is the full forest's,
-    and the truncated run makes no more flows."""
-    graphs = ([random_connected(i) for i in range(400)]
-              + [random_connected(i, n_max=14) for i in range(150)]
-              + [tree_plus_2n(30, 900 + i, 10) for i in range(40)])
+    and the truncated run makes no more flows.  `w_max` bounds the
+    corpus weights, and picks the test_08 graphs."""
+    graphs = ([random_connected(i, w_max=w_max) for i in range(400)]
+              + [random_connected(i, n_max=14, w_max=w_max)
+                 for i in range(150)]
+              + [tree_plus_2n(30, 900 + 100 * w_max + i, 10)
+                 for i in range(40)])
     pruned = 0
     for idx, g in enumerate(graphs):
         conn = steiner_connectivity(g)
         before = flow.max_flow_call_count()
-        full = supreme_forest(g, base_case=base_case)
+        full = supreme_forest(g)
         full_flows = flow.max_flow_call_count() - before
         for tau in range(conn + 1, conn + 4):
             stats: dict = {}
             before = flow.max_flow_call_count()
-            f = supreme_forest(g, base_case=base_case, stats=stats,
-                               tau=tau)
+            f = supreme_forest(g, stats=stats, tau=tau)
             assert flow.max_flow_call_count() - before <= full_flows, idx
             assert _rdem_signature(f, tau) == \
                 _rdem_signature(copy.deepcopy(full), tau), (idx, tau)
@@ -524,19 +516,19 @@ def test_truncated_forest_equals_full_after_rdem(base_case):
 
 def test_splitoff_star7_prunes_a_child():
     """The 7-vertex star of CI: splitting off vertex 6 skips one child at
-    tau = 5 (23 flows, 30 without the truncation); the forest built
+    tau = 5 (26 flows, 36 without the truncation); the forest built
     without tau skips none."""
     edges = [(0, 1, 2), (0, 2, 1), (0, 3, 3), (2, 4, 2), (1, 5, 4),
              (0, 4, 3), (3, 5, 5)]
     g = Graph.build(7, edges + [(0, 6, 2), (2, 6, 2)], range(6))
     _, report = splitoff_pipeline(g, 6)
     assert report["tau"] == 5 and report["supreme"]["pruned"] >= 1, report
-    assert report["max_flow_calls"] == 23, report
+    assert report["max_flow_calls"] == 26, report
     stats: dict = {}
     before = flow.max_flow_call_count()
     supreme_forest(Graph.build(6, edges, range(6)), stats=stats)
     assert stats["pruned"] == 0
-    assert flow.max_flow_call_count() - before == 20
+    assert flow.max_flow_call_count() - before == 26
 
 
 def _postprocess_rebuild(candidates, g, pg, fired=None):
@@ -624,11 +616,11 @@ def test_postprocess_matches_rebuild_reference_random_laminar():
     assert min(removed) > 0, removed
 
 
-@pytest.mark.parametrize("base_case", [2, 3, 5])
-def test_postprocess_matches_rebuild_reference_corpus(base_case):
+@pytest.mark.parametrize("w_max", [2, 3, 5])
+def test_postprocess_matches_rebuild_reference_corpus(w_max):
     for idx in range(60):
-        g = random_connected(idx, n_max=12)
+        g = random_connected(idx, n_max=12, w_max=w_max)
         pg = perturb(g)
-        fam = find_supreme_candidates(pg, base_case=base_case)
+        fam = find_supreme_candidates(pg)
         assert tree_signature(postprocess(fam, g, pg)) == \
             tree_signature(_postprocess_rebuild(fam, g, pg)), idx
