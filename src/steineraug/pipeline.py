@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import accumulate
 from typing import Optional
 
 from . import flow
@@ -20,7 +21,7 @@ from .chains import run_chains
 from .deg_chains import split_off_chains
 from .deg_external import _augment_feasible
 from .deg_matching import deg_augment_by_one
-from .external import external_augment, make_even
+from .external import augmentation_lower_bound, external_augment, make_even
 from .graph import EdgeAdditions, Graph, add_edges, steiner_connectivity
 from .matching import augment_by_one, build_K
 from .supreme import recursion_report, supreme_forest
@@ -68,94 +69,46 @@ def _cut_edge_neighbours(g: Graph, beta: dict[int, int]) -> list[int]:
     return [u for u in beta if count[comp_of[u]] == 1]
 
 
-def _fill_level(vals: list[int], s: int) -> int:
-    """Taking s units off `vals`, one at a time from a largest value,
-    brings every value >= F to F or F - 1: the least F >= 1 with
-    sum(w - F for w > F) <= s.  While s < sum(vals), F is the largest
-    value left."""
-    lo, hi = 1, max(vals)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sum(w - mid for w in vals if w > mid) <= s:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _pair_band(rem: dict[int, int], band: list[int], low: int,
-               pairs: Counter) -> None:
-    """Pair the two largest remainders in `band` (ties: smaller id) while
-    all of them exceed `low`, the largest remainder outside the band, so
-    no other vertex is among the two largest.  The band stays within one
-    of its maximum and its pattern below the maximum recurs, so whole
-    periods of it are applied at once."""
-    band = sorted(band)
-    seen: dict[tuple[int, ...], int] = {}
-    tops: list[int] = []
-    steps: list[tuple[int, int]] = []
-    while min(rem[x] for x in band) > low:
-        top = max(rem[x] for x in band)
-        state = tuple(top - rem[x] for x in band)
-        if state in seen:
-            p = seen[state]
-            drop = tops[p] - top
-            times = (min(rem[x] for x in band) - low - 1) // drop
-            for pair, c in Counter(steps[p:]).items():
-                pairs[pair] += c * times
-            for x in band:
-                rem[x] -= drop * times
-            top -= drop * times
-            seen.clear()
-            tops.clear()
-            steps.clear()
-        seen[state] = len(steps)
-        tops.append(top)
-        a, b = sorted(sorted(band, key=lambda x: (-rem[x], x))[:2])
-        pairs[a, b] += 1
-        steps.append((a, b))
-        rem[a] -= 1
-        rem[b] -= 1
-
-
 def _pair_leftover(remaining: dict[int, int]) -> tuple[Counter, int]:
-    """Pair up the units of `remaining`, always joining the two largest
-    remainders (ties: smaller id), in batches.  Returns the units per
-    pair (u < v) and the units left at a single vertex."""
-    rem = {u: w for u, w in remaining.items() if w > 0}
+    """Pair up the units of `remaining` with no self-loop.  Returns the
+    units per pair (u < v) and the units left unpaired, all at one vertex.
+
+    Let top be a largest remainder (ties: smaller id) and rest the sum of
+    the others.  If rem[top] >= rest, top pairs with every unit of the
+    others and keeps rem[top] - rest.  Otherwise one unit stays at top if
+    the total is odd, the units are laid out in blocks by vertex id, and
+    unit i pairs with unit i + h, h = total // 2.  Every remainder w has
+    2w <= 2 rem[top] < total, so w <= (total - 1) // 2 <= h, also for top
+    after it gives up a unit; a block of at most h units never holds both
+    unit i and unit i + h, so no pair is a self-loop.
+    As i grows both blocks only move right, so the pairs are distinct and
+    there are at most as many as budgeted vertices.
+    """
+    rem = {u: w for u, w in sorted(remaining.items()) if w > 0}
     pairs: Counter = Counter()
-    while True:
-        live = sorted((x for x in rem if rem[x] > 0),
-                      key=lambda x: (-rem[x], x))
-        if len(live) < 2:
-            return pairs, sum(rem[x] for x in live)
-        u, top = live[0], rem[live[0]]
-        if top == rem[live[1]]:
-            band = [x for x in live if rem[x] >= top - 1]
-            low = max((rem[x] for x in live if rem[x] < top - 1), default=0)
-            _pair_band(rem, band, low, pairs)
-            continue
-        # u alone on top pairs with a largest of the rest for the first j
-        # steps, until it no longer exceeds all of them or they run out.
-        rest = live[1:]
-        vals = [rem[x] for x in rest]
-        lo, hi = 1, sum(vals)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if top - mid <= _fill_level(vals, mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        j = lo
-        level = _fill_level(vals, j)
-        group = [x for x in rest if rem[x] >= level]
-        lowered = j - sum(rem[x] - level for x in group)
-        for i, x in enumerate(sorted(group)):
-            new = level - 1 if i < lowered else level
-            if rem[x] > new:
-                pairs[min(u, x), max(u, x)] += rem[x] - new
-                rem[x] = new
-        rem[u] -= j
+    if not rem:
+        return pairs, 0
+    top = max(rem, key=rem.__getitem__)
+    total = sum(rem.values())
+    rest = total - rem[top]
+    if rem[top] >= rest:
+        for u, w in rem.items():
+            if u != top:
+                pairs[min(u, top), max(u, top)] = w
+        return pairs, rem[top] - rest
+    h, dropped = divmod(total, 2)
+    rem[top] -= dropped
+    ids, ends = list(rem), list(accumulate(rem.values()))
+    i = j = pos = 0
+    while pos < h:  # merge the block ends of the two halves
+        while ends[i] <= pos:
+            i += 1
+        while ends[j] <= pos + h:
+            j += 1
+        step = min(ends[i], ends[j] - h) - pos
+        pairs[ids[i], ids[j]] += step
+        pos += step
+    return pairs, dropped
 
 
 def augment_pipeline(g: Graph, tau: int, seed: int = 0
@@ -190,9 +143,8 @@ def augment_pipeline(g: Graph, tau: int, seed: int = 0
     report["supreme"] = recursion_report(stats)
     forest.compute_rdem(tau)
     sol = external_augment(forest, tau)
-    k = sol.total_weight
-    report["k"] = k
-    report["optimum"] = (k + 1) // 2
+    report["k"] = sol.total_weight
+    report["optimum"] = augmentation_lower_bound(sol)
     even = make_even(sol)
     chain_adds, sched = run_chains(g, forest, even.beta, tau)
     report["phases"]["chains"] = chain_adds.total_weight
@@ -274,7 +226,10 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0
         out = chain_adds.combine(match_adds)
         remaining = {u: w for u, w in rem.items() if w > 0}
 
-    # Leftover budget is paired on top of an already tau-connected graph.
+    # g + out is tau-connected now, and added edges lower no cut, so any
+    # pairing of the leftover budget without self-loops keeps it so.  A
+    # vertex holding more than all others together keeps its excess: the
+    # x-x units a complete splitting-off would drop as self-loops.
     pairs, dropped = _pair_leftover(remaining)
     if pairs:
         extra = EdgeAdditions(tuple((u, v, c) for (u, v), c in pairs.items()))

@@ -365,7 +365,9 @@ def unit_leftover_pairs(remaining):
         remaining[v] -= 1
 
 
-def test_leftover_batches_match_unit_loop():
+def test_leftover_pairing_meets_its_spec():
+    """Any self-loop-free pairing will do; the unit loop fixes only the
+    number of units left unpaired."""
     rng = random.Random(11)
     for _ in range(3000):
         base = rng.randint(0, 60)
@@ -375,7 +377,18 @@ def test_leftover_batches_match_unit_loop():
                      for _ in range(rng.randint(0, 12))}
         if rng.random() < 0.3:           # one vertex far above the rest
             remaining[rng.randrange(30)] = rng.randint(0, 400)
-        assert _pair_leftover(remaining) == unit_leftover_pairs(remaining)
+        pairs, dropped = _pair_leftover(remaining)
+        assert dropped == unit_leftover_pairs(remaining)[1]
+        paired = Counter()
+        for (u, v), c in pairs.items():
+            assert u < v and c > 0, (remaining, pairs)
+            paired[u] += c
+            paired[v] += c
+        unpaired = {u: w - paired[u] for u, w in remaining.items()
+                    if w != paired[u]}
+        assert all(w > 0 for w in unpaired.values()), (remaining, pairs)
+        assert sum(unpaired.values()) == dropped and len(unpaired) <= 1
+        assert len(pairs) <= sum(1 for w in remaining.values() if w > 0)
 
 
 def _leftover_star(W):
@@ -402,6 +415,33 @@ def test_leftover_star_matches_unit_loop_on_small_weights():
         assert list(adds.merged().entries) == _leftover_star_edges(W)
 
 
+def test_leftover_pairing_of_a_wide_star_is_fast():
+    """x joined to 300 neighbours of g with budgets of 10^8..10^9."""
+    rng = random.Random(300)
+    budgets = [rng.randint(10 ** 8, 10 ** 9) for _ in range(300)]
+    budgets[0] += sum(budgets) % 2
+    x = 302
+    edges = [(0, 1, 1)] + [(1, u, 1) for u in range(2, x)] + \
+        [(u, x, w) for u, w in enumerate(budgets, 2)]
+    dx = sum(budgets)
+    start = time.perf_counter()
+    adds, report = splitoff_pipeline(Graph.build(x + 1, edges, [0, 1]), x)
+    assert time.perf_counter() - start < 2.0
+    assert report["phases"] == {"leftover": dx // 2}
+    assert [adds.degree(u) for u in range(2, x)] == budgets
+    assert len(adds.merged().entries) <= 300
+
+
+def test_leftover_of_a_dominant_vertex_is_dropped_as_self_loops():
+    """x's budget at 2 (10) exceeds the rest (2): 2 pairs with 3 for both
+    of 3's units and keeps 8 units, 4 self-loops at x."""
+    gx = Graph.build(5, [(0, 1, 1), (1, 2, 1), (1, 3, 1), (2, 4, 10),
+                         (3, 4, 2)], [0, 1])
+    adds, report = splitoff_pipeline(gx, 4)
+    assert adds.entries == ((2, 3, 2),)
+    assert report["self_loops_dropped"] == 4 and report["total_weight"] == 2
+
+
 def test_leftover_pairing_at_a_billion_is_fast():
     W = 10 ** 9
     start = time.perf_counter()
@@ -409,4 +449,31 @@ def test_leftover_pairing_at_a_billion_is_fast():
     assert time.perf_counter() - start < 2.0
     assert report["phases"] == {"leftover": W + 1}
     assert list(adds.merged().entries) == _leftover_star_edges(W)
+
+
+def test_leftover_pairing_of_a_wide_star_is_fast():
+    """x joined to 300 neighbours of g with budgets of 10^8..10^9."""
+    rng = random.Random(300)
+    budgets = [rng.randint(10 ** 8, 10 ** 9) for _ in range(300)]
+    budgets[0] += sum(budgets) % 2
+    x = 302
+    edges = [(0, 1, 1)] + [(1, u, 1) for u in range(2, x)] + \
+        [(u, x, w) for u, w in enumerate(budgets, 2)]
+    dx = sum(budgets)
+    start = time.perf_counter()
+    adds, report = splitoff_pipeline(Graph.build(x + 1, edges, [0, 1]), x)
+    assert time.perf_counter() - start < 2.0
+    assert report["phases"] == {"leftover": dx // 2}
+    assert [adds.degree(u) for u in range(2, x)] == budgets
+    assert len(adds.merged().entries) <= 300
+
+
+def test_leftover_of_a_dominant_vertex_is_dropped_as_self_loops():
+    """x's budget at 2 (10) exceeds the rest (2): 2 pairs with 3 for both
+    of 3's units and keeps 8 units, 4 self-loops at x."""
+    gx = Graph.build(5, [(0, 1, 1), (1, 2, 1), (1, 3, 1), (2, 4, 10),
+                         (3, 4, 2)], [0, 1])
+    adds, report = splitoff_pipeline(gx, 4)
+    assert adds.entries == ((2, 3, 2),)
+    assert report["self_loops_dropped"] == 4 and report["total_weight"] == 2
 
