@@ -2,8 +2,9 @@
 
 Graph text format: first line ``n m |T| [tau]``, then m lines ``u v w``,
 then one line with the terminal ids; ``#`` starts a comment.  Solutions
-are JSON arrays of ``{"u":..,"v":..,"w":..}``.  Exit codes: 0 success,
-2 infeasible/rejected/failed verification, 1 I/O, format or usage error.
+are JSON arrays of ``{"u":..,"v":..,"w":..}`` with JSON integer fields.
+Exit codes: 0 success, 2 infeasible/rejected/failed verification, 1 I/O,
+format or usage error, or total weight over the bound.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from typing import Optional
 
 from . import oracle
-from .graph import EdgeAdditions, Graph
+from .graph import EdgeAdditions, Graph, WeightBoundError
 from .matching import MatchingRetryError
 from .pipeline import RejectedInstanceError, augment_pipeline, splitoff_pipeline
 from .supreme import supreme_forest
@@ -80,8 +81,10 @@ def load_solution(path: str, n: int) -> EdgeAdditions:
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read solution {path}: {exc}") from exc
     try:
-        adds = EdgeAdditions(tuple((int(e["u"]), int(e["v"]), int(e["w"]))
-                                   for e in data))
+        rows = [(e["u"], e["v"], e["w"]) for e in data]
+        if any(type(f) is not int for row in rows for f in row):
+            raise ValueError("fields must be JSON integers")
+        adds = EdgeAdditions(tuple(rows))
     except (TypeError, KeyError, ValueError) as exc:
         raise InputError(f"bad solution entries: {exc}") from exc
     for (u, v, w) in adds.entries:
@@ -175,7 +178,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         code = _dispatch(build_parser().parse_args(argv))
         sys.stdout.flush()  # a closed reader fails here, not at exit
         return code
-    except InputError as exc:
+    except (InputError, WeightBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RejectedInstanceError, MatchingRetryError) as exc:

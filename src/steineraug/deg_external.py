@@ -4,10 +4,14 @@ Given per-vertex budgets beta for edges toward an external vertex x, add
 external weight of total value sum of rdem over the forest roots without
 exceeding any budget.  One directed max flow per heavy path decides
 where that path's share of the weight lands; flow routed through the
-helper vertex y becomes new (u, x) weight.  The paths, the critical
-nodes and L2 are those of `forest.HeavyPathDecomposition`.  Each new
-weight block is one ledger entry (`DegAssignment`) naming the path that
-placed it; the chain phase (deg_chains) spends the ledger.
+helper vertex y becomes new (u, x) weight.  The share, the path's
+demand, is rdem of its top minus the rdem of the paths hanging off it;
+that telescopes to the sum of its nodes' excess (rdem minus the
+children's rdem), and the sum from any node down is the demand below
+it.  The paths, the critical nodes and L2 are those of
+`forest.HeavyPathDecomposition`.  Each new weight block is one ledger
+entry (`DegAssignment`) naming the path that placed it; the chain phase
+(deg_chains) spends the ledger.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ class DegExternalState:
     hld: HeavyPathDecomposition
     wx: dict[int, int] = field(default_factory=dict)
     assignments: list[DegAssignment] = field(default_factory=list)
-    deltas: dict[int, int] = field(default_factory=dict)
 
     def solution(self) -> ExternalSolution:
         return ExternalSolution({u: w for u, w in sorted(self.wx.items())
@@ -60,28 +63,13 @@ def check_feasibility(g: Graph, tau: int, beta: dict[int, int]) -> bool:
     return steiner_connectivity(h, tau) >= tau
 
 
-def _path_bottom_up(path: HeavyPath) -> list[int]:
-    return list(reversed(path.nodes))
-
-
-def _delta_for(state: DegExternalState, top: int) -> int:
-    """rdem(top) minus the rdem of the outermost heavy-path heads strictly
-    below it; a nested head's demand is already inside its outer head's."""
-    f, path_of = state.forest, state.hld.path_of
-    tops = {p.nodes[0] for p in state.hld.paths}
-    sub = set(f.subtree(top))
-    below = sum(f.nodes[w].rdem for w in tops if w in sub and w != top
-                and path_of[f.nodes[w].parent] == path_of[top])
-    return f.nodes[top].rdem - below
-
-
 def build_H(state: DegExternalState, path: HeavyPath
             ) -> tuple[flow.FlowNetwork, dict]:
     """Directed helper network for one heavy path (bottom node R1 up to
     Rk), following the six construction steps; contraction is realized
     by node merging."""
     g, f = state.g, state.forest
-    rs = _path_bottom_up(path)
+    rs = path.nodes[::-1]
     rk = rs[-1]
     mu = f.nodes[rk].mu_tilde
     if mu is None:
@@ -134,17 +122,14 @@ def build_H(state: DegExternalState, path: HeavyPath
     for i in range(len(rs) - 1):
         arcs.append((block_of[i + 1], block_of[i], None))
 
-    delta = _delta_for(state, rk)
-    if delta < 0:
-        raise RuntimeError("negative per-path demand")
-    # Monotonicity of the prefix demands along the path.
-    prev_val = None
-    for r in rs:
-        val = _delta_for(state, r)
-        if prev_val is not None and val < prev_val:
-            raise RuntimeError(
-                "per-path demand must be monotone along the path")
-        prev_val = val
+    # The path's demand, rdem(Rk) minus the rdem hanging off the path, is
+    # the sum of its nodes' excess, and the sum from R_i down is the
+    # demand below R_i; no negative excess keeps those nonnegative and
+    # growing upward.
+    excess = [f.excess(r) for r in rs]
+    if min(excess) < 0:
+        raise RuntimeError("some node on the path has negative excess")
+    delta = sum(excess)
     yx_index = len(arcs)
     arcs.append((y, sink, delta))
 
@@ -162,7 +147,6 @@ def process_path(state: DegExternalState, path: HeavyPath) -> None:
             f"path {path.id}: flow value {res.value} != tau {state.tau}")
     if res.flows[meta["yx_index"]] != meta["delta"]:
         raise RuntimeError(f"path {path.id}: the (y, x) arc is not saturated")
-    state.deltas[path.id] = meta["delta"]
     # Highest critical node on the path; there is one, since every path
     # ends at an L2 node or at a leaf, and leaves are critical.
     rm = next(r for r in path.nodes if r in state.hld.critical)

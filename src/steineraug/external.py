@@ -1,8 +1,9 @@
 """Unconstrained external augmentation over the supreme forest.
 
 A post-order traversal adds, for each node R, external weight
-rdem(R) - sum of children's rdem to one terminal of R; the result is a
-feasible external solution of optimal total value (sum of root rdem).
+excess(R) = rdem(R) - sum of children's rdem to one terminal of R; the
+result is a feasible external solution of optimal total value (sum of
+root rdem).
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ def external_augment(f: LaminarForest, tau: int) -> ExternalSolution:
     beta: dict[int, int] = {}
     for i in f.postorder():
         nd = f.nodes[i]
-        child_sum = sum(f.nodes[ch].rdem for ch in nd.children)
-        w = nd.rdem - child_sum
+        w = f.excess(i)
         if w < 0:
             raise RuntimeError(f"node {i}: rdem recurrence violated")
         if w > 0:

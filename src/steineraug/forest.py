@@ -104,17 +104,13 @@ class LaminarForest:
             p = self.nodes[p].parent
         return out
 
-    def subtree(self, i: int) -> list[int]:
-        out = []
-        stack = [i]
-        while stack:
-            u = stack.pop()
-            out.append(u)
-            stack.extend(reversed(self.nodes[u].children))
-        return out
-
     def leaves(self) -> list[int]:
         return [i for i in self.live() if not self.nodes[i].children]
+
+    def excess(self, i: int) -> int:
+        """rdem(i) minus its children's rdem: the demand owed at i itself."""
+        nd = self.nodes[i]
+        return nd.rdem - sum(self.nodes[ch].rdem for ch in nd.children)
 
     # -- mutation ---------------------------------------------------------
 
@@ -194,8 +190,6 @@ class LaminarForest:
         return "\n".join(lines)
 
 
-
-
 @dataclass
 class HeavyPath:
     id: int
@@ -209,13 +203,14 @@ class HeavyPath:
 class HeavyPathDecomposition:
     """Two-level heavy-light decomposition of a forest with rdem set.
 
-    A live node is critical when its rdem exceeds its children's rdem
-    sum: `compute_rdem` sets rdem = max(tau - c, child sum), so that is
-    tau - c > child sum.  L2 is the critical nodes with no critical
-    proper ancestor, and L_high their ancestors, L2 included.  L_high is
-    decomposed on its own (upper level) and each subtree hanging below
-    an L2 node separately (lower level).  Every live node belongs to
-    exactly one path, so the upper paths' nodes are exactly L_high.
+    A live node is critical when its excess (rdem minus the children's
+    rdem sum) is positive: `compute_rdem` sets rdem = max(tau - c, child
+    sum), so that is tau - c > child sum.  L2 is the critical nodes with
+    no critical proper ancestor, and L_high their ancestors, L2
+    included.  L_high is decomposed on its own (upper level) and each
+    subtree hanging below an L2 node separately (lower level).  Every
+    live node belongs to exactly one path, so the upper paths' nodes are
+    exactly L_high.
     """
 
     paths: list[HeavyPath]
@@ -228,8 +223,7 @@ class HeavyPathDecomposition:
     def build(cls, f: LaminarForest) -> "HeavyPathDecomposition":
         """Decompose f after `compute_rdem`; an empty f has no paths."""
         live = f.live()
-        critical = {i for i in live if f.nodes[i].rdem
-                    > sum(f.nodes[ch].rdem for ch in f.nodes[i].children)}
+        critical = {i for i in live if f.excess(i) > 0}
         l2 = {i for i in critical
               if critical.isdisjoint(f.ancestors(i, include_self=False))}
         if live and not l2:

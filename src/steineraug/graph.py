@@ -17,6 +17,10 @@ from typing import Iterable, Optional
 WEIGHT_SUM_BOUND = 1 << 40
 
 
+class WeightBoundError(ValueError):
+    """Total edge weight above WEIGHT_SUM_BOUND."""
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected weighted multigraph with a designated terminal set."""
@@ -38,7 +42,8 @@ class Graph:
                 raise ValueError(f"edge weight must be a positive integer: {(u, v, w)}")
             total += w
         if total > WEIGHT_SUM_BOUND:
-            raise ValueError("total edge weight exceeds the perturbation-safe bound")
+            raise WeightBoundError(
+                "total edge weight exceeds the perturbation-safe bound")
         if not self.terminals:
             raise ValueError("terminal set must be nonempty")
         for t in self.terminals:

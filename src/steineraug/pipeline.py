@@ -196,7 +196,6 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0
                     "target_weight": dx // 2, "phases": {}}
 
     out = EdgeAdditions(())
-    remaining = dict(beta)
     stats: dict = {"connectivity": tau}
     if tau > 0:  # else lambda(g) < tau cannot hold
         forest = supreme_forest(g, stats=stats, tau=tau)
@@ -209,22 +208,19 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0
         chain_adds, sched = split_off_chains(g, state)
         report["phases"]["chains"] = chain_adds.total_weight
         g1 = add_edges(g, chain_adds)
-        rem = sched.remaining_beta()
-        # Budget never committed by the external phase stays available.
-        for u, w in beta.items():
-            spare = w - state.wx.get(u, 0)
-            if spare:
-                rem[u] = rem.get(u, 0) + spare
+        # Each split edge spends one unit of x's star at both ends, so the
+        # budget left at u is beta(u) minus u's degree in the edges added.
+        rem = {u: w - chain_adds.degree(u) for u, w in beta.items()}
         K_prime = build_K(sched.forest, tau)
         rng = random.Random(seed ^ 0x5DEECE66D)
         match_adds = deg_augment_by_one(g1, tau, rem, K_prime, rng)
         report["phases"]["matching"] = match_adds.total_weight
-        for u in list(rem):
-            rem[u] -= match_adds.degree(u)
-            if rem[u] < 0:
-                raise RuntimeError(f"matching exceeded the budget at {u}")
         out = chain_adds.combine(match_adds)
-        remaining = {u: w for u, w in rem.items() if w > 0}
+
+    remaining = {u: w - out.degree(u) for u, w in beta.items()}
+    over = [u for u, w in remaining.items() if w < 0]
+    if over:
+        raise RuntimeError(f"split edges exceed x's budget at {over[0]}")
 
     # g + out is tau-connected now, and added edges lower no cut, so any
     # pairing of the leftover budget without self-loops keeps it so.  A

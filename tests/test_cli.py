@@ -274,12 +274,25 @@ def test_augment_cycle8_reaches_the_recursion(tmp_path, capsys):
     {"u": 0, "v": 9, "w": 1},        # endpoint outside 0..n-1
     {"u": 0, "v": 1, "w": 0},        # non-positive weight
     {"u": 1, "v": 1, "w": 1},        # self-loop
-], ids=["out-of-range", "zero-weight", "self-loop"])
+    {"u": 0, "v": 2, "w": 2 * 10 ** 12},  # total weight over 2^40
+    {"u": 0, "v": 2, "w": 1.5},      # not an integer
+    {"u": True, "v": 2, "w": 1},     # a JSON boolean, not an integer
+    {"u": 0, "v": 2, "w": "2"},      # a JSON string, not an integer
+], ids=["out-of-range", "zero-weight", "self-loop", "over-bound",
+        "float-weight", "bool-endpoint", "string-weight"])
 def test_verify_bad_solution_entry_is_input_error(tmp_path, capsys, entry):
     gpath = write(tmp_path, "g.txt", CYC4)
     spath = write(tmp_path, "sol.json", json.dumps([entry]))
     assert cli.main(["verify", gpath, spath]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_augment_over_the_weight_bound_is_input_error(tmp_path, capsys):
+    # The graph is under 2^40, but the edges that reach tau are not.
+    path = write(tmp_path, "g.txt", "2 1 2\n0 1 1099511627000\n0 1\n")
+    assert cli.main(["augment", "--tau", "1099511627900", path]) == 1
+    assert capsys.readouterr().err == \
+        "error: total edge weight exceeds the perturbation-safe bound\n"
 
 
 # Fuzzing: any text gets a clean answer.  Numbers stay small, so that a

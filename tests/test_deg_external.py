@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 
@@ -13,7 +14,7 @@ from steineraug.forest import HeavyPathDecomposition
 from steineraug.graph import cut_value, star_graph, steiner_connectivity
 from steineraug.supreme import supreme_forest
 
-from conftest import g_path, g_split, random_connected
+from conftest import g_path, g_split, random_connected, tree_plus_2n
 
 
 def ready_forest(g, tau):
@@ -111,7 +112,7 @@ def test_H_cut_value_identities_split_family():
             after_g, x = star_graph(g, dict(state.wx))
             # Min cut toward the rest of T grows by exactly Delta.
             assert min_cut_value(after_g, R, rest | {x}) == \
-                lam_before + state.deltas[path.id]
+                lam_before + sum(state.forest.excess(r) for r in path.nodes)
 
 
 def test_process_paths_path_fixture():
@@ -193,3 +194,58 @@ def test_nested_lower_heads_are_not_subtracted_twice():
                                  forest)
     assert state.solution().total_weight == k
     assert steiner_connectivity(star_graph(g, state.wx)[0]) >= tau
+
+
+def _delta_for_reference(forest, hld, top):
+    """A path's demand below `top` as it was once computed: rdem(top)
+    minus the rdem of the outermost heavy-path heads strictly below it
+    whose parent lies on top's path."""
+    tops = {p.nodes[0] for p in hld.paths}
+    sub, stack = set(), [top]
+    while stack:
+        u = stack.pop()
+        sub.add(u)
+        stack.extend(forest.nodes[u].children)
+    below = sum(forest.nodes[w].rdem for w in tops if w in sub and w != top
+                and hld.path_of[forest.nodes[w].parent] == hld.path_of[top])
+    return forest.nodes[top].rdem - below
+
+
+def _identity_corpus():
+    for idx in range(400):
+        g = random_connected(idx, n_max=12)
+        conn = steiner_connectivity(g)
+        full = supreme_forest(g)
+        for plus in (1, 2, 3, 5, 8):
+            yield copy.deepcopy(full), conn + plus
+    for n in range(40, 201, 40):
+        g = tree_plus_2n(n, n, max(4, n // 10))
+        yield supreme_forest(g), steiner_connectivity(g) + 3
+
+
+def test_path_demand_is_the_sum_of_excess_below():
+    """build_H's demand below each path node, the sum of excess from the
+    node down, equals the reference; the critical nodes are exactly those
+    of positive excess."""
+    nodes = 0
+    for f, tau in _identity_corpus():
+        f.compute_rdem(tau)
+        hld = HeavyPathDecomposition.build(f)
+        for path in hld.paths:
+            for i, r in enumerate(path.nodes):
+                assert _delta_for_reference(f, hld, r) == \
+                    sum(f.excess(s) for s in path.nodes[i:])
+                nodes += 1
+        assert hld.critical == {i for i in f.live() if f.excess(i) > 0}
+    assert nodes >= 5000, nodes
+
+
+def test_negative_excess_on_a_path_raises():
+    # The guard on the path's excess must trip, also under -O.
+    g = random_connected(19)
+    state = fresh_state(g, steiner_connectivity(g) + 2, {})
+    path = next(p for p in state.hld.paths if len(p.nodes) >= 2)
+    top, child = (state.forest.nodes[r] for r in path.nodes[:2])
+    child.rdem = top.rdem + 1
+    with pytest.raises(RuntimeError, match="negative excess"):
+        build_H(state, path)

@@ -173,13 +173,19 @@ def test_splitoff_gsplit_fixture():
     assert steiner_connectivity(add_edges(base, adds)) >= report["tau"]
 
 
+def _star7() -> Graph:
+    """x = 6 joined to 0 and 2: splitting it off runs the chains and the
+    +1 matching."""
+    return Graph.build(7, [(0, 1, 2), (0, 2, 1), (0, 3, 3), (2, 4, 2),
+                           (1, 5, 4), (0, 4, 3), (3, 5, 5), (0, 6, 2),
+                           (2, 6, 2)], range(6))
+
+
 def test_splitoff_skips_the_feasibility_check_of_x_star(monkeypatch):
     """x's own star reaches tau = lambda(g + x), so the pipeline skips
     deg_external_augment's check: |T| - 1 flows fewer than with it."""
     from steineraug import deg_external, pipeline
-    gx = Graph.build(7, [(0, 1, 2), (0, 2, 1), (0, 3, 3), (2, 4, 2),
-                         (1, 5, 4), (0, 4, 3), (3, 5, 5), (0, 6, 2),
-                         (2, 6, 2)], range(6))
+    gx = _star7()
     adds, report = splitoff_pipeline(gx, 6)
     monkeypatch.setattr(pipeline, "_augment_feasible",
                         deg_external.deg_external_augment)
@@ -187,6 +193,22 @@ def test_splitoff_skips_the_feasibility_check_of_x_star(monkeypatch):
     assert adds == adds_checked and report["phases"]["matching"] >= 1
     assert report_checked["max_flow_calls"] - report["max_flow_calls"] == \
         len(gx.terminals) - 1
+
+
+def test_matching_over_budget_raises(monkeypatch):
+    # The guard on x's budget after the matching must trip, also under -O.
+    from steineraug import pipeline
+    real = pipeline.deg_augment_by_one
+
+    def overspend(g, tau, rem, K_prime, rng):
+        adds = real(g, tau, rem, K_prime, rng)
+        u = min(v for v, w in rem.items() if w > 0)
+        extra = rem[u] - adds.degree(u) + 1    # one unit past u's budget
+        return adds.combine(EdgeAdditions(((u, 5, extra),)))
+
+    monkeypatch.setattr(pipeline, "deg_augment_by_one", overspend)
+    with pytest.raises(RuntimeError, match="exceed x's budget at"):
+        splitoff_pipeline(_star7(), 6)
 
 
 def test_splitoff_at_tau_0_builds_no_forest():
@@ -413,33 +435,6 @@ def test_leftover_star_matches_unit_loop_on_small_weights():
         adds, report = splitoff_pipeline(_leftover_star(W), 5, seed=0)
         assert report["phases"] == {"leftover": W + 1}
         assert list(adds.merged().entries) == _leftover_star_edges(W)
-
-
-def test_leftover_pairing_of_a_wide_star_is_fast():
-    """x joined to 300 neighbours of g with budgets of 10^8..10^9."""
-    rng = random.Random(300)
-    budgets = [rng.randint(10 ** 8, 10 ** 9) for _ in range(300)]
-    budgets[0] += sum(budgets) % 2
-    x = 302
-    edges = [(0, 1, 1)] + [(1, u, 1) for u in range(2, x)] + \
-        [(u, x, w) for u, w in enumerate(budgets, 2)]
-    dx = sum(budgets)
-    start = time.perf_counter()
-    adds, report = splitoff_pipeline(Graph.build(x + 1, edges, [0, 1]), x)
-    assert time.perf_counter() - start < 2.0
-    assert report["phases"] == {"leftover": dx // 2}
-    assert [adds.degree(u) for u in range(2, x)] == budgets
-    assert len(adds.merged().entries) <= 300
-
-
-def test_leftover_of_a_dominant_vertex_is_dropped_as_self_loops():
-    """x's budget at 2 (10) exceeds the rest (2): 2 pairs with 3 for both
-    of 3's units and keeps 8 units, 4 self-loops at x."""
-    gx = Graph.build(5, [(0, 1, 1), (1, 2, 1), (1, 3, 1), (2, 4, 10),
-                         (3, 4, 2)], [0, 1])
-    adds, report = splitoff_pipeline(gx, 4)
-    assert adds.entries == ((2, 3, 2),)
-    assert report["self_loops_dropped"] == 4 and report["total_weight"] == 2
 
 
 def test_leftover_pairing_at_a_billion_is_fast():
