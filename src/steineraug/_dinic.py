@@ -15,21 +15,34 @@ super source joined to them in that order.
 The last BFS of the loop gives the minimal source side for free; the
 minimal sink side needs a reverse search of the residual graph, which
 `flow.FlowResult.sink_side` runs only when a caller reads it.
+
+A solve given a `limit` stops at the first push that brings its flow to
+the limit.  Up to that push it is the uncapped solve step for step, so
+a solve whose max flow is below the limit is unchanged, and one that
+stops leaves a valid residual graph that a later call can go on from.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from typing import Optional
 
 
 def max_flow_kernel(head: list[list[int]], to: list[int], cap: list[int],
-                    sources: list[int], sinks: list[int]
-                    ) -> tuple[int, frozenset[int]]:
+                    sources: list[int], sinks: list[int],
+                    limit: Optional[int] = None
+                    ) -> tuple[int, Optional[frozenset[int]]]:
     """Blocking-flow max flow from `sources` to `sinks` over `cap`.
 
     Returns (value, source side): the source side is the vertices the
-    final residual graph reaches from the sources.
+    final residual graph reaches from the sources.  With `limit`, a flow
+    that reaches it returns at once, with a value >= limit and no source
+    side; a limit of 0 or less is reached before any work.
     """
+    stop = math.inf if limit is None else limit
+    if stop <= 0:
+        return 0, None
     n = len(head)
     is_sink = [False] * n
     for t in sinks:
@@ -71,6 +84,8 @@ def max_flow_kernel(head: list[list[int]], to: list[int], cap: list[int],
                         cap[a] -= pushed
                         cap[a ^ 1] += pushed
                     total += pushed
+                    if total >= stop:
+                        return total, None
                     for j, a in enumerate(path):
                         if not cap[a]:
                             break

@@ -10,6 +10,10 @@ one pure-Python blocking-flow (Dinic) loop in `_dinic`, on unbounded
 Python integers, so perturbed weights of any size are exact.  A solve
 returns its value and minimal source side; the minimal sink side and
 the per-arc flows are derived from the residual capacities when read.
+A caller that only compares the value with a bound passes it as
+`limit`: the solve stops once its flow reaches it, and
+`FlowResult.finish` can go on from there if the exact value is needed
+after all.
 
 A global, atomic invocation counter supports the acceptance call-count
 budget.
@@ -81,10 +85,14 @@ class FlowNetwork:
 
 @dataclass(frozen=True)
 class FlowResult:
+    """A solve's value and minimal source side; a solve stopped at its
+    limit has a value >= limit and no source side (None), and its sides
+    and flows are not those of a min cut."""
     value: int
-    source_side: frozenset[int]     # minimal: residually reached from sources
+    source_side: Optional[frozenset[int]]  # minimal: residually reached
     net: FlowNetwork = field(repr=False)
     residual: list[int] = field(repr=False)   # capacities after the solve
+    sources: tuple[int, ...] = field(repr=False)
     sinks: tuple[int, ...] = field(repr=False)
 
     @functools.cached_property
@@ -109,6 +117,19 @@ class FlowResult:
         since only the H networks of `deg_external` read it."""
         return tuple(map(operator.sub, self.net.cap[::2], self.residual[::2]))
 
+    def finish(self, limit: Optional[int] = None) -> "FlowResult":
+        """Go on with a solve stopped at its limit, from its residual
+        (taken over, not copied), up to the new `limit`: returns the
+        exact solve, or again a stopped one."""
+        net = self.net
+        more, side = _kernel_for(net.inf)(
+            net.head, net.to, self.residual, self.sources, self.sinks,
+            None if limit is None else limit - self.value)
+        if self.value + more >= net.inf:
+            raise NoFiniteCutError("no finite cut separates sources from sinks")
+        return FlowResult(self.value + more, side, net, self.residual,
+                          self.sources, self.sinks)
+
 
 class NoFiniteCutError(ValueError):
     """Raised when an infinite-capacity path joins sources to sinks."""
@@ -120,9 +141,12 @@ def _kernel_for(total_cap: int):
 
 
 def max_flow(net: FlowNetwork, sources: Iterable[int],
-             sinks: Iterable[int]) -> FlowResult:
+             sinks: Iterable[int], limit: Optional[int] = None) -> FlowResult:
     """Integral maximum flow; value equals the min cut value, and the two
-    sides are the minimal source and sink sides over all min cuts."""
+    sides are the minimal source and sink sides over all min cuts.  With
+    `limit`, a solve whose max flow is >= limit stops once its flow
+    reaches it, with a value >= limit and no source side; any other solve
+    is the same as without it."""
     global _call_count
     with _counter_lock:
         _call_count += 1
@@ -132,12 +156,8 @@ def max_flow(net: FlowNetwork, sources: Iterable[int],
         raise ValueError("sources and sinks must be nonempty and disjoint")
     if sources[0] < 0 or sinks[0] < 0 or max(sources[-1], sinks[-1]) >= net.n:
         raise ValueError("source or sink out of range")
-    cap = net.cap[:]
-    value, source_side = _kernel_for(net.inf)(
-        net.head, net.to, cap, sources, sinks)
-    if value >= net.inf:
-        raise NoFiniteCutError("no finite cut separates sources from sinks")
-    return FlowResult(value, source_side, net, cap, tuple(sinks))
+    return FlowResult(0, None, net, net.cap[:], tuple(sources),
+                      tuple(sinks)).finish(limit)
 
 
 def min_cut_value(g: Graph, A: Iterable[int], B: Iterable[int],

@@ -144,7 +144,9 @@ def steiner_connectivity(g: Graph, stop_below: int = 1) -> int:
 
     Every Steiner cut separates a fixed terminal s from some other
     terminal, so the minimum equals min over t in T-{s} of lambda(s, t).
-    Returns 0 when terminals span multiple components.
+    Each flow after the first stops at the running minimum, which a
+    lambda(s, t) that reaches it cannot lower.  Returns 0 when terminals
+    span multiple components.
     """
     from . import flow  # local import to avoid a cycle
 
@@ -156,7 +158,7 @@ def steiner_connectivity(g: Graph, stop_below: int = 1) -> int:
     for t in ts[2:]:
         if best < stop_below:
             break
-        best = min(best, flow.max_flow(net, ts[:1], (t,)).value)
+        best = min(best, flow.max_flow(net, ts[:1], (t,), best).value)
     return best
 
 

@@ -134,6 +134,7 @@ def verify_solution(g: Graph, tau: int, F: EdgeAdditions,
 
     Returns (ok, witness); the witness is an offending vertex id for a
     budget violation, or a violated cut (vertex frozenset) otherwise.
+    Each flow stops at tau: only a failing one needs its cut.
     """
     if beta is not None:
         for u in range(g.n):
@@ -142,7 +143,7 @@ def verify_solution(g: Graph, tau: int, F: EdgeAdditions,
     net = flow.FlowNetwork.undirected(add_edges(g, F))
     ts = sorted(g.terminals)
     for t in ts[1:]:
-        res = flow.max_flow(net, ts[:1], (t,))
+        res = flow.max_flow(net, ts[:1], (t,), tau)
         if res.value < tau:
             return False, res.source_side
     return True, None

@@ -26,23 +26,31 @@ split, and the merge step holds unchanged.
 
 The root of phase 2 gives lambda(g) at no extra flow: lambda~ // 2^m,
 lambda~ its least flow-tree edge or its base case's least flow value
-(exact, as a cut crossing an edge has offset in [1, 2^m - 1]).  Given a
-target tau, phase 2 is truncated: a node whose own flow tree has every
-edge above tau*2^m (at the root, lambda(g) >= tau) returns before its
-split flow, and a child of a split node whose terminals the node's flow
-tree proves pairwise tau-connected (`_proves_high`) is skipped, at no
-flow.  Every candidate such a node or a node below it could return has
-d >= tau, as contraction only raises cuts, and the pipelines delete
-every such node (`compute_rdem`).  So the forest after `compute_rdem(tau)` is the same
-with and without the truncation:
-- a node's split depends on the node alone, so every node that is not
-  skipped is the same node as without tau;
-- crossing repair runs inside one base case, and a skipped child is
-  skipped whole, so no set of it meets the other candidates there;
-- the merge step only filters sets, one at a time;
-- postprocess pass 1 removes every node of d >= tau that has a
-  descendant of d < tau, so the sets of d < tau keep the same parents,
-  and no later pass removes one of them for a set of d >= tau.
+(exact, as a cut crossing an edge has offset in [1, 2^m - 1]).
+
+Given a target tau, phase 2 compares cuts only with high = tau*2^m
+(d >= tau exactly when d~ > high), so each flow-tree flow stops at
+H = high + 1 and the tree gives min(lambda~, H) for every pair
+(`_flow_tree`).  Its H edges join the tau-classes, the terminals
+pairwise tau-connected.  A node of one class has no Steiner cut below
+tau and returns nothing (`pruned`); at the root the stopped flows are
+then finished from their residuals, each up to the least value so far,
+to give lambda(g) >= tau.  A node of several classes merges each into
+one vertex, and is a base case at 3 classes or fewer or else splits on
+the tree with its H edges contracted, an exact flow tree of the merged
+node.  The forest after `compute_rdem(tau)` is the same as without tau:
+- a Steiner cut of d < tau separates no class, so the merged node keeps
+  exactly those cuts, with their values; a witness that such a cut is
+  not extreme is a Steiner subset of no larger value, kept too.  So
+  the extreme sets below tau, and the supreme sets below tau (the
+  largest extreme set of each projection, of least value), are the
+  node's;
+- a split covers each supreme set of a node by one of the same value
+  in a child, so the candidates hold every supreme set below tau;
+- postprocess pass 1 removes a node that a descendant matches or
+  beats, so every node left above a set below tau is below tau too:
+  the sets below tau keep their parents, no later pass removes one of
+  them for a set of d >= tau, and `compute_rdem(tau)` deletes the rest.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from . import flow
 from .forest import LaminarForest
@@ -79,27 +87,32 @@ def perturb(g: Graph) -> PerturbedGraph:
     return PerturbedGraph(g, weights, 1 << m)
 
 
-def _contract(K: frozenset[int], terminals: frozenset[int],
+def _contract(parts: list[Iterable[int]], terminals: frozenset[int],
               weights: Mapping[tuple[int, int], int],
               labels: list[frozenset[int]]
-              ) -> tuple[frozenset[int], dict[tuple[int, int], int],
-                         list[frozenset[int]]]:
-    """Merge the vertices K of a recursion node into one, its last vertex;
-    the others keep their order.  Returns the contracted node's terminals,
-    weights (an edge inside K would be a self-loop and is dropped, and
-    parallel edges are summed) and labels."""
-    keep = [u for u in range(len(labels)) if u not in K]
+              ) -> tuple[dict[int, int], frozenset[int],
+                         dict[tuple[int, int], int], list[frozenset[int]]]:
+    """Merge each of the disjoint vertex sets `parts` of a recursion node
+    into one vertex; the other vertices keep their order, and the merged
+    ones follow in the order of `parts`.  Returns the vertex map and the
+    contracted node's terminals, weights (an edge inside a part would be a
+    self-loop and is dropped, and parallel edges are summed) and
+    labels."""
+    merged = frozenset().union(*parts)
+    keep = [u for u in range(len(labels)) if u not in merged]
     phi = {u: i for i, u in enumerate(keep)}
-    phi.update(dict.fromkeys(K, len(keep)))
+    for i, K in enumerate(parts, len(keep)):
+        phi.update(dict.fromkeys(K, i))
     out: dict[tuple[int, int], int] = {}
     for (u, v), w in weights.items():
         a, b = phi[u], phi[v]
         if a == b:
             continue
         key = (a, b) if a < b else (b, a)
-        out[key] = out.get(key, 0) + w
-    return (frozenset(phi[t] for t in terminals), out,
-            [labels[u] for u in keep] + [_expand(K, labels)])
+        # w itself, not 0 + w, which would copy a large perturbed weight.
+        out[key] = out[key] + w if key in out else w
+    return (phi, frozenset(phi[t] for t in terminals), out,
+            [labels[u] for u in keep] + [_expand(K, labels) for K in parts])
 
 
 def _crossing_repair(sets: list[frozenset[int]], cut_fn) -> list[frozenset[int]]:
@@ -163,40 +176,43 @@ def _expand(X, labels: list[frozenset[int]]) -> frozenset[int]:
     return frozenset().union(*(labels[v] for v in X))
 
 
-def _flow_tree(net: flow.FlowNetwork, ts: list[int]
-               ) -> dict[int, list[tuple[int, int]]]:
+def _flow_tree(net: flow.FlowNetwork, ts: list[int],
+               limit: Optional[int] = None, keep: bool = False
+               ) -> tuple[dict[int, list[tuple[int, int]]],
+                          list[flow.FlowResult]]:
     """Gusfield's equivalent-flow tree over the sorted terminals `ts`, as
     adjacency lists of (neighbour, lambda) pairs: lambda(s, u) is the
     least value on the tree path from s to u.  Each later terminal starts
     below ts[0]; u is cut from its tree parent, and the later terminals
     in the minimal source side that share that parent move below u.
-    |T| - 1 flows (Gusfield, SIAM J. Comput. 1990)."""
+    |T| - 1 flows (Gusfield, SIAM J. Comput. 1990).
+
+    With `limit`, a flow that reaches it stops and gives its edge the
+    value `limit`, and nobody moves below u: a stopped terminal is a leaf
+    below one whose flow did not stop.  The others see Gusfield's run
+    over themselves, and lambda(u, p) >= limit makes min(lambda(u, v),
+    limit) = min(lambda(p, v), limit) for every v, so the tree gives
+    min(lambda, limit) for every pair.  With `keep`, the stopped solves
+    are returned while no edge is exact, else none."""
     parent = dict.fromkeys(ts[1:], ts[0])
     adj: dict[int, list[tuple[int, int]]] = {t: [] for t in ts}
+    stopped: list[flow.FlowResult] = []
     for i, u in enumerate(ts[1:], 1):
         p = parent[u]
-        res = flow.max_flow(net, (u,), (p,))
-        for v in ts[i + 1:]:
-            if parent[v] == p and v in res.source_side:
-                parent[v] = u
-        adj[u].append((p, res.value))
-        adj[p].append((u, res.value))
-    return adj
-
-
-def _lambda_row(tree: dict[int, list[tuple[int, int]]], s: int
-                ) -> dict[int, int]:
-    """lambda(s, u) for every other terminal u: path minima from s."""
-    row = {s: math.inf}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        for v, c in tree[u]:
-            if v not in row:
-                row[v] = min(row[u], c)
-                stack.append(v)
-    del row[s]
-    return row
+        res = flow.max_flow(net, (u,), (p,), limit)
+        if res.source_side is None:
+            value = limit
+            if keep:
+                stopped.append(res)
+        else:
+            value, keep = res.value, False
+            stopped.clear()
+            for v in ts[i + 1:]:
+                if parent[v] == p and v in res.source_side:
+                    parent[v] = u
+        adj[u].append((p, value))
+        adj[p].append((u, value))
+    return adj, stopped
 
 
 def _balanced_split(net: flow.FlowNetwork, ts: list[int],
@@ -234,39 +250,54 @@ def _balanced_split(net: flow.FlowNetwork, ts: list[int],
     return flow.max_flow(net, best, frozenset(ts) - best).source_side
 
 
-def _proves_high(tree: dict[int, list[tuple[int, int]]], ts: list[int],
-                 K: frozenset[int], high: int) -> bool:
-    """Whether the flow tree of a node's terminals `ts` proves that every
-    Steiner cut of the child contracting the vertices K exceeds `high`.
-
-    A Steiner cut of the child separates two of its terminals outside K,
-    or one of them from the contracted vertex, which holds every terminal
-    t in K; so it separates two of A + {t}, A the terminals outside K.
-    With a in A, lambda(u, v) >= min(lambda(u, a), lambda(a, v)), so one
-    row of the tree suffices: every pair of A + {t} exceeds `high` when
-    lambda(a, .) does on A and on some t in K.  The cut is one of the
-    node too, as contraction only removes cuts."""
-    a, *rest = [u for u in ts if u not in K]
-    row = _lambda_row(tree, a)
-    return (all(row[u] > high for u in rest)
-            and any(row[t] > high for t in ts if t in K))
-
-
 def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
              labels: list[frozenset[int]], stats: dict, depth: int,
-             high: Optional[int]) -> tuple[set[frozenset[int]], int]:
+             limit: Optional[int]) -> tuple[set[frozenset[int]], int]:
     """Candidates of one recursion node (vertices 0..n-1, n = len(labels))
-    as sets of original vertices, and its least Steiner cut value; none
-    (`pruned`) if its flow tree has every edge above the perturbed value
-    `high`, and none from a child that tree proves above it."""
-    n = len(labels)
+    as sets of original vertices, and its least Steiner cut value.  With
+    `limit` = H, the flow tree stops at H, the tau-classes it shows are
+    merged, and a node of one class returns none (`pruned`); the module
+    docstring says why that is exact."""
     stats["max_depth"] = max(stats["max_depth"], depth)
     layers = stats["layer_vertices"]
-    layers[depth] = layers.get(depth, 0) + n
+    layers[depth] = layers.get(depth, 0) + len(labels)
 
     ts = sorted(terminals)
-    net = flow.FlowNetwork(n, [(u, v, w) for (u, v), w in weights.items()],
-                           False)
+    net = flow.FlowNetwork(len(labels), [(u, v, w) for (u, v), w
+                                         in weights.items()], False)
+    if len(ts) > 3:
+        tree, stopped = _flow_tree(net, ts, limit, keep=depth == 0)
+        low = min(c for u in ts for _, c in tree[u])
+        # A tau-class is a terminal whose flow did not stop and the
+        # stopped leaves below it (`_flow_tree`), all after it in ts.
+        classes: dict[int, list[int]] = {}
+        for u in ts:
+            head = min([u] + [v for v, c in tree[u] if c == limit])
+            classes.setdefault(head, []).append(u)
+        stats["capped"] += len(ts) - len(classes)
+        if len(classes) == 1:
+            stats["pruned"] += 1
+            if stopped:  # the root: lambda(g) >= tau, made exact
+                low = stopped[0].finish().value
+                for res in stopped[1:]:
+                    low = min(low, res.finish(low).value)
+            return set(), low
+        if len(classes) < len(ts):
+            stats["merged"] += len(ts) - len(classes)
+            del net  # freed before the merged node's network is built
+            phi, terminals, weights, labels = _contract(
+                [K for K in classes.values() if len(K) > 1], terminals,
+                weights, labels)
+            # Each class is merged whole, so the edges left are an exact
+            # flow tree of the merged node.
+            contracted: dict[int, list[tuple[int, int]]] = {
+                phi[t]: [] for t in ts}
+            for u in ts:
+                contracted[phi[u]] += [(phi[v], c) for v, c in tree[u]
+                                       if c != limit]
+            tree, ts = contracted, sorted(terminals)
+            net = flow.FlowNetwork(len(labels), [(u, v, w) for (u, v), w
+                                                 in weights.items()], False)
     # Below 4 terminals no bipartition leaves >= 2 on each side, which is
     # what makes both contracted sub-instances strictly smaller.
     if len(ts) <= 3:
@@ -275,22 +306,14 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
         fam, low = _base_case(net, ts)
         return {_expand(X, labels) for X in fam}, low
 
-    tree = _flow_tree(net, ts)
-    low = min(c for u in ts for _, c in tree[u])
-    if high is not None and low > high:
-        stats["pruned"] += 1
-        return set(), low
     S1 = _balanced_split(net, ts, tree)
     del net  # freed before the recursion, as is each sub-instance after it
-    S2 = frozenset(range(n)) - S1
+    S2 = frozenset(range(len(labels))) - S1
     s2_orig = _expand(S2, labels)
 
     def child(K: frozenset[int]) -> set[frozenset[int]]:
-        if high is not None and _proves_high(tree, ts, K, high):
-            stats["pruned"] += 1
-            return set()
-        return _recurse(*_contract(K, terminals, weights, labels),
-                        stats, depth + 1, high)[0]
+        _, *node = _contract([K], terminals, weights, labels)
+        return _recurse(*node, stats, depth + 1, limit)[0]
 
     F1, F2 = child(S1), child(S2)
     # Merge: keep all of L1 (its t1-bearing sets expand to supersets of
@@ -311,17 +334,19 @@ def find_supreme_candidates(pg: PerturbedGraph, stats: Optional[dict] = None,
 
     `stats` receives the recursion's `max_depth`, its vertex total per
     depth (`layer_vertices`), the base cases per terminal count
-    (`base_cases`), the nodes and children skipped as tau-connected
-    (`pruned`) and lambda(g) (`connectivity`).  Every node of 4 or more
-    terminals splits, terminals in several components included (module
-    docstring)."""
+    (`base_cases`), the nodes of one tau-class (`pruned`), the terminals
+    merged away into tau-classes (`merged`), the flows stopped at their
+    limit (`capped`) and lambda(g) (`connectivity`).  Every node of 4 or
+    more terminals (after the merge) splits, terminals in several
+    components included (module docstring)."""
     g = pg.base
     stats = {} if stats is None else stats
     stats.update({"max_depth": 0, "layer_vertices": {}, "base_cases": {},
-                  "pruned": 0})
+                  "pruned": 0, "merged": 0, "capped": 0})
     labels = [frozenset({v}) for v in range(g.n)]
-    high = None if tau is None else tau * pg.scale
-    fam, low = _recurse(g.terminals, dict(pg.weights), labels, stats, 0, high)
+    limit = None if tau is None else tau * pg.scale + 1
+    fam, low = _recurse(g.terminals, dict(pg.weights), labels, stats, 0,
+                        limit)
     stats["connectivity"] = low // pg.scale
     out = sorted((X for X in fam if is_steiner_cut(g, X)),
                  key=lambda X: (len(X), sorted(X)))
@@ -414,4 +439,5 @@ def recursion_report(stats: dict) -> dict:
             "max_layer_vertices": max(stats["layer_vertices"].values()),
             "base_cases": {str(k): c
                            for k, c in sorted(stats["base_cases"].items())},
-            "pruned": stats["pruned"]}
+            "pruned": stats["pruned"], "merged": stats["merged"],
+            "capped": stats["capped"]}

@@ -56,6 +56,13 @@ def test_infinite_capacity_and_no_finite_cut():
     bad = FlowNetwork(2, ((0, 1, None),))
     with pytest.raises(NoFiniteCutError):
         max_flow(bad, {0}, {1})
+    # The direct arc is one phase ahead of the infinite path, so a solve
+    # capped at 3 stops first; finishing it finds the infinite path.
+    both = FlowNetwork(3, ((0, 1, 5), (0, 2, None), (2, 1, None)))
+    stopped = max_flow(both, {0}, {1}, 3)
+    assert stopped.value == 5 and stopped.source_side is None
+    with pytest.raises(NoFiniteCutError):
+        stopped.finish()
 
 
 def test_network_validation():
@@ -162,3 +169,65 @@ def test_max_flow_equals_bruteforce_min_cut():
                        [u for u in range(g.n) if u not in (a, b)], r))
         assert min_cut_value(g, {a}, {b}) == best
 
+
+
+def _capped_solves(net, A, B):
+    """The uncapped solve and one capped at each limit around its value."""
+    exact = max_flow(net, A, B)
+    for limit in sorted({1, exact.value - 1, exact.value, exact.value + 1,
+                         2 * exact.value + 1} - {0, -1}):
+        yield exact, limit, max_flow(net, A, B, limit)
+
+
+def test_capped_solve_stops_exactly_when_the_value_reaches_the_limit():
+    """value >= limit and no source side exactly when the exact value is
+    >= limit; below it the capped solve is the uncapped one, residual
+    and per-arc flows included."""
+    stopped = same = 0
+    for idx in range(40):
+        g = random_connected(idx, n_max=10)
+        net = FlowNetwork.undirected(g)
+        ts = sorted(g.terminals)
+        for A, B in ((ts[:1], ts[1:]), (ts[:1], ts[-1:]), (ts[:-1], ts[-1:])):
+            for exact, limit, res in _capped_solves(net, A, B):
+                if exact.value >= limit:
+                    assert res.source_side is None, (idx, limit)
+                    assert res.value >= limit, (idx, limit)
+                    stopped += 1
+                else:
+                    assert (res.value, res.source_side, res.sink_side,
+                            res.residual, res.flows) == \
+                        (exact.value, exact.source_side, exact.sink_side,
+                         exact.residual, exact.flows), (idx, limit)
+                    same += 1
+    assert stopped > 100 and same > 100, (stopped, same)
+
+
+def test_finished_solve_equals_the_exact_one():
+    """A stopped solve finished from its residual has the exact value and
+    both minimal sides; finished up to a new limit it stops again exactly
+    when the exact value reaches that limit; finishing a solve that did
+    not stop changes nothing."""
+    for idx in range(40):
+        g = random_connected(idx, n_max=10)
+        net = FlowNetwork.undirected(g)
+        ts = sorted(g.terminals)
+        for exact, limit, res in _capped_solves(net, ts[:1], ts[-1:]):
+            if res.source_side is not None:
+                done = res.finish()
+                assert (done.value, done.source_side) == \
+                    (res.value, res.source_side), (idx, limit)
+                continue
+            again = max_flow(net, ts[:1], ts[-1:], limit).finish(
+                exact.value + 1)
+            assert (again.value, again.source_side) == \
+                (exact.value, exact.source_side), (idx, limit)
+            stop = max_flow(net, ts[:1], ts[-1:], limit).finish(exact.value)
+            assert stop.source_side is None and stop.value >= exact.value
+            done = res.finish()
+            assert (done.value, done.source_side, done.sink_side) == \
+                (exact.value, exact.source_side, exact.sink_side), idx
+    before = flow.max_flow_call_count()
+    res = max_flow(FlowNetwork.undirected(g_cyc4()), {0}, {2}, 1)
+    assert res.finish().value == 2
+    assert flow.max_flow_call_count() == before + 1

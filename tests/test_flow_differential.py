@@ -242,6 +242,31 @@ def test_undirected_cuts_on_corpus_match_reference():
                 ref_min_cut_sides(g, ts[:1], [t], weights)
 
 
+def test_capped_and_finished_cuts_match_reference():
+    """A solve capped at a limit stops, with no source side, exactly when
+    the reference value reaches the limit, and is otherwise the
+    reference cut; a stopped solve finished from its residual is the
+    reference cut, on perturbed and 100-bit weights too."""
+    rng = random.Random(2025)
+    stopped = 0
+    for trial in range(80):
+        g = _random_multigraph(rng)
+        for weights in (None, perturb(g).weights,
+                        {e: rng.getrandbits(100) + 1 for e in g.coalesced()}):
+            net = flow.FlowNetwork.undirected(g, weights)
+            for A, B in _bipartitions(rng, g, 3):
+                want = ref_min_cut_sides(g, A, B, weights)
+                limit = rng.choice([want[0], want[0] + 1,
+                                    rng.randint(1, 2 * want[0] + 1)])
+                res = flow.max_flow(net, A, B, limit)
+                if want[0] >= limit:
+                    assert res.source_side is None and res.value >= limit
+                    res = res.finish()
+                    stopped += 1
+                assert (res.value, res.source_side, res.sink_side) == want
+    assert stopped > 100, stopped
+
+
 # ---- directed H networks --------------------------------------------------
 
 def _recorded_h_networks(monkeypatch, solve) -> list:

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from steineraug import oracle
-from steineraug.graph import EdgeAdditions, Graph, cut_value, is_steiner_cut
+from steineraug.graph import (EdgeAdditions, Graph, cut_value, is_steiner_cut,
+                              steiner_connectivity)
 
 from augmentation_oracle import (frank_greedy_external,
                                  optimal_augmentation_value)
@@ -91,6 +92,22 @@ def test_verify_solution():
     ok, witness = oracle.verify_solution(
         g_path(), 3, EdgeAdditions(((0, 2, 2),)), beta={0: 1, 2: 2})
     assert not ok and witness == 0
+
+
+def test_verify_solution_witness_is_a_failing_cut():
+    """Each flow stops at tau, so a passing check reads no cut; a failing
+    one returns a Steiner cut of g + F below tau as its witness."""
+    failed = 0
+    for idx in range(40):
+        g = random_connected(idx, n_max=9)
+        conn = steiner_connectivity(g)
+        assert oracle.verify_solution(g, conn, EdgeAdditions(())) == \
+            (True, None), idx
+        ok, witness = oracle.verify_solution(g, conn + 1, EdgeAdditions(()))
+        assert not ok and is_steiner_cut(g, witness), idx
+        assert cut_value(g, witness) == conn, idx
+        failed += 1
+    assert failed == 40
 
 
 def test_every_nonextreme_cut_has_extreme_violator():

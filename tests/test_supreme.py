@@ -11,7 +11,7 @@ from steineraug.graph import (Graph, cut_value, is_steiner_cut, projection,
                               steiner_connectivity)
 from steineraug.pipeline import augment_pipeline, splitoff_pipeline
 from steineraug.supreme import (_base_case, _balanced_split, _contract,
-                                _crossing_repair, _flow_tree, _lambda_row,
+                                _crossing_repair, _flow_tree,
                                 find_supreme_candidates, perturb,
                                 postprocess, supreme_forest)
 
@@ -98,11 +98,11 @@ def singletons(g):
 def test_contract_single_vertex_is_isomorphic():
     g = g_path()
     weights = g.coalesced()
-    terminals, w2, labels = _contract(frozenset({1}), g.terminals, weights,
-                                      singletons(g))
+    phi, terminals, w2, labels = _contract([frozenset({1})], g.terminals,
+                                           weights, singletons(g))
     # The labels give the vertex map, here a bijection moving 1 last.
     assert labels == [frozenset({0}), frozenset({2}), frozenset({1})]
-    phi = {next(iter(L)): i for i, L in enumerate(labels)}
+    assert phi == {next(iter(L)): i for i, L in enumerate(labels)}
     assert terminals == {phi[t] for t in g.terminals}
     assert w2 == {tuple(sorted((phi[u], phi[v]))): w
                   for (u, v), w in weights.items()}
@@ -110,16 +110,27 @@ def test_contract_single_vertex_is_isomorphic():
 
 def test_contract_merges_and_drops_loops():
     g = g_cyc4()
-    terminals, w2, labels = _contract(frozenset({0, 1}), g.terminals,
-                                      g.coalesced(), singletons(g))
+    phi, terminals, w2, labels = _contract([frozenset({0, 1})], g.terminals,
+                                           g.coalesced(), singletons(g))
     assert labels == [frozenset({2}), frozenset({3}), frozenset({0, 1})]
+    assert phi == {0: 2, 1: 2, 2: 0, 3: 1}
     assert terminals == {0, 1, 2}
     # The (0,1) edge became a self-loop and is gone.
     assert w2 == {(0, 1): 1, (0, 2): 1, (1, 2): 1}
     # Merging opposite corners makes parallel edges, which are summed.
-    _, w2, _ = _contract(frozenset({0, 2}), g.terminals, g.coalesced(),
-                         singletons(g))
+    _, _, w2, _ = _contract([frozenset({0, 2})], g.terminals, g.coalesced(),
+                            singletons(g))
     assert w2 == {(0, 2): 2, (1, 2): 2}
+    # Two parts at once, as for the tau-classes: each becomes one vertex,
+    # in the order given, after the vertices of no part.
+    g = g_cycle(6)
+    phi, terminals, w2, labels = _contract(
+        [frozenset({4, 5}), frozenset({0, 1})], g.terminals, g.coalesced(),
+        singletons(g))
+    assert labels == [frozenset({2}), frozenset({3}), frozenset({4, 5}),
+                      frozenset({0, 1})]
+    assert terminals == frozenset(range(4))
+    assert w2 == {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1}
 
 
 def test_needs_two_terminals():
@@ -220,6 +231,20 @@ def test_base_case_one_flow_per_complementary_pair():
         assert flow.max_flow_call_count() - before == 2 ** (k - 1) - 1
 
 
+def _lambda_row(tree, s):
+    """lambda(s, u) for every other terminal u: path minima from s."""
+    row = {s: math.inf}
+    stack = [s]
+    while stack:
+        u = stack.pop()
+        for v, c in tree[u]:
+            if v not in row:
+                row[v] = min(row[u], c)
+                stack.append(v)
+    del row[s]
+    return row
+
+
 def _naive_row(net, ts, s):
     """lambda(s, u) for every other terminal u, one flow each."""
     return {u: flow.max_flow(net, (s,), (u,)).value for u in ts if u != s}
@@ -234,9 +259,12 @@ def _random_multigraph(rng, n, w_max):
 def test_flow_tree_rows_match_naive_rows():
     """Every ordered terminal pair: the tree's path minimum equals the
     direct flow, with tied (equal) weights, terminals split over two
-    components (lambda = 0) and perturbed weights."""
+    components (lambda = 0) and perturbed weights.  A tree whose flows
+    stop at a limit H gives min(lambda, H), its stopped edges have the
+    value H, and with `keep` it returns the stopped solves only while no
+    edge is exact."""
     rng = random.Random(10)
-    zeros = 0
+    zeros = stopped = 0
     for i in range(90):
         n = rng.randint(4, 12)
         if i % 3 == 0:
@@ -252,12 +280,24 @@ def test_flow_tree_rows_match_naive_rows():
                             in perturb(g).weights.items()]
         net = flow.FlowNetwork(n, arcs, False)
         ts = sorted(rng.sample(range(n), rng.randint(2, n)))
-        tree = _flow_tree(net, ts)
+        tree, _ = _flow_tree(net, ts)
+        rows = {s: _naive_row(net, ts, s) for s in ts}
         for s in ts:
-            want = _naive_row(net, ts, s)
-            assert _lambda_row(tree, s) == want, (i, s)
-            zeros += 0 in want.values()
-    assert zeros > 0
+            assert _lambda_row(tree, s) == rows[s], (i, s)
+            zeros += 0 in rows[s].values()
+        values = sorted({c for row in rows.values() for c in row.values()})
+        for H in {values[0] + 1, values[len(values) // 2], values[-1]}:
+            capped, kept = _flow_tree(net, ts, H, keep=True)
+            for s in ts:
+                assert _lambda_row(capped, s) == \
+                    {u: min(c, H) for u, c in rows[s].items()}, (i, s, H)
+            edges = [c for s in ts for _, c in capped[s]]
+            assert max(edges) <= H
+            exact = any(c < H for c in edges)
+            assert len(kept) == (0 if exact else len(ts) - 1), (i, H)
+            assert all(r.source_side is None for r in kept)
+            stopped += edges.count(H) // 2
+    assert zeros > 0 and stopped > 0
 
 
 def _most_balanced_threshold_set(tree, ts):
@@ -294,7 +334,7 @@ def test_balanced_split_costs_one_tree_and_one_split():
         net = flow.FlowNetwork.undirected(g, perturb(g).weights)
         ts = sorted(g.terminals)
         before = flow.max_flow_call_count()
-        tree = _flow_tree(net, ts)
+        tree, _ = _flow_tree(net, ts)
         side = _balanced_split(net, ts, tree)
         calls = flow.max_flow_call_count() - before
         assert calls == len(ts), (i, calls)
@@ -450,7 +490,13 @@ def test_pipeline_reports_recursion_within_bounds():
     g = tree_plus_2n(n, 31337 + n, n // 3)
     _, report = augment_pipeline(g, steiner_connectivity(g) + 1, seed=n)
     rec = report["supreme"]
-    assert 1 <= rec["max_depth"] <= 25 * math.log(n // 3) + 5
+    # The root merges its 66 terminals into 2 tau-classes, a base case
+    # at depth 0; without tau the recursion goes down.
+    assert rec["max_depth"] <= 25 * math.log(n // 3) + 5
+    assert rec["merged"] > 0 and rec["capped"] >= rec["merged"], rec
+    stats: dict = {}
+    supreme_forest(g, stats=stats)
+    assert 1 <= stats["max_depth"] <= 25 * math.log(n // 3) + 5
     assert 0 < rec["max_layer_vertices"] <= 8 * n * math.log(n)
     sizes = {int(k): c for k, c in rec["base_cases"].items()}
     assert sizes and max(sizes) <= 3, sizes
@@ -488,16 +534,16 @@ def test_perturbed_scale_decides_tau():
 
 @pytest.mark.parametrize("w_max", [2, 3, 5])
 def test_truncated_forest_equals_full_after_rdem(w_max):
-    """With tau the recursion skips children its flow trees prove
-    tau-connected; what `compute_rdem(tau)` leaves is the full forest's,
-    and the truncated run makes no more flows.  `w_max` bounds the
-    corpus weights, and picks the test_08 graphs."""
+    """With tau the recursion merges the tau-classes its flow trees show
+    and prunes nodes of one class; what `compute_rdem(tau)` leaves is the
+    full forest's, and the truncated run makes no more flows.  `w_max`
+    bounds the corpus weights, and picks the test_08 graphs."""
     graphs = ([random_connected(i, w_max=w_max) for i in range(400)]
               + [random_connected(i, n_max=14, w_max=w_max)
                  for i in range(150)]
               + [tree_plus_2n(30, 900 + 100 * w_max + i, 10)
                  for i in range(40)])
-    pruned = 0
+    acted = 0
     for idx, g in enumerate(graphs):
         conn = steiner_connectivity(g)
         before = flow.max_flow_call_count()
@@ -510,24 +556,24 @@ def test_truncated_forest_equals_full_after_rdem(w_max):
             assert flow.max_flow_call_count() - before <= full_flows, idx
             assert _rdem_signature(f, tau) == \
                 _rdem_signature(copy.deepcopy(full), tau), (idx, tau)
-            pruned += stats["pruned"] > 0
-    assert pruned >= 300, pruned
+            acted += stats["pruned"] + stats["merged"] > 0
+    assert acted >= 300, acted
 
 
 def test_splitoff_star7_prunes_a_child():
-    """The 7-vertex star of CI: splitting off vertex 6 skips one child at
-    tau = 5 (26 flows, 36 without the truncation); the forest built
-    without tau skips none."""
+    """The 7-vertex star of CI: splitting off vertex 6 merges a tau-class
+    at tau = 5, in 18 flows; the forest built without tau merges, prunes
+    and caps nothing, in 26 flows."""
     edges = [(0, 1, 2), (0, 2, 1), (0, 3, 3), (2, 4, 2), (1, 5, 4),
              (0, 4, 3), (3, 5, 5)]
     g = Graph.build(7, edges + [(0, 6, 2), (2, 6, 2)], range(6))
     _, report = splitoff_pipeline(g, 6)
-    assert report["tau"] == 5 and report["supreme"]["pruned"] >= 1, report
-    assert report["max_flow_calls"] == 26, report
+    assert report["tau"] == 5 and report["supreme"]["merged"] >= 1, report
+    assert report["max_flow_calls"] == 18, report
     stats: dict = {}
     before = flow.max_flow_call_count()
     supreme_forest(Graph.build(6, edges, range(6)), stats=stats)
-    assert stats["pruned"] == 0
+    assert stats["pruned"] == stats["merged"] == stats["capped"] == 0
     assert flow.max_flow_call_count() - before == 26
 
 
