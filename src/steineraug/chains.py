@@ -61,9 +61,6 @@ class Chain:
             d[s] = d.get(s, 0) + 1
         return d
 
-    def d_F_node(self, r: int) -> int:
-        return 1 if r in (self.roots[0], self.roots[-1]) else 2
-
 
 class ChainScheduler:
     """Owns the forest (whose nodes carry the c values) and the slots."""
@@ -74,9 +71,6 @@ class ChainScheduler:
         self.forest = forest
         self.tau = tau
         self.slots = sorted(slots, key=lambda s: s.key)
-        # Construction-time parents: deletion splices, so from a deleted
-        # node they still lead to its deepest live ancestor.
-        self.static_parent = {i: forest.nodes[i].parent for i in forest.live()}
         self.out: list[tuple[int, int, int]] = []
         self.chain: Optional[Chain] = None
         self.edge_update_count = 0
@@ -90,18 +84,12 @@ class ChainScheduler:
 
     def lowest_live(self, i: int) -> Optional[int]:
         """Deepest live node at or above i; None once all are deleted (a
-        terminal of a deleted root that none of its children holds)."""
+        terminal of a deleted root that none of its children holds).  A
+        deleted node's parent was its deepest live ancestor when it was
+        deleted, so the walk skips only deleted nodes."""
         while i is not None and self.forest.nodes[i].deleted:
-            i = self.static_parent[i]
+            i = self.forest.nodes[i].parent
         return i
-
-    def remaining_beta(self) -> dict[int, int]:
-        """Budget left per vertex (vertices with none left omitted)."""
-        out: dict[int, int] = {}
-        for s in self.slots:
-            if s.remaining > 0:
-                out[s.vertex] = out.get(s.vertex, 0) + s.remaining
-        return out
 
     def build_chain(self) -> Optional[Chain]:
         roots = [r for r in self.forest.roots() if self.dem(r) >= 2]
@@ -157,8 +145,10 @@ class ChainScheduler:
     def expiration(self, chain: Chain) -> int:
         t1 = min(s.remaining // d for s, d in chain.d_F().items())
         # Condition-authoritative form: the last copy allowed is the one
-        # after which some root's demand drops below 2.
-        t2 = min(-(-(self.tau - 1 - self.c(r)) // chain.d_F_node(r))
+        # after which some root's demand drops below 2.  An end root takes
+        # one edge end per copy, a middle one two.
+        ends = (chain.roots[0], chain.roots[-1])
+        t2 = min(-(-(self.tau - 1 - self.c(r)) // (1 if r in ends else 2))
                  for r in chain.roots)
         rate = self.rates(chain)
         t3 = _INF

@@ -69,7 +69,7 @@ def load_graph(path: str) -> tuple[Graph, Optional[int]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_graph_text(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -78,7 +78,7 @@ def load_solution(path: str, n: int) -> EdgeAdditions:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read solution {path}: {exc}") from exc
     try:
         rows = [(e["u"], e["v"], e["w"]) for e in data]

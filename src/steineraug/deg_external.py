@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import flow
-from .external import ExternalSolution
 from .forest import HeavyPath, HeavyPathDecomposition, LaminarForest
 from .graph import Graph, star_graph, steiner_connectivity
 
@@ -47,10 +46,6 @@ class DegExternalState:
     hld: HeavyPathDecomposition
     wx: dict[int, int] = field(default_factory=dict)
     assignments: list[DegAssignment] = field(default_factory=list)
-
-    def solution(self) -> ExternalSolution:
-        return ExternalSolution({u: w for u, w in sorted(self.wx.items())
-                                 if w > 0})
 
 
 def check_feasibility(g: Graph, tau: int, beta: dict[int, int]) -> bool:

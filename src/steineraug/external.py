@@ -24,9 +24,6 @@ class ExternalSolution:
     def total_weight(self) -> int:
         return sum(self.beta.values())
 
-    def copy(self) -> "ExternalSolution":
-        return ExternalSolution(dict(self.beta))
-
 
 def external_augment(f: LaminarForest, tau: int) -> ExternalSolution:
     """Algorithm-2 traversal; requires compute_rdem(tau) done on f.
@@ -52,14 +49,12 @@ def external_augment(f: LaminarForest, tau: int) -> ExternalSolution:
 
 def make_even(sol: ExternalSolution) -> ExternalSolution:
     """Round the total up to even by +1 at the lowest-id supported vertex."""
-    if sol.total_weight % 2 == 0:
-        return sol.copy()
-    if not sol.beta:
-        raise ValueError("odd total with empty support")
-    out = sol.copy()
-    u = min(u for u, w in out.beta.items() if w > 0)
-    out.beta[u] += 1
-    return out
+    beta = dict(sol.beta)
+    if sol.total_weight % 2 == 1:
+        if not beta:
+            raise ValueError("odd total with empty support")
+        beta[min(u for u, w in beta.items() if w > 0)] += 1
+    return ExternalSolution(beta)
 
 
 def augmentation_lower_bound(sol: ExternalSolution) -> int:

@@ -13,7 +13,9 @@ the per-arc flows are derived from the residual capacities when read.
 A caller that only compares the value with a bound passes it as
 `limit`: the solve stops once its flow reaches it, and
 `FlowResult.finish` can go on from there if the exact value is needed
-after all.
+after all.  No convenience wrapper remains: a caller with a graph
+builds its network with `FlowNetwork.undirected` and reads `.value` or
+`.source_side` off the solve.
 
 A global, atomic invocation counter supports the acceptance call-count
 budget.
@@ -158,18 +160,6 @@ def max_flow(net: FlowNetwork, sources: Iterable[int],
         raise ValueError("source or sink out of range")
     return FlowResult(0, None, net, net.cap[:], tuple(sources),
                       tuple(sinks)).finish(limit)
-
-
-def min_cut_value(g: Graph, A: Iterable[int], B: Iterable[int],
-                  weights: Optional[Mapping[tuple[int, int], int]] = None) -> int:
-    return max_flow(FlowNetwork.undirected(g, weights), A, B).value
-
-
-def earliest_min_cut(g: Graph, A: Iterable[int], B: Iterable[int],
-                     weights: Optional[Mapping[tuple[int, int], int]] = None
-                     ) -> frozenset[int]:
-    """A-side-minimal A-B min cut: the residual-reachable set."""
-    return max_flow(FlowNetwork.undirected(g, weights), A, B).source_side
 
 
 def isolating_cuts(g: Graph, parts: list[frozenset[int]]

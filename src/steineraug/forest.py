@@ -26,11 +26,11 @@ class ForestNode:
 class LaminarForest:
     """Mutable rooted forest over disjoint-or-nested terminal sets.
 
-    Deletion splices a node out (children reattach to the parent), so a
-    survivor's live ancestors are exactly its construction-time ancestors
-    that are still live.  The chain scheduler relies on this: walking the
-    construction-time parents from a deleted node reaches its deepest
-    live ancestor (lowest_live).
+    Deletion splices a node out (children reattach to the parent), and a
+    deleted node keeps the parent it had when deleted: its deepest live
+    ancestor at that time.  So walking parents from a deleted node
+    reaches its deepest live ancestor now, which the chain scheduler
+    reads (lowest_live).
     """
 
     def __init__(self) -> None:
@@ -88,9 +88,6 @@ class LaminarForest:
     def children(self, i: int) -> list[int]:
         return list(self.nodes[i].children)
 
-    def parent(self, i: int) -> Optional[int]:
-        return self.nodes[i].parent
-
     def root_of(self, i: int) -> int:
         while self.nodes[i].parent is not None:
             i = self.nodes[i].parent
@@ -126,7 +123,6 @@ class LaminarForest:
         if p is not None:
             self.nodes[p].children.remove(i)
         nd.children = []
-        nd.parent = None
         nd.deleted = True
 
     # -- tree DPs ---------------------------------------------------------
@@ -232,21 +228,17 @@ class HeavyPathDecomposition:
         paths: list[HeavyPath] = []
         path_of: dict[int, int] = {}
 
-        def decompose(tops: list[int], region: Optional[set[int]],
-                      level: str) -> None:
-            def kids(u: int) -> list[int]:
-                return [ch for ch in f.nodes[u].children
-                        if region is None or ch in region]
+        def kids(u: int) -> list[int]:
+            """u's children on its own side of L2: L_high is decomposed
+            apart from the subtrees below it."""
+            return [ch for ch in f.nodes[u].children
+                    if (ch in lhigh) == (u in lhigh)]
 
-            order = []
-            stack = list(tops)
-            while stack:
-                u = stack.pop()
-                order.append(u)
-                stack.extend(kids(u))
-            size: dict[int, int] = {}
-            for u in reversed(order):
-                size[u] = 1 + sum(size[ch] for ch in kids(u))
+        size: dict[int, int] = {}
+        for u in f.postorder():
+            size[u] = 1 + sum(size[ch] for ch in kids(u))
+
+        def decompose(tops: list[int], level: str) -> None:
             for top in tops:
                 stack = [top]
                 while stack:
@@ -268,7 +260,7 @@ class HeavyPathDecomposition:
 
         # Every leaf is critical, so every root is in L_high, and the
         # leaves of L_high are the L2 nodes: upper paths end at them.
-        decompose(f.roots(), lhigh, "upper")
+        decompose(f.roots(), "upper")
         decompose([ch for i in sorted(l2)
-                   for ch in sorted(f.nodes[i].children)], None, "lower")
+                   for ch in sorted(f.nodes[i].children)], "lower")
         return cls(paths, path_of, critical, l2, lhigh)

@@ -146,12 +146,14 @@ def augment_pipeline(g: Graph, tau: int, seed: int = 0
     report["k"] = sol.total_weight
     report["optimum"] = augmentation_lower_bound(sol)
     even = make_even(sol)
-    chain_adds, sched = run_chains(g, forest, even.beta, tau)
+    chain_adds, _ = run_chains(g, forest, even.beta, tau)
     report["phases"]["chains"] = chain_adds.total_weight
     g1 = add_edges(g, chain_adds)
     K = build_K(forest, tau)
     rng = random.Random(seed ^ 0x5DEECE66D)
-    match_adds = augment_by_one(g1, K, tau, rng, beta=sched.remaining_beta())
+    # Each chain edge spends one unit of budget at both ends.
+    rem = {u: w - chain_adds.degree(u) for u, w in even.beta.items()}
+    match_adds = augment_by_one(g1, K, tau, rng, beta=rem)
     report["phases"]["matching"] = match_adds.total_weight
     out = chain_adds.combine(match_adds)
     report["total_weight"] = out.total_weight

@@ -11,10 +11,11 @@ terminal bipartition, at most 3 flows.  A split node reads its threshold
 sets off one equivalent-flow tree of its k terminals, so it costs k - 1
 flows for the tree and one for the split.  A recursion node is its
 terminals, weight map and the original vertices (label) of each vertex.
-Phase 3 prunes the candidate tree with three post-order splicing passes,
-leaving exactly the supreme-set projections of the original graph
-together with their cut values and perturbed vertex sets.  Nothing is
-drawn at random: the forest is a function of the graph.
+Phase 3 builds the candidates' `LaminarForest` and prunes it with three
+post-order splicing passes, leaving exactly the supreme-set projections
+of the original graph together with their cut values and perturbed
+vertex sets.  Nothing is drawn at random: the forest is a function of
+the graph.
 
 Terminals in several components split by the same rule: the flow
 tree's zero edges join whole components, after every positive edge, and
@@ -348,68 +349,41 @@ def find_supreme_candidates(pg: PerturbedGraph, stats: Optional[dict] = None,
     fam, low = _recurse(g.terminals, dict(pg.weights), labels, stats, 0,
                         limit)
     stats["connectivity"] = low // pg.scale
-    out = sorted((X for X in fam if is_steiner_cut(g, X)),
-                 key=lambda X: (len(X), sorted(X)))
-    _assert_laminar(out)
-    return out
-
-
-def _assert_laminar(sets: list[frozenset[int]]) -> None:
-    masks = [sum(1 << v for v in X) for X in sets]
-    for i, mi in enumerate(masks):
-        for j in range(i + 1, len(sets)):
-            inter = mi & masks[j]
-            if inter and inter != mi and inter != masks[j]:
-                raise AssertionError(
-                    f"candidate family not laminar: {sorted(sets[i])} vs "
-                    f"{sorted(sets[j])}")
+    return sorted((X for X in fam if is_steiner_cut(g, X)),
+                  key=lambda X: (len(X), sorted(X)))
 
 
 def postprocess(candidates: list[frozenset[int]], g: Graph,
                 pg: PerturbedGraph) -> LaminarForest:
-    """Three post-order passes turning candidates into the forest of
-    supreme-set terminal projections of g.
+    """Three post-order passes pruning the candidates' `LaminarForest`
+    into the forest of supreme-set terminal projections of g.
 
     The candidates form one tree, a set's parent being its smallest strict
-    superset; a removed node is spliced out, its children moving to its
-    parent.  Pass 1 removes a node when some child matches or beats its
-    perturbed cut value; pass 2 removes a node whose parent has the same
-    terminal projection (after it, the family is exactly the supreme sets
-    of g~); pass 3 repeats pass 1 with the original weights, leaving
-    projections whose original supreme set exists, with
-    c(R) = d(mu(R)) = d(mu~(R)).
+    superset (a crossing family raises ValueError); a removed node is
+    spliced out, its children moving to its parent.  Pass 1 removes a
+    node when some child matches or beats its perturbed cut value; pass 2
+    removes a node whose parent has the same terminal projection (after
+    it, the family is exactly the supreme sets of g~); pass 3 repeats
+    pass 1 with the original weights, leaving projections whose original
+    supreme set exists, with c(R) = d(mu(R)) = d(mu~(R)).  A node is
+    visited after its whole subtree and before its ancestors, so its live
+    children and parent are the same in any post-order.
     """
-    # Ascending (len, sorted) order is a post-order, and a set's smallest
-    # strict superset is the first one after it.
-    sets = sorted({X for X in candidates if is_steiner_cut(g, X)},
-                  key=lambda X: (len(X), sorted(X)))
-    parent = [next((j for j in range(i + 1, len(sets)) if X < sets[j]), None)
-              for i, X in enumerate(sets)]
-    children: list[list[int]] = [[] for _ in sets]
-    for i, p in enumerate(parent):
-        if p is not None:
-            children[p].append(i)
-    live = [True] * len(sets)
-
-    def prune(remove) -> None:
-        for i in range(len(sets)):
-            if live[i] and remove(i):
-                live[i] = False
-                p = parent[i]
-                for ch in children[i]:
-                    parent[ch] = p
-                if p is not None:
-                    children[p].remove(i)
-                    children[p] += children[i]
-
-    d_tilde = [cut_value(g, X, pg.weights) for X in sets]
-    d = [cut_value(g, X) for X in sets]
-    proj = [projection(g, X) for X in sets]
-    prune(lambda i: any(d_tilde[w] <= d_tilde[i] for w in children[i]))
-    prune(lambda i: parent[i] is not None and proj[parent[i]] == proj[i])
-    prune(lambda i: any(d[w] <= d[i] for w in children[i]))
+    f = LaminarForest.from_family((X, cut_value(g, X), None)
+                                  for X in set(candidates)
+                                  if is_steiner_cut(g, X))
+    nodes = f.nodes
+    d_tilde = {i: pg.cut_value(nd.terminals) for i, nd in nodes.items()}
+    proj = {i: projection(g, nd.terminals) for i, nd in nodes.items()}
+    for remove in (
+            lambda i, nd: any(d_tilde[w] <= d_tilde[i] for w in nd.children),
+            lambda i, nd: nd.parent is not None and proj[nd.parent] == proj[i],
+            lambda i, nd: any(nodes[w].c <= nd.c for w in nd.children)):
+        for i in f.postorder():
+            if remove(i, nodes[i]):
+                f.delete_node(i)
     return LaminarForest.from_family(
-        (proj[i], d[i], sets[i]) for i in range(len(sets)) if live[i])
+        (proj[i], nodes[i].c, nodes[i].terminals) for i in f.live())
 
 
 def supreme_forest(g: Graph, seed=None, stats: Optional[dict] = None,

@@ -33,7 +33,7 @@ def test_cyc4_tau4_chain_and_batch():
     assert expiration_bruteforce(sched, chain) == 1
     sched.apply_chain(chain, 1)
     assert [sched.c(r) for r in chain.roots] == [3, 4, 4, 3]
-    assert {v: w for v, w in sched.remaining_beta().items() if w} == \
+    assert {s.vertex: s.remaining for s in sched.slots if s.remaining} == \
         {0: 1, 3: 1}
 
 
@@ -42,7 +42,7 @@ def test_cyc4_tau4_run_to_demand_one(checked_expiration):
     forest, beta = prepared(g, 4)
     adds, sched = run_chains(g, forest, beta, 4)
     assert adds.entries == ((0, 1, 1), (1, 2, 1), (2, 3, 1))
-    assert {v: w for v, w in sched.remaining_beta().items() if w} == \
+    assert {s.vertex: s.remaining for s in sched.slots if s.remaining} == \
         {0: 1, 3: 1}
     roots = [r for r in forest.roots() if 4 - forest.nodes[r].c == 1]
     assert sorted(min(forest.nodes[r].terminals) for r in roots) == [0, 3]
@@ -55,7 +55,8 @@ def test_path_tau3_single_copy(checked_expiration):
     # One chain copy raises both c values to 2 (demand 1); the second
     # unit comes from the matching phase.
     assert adds.entries == ((0, 2, 1),)
-    assert sched.remaining_beta() == {0: 1, 2: 1}
+    assert {s.vertex: s.remaining for s in sched.slots if s.remaining} == \
+        {0: 1, 2: 1}
 
 
 def test_apply_zero_copies_is_noop():

@@ -170,6 +170,12 @@ def test_io_error_exit_code(tmp_path, capsys):
                      "--tau", "3"]) == 1
     bad = write(tmp_path, "bad.txt", "nonsense\n")
     assert cli.main(["augment", bad, "--tau", "3"]) == 1
+    # A byte that is not UTF-8 at the end of the terminal line.
+    raw = tmp_path / "raw.txt"
+    raw.write_bytes(CYC4.encode().rstrip(b"\n") + b"\xff\n")
+    capsys.readouterr()
+    assert cli.main(["augment", str(raw)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read ")
 
 
 def test_total_weight_above_bound_is_input_error(tmp_path, capsys):
@@ -285,6 +291,14 @@ def test_verify_bad_solution_entry_is_input_error(tmp_path, capsys, entry):
     spath = write(tmp_path, "sol.json", json.dumps([entry]))
     assert cli.main(["verify", gpath, spath]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_undecodable_solution_is_input_error(tmp_path, capsys):
+    gpath = write(tmp_path, "g.txt", CYC4)
+    spath = tmp_path / "sol.json"
+    spath.write_bytes(b"\xff[]")
+    assert cli.main(["verify", gpath, str(spath)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read solution ")
 
 
 def test_augment_over_the_weight_bound_is_input_error(tmp_path, capsys):

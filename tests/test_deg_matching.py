@@ -30,10 +30,10 @@ def test_deg_augment_split_fixture():
     forest = supreme_forest(g)
     forest.compute_rdem(4)
     state = deg_external_augment(g, 4, beta, forest)
-    _, sched = split_off_chains(g, state)
+    chain_adds, sched = split_off_chains(g, state)
     K_prime = build_K(sched.forest, 4)
     assert sorted(K_prime, key=min) == [frozenset({0}), frozenset({3})]
-    rem = sched.remaining_beta()
+    rem = {u: w - chain_adds.degree(u) for u, w in state.wx.items()}
     adds = deg_augment_by_one(g, 4, dict(rem), K_prime, random.Random(0))
     assert adds.entries == ((1, 3, 1),)
     assert steiner_connectivity(add_edges(g, adds)) == 4
@@ -64,7 +64,7 @@ def test_deg_matching_respects_budgets_random():
         K_prime = build_K(sched.forest, tau)
         if not K_prime or steiner_connectivity(g1) >= tau:
             continue
-        rem = sched.remaining_beta()
+        rem = {u: w - chain_adds.degree(u) for u, w in state.wx.items()}
         adds = deg_augment_by_one(g1, tau, rem, K_prime, random.Random(idx))
         assert adds.total_weight == (len(K_prime) + 1) // 2
         for u in range(g.n):

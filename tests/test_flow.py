@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steineraug import flow
-from steineraug.flow import (FlowNetwork, NoFiniteCutError, earliest_min_cut,
-                             isolating_cuts, max_flow, min_cut_value)
+from steineraug.flow import (FlowNetwork, NoFiniteCutError, isolating_cuts,
+                             max_flow)
 from steineraug.graph import cut_value
 
 from conftest import (g_cyc4, g_cycle, g_expo, g_path, g_split,
@@ -30,13 +30,14 @@ def cut_threshold(g, s, phi):
     vertex."""
     if phi <= 0:
         return frozenset(range(g.n))
+    net = FlowNetwork.undirected(g)
     return frozenset({s} | {t for t in range(g.n)
-                            if t != s and min_cut_value(g, {s}, {t}) >= phi})
+                            if t != s and max_flow(net, {s}, {t}).value >= phi})
 
 
 def test_max_flow_examples():
-    assert min_cut_value(g_path(), {0}, {2}) == 1
-    assert min_cut_value(g_cyc4(), {0}, {2}) == 2
+    assert max_flow(FlowNetwork.undirected(g_path()), {0}, {2}).value == 1
+    assert max_flow(FlowNetwork.undirected(g_cyc4()), {0}, {2}).value == 2
     net = FlowNetwork(2, ((0, 1, 0),))
     assert max_flow(net, {0}, {1}).value == 0
 
@@ -74,13 +75,15 @@ def test_network_validation():
 
 def test_call_counter():
     before = flow.max_flow_call_count()
-    min_cut_value(g_path(), {0}, {2})
+    max_flow(FlowNetwork.undirected(g_path()), {0}, {2})
     assert flow.max_flow_call_count() == before + 1
 
 
 def test_earliest_min_cut_examples():
-    assert earliest_min_cut(g_path(), {0}, {2}) == frozenset({0})
-    assert earliest_min_cut(g_expo(5), {0}, {4}) == frozenset({0, 1, 2, 3})
+    assert max_flow(FlowNetwork.undirected(g_path()), {0}, {2}).source_side \
+        == frozenset({0})
+    assert max_flow(FlowNetwork.undirected(g_expo(5)), {0}, {4}).source_side \
+        == frozenset({0, 1, 2, 3})
 
 
 def test_latest_min_cut_examples():
@@ -97,8 +100,8 @@ def test_earliest_subset_of_latest_and_both_minimum():
         g = random_connected(idx, n_max=8)
         ts = sorted(g.terminals)
         a, b = ts[0], ts[-1]
-        lam = min_cut_value(g, {a}, {b})
-        early = earliest_min_cut(g, {a}, {b})
+        res = max_flow(FlowNetwork.undirected(g), {a}, {b})
+        lam, early = res.value, res.source_side
         late = latest_min_cut(g, {a}, {b})
         assert early <= late
         assert cut_value(g, early) == lam
@@ -124,8 +127,9 @@ def test_min_cut_sides_match_earliest_cuts_both_ways():
                 A = frozenset(A)
                 B = frozenset(ts) - A
                 a_side, b_side = min_cut_sides(g, A, B)
-                assert a_side == earliest_min_cut(g, A, B)
-                assert b_side == earliest_min_cut(g, B, A)
+                net = FlowNetwork.undirected(g)
+                assert a_side == max_flow(net, A, B).source_side
+                assert b_side == max_flow(net, B, A).source_side
                 assert not a_side & b_side
                 checked += 1
     assert checked > 1000
@@ -167,7 +171,7 @@ def test_max_flow_equals_bruteforce_min_cut():
                    for r in range(g.n - 1)
                    for sub in itertools.combinations(
                        [u for u in range(g.n) if u not in (a, b)], r))
-        assert min_cut_value(g, {a}, {b}) == best
+        assert max_flow(FlowNetwork.undirected(g), {a}, {b}).value == best
 
 
 

@@ -17,8 +17,8 @@ def test_from_family_structure_and_validation():
     f = F(({0}, 1), ({1}, 1), ({0, 1}, 2), ({2}, 3))
     # Largest set first -> id 0, then sorted by terminal list.
     assert f.nodes[0].terminals == frozenset({0, 1})
-    assert f.parent(1) == 0 and f.parent(2) == 0
-    assert f.parent(3) is None
+    assert f.nodes[1].parent == 0 and f.nodes[2].parent == 0
+    assert f.nodes[3].parent is None
     assert f.roots() == [0, 3]
     with pytest.raises(ValueError):
         F(({0, 1}, 1), ({1, 2}, 1))       # crossing
@@ -34,7 +34,11 @@ def test_delete_node_splices():
     # Grandchildren become children of the root.
     kids = {frozenset(f.nodes[ch].terminals) for ch in f.children(top)}
     assert kids == {frozenset({0}), frozenset({1}), frozenset({2})}
+    # A deleted node keeps its parent at deletion: its deepest live
+    # ancestor then, which lowest_live walks.
+    assert f.nodes[mid].parent == top
     f.delete_node(top)
+    assert f.nodes[top].parent is None and f.nodes[mid].parent == top
     assert len(f.roots()) == 3
     with pytest.raises(ValueError):
         f.delete_node(top)

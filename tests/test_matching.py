@@ -61,12 +61,12 @@ def test_augment_by_one_cyc4_tau4_tail():
     g = g_cyc4()
     forest = forest_for(g, 4)
     beta = make_even(external_augment(forest, 4)).beta
-    chain_adds, sched = run_chains(g, forest, beta, 4)
+    chain_adds, _ = run_chains(g, forest, beta, 4)
     g1 = add_edges(g, chain_adds)
     K = build_K(forest, 4)
     assert K == [frozenset({0}), frozenset({3})]
-    adds = augment_by_one(g1, K, 4, random.Random(0),
-                          beta=sched.remaining_beta())
+    rem = {u: w - chain_adds.degree(u) for u, w in beta.items()}
+    adds = augment_by_one(g1, K, 4, random.Random(0), beta=rem)
     assert adds.entries == ((0, 3, 1),)
     final = add_edges(g1, adds)
     assert steiner_connectivity(final) == 4
@@ -106,11 +106,11 @@ def test_matching_total_is_half_K_rounded_up():
             continue
         forest = forest_for(g, tau)
         beta = make_even(external_augment(forest, tau)).beta
-        chain_adds, sched = run_chains(g, forest, beta, tau)
+        chain_adds, _ = run_chains(g, forest, beta, tau)
         g1 = add_edges(g, chain_adds)
         K = build_K(forest, tau)
-        adds = augment_by_one(g1, K, tau, random.Random(idx),
-                              beta=sched.remaining_beta())
+        rem = {u: w - chain_adds.degree(u) for u, w in beta.items()}
+        adds = augment_by_one(g1, K, tau, random.Random(idx), beta=rem)
         assert adds.total_weight == (len(K) + 1) // 2
         assert steiner_connectivity(add_edges(g1, adds)) >= tau
 

@@ -136,7 +136,7 @@ def test_crossing_extreme_union_is_extreme():
 
 
 def test_supreme_laminar_and_mincut():
-    from steineraug.flow import earliest_min_cut
+    from steineraug.flow import FlowNetwork, max_flow
     for idx in range(15):
         g = random_connected(idx, n_max=7)
         f = oracle.supreme_sets_bruteforce(g)
@@ -149,4 +149,5 @@ def test_supreme_laminar_and_mincut():
             R = f.nodes[i].terminals
             rest = g.terminals - R
             if rest:
-                assert f.nodes[i].mu_tilde == earliest_min_cut(g, R, rest)
+                assert f.nodes[i].mu_tilde == max_flow(
+                    FlowNetwork.undirected(g), R, rest).source_side

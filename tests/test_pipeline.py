@@ -249,7 +249,8 @@ def _cut_edge_neighbours_by_flow(g, x):
         other = v if u == x else u
         rest = tuple(e for e in g.edges if {e[0], e[1]} != {x, other})
         probe = Graph.build(g.n, rest, sorted(g.terminals))
-        if flow.min_cut_value(probe, {x}, {other}) == 0:
+        net = flow.FlowNetwork.undirected(probe)
+        if flow.max_flow(net, {x}, {other}).value == 0:
             out.append(other)
     return out
 

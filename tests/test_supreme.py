@@ -172,7 +172,8 @@ def _base_family(g, weights):
     fam = []
     for mask in range(1, (1 << len(ts)) - 1):
         T1 = frozenset(t for i, t in enumerate(ts) if (mask >> i) & 1)
-        X = flow.earliest_min_cut(g, T1, frozenset(ts) - T1, weights)
+        X = flow.max_flow(flow.FlowNetwork.undirected(g, weights), T1,
+                          frozenset(ts) - T1).source_side
         if X not in fam:
             fam.append(X)
     return fam
@@ -660,6 +661,11 @@ def test_postprocess_matches_rebuild_reference_random_laminar():
         assert tree_signature(postprocess(fam, g, pg)) == want, trial
         removed = [a + b for a, b in zip(removed, fired)]
     assert min(removed) > 0, removed
+    # A crossing family has no tree: {0, 1} and {1, 2} are Steiner cuts of
+    # the unit 4-cycle that cross.
+    g = g_cyc4()
+    with pytest.raises(ValueError, match="not laminar"):
+        postprocess([frozenset({0, 1}), frozenset({1, 2})], g, perturb(g))
 
 
 @pytest.mark.parametrize("w_max", [2, 3, 5])
