@@ -7,7 +7,9 @@ vacant external degree.  The random matching of the unconstrained step
 then runs unchanged, except every matched edge attaches to such a
 surrogate vertex instead of a terminal.  When the number of groups is
 odd and no group can pay for two edges, the odd edge instead joins one
-group to vacant degree outside every supreme set.
+group to vacant degree outside every supreme set.  At tau = 1 the groups
+are the terminal components, and a path through them, in K's order,
+replaces the matching, which cannot join four or more components.
 """
 
 from __future__ import annotations
@@ -70,6 +72,17 @@ def deg_augment_by_one(g: Graph, tau: int, beta: dict[int, int],
         return sum(remaining.get(v, 0) for v in mu)
 
     groups = list(K_prime)
+    if tau == 1:
+        # Each mu(k) is k's terminal component, where x reaches two or more
+        # budgeted vertices (no cut edge to x): a path joins them all.
+        path = []
+        for a, b in zip(groups, groups[1:]):
+            u = surrogate(a)
+            consume(a, u)
+            v = surrogate(b)
+            consume(b, v)
+            path.append((u, v, 1))
+        return EdgeAdditions(tuple(path)).merged()
     odd = EdgeAdditions(())
     if len(groups) % 2 == 1 and all(budget_inside(k) < 2 for k in groups):
         # No group can afford both ends of the odd edge between two

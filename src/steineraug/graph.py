@@ -9,7 +9,7 @@ returns a new value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 # A check on outside input.  The perturbed weights (supreme.perturb:
 # 2**m * w + 2**i over m coalesced edges) have m + log2(W) + 1 bits at
@@ -101,21 +101,13 @@ class EdgeAdditions:
         return EdgeAdditions(self.entries + other.entries).merged()
 
 
-def cut_value(g: Graph, X: Iterable[int],
-              weights: Optional[dict[tuple[int, int], int]] = None) -> int:
-    """d(X): total weight of edges with exactly one endpoint in X.
-
-    When `weights` is given it overrides the graph's own edge weights
-    (used for perturbed weight functions); keys are edge indices' sorted
-    endpoint pairs as produced by Graph.coalesced().
-    """
+def cut_value(g: Graph, X: Iterable[int]) -> int:
+    """d(X): total weight of edges with exactly one endpoint in X."""
     side = set(X)
     for u in side:
         if not (0 <= u < g.n):
             raise ValueError(f"vertex id out of range: {u}")
-    if weights is None:
-        return sum(w for (u, v, w) in g.edges if (u in side) != (v in side))
-    return sum(w for (u, v), w in weights.items() if (u in side) != (v in side))
+    return sum(w for (u, v, w) in g.edges if (u in side) != (v in side))
 
 
 def projection(g: Graph, X: Iterable[int]) -> frozenset[int]:

@@ -1,21 +1,21 @@
 """Three-phase computation of the supreme-set laminar forest.
 
-Phase 1 perturbs edge weights so that distinct crossing-edge sets have
-distinct cut values: every min cut is unique as an edge set.  Phase 2
-finds a laminar candidate family containing every supreme set of the
-perturbed graph by divide and conquer over terminal bipartitions: a node
-with 4 or more terminals splits them into two balanced halves by a cut
+Phase 1 (`perturb`) maps each edge to a perturbed weight so that
+distinct crossing-edge sets have distinct cut values.  Phase 2 finds a
+laminar candidate family containing every supreme set of the perturbed
+graph by divide and conquer over terminal bipartitions: a node with 4
+or more terminals splits them into two balanced halves by a cut
 threshold and recurses on the two contracted sides, and a node with at
 most 3 terminals (a base case) takes the earliest min cut of every
 terminal bipartition, at most 3 flows.  A split node reads its threshold
 sets off one equivalent-flow tree of its k terminals, so it costs k - 1
 flows for the tree and one for the split.  A recursion node is its
 terminals, weight map and the original vertices (label) of each vertex.
-Phase 3 builds the candidates' `LaminarForest` and prunes it with three
+Phase 3 builds the candidates' `LaminarForest` on the values of the
+flows that found them, scanning no edge, and prunes it with three
 post-order splicing passes, leaving exactly the supreme-set projections
-of the original graph together with their cut values and perturbed
-vertex sets.  Nothing is drawn at random: the forest is a function of
-the graph.
+of the original graph with their cut values and perturbed vertex sets.
+The forest is a function of the graph: nothing is drawn at random.
 
 Terminals in several components split by the same rule: the flow
 tree's zero edges join whole components, after every positive edge, and
@@ -58,34 +58,23 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from . import flow
 from .forest import LaminarForest
-from .graph import Graph, cut_value, is_steiner_cut, projection
-
-@dataclass(frozen=True)
-class PerturbedGraph:
-    base: Graph
-    weights: dict[tuple[int, int], int]  # coalesced edge -> perturbed weight
-    scale: int  # 2^m: d(X) >= tau exactly when d~(X) > tau*scale
-
-    def cut_value(self, X) -> int:
-        return cut_value(self.base, X, self.weights)
+from .graph import Graph, is_steiner_cut, projection
 
 
-def perturb(g: Graph) -> PerturbedGraph:
-    """w~(e) = 2^m*w(e) + 2^i, e the i-th of the m sorted coalesced edges.
+def perturb(g: Graph) -> dict[tuple[int, int], int]:
+    """Coalesced edge -> w~(e) = 2^m*w(e) + 2^i, e the i-th of the m sorted
+    coalesced edges.
 
     A cut's offset, the sum of 2^i over the edges it crosses, names its
-    crossing-edge set, so min cuts are unique; it lies in [1, 2^m - 1] on
-    a cut of value >= 1, so 2^m is the `scale` of one unit of original
-    weight and unequal cut values keep their order."""
+    crossing-edge set, so min cuts are unique; it lies in [0, 2^m - 1], so
+    d(X) = d~(X) >> m and unequal cut values keep their order."""
     coal = g.coalesced()
     m = len(coal)
-    weights = {e: (coal[e] << m) + (1 << i) for i, e in enumerate(sorted(coal))}
-    return PerturbedGraph(g, weights, 1 << m)
+    return {e: (coal[e] << m) + (1 << i) for i, e in enumerate(sorted(coal))}
 
 
 def _contract(parts: list[Iterable[int]], terminals: frozenset[int],
@@ -148,29 +137,30 @@ def _crossing_repair(sets: list[frozenset[int]], cut_fn) -> list[frozenset[int]]
 
 
 def _base_case(net: flow.FlowNetwork, ts: list[int]
-               ) -> tuple[list[frozenset[int]], int]:
+               ) -> tuple[dict[frozenset[int], int], int]:
     """Earliest min cut of every ordered bipartition of the sorted
-    terminals `ts` + repair, in mask order, and the least flow value.
-    T1 -> T2 and T2 -> T1 share one flow, which gives both minimal sides,
-    so the 2^k - 2 ordered bipartitions cost 2^(k-1) - 1 flows.  The
-    recursion calls it below 4 terminals, at most 3 flows; the tests use
-    it at any k as the full-enumeration reference."""
+    terminals `ts` + repair, in mask order, each with its flow's value,
+    and the least value.  T1 -> T2 and T2 -> T1 share one flow, which
+    gives both minimal sides, so the 2^k - 2 ordered bipartitions cost
+    2^(k-1) - 1 flows.  The recursion calls it below 4 terminals, at most
+    3 flows; the tests use it at any k as the full-enumeration reference."""
     k = len(ts)
     full = (1 << k) - 1
-    sides: dict[int, frozenset[int]] = {}
-    low = math.inf
+    sides: dict[int, tuple[frozenset[int], int]] = {}
     for mask in range(1, 1 << (k - 1)):
         T1 = [ts[i] for i in range(k) if (mask >> i) & 1]
         T2 = [ts[i] for i in range(k) if not (mask >> i) & 1]
         res = flow.max_flow(net, T1, T2)
-        sides[mask], sides[full ^ mask] = res.source_side, res.sink_side
-        low = min(low, res.value)
-    fam = [sides[mask] for mask in range(1, full)]
+        sides[mask] = res.source_side, res.value
+        sides[full ^ mask] = res.sink_side, res.value
+    # Two masks differ on the terminals, so never give the same side.
+    fam = dict(sides[mask] for mask in range(1, full))
 
     def cut_fn(M: int) -> int:
         return sum(w for (u, v, w) in net.arcs if ((M >> u) ^ (M >> v)) & 1)
 
-    return _crossing_repair(fam, cut_fn), low
+    return ({X: fam[X] for X in _crossing_repair(list(fam), cut_fn)},
+            min(fam.values()))
 
 
 def _expand(X, labels: list[frozenset[int]]) -> frozenset[int]:
@@ -253,9 +243,10 @@ def _balanced_split(net: flow.FlowNetwork, ts: list[int],
 
 def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
              labels: list[frozenset[int]], stats: dict, depth: int,
-             limit: Optional[int]) -> tuple[set[frozenset[int]], int]:
+             limit: Optional[int]) -> tuple[dict[frozenset[int], int], int]:
     """Candidates of one recursion node (vertices 0..n-1, n = len(labels))
-    as sets of original vertices, and its least Steiner cut value.  With
+    as sets of original vertices, each with its value in the node, which
+    is its value d~ in g~, and the node's least Steiner cut value.  With
     `limit` = H, the flow tree stops at H, the tau-classes it shows are
     merged, and a node of one class returns none (`pruned`); the module
     docstring says why that is exact."""
@@ -282,7 +273,7 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
                 low = stopped[0].finish().value
                 for res in stopped[1:]:
                     low = min(low, res.finish(low).value)
-            return set(), low
+            return {}, low
         if len(classes) < len(ts):
             stats["merged"] += len(ts) - len(classes)
             del net  # freed before the merged node's network is built
@@ -305,14 +296,14 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
         counts = stats["base_cases"]
         counts[len(ts)] = counts.get(len(ts), 0) + 1
         fam, low = _base_case(net, ts)
-        return {_expand(X, labels) for X in fam}, low
+        return {_expand(X, labels): d for X, d in fam.items()}, low
 
     S1 = _balanced_split(net, ts, tree)
     del net  # freed before the recursion, as is each sub-instance after it
     S2 = frozenset(range(len(labels))) - S1
     s2_orig = _expand(S2, labels)
 
-    def child(K: frozenset[int]) -> set[frozenset[int]]:
+    def child(K: frozenset[int]) -> dict[frozenset[int], int]:
         _, *node = _contract([K], terminals, weights, labels)
         return _recurse(*node, stats, depth + 1, limit)[0]
 
@@ -323,15 +314,16 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
     # of S1).  Sets of L2 containing t2 would partially overlap the
     # S1-supersets from L1, and every supreme set is covered without
     # them, so they are dropped.
-    return F1 | {X for X in F2 if not s2_orig <= X}, low
+    return F1 | {X: d for X, d in F2.items() if not s2_orig <= X}, low
 
 
-def find_supreme_candidates(pg: PerturbedGraph, stats: Optional[dict] = None,
+def find_supreme_candidates(g: Graph, weights: dict[tuple[int, int], int],
+                            stats: Optional[dict] = None,
                             tau: Optional[int] = None
-                            ) -> list[frozenset[int]]:
+                            ) -> dict[frozenset[int], int]:
     """Laminar family of Steiner cuts containing all supreme sets of g~,
     or with `tau` all those of d < tau (the truncation of the module
-    docstring).
+    docstring), each with its value d~ under the perturbed `weights`.
 
     `stats` receives the recursion's `max_depth`, its vertex total per
     depth (`layer_vertices`), the base cases per terminal count
@@ -340,50 +332,48 @@ def find_supreme_candidates(pg: PerturbedGraph, stats: Optional[dict] = None,
     limit (`capped`) and lambda(g) (`connectivity`).  Every node of 4 or
     more terminals (after the merge) splits, terminals in several
     components included (module docstring)."""
-    g = pg.base
     stats = {} if stats is None else stats
     stats.update({"max_depth": 0, "layer_vertices": {}, "base_cases": {},
                   "pruned": 0, "merged": 0, "capped": 0})
     labels = [frozenset({v}) for v in range(g.n)]
-    limit = None if tau is None else tau * pg.scale + 1
-    fam, low = _recurse(g.terminals, dict(pg.weights), labels, stats, 0,
-                        limit)
-    stats["connectivity"] = low // pg.scale
-    return sorted((X for X in fam if is_steiner_cut(g, X)),
-                  key=lambda X: (len(X), sorted(X)))
+    scale = 1 << len(weights)
+    limit = None if tau is None else tau * scale + 1
+    fam, low = _recurse(g.terminals, dict(weights), labels, stats, 0, limit)
+    stats["connectivity"] = low // scale
+    return {X: d for X, d in fam.items() if is_steiner_cut(g, X)}
 
 
-def postprocess(candidates: list[frozenset[int]], g: Graph,
-                pg: PerturbedGraph) -> LaminarForest:
+def postprocess(candidates: dict[frozenset[int], int], g: Graph,
+                m: int) -> LaminarForest:
     """Three post-order passes pruning the candidates' `LaminarForest`
     into the forest of supreme-set terminal projections of g.
 
-    The candidates form one tree, a set's parent being its smallest strict
+    `candidates` maps Steiner cuts to their perturbed values d~, m being
+    the number of perturbed edges, so d = d~ >> m (`perturb`).  The
+    candidates form one tree, a set's parent being its smallest strict
     superset (a crossing family raises ValueError); a removed node is
     spliced out, its children moving to its parent.  Pass 1 removes a
     node when some child matches or beats its perturbed cut value; pass 2
     removes a node whose parent has the same terminal projection (after
     it, the family is exactly the supreme sets of g~); pass 3 repeats
-    pass 1 with the original weights, leaving projections whose original
+    pass 1 with the original values, leaving projections whose original
     supreme set exists, with c(R) = d(mu(R)) = d(mu~(R)).  A node is
     visited after its whole subtree and before its ancestors, so its live
     children and parent are the same in any post-order.
     """
-    f = LaminarForest.from_family((X, cut_value(g, X), None)
-                                  for X in set(candidates)
-                                  if is_steiner_cut(g, X))
+    f = LaminarForest.from_family((X, d, None) for X, d in candidates.items())
     nodes = f.nodes
-    d_tilde = {i: pg.cut_value(nd.terminals) for i, nd in nodes.items()}
     proj = {i: projection(g, nd.terminals) for i, nd in nodes.items()}
     for remove in (
-            lambda i, nd: any(d_tilde[w] <= d_tilde[i] for w in nd.children),
+            lambda i, nd: any(nodes[w].c <= nd.c for w in nd.children),
             lambda i, nd: nd.parent is not None and proj[nd.parent] == proj[i],
-            lambda i, nd: any(nodes[w].c <= nd.c for w in nd.children)):
+            lambda i, nd: any(nodes[w].c >> m <= nd.c >> m
+                              for w in nd.children)):
         for i in f.postorder():
             if remove(i, nodes[i]):
                 f.delete_node(i)
     return LaminarForest.from_family(
-        (proj[i], nodes[i].c, nodes[i].terminals) for i in f.live())
+        (proj[i], nodes[i].c >> m, nodes[i].terminals) for i in f.live())
 
 
 def supreme_forest(g: Graph, seed=None, stats: Optional[dict] = None,
@@ -395,16 +385,16 @@ def supreme_forest(g: Graph, seed=None, stats: Optional[dict] = None,
     # `seed` is ignored (the forest draws nothing); kept for old callers.
     if len(g.terminals) < 2:
         raise ValueError("need at least 2 terminals")
-    pg = perturb(g)
+    weights = perturb(g)
     stats = {} if stats is None else stats
-    fam = find_supreme_candidates(pg, stats=stats, tau=tau)
+    fam = find_supreme_candidates(g, weights, stats=stats, tau=tau)
     depth = stats.get("max_depth", 0)
     bound = 25 * math.log(max(len(g.terminals), 2)) + 5
     assert depth <= bound, f"recursion depth {depth} exceeds {bound}"
     for layer, total in stats["layer_vertices"].items():
         cap = 8 * g.n * max(1.0, math.log(max(g.n, 2)))
         assert total <= cap, f"layer {layer} vertex total {total} exceeds {cap}"
-    return postprocess(fam, g, pg)
+    return postprocess(fam, g, len(weights))
 
 
 def recursion_report(stats: dict) -> dict:

@@ -124,6 +124,24 @@ def test_splitoff_infeasible_exit_code(tmp_path, capsys):
     assert cli.main(["splitoff", odd]) == 2
 
 
+def test_splitoff_joins_four_terminal_components(tmp_path, capsys):
+    """x (vertex 12) joined to 3c and 3c+1 of four unit paths of
+    terminals: at tau = 1 the four split edges join the components."""
+    paths = [f"{3 * c + i} {3 * c + i + 1} 1" for c in range(4) for i in (0, 1)]
+    star = [f"{u} 12 1" for i in (0, 1) for u in range(i, 12, 3)]
+    terminals = " ".join(map(str, range(12)))
+    path = write(tmp_path, "g.txt", "\n".join(
+        ["13 16 12", *paths, *star, terminals]) + "\n")
+    assert cli.main(["splitoff", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["report"]["tau"] == 1 and out["report"]["total_weight"] == 4
+    g = write(tmp_path, "g-x.txt",
+              "\n".join(["12 8 12", *paths, terminals]) + "\n")
+    edges = write(tmp_path, "edges.json", json.dumps(out["edges"]))
+    assert cli.main(["verify", "--tau", "1", g, edges]) == 0
+    assert capsys.readouterr().out == "PASS\n"
+
+
 @pytest.mark.parametrize("command", ["augment", "supreme"])
 def test_terminals_in_13_components_are_solved(tmp_path, capsys, command):
     """14 terminals, one edge: after the root's split a node has 13

@@ -217,7 +217,7 @@ def test_undirected_cuts_match_reference():
     checked = 0
     for trial in range(150):
         g = _random_multigraph(rng)
-        weight_maps = [None, perturb(g).weights,
+        weight_maps = [None, perturb(g),
                        {e: rng.getrandbits(100) + 1
                         for e in g.coalesced()}]
         for weights in weight_maps:
@@ -233,7 +233,7 @@ def test_undirected_cuts_match_reference():
 def test_undirected_cuts_on_corpus_match_reference():
     for idx in range(60):
         g = random_connected(idx, n_max=12)
-        weights = perturb(g).weights
+        weights = perturb(g)
         net = flow.FlowNetwork.undirected(g, weights)
         ts = sorted(g.terminals)
         for t in ts[1:]:
@@ -251,7 +251,7 @@ def test_capped_and_finished_cuts_match_reference():
     stopped = 0
     for trial in range(80):
         g = _random_multigraph(rng)
-        for weights in (None, perturb(g).weights,
+        for weights in (None, perturb(g),
                         {e: rng.getrandbits(100) + 1 for e in g.coalesced()}):
             net = flow.FlowNetwork.undirected(g, weights)
             for A, B in _bipartitions(rng, g, 3):

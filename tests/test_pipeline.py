@@ -222,6 +222,20 @@ def test_splitoff_at_tau_0_builds_no_forest():
     assert report["max_flow_calls"] == 1 and "supreme" not in report
 
 
+@pytest.mark.parametrize("k", range(2, 7))
+def test_splitoff_path_star_at_tau_1(k):
+    """k unit paths 3c-3c+1-3c+2 of terminals, x joined to 3c and 3c+1 of
+    each: lambda(G) = 1, and the split edges must join the k terminal
+    components, which no matching of 4 or more components does."""
+    edges = [(3 * c + i, 3 * c + i + 1, 1) for c in range(k) for i in (0, 1)]
+    g = Graph.build(3 * k, edges, range(3 * k))
+    beta = {3 * c + i: 1 for c in range(k) for i in (0, 1)}
+    gx, x = star_graph(g, beta)
+    adds, report = splitoff_pipeline(gx, x)
+    assert report["tau"] == 1 and adds.total_weight == k, report
+    assert oracle.verify_solution(g, 1, adds, beta)[0]
+
+
 def test_splitoff_rejections():
     base = g_cyc4()
     # Terminal x.

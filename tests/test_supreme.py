@@ -36,21 +36,26 @@ def test_perturbation_preserves_order_and_breaks_ties():
         graphs.append(Graph.build(n, _random_multigraph(rng, n, rng.choice((1, 3))),
                                   range(n)))
     for g in graphs:
-        pg = perturb(g)
+        weights = perturb(g)
         coal = g.coalesced()
-        assert pg.scale == 1 << len(coal)
-        assert {e: w >> len(coal) for e, w in pg.weights.items()} == coal
+        assert {e: w >> len(coal) for e, w in weights.items()} == coal
         by_value: dict[int, frozenset] = {}
         cuts = []
         for r in range(1, g.n):
             for X in itertools.combinations(range(g.n), r):
                 crossing = frozenset(e for e in coal if (e[0] in X) != (e[1] in X))
-                value = pg.cut_value(X)
+                value = _tilde(weights, X)
                 assert by_value.setdefault(value, crossing) == crossing
+                assert value >> len(coal) == cut_value(g, X)
                 cuts.append((cut_value(g, X), value))
         for (d1, v1), (d2, v2) in itertools.combinations(cuts, 2):
             if d1 != d2:
                 assert (d1 < d2) == (v1 < v2)
+
+
+def _tilde(weights, X):
+    """d~(X), one scan of the perturbed weight map."""
+    return sum(w for (u, v), w in weights.items() if (u in X) != (v in X))
 
 
 def test_supreme_forest_fixtures():
@@ -181,7 +186,7 @@ def _base_family(g, weights):
 
 def _weight_cut(weights):
     def by_set(S):
-        return sum(w for (u, v), w in weights.items() if (u in S) != (v in S))
+        return _tilde(weights, S)
 
     def by_mask(M):
         return by_set({v for v in range(M.bit_length()) if (M >> v) & 1})
@@ -207,15 +212,16 @@ def test_crossing_repair_single_pass_matches_restart_base_families():
     crossing = 0
     for idx in range(60):
         g = random_connected(idx)
-        pg = perturb(g)
-        fam = _base_family(g, pg.weights)
-        by_set, by_mask = _weight_cut(pg.weights)
+        weights = perturb(g)
+        fam = _base_family(g, weights)
+        by_set, by_mask = _weight_cut(weights)
         want = _crossing_repair_restart(fam, by_set)
         crossing += len(want) < len(fam)
         assert _crossing_repair(fam, by_mask) == want
-        net = flow.FlowNetwork.undirected(g, pg.weights)
+        net = flow.FlowNetwork.undirected(g, weights)
         fam, low = _base_case(net, sorted(g.terminals))
-        assert fam == want
+        assert list(fam) == want
+        assert all(d == by_set(X) for X, d in fam.items())
         assert low == min(by_set(X) for r in range(1, g.n)
                           for X in itertools.combinations(range(g.n), r)
                           if is_steiner_cut(g, X))
@@ -227,7 +233,7 @@ def test_base_case_one_flow_per_complementary_pair():
         g = random_connected(idx)
         k = len(g.terminals)
         before = flow.max_flow_call_count()
-        net = flow.FlowNetwork.undirected(g, perturb(g).weights)
+        net = flow.FlowNetwork.undirected(g, perturb(g))
         _base_case(net, sorted(g.terminals))
         assert flow.max_flow_call_count() - before == 2 ** (k - 1) - 1
 
@@ -278,7 +284,7 @@ def test_flow_tree_rows_match_naive_rows():
         else:
             g = random_connected(i)
             n, arcs = g.n, [(u, v, w) for (u, v), w
-                            in perturb(g).weights.items()]
+                            in perturb(g).items()]
         net = flow.FlowNetwork(n, arcs, False)
         ts = sorted(rng.sample(range(n), rng.randint(2, n)))
         tree, _ = _flow_tree(net, ts)
@@ -332,7 +338,7 @@ def test_balanced_split_costs_one_tree_and_one_split():
     smaller least terminal, though the other forms first."""
     graphs = [tree_plus_2n(30, 500 + i, 12) for i in range(30)]
     for i, g in enumerate(graphs + [_two_clusters()]):
-        net = flow.FlowNetwork.undirected(g, perturb(g).weights)
+        net = flow.FlowNetwork.undirected(g, perturb(g))
         ts = sorted(g.terminals)
         before = flow.max_flow_call_count()
         tree, _ = _flow_tree(net, ts)
@@ -461,12 +467,13 @@ def test_recursion_matches_full_enumeration():
     for i in range(40):
         n, k = rng.randint(16, 40), rng.randint(6, 11)
         g = tree_plus_2n(n, 8000 + i, k)
-        pg = perturb(g)
-        fam, _ = _base_case(flow.FlowNetwork.undirected(g, pg.weights),
+        weights = perturb(g)
+        fam, _ = _base_case(flow.FlowNetwork.undirected(g, weights),
                             sorted(g.terminals))
         stats: dict = {}
         f = supreme_forest(g, stats=stats)
-        assert full_signature(f) == full_signature(postprocess(fam, g, pg)), i
+        assert full_signature(f) == \
+            full_signature(postprocess(fam, g, len(weights))), i
         assert stats["max_depth"] >= 1, i
 
 
@@ -522,15 +529,16 @@ def test_perturbed_scale_decides_tau():
     for every terminal pair and tau around lambda."""
     for idx in range(60):
         g = random_connected(idx)
-        pg = perturb(g)
+        weights = perturb(g)
         exact = flow.FlowNetwork.undirected(g)
-        tilde = flow.FlowNetwork.undirected(g, pg.weights)
+        tilde = flow.FlowNetwork.undirected(g, weights)
         s, *rest = sorted(g.terminals)
         for t in rest:
             lam = flow.max_flow(exact, (s,), (t,)).value
             lam_tilde = flow.max_flow(tilde, (s,), (t,)).value
             for tau in (lam - 1, lam, lam + 1):
-                assert (lam >= tau) == (lam_tilde > tau * pg.scale), idx
+                assert (lam >= tau) == \
+                    (lam_tilde > tau * (1 << len(weights))), idx
 
 
 @pytest.mark.parametrize("w_max", [2, 3, 5])
@@ -578,14 +586,14 @@ def test_splitoff_star7_prunes_a_child():
     assert flow.max_flow_call_count() - before == 26
 
 
-def _postprocess_rebuild(candidates, g, pg, fired=None):
+def _postprocess_rebuild(candidates, g, weights, fired=None):
     """Reference for `postprocess`: rebuilds the candidate tree for each of
     the three traversals with a quadratic superset search.  `fired`, if
     given, receives the number of nodes each traversal removes."""
     sets = sorted(set(candidates), key=lambda X: (len(X), sorted(X)))
     sets = [X for X in sets if is_steiner_cut(g, X)]
     live = list(range(len(sets)))
-    values_tilde = [cut_value(g, X, pg.weights) for X in sets]
+    values_tilde = [_tilde(weights, X) for X in sets]
     values_orig = [cut_value(g, X) for X in sets]
 
     def run_traversal(live_idx, remove_fn):
@@ -654,25 +662,41 @@ def test_postprocess_matches_rebuild_reference_random_laminar():
                  if rng.random() < 0.5]
         g = Graph.build(n, edges or [(0, 1, 1)],
                         rng.sample(range(n), rng.randint(2, min(n, 4))))
-        pg = perturb(g)
+        weights = perturb(g)
         fam = _random_laminar(rng, n)
         fired: list[int] = []
-        want = tree_signature(_postprocess_rebuild(fam, g, pg, fired))
-        assert tree_signature(postprocess(fam, g, pg)) == want, trial
+        want = tree_signature(_postprocess_rebuild(fam, g, weights, fired))
+        candidates = {X: _tilde(weights, X) for X in fam
+                      if is_steiner_cut(g, X)}
+        assert tree_signature(postprocess(candidates, g, len(weights))) == \
+            want, trial
         removed = [a + b for a, b in zip(removed, fired)]
     assert min(removed) > 0, removed
     # A crossing family has no tree: {0, 1} and {1, 2} are Steiner cuts of
     # the unit 4-cycle that cross.
     g = g_cyc4()
+    weights = perturb(g)
+    crossing = {X: _tilde(weights, X)
+                for X in (frozenset({0, 1}), frozenset({1, 2}))}
     with pytest.raises(ValueError, match="not laminar"):
-        postprocess([frozenset({0, 1}), frozenset({1, 2})], g, perturb(g))
+        postprocess(crossing, g, len(weights))
 
 
 @pytest.mark.parametrize("w_max", [2, 3, 5])
 def test_postprocess_matches_rebuild_reference_corpus(w_max):
+    """Each candidate carries its perturbed cut value, without tau and
+    with tau = lambda + 1, whose recursion merges tau-classes."""
+    merged = 0
     for idx in range(60):
         g = random_connected(idx, n_max=12, w_max=w_max)
-        pg = perturb(g)
-        fam = find_supreme_candidates(pg)
-        assert tree_signature(postprocess(fam, g, pg)) == \
-            tree_signature(_postprocess_rebuild(fam, g, pg)), idx
+        weights = perturb(g)
+        stats: dict = {}
+        fam = find_supreme_candidates(g, weights, stats)
+        truncated = find_supreme_candidates(
+            g, weights, stats, tau=stats["connectivity"] + 1)
+        merged += stats["merged"]
+        for X, d in [*fam.items(), *truncated.items()]:
+            assert d == _tilde(weights, X), (idx, sorted(X))
+        assert tree_signature(postprocess(fam, g, len(weights))) == \
+            tree_signature(_postprocess_rebuild(fam, g, weights)), idx
+    assert merged > 0
