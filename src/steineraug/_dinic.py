@@ -38,11 +38,9 @@ def max_flow_kernel(head: list[list[int]], to: list[int], cap: list[int],
     Returns (value, source side): the source side is the vertices the
     final residual graph reaches from the sources.  With `limit`, a flow
     that reaches it returns at once, with a value >= limit and no source
-    side; a limit of 0 or less is reached before any work.
+    side.
     """
     stop = math.inf if limit is None else limit
-    if stop <= 0:
-        return 0, None
     n = len(head)
     is_sink = [False] * n
     for t in sinks:

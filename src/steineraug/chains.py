@@ -207,14 +207,12 @@ class ChainScheduler:
 
 def budget_slots(forest: LaminarForest, beta: dict[int, int]) -> list[Slot]:
     """One slot per budgeted terminal, at the deepest live node holding
-    it; budget outside the forest can never be an endpoint."""
+    it, the first in post-order, as the nodes holding it form a chain;
+    budget outside the forest can never be an endpoint."""
     lowest: dict[int, int] = {}
-    for i in forest.live():
+    for i in forest.postorder():
         for t in forest.nodes[i].terminals:
-            cur = lowest.get(t)
-            if cur is None or (len(forest.nodes[i].terminals)
-                               < len(forest.nodes[cur].terminals)):
-                lowest[t] = i
+            lowest.setdefault(t, i)
     return [Slot(v, w, lowest[v], (v,)) for v, w in sorted(beta.items())
             if w > 0 and v in lowest]
 

@@ -53,9 +53,7 @@ def check_feasibility(g: Graph, tau: int, beta: dict[int, int]) -> bool:
     reach connectivity tau."""
     if any(w < 0 for w in beta.values()):
         return False
-    pos = {u: w for u, w in beta.items() if w > 0}
-    h = star_graph(g, pos)[0] if pos else g
-    return steiner_connectivity(h, tau) >= tau
+    return steiner_connectivity(star_graph(g, beta)[0], tau) >= tau
 
 
 def build_H(state: DegExternalState, path: HeavyPath

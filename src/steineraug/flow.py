@@ -13,12 +13,12 @@ the per-arc flows are derived from the residual capacities when read.
 A caller that only compares the value with a bound passes it as
 `limit`: the solve stops once its flow reaches it, and
 `FlowResult.finish` can go on from there if the exact value is needed
-after all.  No convenience wrapper remains: a caller with a graph
-builds its network with `FlowNetwork.undirected` and reads `.value` or
-`.source_side` off the solve.
+after all.  `least_cut`, the least of many solves, answers every
+Steiner-connectivity question.  A caller with a graph builds its
+network with `FlowNetwork.undirected`.
 
-A global, atomic invocation counter supports the acceptance call-count
-budget.
+A per-thread invocation counter supports the call-count budget and the
+pipelines' reports.
 """
 
 from __future__ import annotations
@@ -36,12 +36,11 @@ from .graph import Graph
 #: Read by perfbench/layers.py, which traces a compiled kernel if one is set.
 _dinic_cy = None
 
-_counter_lock = threading.Lock()
-_call_count = 0
+_counts = threading.local()
 
 
 def max_flow_call_count() -> int:
-    return _call_count
+    return getattr(_counts, "n", 0)  # the calling thread's solves
 
 
 def flow_backend_name() -> str:
@@ -88,8 +87,8 @@ class FlowNetwork:
 @dataclass(frozen=True)
 class FlowResult:
     """A solve's value and minimal source side; a solve stopped at its
-    limit has a value >= limit and no source side (None), and its sides
-    and flows are not those of a min cut."""
+    limit (or not begun, at limit 0) has a value >= limit and no source
+    side (None), and its sides and flows are not those of a min cut."""
     value: int
     source_side: Optional[frozenset[int]]  # minimal: residually reached
     net: FlowNetwork = field(repr=False)
@@ -122,7 +121,9 @@ class FlowResult:
     def finish(self, limit: Optional[int] = None) -> "FlowResult":
         """Go on with a solve stopped at its limit, from its residual
         (taken over, not copied), up to the new `limit`: returns the
-        exact solve, or again a stopped one."""
+        exact solve, or again a stopped one; itself if `limit` <= value."""
+        if limit is not None and limit <= self.value:
+            return self
         net = self.net
         more, side = _kernel_for(net.inf)(
             net.head, net.to, self.residual, self.sources, self.sinks,
@@ -148,10 +149,8 @@ def max_flow(net: FlowNetwork, sources: Iterable[int],
     sides are the minimal source and sink sides over all min cuts.  With
     `limit`, a solve whose max flow is >= limit stops once its flow
     reaches it, with a value >= limit and no source side; any other solve
-    is the same as without it."""
-    global _call_count
-    with _counter_lock:
-        _call_count += 1
+    is the same as without it; at limit 0 the solve has not begun."""
+    _counts.n = max_flow_call_count() + 1
     sources = sorted(set(sources))
     sinks = sorted(set(sinks))
     if not sources or not sinks or set(sources).intersection(sinks):
@@ -160,6 +159,25 @@ def max_flow(net: FlowNetwork, sources: Iterable[int],
         raise ValueError("source or sink out of range")
     return FlowResult(0, None, net, net.cap[:], tuple(sources),
                       tuple(sinks)).finish(limit)
+
+
+def least_cut(solves: Iterable[FlowResult], limit: Optional[int] = None
+              ) -> Optional[FlowResult]:
+    """The first least of `solves` (None if none), each finished up to
+    `limit`, or without one the first exactly and each later one up to
+    the least value so far.  Stops, reading no more solves, at the first
+    value below `limit`, or at the first 0 without one.  A value below
+    `limit`, or any without one, is exact, with its minimal source side."""
+    stop = 1 if limit is None else limit
+    best = None
+    for res in solves:
+        res = res.finish(best.value if limit is None and best is not None
+                         else limit)
+        if best is None or res.value < best.value:
+            best = res
+        if res.value < stop:
+            break
+    return best
 
 
 def isolating_cuts(g: Graph, parts: list[frozenset[int]]

@@ -9,7 +9,7 @@ returns a new value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 # A check on outside input.  The perturbed weights (supreme.perturb:
 # 2**m * w + 2**i over m coalesced edges) have m + log2(W) + 1 bits at
@@ -129,16 +129,12 @@ def add_edges(g: Graph, F: EdgeAdditions) -> Graph:
     return Graph(g.n, g.edges + F.entries, g.terminals)
 
 
-def steiner_connectivity(g: Graph, stop_below: int = 1) -> int:
-    """Minimum cut value over all Steiner cuts, or the first lambda found
-    below `stop_below`, so `steiner_connectivity(g, tau) < tau` decides
-    `steiner_connectivity(g) < tau` with no flow past the first witness.
-
-    Every Steiner cut separates a fixed terminal s from some other
-    terminal, so the minimum equals min over t in T-{s} of lambda(s, t).
-    Each flow after the first stops at the running minimum, which a
-    lambda(s, t) that reaches it cannot lower.  Returns 0 when terminals
-    span multiple components.
+def steiner_connectivity(g: Graph, limit: Optional[int] = None) -> int:
+    """Minimum cut value over all Steiner cuts: min over t in T-{s} of
+    lambda(s, t), s a fixed terminal (`flow.least_cut`); 0 when the
+    terminals span several components.  With `limit` the value is below
+    it exactly when the minimum is, each flow stopping at `limit` and
+    none past the first terminal below it.
     """
     from . import flow  # local import to avoid a cycle
 
@@ -146,12 +142,8 @@ def steiner_connectivity(g: Graph, stop_below: int = 1) -> int:
     if len(ts) < 2:
         raise ValueError("Steiner connectivity needs at least 2 terminals")
     net = flow.FlowNetwork.undirected(g)
-    best = flow.max_flow(net, ts[:1], ts[1:2]).value
-    for t in ts[2:]:
-        if best < stop_below:
-            break
-        best = min(best, flow.max_flow(net, ts[:1], (t,), best).value)
-    return best
+    return flow.least_cut((flow.max_flow(net, ts[:1], (t,), 0)
+                           for t in ts[1:]), limit).value
 
 
 def star_graph(g: Graph, beta: dict[int, int]) -> tuple[Graph, int]:

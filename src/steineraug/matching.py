@@ -52,9 +52,7 @@ def is_feasible_partial(g_cur: Graph, K_remaining: Sequence[frozenset[int]],
     for grp in K_remaining:
         v = designated_terminal(grp)
         beta[v] = beta.get(v, 0) + 1
-    if beta:
-        h, _ = star_graph(h, beta)
-    return steiner_connectivity(h, tau) >= tau
+    return steiner_connectivity(star_graph(h, beta)[0], tau) >= tau
 
 
 def match_groups(g: Graph, K: Sequence[frozenset[int]], tau: int,

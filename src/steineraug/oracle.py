@@ -133,8 +133,8 @@ def verify_solution(g: Graph, tau: int, F: EdgeAdditions,
     """Check connectivity(g+F) >= tau and optional per-vertex budgets.
 
     Returns (ok, witness); the witness is an offending vertex id for a
-    budget violation, or a violated cut (vertex frozenset) otherwise.
-    Each flow stops at tau: only a failing one needs its cut.
+    budget violation, or else a violated cut: the minimal source side of
+    the first terminal below tau in `steiner_connectivity(g + F, tau)`.
     """
     if beta is not None:
         for u in range(g.n):
@@ -142,8 +142,7 @@ def verify_solution(g: Graph, tau: int, F: EdgeAdditions,
                 return False, u
     net = flow.FlowNetwork.undirected(add_edges(g, F))
     ts = sorted(g.terminals)
-    for t in ts[1:]:
-        res = flow.max_flow(net, ts[:1], (t,), tau)
-        if res.value < tau:
-            return False, res.source_side
-    return True, None
+    res = flow.least_cut((flow.max_flow(net, ts[:1], (t,), 0)
+                          for t in ts[1:]), tau)
+    ok = res is None or res.value >= tau
+    return ok, None if ok else res.source_side

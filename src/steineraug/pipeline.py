@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import accumulate
-from typing import Optional
 
 from . import flow
 from .chains import run_chains

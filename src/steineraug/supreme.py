@@ -270,9 +270,7 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
         if len(classes) == 1:
             stats["pruned"] += 1
             if stopped:  # the root: lambda(g) >= tau, made exact
-                low = stopped[0].finish().value
-                for res in stopped[1:]:
-                    low = min(low, res.finish(low).value)
+                low = flow.least_cut(stopped).value
             return {}, low
         if len(classes) < len(ts):
             stats["merged"] += len(ts) - len(classes)

@@ -1,4 +1,5 @@
 import itertools
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,6 +77,14 @@ def test_network_validation():
 def test_call_counter():
     before = flow.max_flow_call_count()
     max_flow(FlowNetwork.undirected(g_path()), {0}, {2})
+    assert flow.max_flow_call_count() == before + 1
+    # Each thread keeps its own count: flows in another thread leave
+    # this one's unchanged.
+    net = FlowNetwork.undirected(g_cyc4())
+    worker = threading.Thread(
+        target=lambda: [max_flow(net, {0}, {2}) for _ in range(5)])
+    worker.start()
+    worker.join()
     assert flow.max_flow_call_count() == before + 1
 
 
@@ -235,3 +244,54 @@ def test_finished_solve_equals_the_exact_one():
     res = max_flow(FlowNetwork.undirected(g_cyc4()), {0}, {2}, 1)
     assert res.finish().value == 2
     assert flow.max_flow_call_count() == before + 1
+
+
+def test_least_cut_returns_the_first_least_solve(monkeypatch):
+    """Without a limit, the first solve of least exact value with its
+    source side; with one, the first solve below it, and no solve read
+    past it; a solve already at its cap is finished as itself, with no
+    kernel call."""
+    kernel_calls = []
+    kernel_for = flow._kernel_for
+
+    def counted(total_cap):
+        kernel_calls.append(total_cap)
+        return kernel_for(total_cap)
+
+    monkeypatch.setattr(flow, "_kernel_for", counted)
+    stopped = 0
+    for idx in range(40):
+        g = random_connected(idx, n_max=10)
+        net = FlowNetwork.undirected(g)
+        ts = sorted(g.terminals)
+        exact = [max_flow(net, ts[:1], (t,)) for t in ts[1:]]
+        values = [res.value for res in exact]
+        first = values.index(min(values))
+        best = flow.least_cut(max_flow(net, ts[:1], (t,), 0)
+                              for t in ts[1:])
+        assert (best.value, best.source_side) == \
+            (exact[first].value, exact[first].source_side), idx
+        for limit in range(min(values), min(values) + 3):
+            below = [i for i, v in enumerate(values) if v < limit]
+            read = []
+            res = flow.least_cut((read.append(t) or
+                                  max_flow(net, ts[:1], (t,), 0)
+                                  for t in ts[1:]), limit)
+            if below:
+                i = below[0]
+                assert (res.value, res.source_side) == \
+                    (exact[i].value, exact[i].source_side), (idx, limit)
+                assert read == ts[1:i + 2], (idx, limit)
+            else:
+                assert res.value >= limit and read == ts[1:], (idx, limit)
+        kernel_calls.clear()
+        cap = max_flow(net, ts[:1], ts[-1:], 0)
+        assert cap.finish(0) is cap and cap.source_side is None
+        done = exact[-1]
+        assert done.finish(done.value) is done
+        capped = max_flow(net, ts[:1], ts[-1:], 1)
+        if capped.source_side is None:
+            stopped += 1
+            assert capped.finish(capped.value) is capped
+        assert len(kernel_calls) == 1, idx  # the capped solve's only
+    assert stopped > 0

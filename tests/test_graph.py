@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steineraug.flow import max_flow_call_count
+from steineraug.flow import FlowNetwork, max_flow, max_flow_call_count
 from steineraug.graph import (EdgeAdditions, Graph, add_edges, cut_value,
                               is_steiner_cut, projection, star_graph,
                               steiner_connectivity)
@@ -75,17 +75,23 @@ def test_steiner_connectivity_fixtures():
 
 def test_steiner_connectivity_stops_at_first_lambda_below():
     """steiner_connectivity(g, tau) < tau decides conn < tau exactly, and
-    stops at the first terminal found below tau."""
+    stops at the first terminal found below tau: its flow count is 1 plus
+    that terminal's index among ts[1:], or |T| - 1 when there is none."""
     stopped = 0
     for idx in range(60):
         g = random_connected(idx)
         conn = steiner_connectivity(g)
+        ts = sorted(g.terminals)
+        net = FlowNetwork.undirected(g)
+        lams = [max_flow(net, ts[:1], (t,)).value for t in ts[1:]]
         for tau in range(conn - 1, conn + 3):
             before = max_flow_call_count()
             below = steiner_connectivity(g, tau) < tau
             calls = max_flow_call_count() - before
             assert below == (conn < tau), (idx, tau)
-            assert calls <= len(g.terminals) - 1
+            want = next((i + 1 for i, lam in enumerate(lams) if lam < tau),
+                        len(lams))
+            assert calls == want, (idx, tau)
             stopped += calls < len(g.terminals) - 1
     assert stopped > 0
 

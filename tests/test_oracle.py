@@ -92,6 +92,9 @@ def test_verify_solution():
     ok, witness = oracle.verify_solution(
         g_path(), 3, EdgeAdditions(((0, 2, 2),)), beta={0: 1, 2: 2})
     assert not ok and witness == 0
+    # One terminal: no Steiner cut, so nothing to violate.
+    g = Graph.build(2, [(0, 1, 1)], [0])
+    assert oracle.verify_solution(g, 3, EdgeAdditions(())) == (True, None)
 
 
 def test_verify_solution_witness_is_a_failing_cut():
