@@ -1,15 +1,14 @@
 """Degree-constrained +1 step via surrogate vertices.
 
-At connectivity tau-1 the demand-1 groups are the terminal sets of
-minimal Steiner min cuts; their supreme sets are recovered with
+At connectivity tau-1 (tau >= 2) the demand-1 groups are the terminal
+sets of minimal Steiner min cuts; their supreme sets are recovered with
 isolating cuts, and inside each supreme set some vertex still holds
 vacant external degree.  The random matching of the unconstrained step
 then runs unchanged, except every matched edge attaches to such a
 surrogate vertex instead of a terminal.  When the number of groups is
-odd and no group can pay for two edges, the odd edge instead joins one
-group to vacant degree outside every supreme set.  At tau = 1 the groups
-are the terminal components, and a path through them, in K's order,
-replaces the matching, which cannot join four or more components.
+odd and no group can pay for two edges, one spare unit of vacant degree
+outside every supreme set joins the matching as a group of its own, so
+every edge added comes out of the checked matching.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import random
 from typing import Sequence
 
 from . import flow
-from .graph import EdgeAdditions, Graph, add_edges
+from .graph import EdgeAdditions, Graph
 from .matching import match_groups
 
 
@@ -26,14 +25,11 @@ def find_surrogates(g: Graph, K_prime: Sequence[frozenset[int]],
                     beta: dict[int, int]
                     ) -> dict[frozenset[int], tuple[frozenset[int], int]]:
     """Per group k: its supreme set mu(k) (minimal isolating cut) and the
-    lowest-id vertex of mu(k) with vacant degree."""
+    lowest-id vertex of mu(k) with vacant degree.  Each group is the
+    terminal set of a Steiner cut, so the parts are 2 or more."""
     groups = [frozenset(k) for k in K_prime]
     rest = frozenset(g.terminals) - frozenset().union(*groups)
-    parts = groups + ([rest] if rest else [])
-    if len(parts) >= 2:
-        cuts = flow.isolating_cuts(g, parts)
-    else:
-        cuts = {groups[0]: frozenset(range(g.n)) - rest}
+    cuts = flow.isolating_cuts(g, groups + ([rest] if rest else []))
     out = {}
     for k in groups:
         mu = cuts[k]
@@ -72,35 +68,19 @@ def deg_augment_by_one(g: Graph, tau: int, beta: dict[int, int],
         return sum(remaining.get(v, 0) for v in mu)
 
     groups = list(K_prime)
-    if tau == 1:
-        # Each mu(k) is k's terminal component, where x reaches two or more
-        # budgeted vertices (no cut edge to x): a path joins them all.
-        path = []
-        for a, b in zip(groups, groups[1:]):
-            u = surrogate(a)
-            consume(a, u)
-            v = surrogate(b)
-            consume(b, v)
-            path.append((u, v, 1))
-        return EdgeAdditions(tuple(path)).merged()
-    odd = EdgeAdditions(())
     if len(groups) % 2 == 1 and all(budget_inside(k) < 2 for k in groups):
-        # No group can afford both ends of the odd edge between two
-        # groups; retire one group with an edge to spare budget outside
-        # every supreme set instead.
+        # No group can afford both ends of the odd edge between two groups.
+        # The budget left is even (x's degree is, each chain edge spends 2)
+        # and each group holds 1 unit, so an odd number lies outside every
+        # supreme set: one such unit is matched as a group of its own.
         inside = frozenset().union(*(info[k][0] for k in groups))
         spare = sorted(v for v, w in remaining.items()
                        if w >= 1 and v not in inside)
-        if spare:
-            k = max(groups, key=lambda k: (budget_inside(k), -min(k)))
-            groups.remove(k)
-            u = surrogate(k)
-            consume(k, u)
-            remaining[spare[0]] -= 1
-            odd = EdgeAdditions(((u, spare[0], 1),))
-            g = add_edges(g, odd)
+        if not spare:
+            raise RuntimeError("no spare budget outside the supreme sets")
+        k = frozenset({spare[0]})
+        info[k] = (k, spare[0])
+        groups.append(k)
 
-    return odd.combine(match_groups(g, groups, tau, rng,
-                                    edge_vertex=surrogate,
-                                    on_commit=consume,
-                                    capacity=budget_inside))
+    return match_groups(g, groups, tau, rng, edge_vertex=surrogate,
+                        on_commit=consume, capacity=budget_inside)

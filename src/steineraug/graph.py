@@ -9,7 +9,10 @@ returns a new value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
+
+if TYPE_CHECKING:
+    from .flow import FlowResult
 
 # A check on outside input.  The perturbed weights (supreme.perturb:
 # 2**m * w + 2**i over m coalesced edges) have m + log2(W) + 1 bits at
@@ -129,21 +132,30 @@ def add_edges(g: Graph, F: EdgeAdditions) -> Graph:
     return Graph(g.n, g.edges + F.entries, g.terminals)
 
 
-def steiner_connectivity(g: Graph, limit: Optional[int] = None) -> int:
-    """Minimum cut value over all Steiner cuts: min over t in T-{s} of
-    lambda(s, t), s a fixed terminal (`flow.least_cut`); 0 when the
-    terminals span several components.  With `limit` the value is below
-    it exactly when the minimum is, each flow stopping at `limit` and
-    none past the first terminal below it.
-    """
+def least_steiner_cut(g: Graph, limit: Optional[int] = None
+                      ) -> Optional[FlowResult]:
+    """`flow.least_cut` over the flows from the least terminal s to each
+    other terminal t, made as they are read: a least lambda(s, t) is a
+    Steiner min cut.  None below 2 terminals."""
     from . import flow  # local import to avoid a cycle
 
     ts = sorted(g.terminals)
     if len(ts) < 2:
-        raise ValueError("Steiner connectivity needs at least 2 terminals")
+        return None
     net = flow.FlowNetwork.undirected(g)
     return flow.least_cut((flow.max_flow(net, ts[:1], (t,), 0)
-                           for t in ts[1:]), limit).value
+                           for t in ts[1:]), limit)
+
+
+def steiner_connectivity(g: Graph, limit: Optional[int] = None) -> int:
+    """Minimum cut value over all Steiner cuts (`least_steiner_cut`); 0
+    when the terminals span several components.  With `limit` the value
+    is below it exactly when the minimum is, each flow stopping at
+    `limit` and none past the first terminal below it.
+    """
+    if len(g.terminals) < 2:
+        raise ValueError("Steiner connectivity needs at least 2 terminals")
+    return least_steiner_cut(g, limit).value
 
 
 def star_graph(g: Graph, beta: dict[int, int]) -> tuple[Graph, int]:

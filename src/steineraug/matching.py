@@ -8,7 +8,8 @@ has connectivity tau.  Acceptance probability is at least 1/3 per
 attempt, so a logarithmic retry cap suffices.
 
 The sampling loop is shared with the degree-constrained variant, which
-only differs in how a group turns into an edge endpoint.
+only differs in how a group turns into an edge endpoint: every edge of
+either step comes out of it.
 """
 
 from __future__ import annotations

@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import flow
 from .forest import LaminarForest
-from .graph import EdgeAdditions, Graph, add_edges
+from .graph import EdgeAdditions, Graph, add_edges, least_steiner_cut
+# Plain d(X) by edge scan, with no flow: independent of the flow engine.
+from .graph import cut_value as flow_free_cut_value
 
 HARD_CAP = 16
 DEFAULT_LIMIT = 12
@@ -104,12 +105,6 @@ def supreme_sets_bruteforce(g: Graph, limit: int = DEFAULT_LIMIT) -> LaminarFore
     return LaminarForest.from_family(entries)
 
 
-def flow_free_cut_value(g: Graph, X) -> int:
-    """Plain d(X) by edge scan (kept flow-engine-free for independence)."""
-    side = set(X)
-    return sum(w for (u, v, w) in g.edges if (u in side) != (v in side))
-
-
 def _forest_rdem_sum(forest: LaminarForest, tau: int) -> int:
     """Sum of root rdem values under the Algorithm-2 recurrence."""
     rdem: dict[int, int] = {}
@@ -134,15 +129,12 @@ def verify_solution(g: Graph, tau: int, F: EdgeAdditions,
 
     Returns (ok, witness); the witness is an offending vertex id for a
     budget violation, or else a violated cut: the minimal source side of
-    the first terminal below tau in `steiner_connectivity(g + F, tau)`.
+    the first terminal below tau in `least_steiner_cut(g + F, tau)`.
     """
     if beta is not None:
         for u in range(g.n):
             if F.degree(u) > beta.get(u, 0):
                 return False, u
-    net = flow.FlowNetwork.undirected(add_edges(g, F))
-    ts = sorted(g.terminals)
-    res = flow.least_cut((flow.max_flow(net, ts[:1], (t,), 0)
-                          for t in ts[1:]), tau)
+    res = least_steiner_cut(add_edges(g, F), tau)
     ok = res is None or res.value >= tau
     return ok, None if ok else res.source_side

@@ -3,10 +3,11 @@ complete splitting-off of an external vertex.
 
 Both return the added edges plus a JSON-friendly report (phase totals,
 optimum value, max-flow invocation count and, when the supreme forest
-was built, what its recursion did under "supreme").  Each builds the
-forest with tau first; the recursion's root gives lambda(g), which
-augmentation reports as "initial_connectivity", after |T| - 1 flows when
-it is >= tau (3 at |T| = 3, where the root enumerates).
+was built, what its recursion did under "supreme").  At tau = 1 both
+join the terminal components in a path; above it each builds the forest
+with tau first, and its root gives lambda(g), which augmentation reports
+as "initial_connectivity", after |T| - 1 flows when it is >= tau (3 at
+|T| = 3, where the root enumerates).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import accumulate
+from typing import Callable
 
 from . import flow
 from .chains import run_chains
@@ -54,9 +56,13 @@ def _components(g: Graph) -> list[list[int]]:
     return comps
 
 
-def _terminal_components(g: Graph) -> list[list[int]]:
-    return [terms for comp in _components(g)
-            if (terms := sorted(set(comp) & g.terminals))]
+def _join_components(g: Graph, end: Callable[[list[int]], int]
+                     ) -> EdgeAdditions:
+    """The tau = 1 rule: unit edges from end(comp) to end(next comp) over
+    the terminal components of g, in `_components`' order (least vertex)."""
+    comps = [comp for comp in _components(g) if g.terminals.intersection(comp)]
+    return EdgeAdditions(tuple((end(a), end(b), 1)
+                               for a, b in zip(comps, comps[1:])))
 
 
 def _cut_edge_neighbours(g: Graph, beta: dict[int, int]) -> list[int]:
@@ -120,12 +126,8 @@ def augment_pipeline(g: Graph, tau: int, seed: int = 0
 
     if tau == 1:
         # A spanning tree over the terminal components is optimal.
-        comps = _terminal_components(g)
-        entries = tuple((comps[i][0], comps[i + 1][0], 1)
-                        for i in range(len(comps) - 1))
-        out = EdgeAdditions(entries)
-        report["phases"]["tree"] = out.total_weight
-        report["optimum"] = len(comps) - 1
+        out = _join_components(g, lambda c: min(g.terminals.intersection(c)))
+        report["phases"]["tree"] = report["optimum"] = out.total_weight
         report["total_weight"] = out.total_weight
         report["max_flow_calls"] = flow.max_flow_call_count() - calls_before
         return out, report
@@ -198,7 +200,19 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0
 
     out = EdgeAdditions(())
     stats: dict = {"connectivity": tau}
-    if tau > 0:  # else lambda(g) < tau cannot hold
+    if tau == 1:
+        # x reaches 2 or more budgeted vertices in each terminal component
+        # (no cut edge to x; a component it missed would make tau 0).
+        left = dict(beta)
+
+        def end(comp: list[int]) -> int:
+            u = min(v for v in comp if left.get(v, 0) > 0)
+            left[u] -= 1
+            return u
+        out = _join_components(g, end).merged()
+        if out.entries:
+            report["phases"]["tree"] = out.total_weight
+    elif tau > 1:  # else lambda(g) < tau cannot hold
         forest = supreme_forest(g, stats=stats, tau=tau)
     if stats["connectivity"] < tau:
         report["supreme"] = recursion_report(stats)

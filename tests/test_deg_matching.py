@@ -8,6 +8,7 @@ from steineraug.deg_matching import deg_augment_by_one, find_surrogates
 from steineraug.external import external_augment, make_even
 from steineraug.graph import Graph, add_edges, star_graph, steiner_connectivity
 from steineraug.matching import build_K
+from steineraug.oracle import verify_solution
 from steineraug.pipeline import splitoff_pipeline
 from steineraug.supreme import supreme_forest
 
@@ -99,6 +100,32 @@ def test_odd_groups_without_spare_inside_use_outside_budget():
         assert adds.degree(u) <= beta.get(u, 0), u
     assert steiner_connectivity(add_edges(g, adds)) >= \
         steiner_connectivity(gx)
+
+
+def test_spare_odd_edge_is_matched_under_the_check():
+    """Regression: the chain phase leaves three demand-1 groups {0}, {2}
+    and {3}, each with one unit inside its supreme set, and a spare unit
+    at 1 outside them.  An unchecked edge to it can leave the splitting
+    (0, 1, 2), (2, 3, 2), whose cut {0, 1} is below tau = 3."""
+    g = Graph.build(4, [(2, 0, 1), (1, 3, 1)], [0, 2, 3])
+    beta = {0: 2, 2: 2, 1: 2, 3: 2}
+    gx, x = star_graph(g, beta)
+    adds, report = splitoff_pipeline(gx, x)
+    assert report["tau"] == 3 and adds.total_weight == 4, report
+    assert verify_solution(g, 3, adds, beta)[0], adds
+
+
+@pytest.mark.parametrize("idx", [3455, 4578])
+def test_splitoff_of_random_budgets_keeps_tau(idx):
+    """Corpus stars with random budgets on which the unchecked odd edge
+    returned a splitting below tau (9 and 10)."""
+    g = random_connected(idx, n_max=10)
+    rng = random.Random(idx)
+    beta = {u: rng.randint(1, 3) for u in range(g.n) if rng.random() < 0.6}
+    if sum(beta.values()) % 2:
+        beta[next(iter(beta))] += 1
+    adds, report = splitoff_pipeline(star_graph(g, beta)[0], g.n, seed=idx)
+    assert verify_solution(g, report["tau"], adds, beta)[0], (adds, report)
 
 
 def test_no_vacant_vertex_in_supreme_set_raises():

@@ -3,8 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from steineraug.flow import FlowNetwork, max_flow, max_flow_call_count
 from steineraug.graph import (EdgeAdditions, Graph, add_edges, cut_value,
-                              is_steiner_cut, projection, star_graph,
-                              steiner_connectivity)
+                              is_steiner_cut, least_steiner_cut, projection,
+                              star_graph, steiner_connectivity)
 
 from conftest import g_cyc4, g_expo, g_path, random_connected
 
@@ -94,6 +94,19 @@ def test_steiner_connectivity_stops_at_first_lambda_below():
             assert calls == want, (idx, tau)
             stopped += calls < len(g.terminals) - 1
     assert stopped > 0
+
+
+def test_least_steiner_cut_is_the_least_terminal_flow():
+    """The first least of the flows from the least terminal: its value is
+    steiner_connectivity's, and its source side a Steiner cut of it."""
+    for idx in range(40):
+        g = random_connected(idx)
+        res = least_steiner_cut(g)
+        assert res.value == steiner_connectivity(g), idx
+        assert min(g.terminals) in res.source_side
+        assert cut_value(g, res.source_side) == res.value, idx
+        assert is_steiner_cut(g, res.source_side), idx
+    assert least_steiner_cut(Graph.build(2, [(0, 1, 1)], [1])) is None
 
 
 def test_star_graph():

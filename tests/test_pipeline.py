@@ -226,7 +226,9 @@ def test_splitoff_at_tau_0_builds_no_forest():
 def test_splitoff_path_star_at_tau_1(k):
     """k unit paths 3c-3c+1-3c+2 of terminals, x joined to 3c and 3c+1 of
     each: lambda(G) = 1, and the split edges must join the k terminal
-    components, which no matching of 4 or more components does."""
+    components, which no matching of 4 or more components does.  They
+    join them in a path with no supreme forest: the only flows are
+    lambda(G)'s 3k - 1."""
     edges = [(3 * c + i, 3 * c + i + 1, 1) for c in range(k) for i in (0, 1)]
     g = Graph.build(3 * k, edges, range(3 * k))
     beta = {3 * c + i: 1 for c in range(k) for i in (0, 1)}
@@ -234,6 +236,8 @@ def test_splitoff_path_star_at_tau_1(k):
     adds, report = splitoff_pipeline(gx, x)
     assert report["tau"] == 1 and adds.total_weight == k, report
     assert oracle.verify_solution(g, 1, adds, beta)[0]
+    assert report["max_flow_calls"] == 3 * k - 1, report
+    assert "supreme" not in report and report["phases"]["tree"] == k - 1
 
 
 def test_splitoff_rejections():
