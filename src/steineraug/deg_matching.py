@@ -2,8 +2,9 @@
 
 At connectivity tau-1 (tau >= 2) the demand-1 groups are the terminal
 sets of minimal Steiner min cuts; their supreme sets are recovered with
-isolating cuts, and inside each supreme set some vertex still holds
-vacant external degree.  The random matching of the unconstrained step
+isolating cuts (no flow when every vertex with vacant degree is a
+terminal), and inside each supreme set some vertex still holds vacant
+external degree.  The random matching of the unconstrained step
 then runs unchanged, except every matched edge attaches to such a
 surrogate vertex instead of a terminal.  When the number of groups is
 odd and no group can pay for two edges, one spare unit of vacant degree
@@ -26,10 +27,15 @@ def find_surrogates(g: Graph, K_prime: Sequence[frozenset[int]],
                     ) -> dict[frozenset[int], tuple[frozenset[int], int]]:
     """Per group k: its supreme set mu(k) (minimal isolating cut) and the
     lowest-id vertex of mu(k) with vacant degree.  Each group is the
-    terminal set of a Steiner cut, so the parts are 2 or more."""
+    terminal set of a Steiner cut, so the parts are 2 or more.  When
+    every vertex with vacant degree is a terminal, k stands for mu(k)
+    at no flow: mu(k) & T = k, so both hold the same vacant vertices."""
     groups = [frozenset(k) for k in K_prime]
-    rest = frozenset(g.terminals) - frozenset().union(*groups)
-    cuts = flow.isolating_cuts(g, groups + ([rest] if rest else []))
+    if all(v in g.terminals for v, w in beta.items() if w >= 1):
+        cuts = {k: k for k in groups}
+    else:
+        rest = frozenset(g.terminals) - frozenset().union(*groups)
+        cuts = flow.isolating_cuts(g, groups + ([rest] if rest else []))
     out = {}
     for k in groups:
         mu = cuts[k]

@@ -134,17 +134,20 @@ def add_edges(g: Graph, F: EdgeAdditions) -> Graph:
 
 def least_steiner_cut(g: Graph, limit: Optional[int] = None
                       ) -> Optional[FlowResult]:
-    """`flow.least_cut` over the flows from the least terminal s to each
-    other terminal t, made as they are read: a least lambda(s, t) is a
-    Steiner min cut.  None below 2 terminals."""
+    """`flow.least_cut` over the flows from each sorted terminal t_i to
+    all earlier ones t_0..t_{i-1}, made as they are read: the first
+    terminal on the far side of a Steiner min cut from t_0 sees every
+    earlier one across it, so the least is a Steiner min cut (the growing
+    sink of Hao and Orlin, J. Algorithms 1994).  Its `sink_side` holds
+    the least terminal.  None below 2 terminals."""
     from . import flow  # local import to avoid a cycle
 
     ts = sorted(g.terminals)
     if len(ts) < 2:
         return None
     net = flow.FlowNetwork.undirected(g)
-    return flow.least_cut((flow.max_flow(net, ts[:1], (t,), 0)
-                           for t in ts[1:]), limit)
+    return flow.least_cut((flow.max_flow(net, (t,), ts[:i], 0)
+                           for i, t in enumerate(ts[1:], 1)), limit)
 
 
 def steiner_connectivity(g: Graph, limit: Optional[int] = None) -> int:

@@ -128,8 +128,9 @@ def verify_solution(g: Graph, tau: int, F: EdgeAdditions,
     """Check connectivity(g+F) >= tau and optional per-vertex budgets.
 
     Returns (ok, witness); the witness is an offending vertex id for a
-    budget violation, or else a violated cut: the minimal source side of
-    the first terminal below tau in `least_steiner_cut(g + F, tau)`.
+    budget violation, or else a violated cut holding the least terminal:
+    the minimal sink side of the first solve below tau in
+    `least_steiner_cut(g + F, tau)`.
     """
     if beta is not None:
         for u in range(g.n):
@@ -137,4 +138,4 @@ def verify_solution(g: Graph, tau: int, F: EdgeAdditions,
                 return False, u
     res = least_steiner_cut(add_edges(g, F), tau)
     ok = res is None or res.value >= tau
-    return ok, None if ok else res.source_side
+    return ok, None if ok else res.sink_side

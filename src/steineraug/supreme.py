@@ -184,15 +184,26 @@ def _flow_tree(net: flow.FlowNetwork, ts: list[int],
     over themselves, and lambda(u, p) >= limit makes min(lambda(u, v),
     limit) = min(lambda(p, v), limit) for every v, so the tree gives
     min(lambda, limit) for every pair.  With `keep`, the stopped solves
-    are returned while no edge is exact, else none."""
+    are returned while no edge is exact, else none.
+
+    Each flow runs from u to p's known class: p and the leaves stopped
+    below it so far, pairwise at least `limit` apart, so the BFS stops
+    at the nearest of them.  A cut below `limit` separating u from p
+    keeps the class on p's side, so the u-p and u-class solves have the
+    same min cuts, value and minimal source side, and stop together.
+    At a root of one class the stopped solves run from each terminal to
+    all earlier ones, and their least is lambda (Hao and Orlin,
+    J. Algorithms 1994)."""
     parent = dict.fromkeys(ts[1:], ts[0])
+    cls = {t: [t] for t in ts}
     adj: dict[int, list[tuple[int, int]]] = {t: [] for t in ts}
     stopped: list[flow.FlowResult] = []
     for i, u in enumerate(ts[1:], 1):
         p = parent[u]
-        res = flow.max_flow(net, (u,), (p,), limit)
+        res = flow.max_flow(net, (u,), cls[p], limit)
         if res.source_side is None:
             value = limit
+            cls[p].append(u)
             if keep:
                 stopped.append(res)
         else:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from steineraug import flow
 from steineraug.deg_chains import split_off_chains
 from steineraug.deg_external import deg_external_augment
 from steineraug.deg_matching import deg_augment_by_one, find_surrogates
@@ -24,6 +25,32 @@ def test_find_surrogates_split_fixture():
     mu_t, sur_t = info[frozenset({3})]
     assert mu_t == frozenset({3})
     assert sur_t == 3
+
+
+def test_find_surrogates_on_terminal_budgets_takes_no_flow():
+    """With vacant degree only on terminals, each group stands for its
+    minimal isolating cut at no flow: the same vacant vertices and the
+    same surrogate as the cut's."""
+    rng = random.Random(23)
+    for idx in range(60):
+        g = random_connected(idx)
+        ts = sorted(g.terminals)
+        rng.shuffle(ts)
+        cut = rng.randint(1, len(ts) - 1)
+        groups = [frozenset(ts[:cut]), frozenset(ts[cut:])][:rng.randint(1, 2)]
+        beta = {t: rng.randint(0, 2) for t in g.terminals}
+        for k in groups:
+            beta[min(k)] = 1
+        before = flow.max_flow_call_count()
+        info = find_surrogates(g, groups, beta)
+        assert flow.max_flow_call_count() == before, idx
+        rest = frozenset(g.terminals) - frozenset().union(*groups)
+        cuts = flow.isolating_cuts(g, groups + ([rest] if rest else []))
+        for k in groups:
+            mu, sur = info[k]
+            assert {v for v in mu if beta.get(v)} == \
+                {v for v in cuts[k] if beta.get(v)}, idx
+            assert sur == min(v for v in cuts[k] if beta.get(v)), idx
 
 
 def test_deg_augment_split_fixture():

@@ -97,15 +97,17 @@ def test_steiner_connectivity_stops_at_first_lambda_below():
 
 
 def test_least_steiner_cut_is_the_least_terminal_flow():
-    """The first least of the flows from the least terminal: its value is
-    steiner_connectivity's, and its source side a Steiner cut of it."""
+    """The first least of the flows from each terminal to the earlier
+    ones: its value is steiner_connectivity's, both its sides are Steiner
+    cuts of it, and its sink side holds the least terminal."""
     for idx in range(40):
         g = random_connected(idx)
         res = least_steiner_cut(g)
         assert res.value == steiner_connectivity(g), idx
-        assert min(g.terminals) in res.source_side
-        assert cut_value(g, res.source_side) == res.value, idx
-        assert is_steiner_cut(g, res.source_side), idx
+        assert min(g.terminals) in res.sink_side, idx
+        for side in (res.source_side, res.sink_side):
+            assert cut_value(g, side) == res.value, idx
+            assert is_steiner_cut(g, side), idx
     assert least_steiner_cut(Graph.build(2, [(0, 1, 1)], [1])) is None
 
 
