@@ -10,7 +10,7 @@ The package computes, for a weighted undirected graph with a terminal set:
   forest nodes, random matchings);
 - a complete splitting-off of an external vertex under per-vertex degree
   budgets (heavy-path flow networks, the same chain scheduler over the
-  external phase's ledger, surrogate matchings);
+  endpoint slots the external phase emits, surrogate matchings);
 - exponential-time oracles that certify all of the above on small graphs.
 """
 

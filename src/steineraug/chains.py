@@ -6,9 +6,11 @@ its ends.  Every edge end spends one unit of an *endpoint slot*: a
 budget (`remaining`) at a `vertex` whose use raises the c values on the
 root path of the slot's `node`; within a root, vacant slots are spent in
 `key` order.  Optimal augmentation has one slot per budgeted terminal
-(budget_slots); splitting-off has one per ledger entry of the external
-phase (deg_chains).  Chain ends always lie under different roots, so an
-edge raises exactly the two root paths of its ends.
+(budget_slots); splitting-off has one per weight block the external
+phase placed (deg_external).  A chain is its list of endpoint uses,
+a1, b2, a2, ..., br, whose pairs (a_i, b_(i+1)) are its edges F.  Chain
+ends always lie under different roots, so an edge raises exactly the
+two root paths of its ends.
 
 Each batch commits t_F = min(t1, t2, t3) copies of the chain: t1 is
 when a slot runs dry, t2 when a root reaches demand 1, t3 when a node's
@@ -21,6 +23,7 @@ number of endpoint uses below it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,24 +45,16 @@ class Slot:
 
 @dataclass
 class Chain:
-    roots: list[int]                      # X1..Xr (forest node ids)
-    a: dict[int, Optional[Slot]]          # outgoing endpoint per root
-    b: dict[int, Optional[Slot]]          # incoming endpoint per root
+    roots: list[int]      # X1..Xr (forest node ids)
+    ends: list[Slot]      # a1, b2, a2, ..., br: edge i runs a_i -> b_(i+1)
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(self.a[r].vertex, self.b[s].vertex)
-                for r, s in zip(self.roots, self.roots[1:])]
+        return [(a.vertex, b.vertex)
+                for a, b in zip(self.ends[::2], self.ends[1::2])]
 
-    def uses(self) -> list[Slot]:
-        """Slot per endpoint occurrence; middles appear twice."""
-        return [s for r in self.roots for s in (self.b[r], self.a[r])
-                if s is not None]
-
-    def d_F(self) -> dict[Slot, int]:
-        d: dict[Slot, int] = {}
-        for s in self.uses():
-            d[s] = d.get(s, 0) + 1
-        return d
+    def d_F(self) -> Counter[Slot]:
+        """Endpoint uses per slot; a middle root's slot may be used twice."""
+        return Counter(self.ends)
 
 
 class ChainScheduler:
@@ -110,20 +105,19 @@ class ChainScheduler:
         end2 = min((r for r in roots if r != end1),
                    key=lambda r: (self.c(r), -r))
         order = [end1] + sorted(set(roots) - {end1, end2}) + [end2]
-        a: dict[int, Optional[Slot]] = {}
-        b: dict[int, Optional[Slot]] = {}
+        ends: list[Slot] = []
         for r in order:
             vac = vacant.get(r)
             if not vac:
                 raise RuntimeError(f"demand root {r} has no vacant slot")
-            b[r] = None if r == end1 else vac[0]
-            a[r] = None if r == end2 else vac[0]
-            if r not in (end1, end2) and vac[0].remaining < 2:
-                if len(vac) < 2:
-                    raise RuntimeError(
-                        f"root {r} cannot supply two endpoint slots")
-                a[r] = vac[1]
-        chain = Chain(order, a, b)
+            ends.append(vac[0])  # b, or an end root's only end
+            if r in (end1, end2):
+                continue
+            if vac[0].remaining < 2 and len(vac) < 2:
+                raise RuntimeError(
+                    f"root {r} cannot supply two endpoint slots")
+            ends.append(vac[vac[0].remaining < 2])  # a: b's slot if 2 left
+        chain = Chain(order, ends)
         prev = set(self.chain.edges()) if self.chain is not None else set()
         self.edge_update_count += len(set(chain.edges()) - prev)
         self.chain = chain
@@ -135,7 +129,7 @@ class ChainScheduler:
         """Per-copy c increment per forest node (live ancestors of each
         endpoint use's node)."""
         rate: dict[int, int] = {}
-        for s in chain.uses():
+        for s in chain.ends:
             i: Optional[int] = self.lowest_live(s.node)
             while i is not None:
                 rate[i] = rate.get(i, 0) + 1

@@ -45,6 +45,9 @@ def parse_graph_text(text: str) -> tuple[Graph, Optional[int]]:
     if len(head) not in (3, 4):
         raise InputError("header must be 'n m |T| [tau]'")
     n, m, nt = head[:3]
+    for name, count in (("n", n), ("m", m), ("|T|", nt)):
+        if count < 0:
+            raise InputError(f"header field {name} is negative: {count}")
     tau = head[3] if len(head) == 4 else None
     if len(lines) != 2 + m:
         raise InputError(f"expected {m} edge lines plus a terminal line")

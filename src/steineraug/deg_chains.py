@@ -2,35 +2,29 @@
 
 Runs the shared chain scheduler (chains.ChainScheduler) on L_high: the
 external phase's forest with every node below an L2 node (the highest
-critical nodes, which become its leaves) spliced out.  Every entry of
-the external phase's ledger (the weight one heavy path placed at one
-vertex) becomes one endpoint slot at its path's anchor, the L2 node the
-path ends at (upper level) or hangs below (lower level); a root spends
-lower-level slots first, then those of shallower paths, then by vertex
-and path id.  L2 nodes are leaves of L_high, so they are never deleted.
+critical nodes, which become its leaves) spliced out.  The endpoint
+slots are the external phase's (`DegExternalState.slots`), one per
+weight block a heavy path placed at one vertex, at the path's anchor;
+the chains spend them in place.  L2 nodes are leaves of L_high, so they
+are never deleted.
 """
 
 from __future__ import annotations
 
-from .chains import ChainScheduler, Slot
+from .chains import ChainScheduler
 from .deg_external import DegExternalState
 from .graph import EdgeAdditions, Graph
 
 
 def ledger_scheduler(g: Graph, state: DegExternalState) -> ChainScheduler:
-    """Scheduler over L_high with one slot per ledger entry; splices the
-    nodes outside L_high out of state.forest, which the chains then own."""
+    """Scheduler over L_high with the external phase's slots.  Single-use:
+    it splices the nodes outside L_high out of state.forest and spends
+    state.slots in place."""
     forest, hld = state.forest, state.hld
     for i in forest.live():
         if i not in hld.lhigh:
             forest.delete_node(i)
-    slots = []
-    for asg in state.assignments:
-        path = hld.paths[asg.path_id]
-        rank = 0 if path.level == "lower" else 1
-        slots.append(Slot(asg.vertex, asg.weight, path.anchor,
-                          (rank, path.depth, asg.vertex, asg.path_id)))
-    return ChainScheduler(g, forest, slots, state.tau)
+    return ChainScheduler(g, forest, state.slots, state.tau)
 
 
 def split_off_chains(g: Graph, state: DegExternalState

@@ -9,9 +9,11 @@ demand, is rdem of its top minus the rdem of the paths hanging off it;
 that telescopes to the sum of its nodes' excess (rdem minus the
 children's rdem), and the sum from any node down is the demand below
 it.  The paths, the critical nodes and L2 are those of
-`forest.HeavyPathDecomposition`.  Each new weight block is one ledger
-entry (`DegAssignment`) naming the path that placed it; the chain phase
-(deg_chains) spends the ledger.
+`forest.HeavyPathDecomposition`.  Each new weight block is one endpoint
+slot (`chains.Slot`) of the chain phase (deg_chains), at the anchor of
+the path that placed it: the L2 node the path ends at (upper level) or
+hangs below (lower level).  Lower-level slots are spent first, then
+those of shallower paths, then by vertex and path id.
 """
 
 from __future__ import annotations
@@ -20,21 +22,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import flow
+from .chains import Slot
 from .forest import HeavyPath, HeavyPathDecomposition, LaminarForest
 from .graph import Graph, star_graph, steiner_connectivity
 
 
 class InfeasibleBudgetError(ValueError):
     """beta cannot raise the Steiner connectivity to tau."""
-
-
-@dataclass
-class DegAssignment:
-    """One unit block of external weight and the path that placed it."""
-
-    vertex: int
-    weight: int
-    path_id: int
 
 
 @dataclass
@@ -45,7 +39,7 @@ class DegExternalState:
     forest: LaminarForest
     hld: HeavyPathDecomposition
     wx: dict[int, int] = field(default_factory=dict)
-    assignments: list[DegAssignment] = field(default_factory=list)
+    slots: list[Slot] = field(default_factory=list)
 
 
 def check_feasibility(g: Graph, tau: int, beta: dict[int, int]) -> bool:
@@ -151,7 +145,8 @@ def process_path(state: DegExternalState, path: HeavyPath) -> None:
                 raise RuntimeError(
                     "new weight must land inside the highest critical set")
             state.wx[u] = state.wx.get(u, 0) + fval
-            state.assignments.append(DegAssignment(u, fval, path.id))
+            state.slots.append(Slot(u, fval, path.anchor, (
+                path.level != "lower", path.depth, u, path.id)))
 
 
 def deg_external_augment(g: Graph, tau: int, beta: dict[int, int],
@@ -161,7 +156,7 @@ def deg_external_augment(g: Graph, tau: int, beta: dict[int, int],
 
     The forest must already have rdem computed for tau.  The paths are
     those of the two-level decomposition (upper paths ending at the
-    highest critical nodes), so the assignment records feed the chain
+    highest critical nodes), so the slots it emits feed the chain
     phase.  Raises InfeasibleBudgetError if beta cannot reach tau.
     """
     if not check_feasibility(g, tau, beta):

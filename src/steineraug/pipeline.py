@@ -199,7 +199,6 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0
                     "target_weight": dx // 2, "phases": {}}
 
     out = EdgeAdditions(())
-    stats: dict = {"connectivity": tau}
     if tau == 1:
         # x reaches 2 or more budgeted vertices in each terminal component
         # (no cut edge to x; a component it missed would make tau 0).
@@ -213,24 +212,25 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0
         if out.entries:
             report["phases"]["tree"] = out.total_weight
     elif tau > 1:  # else lambda(g) < tau cannot hold
+        stats: dict = {}
         forest = supreme_forest(g, stats=stats, tau=tau)
-    if stats["connectivity"] < tau:
-        report["supreme"] = recursion_report(stats)
-        forest.compute_rdem(tau)
-        # beta is x's own star, so it reaches tau = lambda(g + x) and
-        # deg_external_augment's feasibility check would always pass.
-        state = _augment_feasible(g, tau, beta, forest)
-        chain_adds, sched = split_off_chains(g, state)
-        report["phases"]["chains"] = chain_adds.total_weight
-        g1 = add_edges(g, chain_adds)
-        # Each split edge spends one unit of x's star at both ends, so the
-        # budget left at u is beta(u) minus u's degree in the edges added.
-        rem = {u: w - chain_adds.degree(u) for u, w in beta.items()}
-        K_prime = build_K(sched.forest, tau)
-        rng = random.Random(seed ^ 0x5DEECE66D)
-        match_adds = deg_augment_by_one(g1, tau, rem, K_prime, rng)
-        report["phases"]["matching"] = match_adds.total_weight
-        out = chain_adds.combine(match_adds)
+        if stats["connectivity"] < tau:
+            report["supreme"] = recursion_report(stats)
+            forest.compute_rdem(tau)
+            # beta is x's own star, so it reaches tau = lambda(g + x) and
+            # deg_external_augment's feasibility check would always pass.
+            state = _augment_feasible(g, tau, beta, forest)
+            chain_adds, sched = split_off_chains(g, state)
+            report["phases"]["chains"] = chain_adds.total_weight
+            g1 = add_edges(g, chain_adds)
+            # A split edge spends a unit of x's star at both ends: u's budget
+            # left is beta(u) minus u's degree in the edges added.
+            rem = {u: w - chain_adds.degree(u) for u, w in beta.items()}
+            K_prime = build_K(sched.forest, tau)
+            rng = random.Random(seed ^ 0x5DEECE66D)
+            match_adds = deg_augment_by_one(g1, tau, rem, K_prime, rng)
+            report["phases"]["matching"] = match_adds.total_weight
+            out = chain_adds.combine(match_adds)
 
     remaining = {u: w - out.degree(u) for u, w in beta.items()}
     over = [u for u, w in remaining.items() if w < 0]

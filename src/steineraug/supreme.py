@@ -169,22 +169,25 @@ def _expand(X, labels: list[frozenset[int]]) -> frozenset[int]:
 
 def _flow_tree(net: flow.FlowNetwork, ts: list[int],
                limit: Optional[int] = None, keep: bool = False
-               ) -> tuple[dict[int, list[tuple[int, int]]],
+               ) -> tuple[list[tuple[int, int, int]], dict[int, list[int]],
                           list[flow.FlowResult]]:
     """Gusfield's equivalent-flow tree over the sorted terminals `ts`, as
-    adjacency lists of (neighbour, lambda) pairs: lambda(s, u) is the
-    least value on the tree path from s to u.  Each later terminal starts
-    below ts[0]; u is cut from its tree parent, and the later terminals
-    in the minimal source side that share that parent move below u.
-    |T| - 1 flows (Gusfield, SIAM J. Comput. 1990).
+    one edge (lambda, u, parent) per later terminal u: lambda(s, v) is
+    the least value on the tree path from s to v.  Each later terminal
+    starts below ts[0]; u is cut from its tree parent, and the later
+    terminals in the minimal source side that share that parent move
+    below u.  |T| - 1 flows (Gusfield, SIAM J. Comput. 1990).
 
     With `limit`, a flow that reaches it stops and gives its edge the
     value `limit`, and nobody moves below u: a stopped terminal is a leaf
     below one whose flow did not stop.  The others see Gusfield's run
     over themselves, and lambda(u, p) >= limit makes min(lambda(u, v),
     limit) = min(lambda(p, v), limit) for every v, so the tree gives
-    min(lambda, limit) for every pair.  With `keep`, the stopped solves
-    are returned while no edge is exact, else none.
+    min(lambda, limit) for every pair.  The `limit` edges join the
+    tau-classes, returned as a map from each head (ts[0] or a terminal
+    whose flow did not stop) to its members, the head and the leaves
+    stopped below it, in ts order.  With `keep`, the stopped solves are
+    returned while no edge is exact, else none.
 
     Each flow runs from u to p's known class: p and the leaves stopped
     below it so far, pairwise at least `limit` apart, so the BFS stops
@@ -196,14 +199,14 @@ def _flow_tree(net: flow.FlowNetwork, ts: list[int],
     J. Algorithms 1994)."""
     parent = dict.fromkeys(ts[1:], ts[0])
     cls = {t: [t] for t in ts}
-    adj: dict[int, list[tuple[int, int]]] = {t: [] for t in ts}
+    edges: list[tuple[int, int, int]] = []
     stopped: list[flow.FlowResult] = []
     for i, u in enumerate(ts[1:], 1):
         p = parent[u]
         res = flow.max_flow(net, (u,), cls[p], limit)
         if res.source_side is None:
             value = limit
-            cls[p].append(u)
+            cls[p] += cls.pop(u)
             if keep:
                 stopped.append(res)
         else:
@@ -212,30 +215,30 @@ def _flow_tree(net: flow.FlowNetwork, ts: list[int],
             for v in ts[i + 1:]:
                 if parent[v] == p and v in res.source_side:
                     parent[v] = u
-        adj[u].append((p, value))
-        adj[p].append((u, value))
-    return adj, stopped
+        edges.append((value, u, p))
+    return edges, cls, stopped
 
 
 def _balanced_split(net: flow.FlowNetwork, ts: list[int],
-                    tree: dict[int, list[tuple[int, int]]]
-                    ) -> frozenset[int]:
+                    tree: list[tuple[int, int, int]]) -> frozenset[int]:
     """Minimal source side of a min cut between the most balanced
     threshold set of the sorted terminals `ts` (at least 4) and the rest,
     one flow; balanced means >= 2 and >= |T|/16 terminals on each side.
-    Each join of an edge of the flow tree `tree`, in decreasing lambda,
-    makes a threshold set {u : lambda(s, u) >= phi}, phi the edge's value;
-    a tie of the largest smaller side goes to the smaller least terminal,
-    then to the first formed.  The perturbation makes positive tree values
-    distinct.  Zero edges come last, after every positive one has joined
-    each component's terminals, so a zero join makes a union of
-    components; its min cut has value 0 (module docstring).
+    Each join of an edge (lambda, u, v) of the flow tree `tree`, in
+    decreasing lambda, makes a threshold set {s : lambda(u, s) >= phi},
+    phi the edge's value; a tie of the largest smaller side goes to the
+    smaller least terminal, then to the first formed.  The perturbation
+    makes positive tree values distinct.  Zero edges come last, after
+    every positive one has joined each component's terminals, so a zero
+    join makes a union of components; its min cut has value 0 (module
+    docstring), and zero edges join in decreasing order of their smaller
+    and then larger end.
 
     A balanced join always exists: walking back from the last join, which
     makes all k terminals, through the larger part of each join, every
     part has at least half the terminals of the next, so the first part
     with <= k - max(2, k/16) terminals has >= max(2, k/16)."""
-    edges = sorted(((c, u, v) for u in ts for v, c in tree[u] if u < v),
+    edges = sorted(((c, min(u, v), max(u, v)) for c, u, v in tree),
                    reverse=True)
     if any(a[0] == b[0] > 0 for a, b in zip(edges, edges[1:])):
         raise RuntimeError("tied positive flow-tree values: cuts not unique")
@@ -269,14 +272,8 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
     net = flow.FlowNetwork(len(labels), [(u, v, w) for (u, v), w
                                          in weights.items()], False)
     if len(ts) > 3:
-        tree, stopped = _flow_tree(net, ts, limit, keep=depth == 0)
-        low = min(c for u in ts for _, c in tree[u])
-        # A tau-class is a terminal whose flow did not stop and the
-        # stopped leaves below it (`_flow_tree`), all after it in ts.
-        classes: dict[int, list[int]] = {}
-        for u in ts:
-            head = min([u] + [v for v, c in tree[u] if c == limit])
-            classes.setdefault(head, []).append(u)
+        tree, classes, stopped = _flow_tree(net, ts, limit, keep=depth == 0)
+        low = min(tree)[0]
         stats["capped"] += len(ts) - len(classes)
         if len(classes) == 1:
             stats["pruned"] += 1
@@ -291,12 +288,8 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
                 weights, labels)
             # Each class is merged whole, so the edges left are an exact
             # flow tree of the merged node.
-            contracted: dict[int, list[tuple[int, int]]] = {
-                phi[t]: [] for t in ts}
-            for u in ts:
-                contracted[phi[u]] += [(phi[v], c) for v, c in tree[u]
-                                       if c != limit]
-            tree, ts = contracted, sorted(terminals)
+            tree = [(c, phi[u], phi[p]) for c, u, p in tree if c != limit]
+            ts = sorted(terminals)
             net = flow.FlowNetwork(len(labels), [(u, v, w) for (u, v), w
                                                  in weights.items()], False)
     # Below 4 terminals no bipartition leaves >= 2 on each side, which is

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -55,6 +56,22 @@ def test_parse_graph_text():
 def test_parse_errors(text):
     with pytest.raises(cli.InputError):
         cli.parse_graph_text(text)
+
+
+@pytest.mark.parametrize("text,field", [
+    ("3 -1 3\n", "m"),        # 2 + m = 1 line: the header alone
+    ("-2 1 2\n0 1 1\n0 1\n", "n"),
+    ("2 1 -2\n0 1 1\n0 1\n", "|T|"),
+], ids=["m", "n", "T"])
+def test_negative_header_count_is_input_error(tmp_path, capsys, text, field):
+    """A negative count is named, never read as a line count that takes
+    the header for the terminal line."""
+    with pytest.raises(cli.InputError, match=f"field {re.escape(field)} "):
+        cli.parse_graph_text(text)
+    path = write(tmp_path, "g.txt", text)
+    assert cli.main(["augment", path, "--tau", "3"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: header field {field} is negative")
 
 
 def test_augment_command(tmp_path, capsys):

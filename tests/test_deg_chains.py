@@ -24,7 +24,7 @@ def test_split_fixture_nonterminal_endpoint(checked_expiration):
     sched = ledger_scheduler(g, state)
     chain = sched.build_chain()
     assert chain is not None
-    ends = [chain.a[chain.roots[0]].vertex, chain.b[chain.roots[-1]].vertex]
+    ends = [chain.ends[0].vertex, chain.ends[-1].vertex]
     assert sorted(ends)[0] in (1, 2)      # nonterminal side
     assert 3 in ends                      # terminal side
     adds = sched.run()

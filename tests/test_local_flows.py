@@ -101,8 +101,19 @@ def _logged(monkeypatch) -> dict:
     return log
 
 
+def _adjacency(edges, ts):
+    """The flow tree's edges (lambda, u, parent) as the reference's
+    adjacency lists."""
+    adj: dict[int, list[tuple[int, int]]] = {t: [] for t in ts}
+    for c, u, p in edges:
+        adj[u].append((p, c))
+        adj[p].append((u, c))
+    return adj
+
+
 def _classes(tree, ts, limit):
-    """The tau-classes as `supreme._recurse` reads them off the tree."""
+    """The tau-classes read off the reference's tree: each terminal with
+    the earliest of itself and its `limit` neighbours."""
     classes: dict[int, list[int]] = {}
     for u in ts:
         head = min([u] + [v for v, c in tree[u] if c == limit])
@@ -127,15 +138,16 @@ def test_flow_tree_to_the_class_matches_the_parent_flows(kind, monkeypatch):
         for tau in _taus(g):
             limit = None if tau is None else tau * (1 << len(weights)) + 1
             log.clear()
-            tree, stopped = _flow_tree(net, ts, limit, keep=True)
+            tree, classes, stopped = _flow_tree(net, ts, limit, keep=True)
             solves = dict(log)
             log.clear()
             ref_tree, ref_stopped = _flow_tree_to_parent(net, ts, limit,
                                                          keep=True)
             where = (kind, idx, tau)
-            assert tree == ref_tree, where
-            assert _classes(tree, ts, limit) == \
+            assert _adjacency(tree, ts) == ref_tree, where
+            assert sorted(classes.values()) == \
                 _classes(ref_tree, ts, limit), where
+            assert all(K[0] == head for head, K in classes.items()), where
             assert solves == log, where
             assert len(stopped) == len(ref_stopped), where
             if stopped:

@@ -239,12 +239,17 @@ def test_base_case_one_flow_per_complementary_pair():
 
 
 def _lambda_row(tree, s):
-    """lambda(s, u) for every other terminal u: path minima from s."""
+    """lambda(s, u) for every other terminal u: path minima from s over
+    the flow tree's edges (lambda, u, v)."""
+    adj: dict = {s: []}
+    for c, u, v in tree:
+        adj.setdefault(u, []).append((v, c))
+        adj.setdefault(v, []).append((u, c))
     row = {s: math.inf}
     stack = [s]
     while stack:
         u = stack.pop()
-        for v, c in tree[u]:
+        for v, c in adj[u]:
             if v not in row:
                 row[v] = min(row[u], c)
                 stack.append(v)
@@ -287,23 +292,23 @@ def test_flow_tree_rows_match_naive_rows():
                             in perturb(g).items()]
         net = flow.FlowNetwork(n, arcs, False)
         ts = sorted(rng.sample(range(n), rng.randint(2, n)))
-        tree, _ = _flow_tree(net, ts)
+        tree, _, _ = _flow_tree(net, ts)
         rows = {s: _naive_row(net, ts, s) for s in ts}
         for s in ts:
             assert _lambda_row(tree, s) == rows[s], (i, s)
             zeros += 0 in rows[s].values()
         values = sorted({c for row in rows.values() for c in row.values()})
         for H in {values[0] + 1, values[len(values) // 2], values[-1]}:
-            capped, kept = _flow_tree(net, ts, H, keep=True)
+            capped, _, kept = _flow_tree(net, ts, H, keep=True)
             for s in ts:
                 assert _lambda_row(capped, s) == \
                     {u: min(c, H) for u, c in rows[s].items()}, (i, s, H)
-            edges = [c for s in ts for _, c in capped[s]]
+            edges = [c for c, _, _ in capped]
             assert max(edges) <= H
             exact = any(c < H for c in edges)
             assert len(kept) == (0 if exact else len(ts) - 1), (i, H)
             assert all(r.source_side is None for r in kept)
-            stopped += edges.count(H) // 2
+            stopped += edges.count(H)
     assert zeros > 0 and stopped > 0
 
 
@@ -341,7 +346,7 @@ def test_balanced_split_costs_one_tree_and_one_split():
         net = flow.FlowNetwork.undirected(g, perturb(g))
         ts = sorted(g.terminals)
         before = flow.max_flow_call_count()
-        tree, _ = _flow_tree(net, ts)
+        tree, _, _ = _flow_tree(net, ts)
         side = _balanced_split(net, ts, tree)
         calls = flow.max_flow_call_count() - before
         assert calls == len(ts), (i, calls)
@@ -354,8 +359,7 @@ def test_balanced_split_costs_one_tree_and_one_split():
 def test_balanced_split_raises_on_tied_tree_values():
     """Tied positive values would make the threshold sets depend on the
     join order; the perturbation rules them out, and a tie raises."""
-    tree = {0: [(1, 5)], 1: [(0, 5), (2, 5)], 2: [(1, 5), (3, 3)],
-            3: [(2, 3)]}
+    tree = [(5, 1, 0), (5, 2, 1), (3, 3, 2)]
     with pytest.raises(RuntimeError, match="tied"):
         _balanced_split(None, [0, 1, 2, 3], tree)
 
@@ -369,14 +373,45 @@ def test_balanced_split_joins_zero_edges():
         ts = list(range(k))
         net = flow.FlowNetwork(k, [], False)
         for shape in ("path", "star", "random"):
-            tree: dict = {t: [] for t in ts}
+            tree = []
             for v in range(1, k):
                 u = {"path": v - 1, "star": 0,
                      "random": rng.randrange(v)}[shape]
-                tree[u].append((v, 0))
-                tree[v].append((u, 0))
+                tree.append((0, v, u))
             side = len(_balanced_split(net, ts, tree))
             assert min(side, k - side) >= max(2, k / 16), (k, shape, side)
+
+
+def test_split_tree_is_an_exact_flow_tree_after_a_merge(monkeypatch):
+    """The tree a split reads is an exact flow tree of its node, also
+    when the node first merged its tau-classes and kept only the exact
+    edges: its path minima are the direct flows between the merged
+    node's terminals.  Some splits follow a merge at their node."""
+    stats: dict = {}
+    merged_at_tree = []
+    splits = after_merge = 0
+
+    def recorded_tree(net, ts, limit=None, keep=False):
+        merged_at_tree.append(stats["merged"])
+        return _flow_tree(net, ts, limit, keep)
+
+    def checked_split(net, ts, tree):
+        nonlocal splits, after_merge
+        for s in ts:
+            assert _lambda_row(tree, s) == _naive_row(net, ts, s), s
+        splits += 1
+        after_merge += stats["merged"] > merged_at_tree[-1]
+        return _balanced_split(net, ts, tree)
+
+    monkeypatch.setattr("steineraug.supreme._flow_tree", recorded_tree)
+    monkeypatch.setattr("steineraug.supreme._balanced_split", checked_split)
+    graphs = ([random_connected(idx) for idx in range(150)]
+              + [tree_plus_2n(n, 31337 + n, n // 3) for n in (30, 45, 60)])
+    for g in graphs:
+        lam = steiner_connectivity(g)
+        for tau in (lam + 1, lam + 2, lam + 3):
+            supreme_forest(g, stats=stats, tau=tau)
+    assert after_merge > 0 and splits > after_merge, (splits, after_merge)
 
 
 CORPUS_SIZE = 200
