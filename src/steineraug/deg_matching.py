@@ -9,13 +9,14 @@ then runs unchanged, except every matched edge attaches to such a
 surrogate vertex instead of a terminal.  When the number of groups is
 odd and no group can pay for two edges, one spare unit of vacant degree
 outside every supreme set joins the matching as a group of its own, so
-every edge added comes out of the checked matching.
+every edge added comes out of the checked matching, whose checks run
+over g's tau-classes as in `matching`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import flow
 from .graph import EdgeAdditions, Graph
@@ -49,8 +50,11 @@ def find_surrogates(g: Graph, K_prime: Sequence[frozenset[int]],
 
 def deg_augment_by_one(g: Graph, tau: int, beta: dict[int, int],
                        K_prime: Sequence[frozenset[int]],
-                       rng: random.Random) -> EdgeAdditions:
-    """Matching step with surrogate endpoints; budget-respecting."""
+                       rng: random.Random,
+                       classes: Optional[Sequence[Iterable[int]]] = None
+                       ) -> EdgeAdditions:
+    """Matching step with surrogate endpoints; budget-respecting.
+    `classes` as in `matching.match_groups`."""
     if not K_prime:
         return EdgeAdditions(())
     info = find_surrogates(g, K_prime, beta)
@@ -89,4 +93,5 @@ def deg_augment_by_one(g: Graph, tau: int, beta: dict[int, int],
         groups.append(k)
 
     return match_groups(g, groups, tau, rng, edge_vertex=surrogate,
-                        on_commit=consume, capacity=budget_inside)
+                        on_commit=consume, capacity=budget_inside,
+                        classes=classes)

@@ -59,21 +59,28 @@ class FlowNetwork:
     def __init__(self, n: int, arcs: Iterable[tuple[int, int, Optional[int]]],
                  directed: bool = True) -> None:
         self.n = n
-        self.arcs = tuple(arcs)
-        self.inf = 1 + sum(c for (_, _, c) in self.arcs if c is not None)
+        self.arcs = arcs = tuple(arcs)
         self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        for i, (u, v, c) in enumerate(self.arcs):
+        head, inf = self.head, 1
+        a = 0
+        for (u, v, c) in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc endpoint out of range: {(u, v)}")
-            if c is not None and c < 0:
-                raise ValueError(f"negative capacity: {(u, v, c)}")
-            c = self.inf if c is None else c
-            self.head[u].append(2 * i)
-            self.head[v].append(2 * i + 1)
-            self.to += (v, u)
-            self.cap += (c, 0 if directed else c)
+            if c is not None:
+                if c < 0:
+                    raise ValueError(f"negative capacity: {(u, v, c)}")
+                inf += c
+            head[u].append(a)
+            head[v].append(a + 1)
+            a += 2
+        self.inf = inf
+        self.to: list[int] = [0] * a
+        self.to[::2] = [v for (_, v, _) in arcs]
+        self.to[1::2] = [u for (u, _, _) in arcs]
+        self.cap: list[int] = [0] * a
+        self.cap[::2] = [inf if c is None else c for (_, _, c) in arcs]
+        if not directed:
+            self.cap[1::2] = self.cap[::2]
 
     @classmethod
     def undirected(cls, g: Graph,

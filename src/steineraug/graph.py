@@ -9,7 +9,7 @@ returns a new value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
     from .flow import FlowResult
@@ -132,22 +132,32 @@ def add_edges(g: Graph, F: EdgeAdditions) -> Graph:
     return Graph(g.n, g.edges + F.entries, g.terminals)
 
 
-def least_steiner_cut(g: Graph, limit: Optional[int] = None
+def least_steiner_cut(g: Graph, limit: Optional[int] = None,
+                      groups: Optional[Sequence[Iterable[int]]] = None
                       ) -> Optional[FlowResult]:
-    """`flow.least_cut` over the flows from each sorted terminal t_i to
-    all earlier ones t_0..t_{i-1}, made as they are read: the first
-    terminal on the far side of a Steiner min cut from t_0 sees every
-    earlier one across it, so the least is a Steiner min cut (the growing
-    sink of Hao and Orlin, J. Algorithms 1994).  Its `sink_side` holds
-    the least terminal.  None below 2 terminals."""
+    """`flow.least_cut` over the flows from each terminal group i to the
+    union of groups 0..i-1, made as they are read; the groups default to
+    the sorted terminals, one each.  The first terminal on the far side
+    of a Steiner min cut from t_0 sees every earlier one across it, so
+    the least is a Steiner min cut (the growing sink of Hao and Orlin,
+    J. Algorithms 1994).  Its `sink_side` holds the first group.  None
+    below 2 groups.
+
+    With `limit`, the groups may be any partition of the terminals that
+    no Steiner cut below `limit` separates, such as the tau-classes of a
+    subgraph of g at tau = `limit`: such a cut is then a union of groups,
+    the first group across it from group 0 sees every earlier one across
+    it, and the value is below `limit` exactly when the minimum is."""
     from . import flow  # local import to avoid a cycle
 
-    ts = sorted(g.terminals)
-    if len(ts) < 2:
+    if groups is None:
+        groups = [(t,) for t in sorted(g.terminals)]
+    if len(groups) < 2:
         return None
     net = flow.FlowNetwork.undirected(g)
-    return flow.least_cut((flow.max_flow(net, (t,), ts[:i], 0)
-                           for i, t in enumerate(ts[1:], 1)), limit)
+    return flow.least_cut((flow.max_flow(net, grp, [t for K in groups[:i]
+                                                    for t in K], 0)
+                           for i, grp in enumerate(groups[1:], 1)), limit)
 
 
 def steiner_connectivity(g: Graph, limit: Optional[int] = None) -> int:

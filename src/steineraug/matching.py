@@ -5,7 +5,9 @@ Each live root of demand exactly 1 contributes its terminal set as a
 group; a uniformly sampled partial matching is accepted when the current
 graph plus the matching plus a unit star into the unmatched groups still
 has connectivity tau.  Acceptance probability is at least 1/3 per
-attempt, so a logarithmic retry cap suffices.
+attempt, so a logarithmic retry cap suffices.  Each check costs c - 1
+flows over the c tau-classes of the graph the step starts from, which
+every checked graph contains (`graph.least_steiner_cut`).
 
 The sampling loop is shared with the degree-constrained variant, which
 only differs in how a group turns into an edge endpoint: every edge of
@@ -16,10 +18,10 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .forest import LaminarForest
-from .graph import EdgeAdditions, Graph, add_edges, star_graph, steiner_connectivity
+from .graph import EdgeAdditions, Graph, add_edges, least_steiner_cut, star_graph
 
 
 class MatchingRetryError(RuntimeError):
@@ -45,15 +47,19 @@ def designated_terminal(group: frozenset[int],
 
 
 def is_feasible_partial(g_cur: Graph, K_remaining: Sequence[frozenset[int]],
-                        M: Sequence[tuple[int, int]], tau: int) -> bool:
+                        M: Sequence[tuple[int, int]], tau: int,
+                        classes: Optional[Sequence[Iterable[int]]] = None
+                        ) -> bool:
     """Connectivity check for graph + matching + unit star into the
-    still-unmatched groups (at their designated terminals)."""
+    still-unmatched groups (at their designated terminals), over the
+    tau-classes `classes` of a subgraph of g_cur (default: singletons)."""
     h = add_edges(g_cur, EdgeAdditions(tuple((u, v, 1) for (u, v) in M)))
     beta: dict[int, int] = {}
     for grp in K_remaining:
         v = designated_terminal(grp)
         beta[v] = beta.get(v, 0) + 1
-    return steiner_connectivity(star_graph(h, beta)[0], tau) >= tau
+    res = least_steiner_cut(star_graph(h, beta)[0], tau, classes)
+    return res is None or res.value >= tau
 
 
 def match_groups(g: Graph, K: Sequence[frozenset[int]], tau: int,
@@ -62,12 +68,15 @@ def match_groups(g: Graph, K: Sequence[frozenset[int]], tau: int,
                  on_commit: Optional[Callable[[frozenset[int], int], None]]
                  = None,
                  capacity: Optional[Callable[[frozenset[int]], int]]
-                 = None) -> EdgeAdditions:
+                 = None,
+                 classes: Optional[Sequence[Iterable[int]]] = None
+                 ) -> EdgeAdditions:
     """Algorithm-3 sampling loop over arbitrary endpoint rules.
 
     edge_vertex maps a group to the vertex its matched edge attaches to
     (must be stable between the feasibility check and the commit);
     on_commit reports consumed endpoints (for budget bookkeeping).
+    `classes`, g's tau-classes, go to every check (`is_feasible_partial`).
     """
     if not K:
         return EdgeAdditions(())
@@ -114,7 +123,7 @@ def match_groups(g: Graph, K: Sequence[frozenset[int]], tau: int,
             matched = set(picked)
             remaining = [grp for i, grp in enumerate(groups)
                          if i not in matched]
-            if is_feasible_partial(g_cur, remaining, M, tau):
+            if is_feasible_partial(g_cur, remaining, M, tau, classes):
                 break
         else:
             raise MatchingRetryError(
@@ -132,9 +141,13 @@ def match_groups(g: Graph, K: Sequence[frozenset[int]], tau: int,
 
 def augment_by_one(g: Graph, K: Sequence[frozenset[int]], tau: int,
                    rng: random.Random,
-                   beta: Optional[dict[int, int]] = None) -> EdgeAdditions:
+                   beta: Optional[dict[int, int]] = None,
+                   classes: Optional[Sequence[Iterable[int]]] = None
+                   ) -> EdgeAdditions:
     """Add ceil(|K|/2) unit edges raising connectivity from tau-1 to tau,
-    attaching each edge to its group's designated terminal."""
+    attaching each edge to its group's designated terminal; `classes`
+    as in `match_groups`."""
     return match_groups(
         g, K, tau, rng,
-        edge_vertex=lambda grp: designated_terminal(grp, beta))
+        edge_vertex=lambda grp: designated_terminal(grp, beta),
+        classes=classes)

@@ -154,7 +154,9 @@ def augment_pipeline(g: Graph, tau: int, seed: int = 0
     rng = random.Random(seed ^ 0x5DEECE66D)
     # Each chain edge spends one unit of budget at both ends.
     rem = {u: w - chain_adds.degree(u) for u, w in even.beta.items()}
-    match_adds = augment_by_one(g1, K, tau, rng, beta=rem)
+    # g1 contains g, so the root's tau-classes of g serve every +1 check.
+    match_adds = augment_by_one(g1, K, tau, rng, beta=rem,
+                                classes=stats["classes"])
     report["phases"]["matching"] = match_adds.total_weight
     out = chain_adds.combine(match_adds)
     report["total_weight"] = out.total_weight
@@ -228,7 +230,8 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0
             rem = {u: w - chain_adds.degree(u) for u, w in beta.items()}
             K_prime = build_K(sched.forest, tau)
             rng = random.Random(seed ^ 0x5DEECE66D)
-            match_adds = deg_augment_by_one(g1, tau, rem, K_prime, rng)
+            match_adds = deg_augment_by_one(g1, tau, rem, K_prime, rng,
+                                            classes=stats["classes"])
             report["phases"]["matching"] = match_adds.total_weight
             out = chain_adds.combine(match_adds)
 

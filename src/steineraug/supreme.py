@@ -36,10 +36,16 @@ H = high + 1 and the tree gives min(lambda~, H) for every pair
 pairwise tau-connected.  A node of one class has no Steiner cut below
 tau and returns nothing (`pruned`); at the root the stopped flows are
 then finished from their residuals, each up to the least value so far,
-to give lambda(g) >= tau.  A node of several classes merges each into
-one vertex, and is a base case at 3 classes or fewer or else splits on
-the tree with its H edges contracted, an exact flow tree of the merged
-node.  The forest after `compute_rdem(tau)` is the same as without tau:
+to give lambda(g) >= tau.  The merged node, each class merged into one
+vertex, has the node's cuts that keep every class whole.  It is built
+only to split: a node of 4 or more classes splits on the tree with its
+H edges contracted, an exact flow tree of the merged node.  A node of 2
+or 3 classes is a base case over its classes on its own network, each
+class one source or sink set, so each solve has the merged node's min
+cuts, value and minimal sides, expanded.  At 2 classes that is the flow
+tree's one exact solve, which the base case reads at no flow.  The
+root's classes also serve the +1 step (`matching`).  The forest after
+`compute_rdem(tau)` is the same as without tau:
 - a Steiner cut of d < tau separates no class, so the merged node keeps
   exactly those cuts, with their values; a witness that such a cut is
   not extreme is a Steiner subset of no larger value, kept too.  So
@@ -136,24 +142,25 @@ def _crossing_repair(sets: list[frozenset[int]], cut_fn) -> list[frozenset[int]]
     return [X for X, r in zip(fam, removed) if not r]
 
 
-def _base_case(net: flow.FlowNetwork, ts: list[int]
+def _base_case(net: flow.FlowNetwork, groups: list[list[int]]
                ) -> tuple[dict[frozenset[int], int], int]:
-    """Earliest min cut of every ordered bipartition of the sorted
-    terminals `ts` + repair, in mask order, each with its flow's value,
-    and the least value.  T1 -> T2 and T2 -> T1 share one flow, which
-    gives both minimal sides, so the 2^k - 2 ordered bipartitions cost
-    2^(k-1) - 1 flows.  The recursion calls it below 4 terminals, at most
-    3 flows; the tests use it at any k as the full-enumeration reference."""
-    k = len(ts)
+    """Earliest min cut of every ordered bipartition of the terminal
+    `groups` (each whole on one side) + repair, in mask order, each with
+    its flow's value, and the least value.  T1 -> T2 and T2 -> T1 share
+    one flow, which gives both minimal sides, so the 2^k - 2 ordered
+    bipartitions cost 2^(k-1) - 1 flows.  The recursion calls it below 4
+    groups, at most 3 flows; the tests use it at any k as the
+    full-enumeration reference."""
+    k = len(groups)
     full = (1 << k) - 1
     sides: dict[int, tuple[frozenset[int], int]] = {}
     for mask in range(1, 1 << (k - 1)):
-        T1 = [ts[i] for i in range(k) if (mask >> i) & 1]
-        T2 = [ts[i] for i in range(k) if not (mask >> i) & 1]
+        T1 = [t for i in range(k) if (mask >> i) & 1 for t in groups[i]]
+        T2 = [t for i in range(k) if not (mask >> i) & 1 for t in groups[i]]
         res = flow.max_flow(net, T1, T2)
         sides[mask] = res.source_side, res.value
         sides[full ^ mask] = res.sink_side, res.value
-    # Two masks differ on the terminals, so never give the same side.
+    # Two masks differ on the groups, so never give the same side.
     fam = dict(sides[mask] for mask in range(1, full))
 
     def cut_fn(M: int) -> int:
@@ -170,7 +177,7 @@ def _expand(X, labels: list[frozenset[int]]) -> frozenset[int]:
 def _flow_tree(net: flow.FlowNetwork, ts: list[int],
                limit: Optional[int] = None, keep: bool = False
                ) -> tuple[list[tuple[int, int, int]], dict[int, list[int]],
-                          list[flow.FlowResult]]:
+                          list[flow.FlowResult], Optional[flow.FlowResult]]:
     """Gusfield's equivalent-flow tree over the sorted terminals `ts`, as
     one edge (lambda, u, parent) per later terminal u: lambda(s, v) is
     the least value on the tree path from s to v.  Each later terminal
@@ -187,13 +194,14 @@ def _flow_tree(net: flow.FlowNetwork, ts: list[int],
     tau-classes, returned as a map from each head (ts[0] or a terminal
     whose flow did not stop) to its members, the head and the leaves
     stopped below it, in ts order.  With `keep`, the stopped solves are
-    returned while no edge is exact, else none.
+    returned while no edge is exact, else none.  The last exact solve
+    (None if every flow stopped) is returned too.
 
     Each flow runs from u to p's known class: p and the leaves stopped
     below it so far, pairwise at least `limit` apart, so the BFS stops
     at the nearest of them.  A cut below `limit` separating u from p
     keeps the class on p's side, so the u-p and u-class solves have the
-    same min cuts, value and minimal source side, and stop together.
+    same min cuts, value and minimal sides, and stop together.
     At a root of one class the stopped solves run from each terminal to
     all earlier ones, and their least is lambda (Hao and Orlin,
     J. Algorithms 1994)."""
@@ -201,6 +209,7 @@ def _flow_tree(net: flow.FlowNetwork, ts: list[int],
     cls = {t: [t] for t in ts}
     edges: list[tuple[int, int, int]] = []
     stopped: list[flow.FlowResult] = []
+    last = None
     for i, u in enumerate(ts[1:], 1):
         p = parent[u]
         res = flow.max_flow(net, (u,), cls[p], limit)
@@ -210,13 +219,28 @@ def _flow_tree(net: flow.FlowNetwork, ts: list[int],
             if keep:
                 stopped.append(res)
         else:
-            value, keep = res.value, False
+            value, keep, last = res.value, False, res
             stopped.clear()
             for v in ts[i + 1:]:
                 if parent[v] == p and v in res.source_side:
                     parent[v] = u
         edges.append((value, u, p))
-    return edges, cls, stopped
+    return edges, cls, stopped, last
+
+
+def _two_classes(last: Optional[flow.FlowResult], exact: list[int],
+                 groups: list[list[int]]
+                 ) -> tuple[dict[frozenset[int], int], int]:
+    """`_base_case` over the two tau-classes `groups`, read at no flow off
+    `last`, the flow tree's one exact solve (of values `exact`), head u
+    against cls[p]: its min cuts, below the limit, separate no class."""
+    if last is None or exact != [last.value]:
+        raise RuntimeError(f"{len(exact)} exact flow-tree edges at a node "
+                           f"of two tau-classes, which reads one solve")
+    sides = [last.source_side, last.sink_side]
+    if last.sources[0] not in groups[0]:
+        sides.reverse()
+    return dict.fromkeys(sides, last.value), last.value
 
 
 def _balanced_split(net: flow.FlowNetwork, ts: list[int],
@@ -261,9 +285,10 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
     """Candidates of one recursion node (vertices 0..n-1, n = len(labels))
     as sets of original vertices, each with its value in the node, which
     is its value d~ in g~, and the node's least Steiner cut value.  With
-    `limit` = H, the flow tree stops at H, the tau-classes it shows are
-    merged, and a node of one class returns none (`pruned`); the module
-    docstring says why that is exact."""
+    `limit` = H, the flow tree stops at H and shows the tau-classes: a
+    node of one class returns none (`pruned`), one of 2 or 3 is a base
+    case over its classes, and one of 4 or more merges them and splits;
+    the module docstring says why that is exact."""
     stats["max_depth"] = max(stats["max_depth"], depth)
     layers = stats["layer_vertices"]
     layers[depth] = layers.get(depth, 0) + len(labels)
@@ -271,33 +296,46 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
     ts = sorted(terminals)
     net = flow.FlowNetwork(len(labels), [(u, v, w) for (u, v), w
                                          in weights.items()], False)
+    groups, pair = [[t] for t in ts], None
     if len(ts) > 3:
-        tree, classes, stopped = _flow_tree(net, ts, limit, keep=depth == 0)
+        tree, classes, stopped, last = _flow_tree(net, ts, limit,
+                                                  keep=depth == 0)
         low = min(tree)[0]
         stats["capped"] += len(ts) - len(classes)
+        if depth == 0:
+            stats["classes"] = list(classes.values())
         if len(classes) == 1:
             stats["pruned"] += 1
             if stopped:  # the root: lambda(g) >= tau, made exact
                 low = flow.least_cut(stopped).value
             return {}, low
-        if len(classes) < len(ts):
-            stats["merged"] += len(ts) - len(classes)
+        stats["merged"] += len(ts) - len(classes)
+        # The merged node's terminal order: the singleton classes, then
+        # the merged ones in head order.
+        groups = sorted(classes.values(), key=lambda K: len(K) > 1)
+        if len(groups) == 2:
+            pair = _two_classes(last, [c for c, _, _ in tree if c != limit],
+                                groups)
+        del last  # its residual is freed: only a two-class node reads it
+        if 3 < len(groups) < len(ts):
             del net  # freed before the merged node's network is built
             phi, terminals, weights, labels = _contract(
-                [K for K in classes.values() if len(K) > 1], terminals,
-                weights, labels)
+                [K for K in groups if len(K) > 1], terminals, weights,
+                labels)
             # Each class is merged whole, so the edges left are an exact
             # flow tree of the merged node.
             tree = [(c, phi[u], phi[p]) for c, u, p in tree if c != limit]
             ts = sorted(terminals)
             net = flow.FlowNetwork(len(labels), [(u, v, w) for (u, v), w
                                                  in weights.items()], False)
-    # Below 4 terminals no bipartition leaves >= 2 on each side, which is
-    # what makes both contracted sub-instances strictly smaller.
-    if len(ts) <= 3:
+    # Below 4 classes no bipartition leaves >= 2 on each side, which is
+    # what makes both contracted sub-instances strictly smaller.  Each
+    # class is one source or sink set of the node's own network, which
+    # gives the merged node's cuts, values and minimal sides, expanded.
+    if len(groups) <= 3:
         counts = stats["base_cases"]
-        counts[len(ts)] = counts.get(len(ts), 0) + 1
-        fam, low = _base_case(net, ts)
+        counts[len(groups)] = counts.get(len(groups), 0) + 1
+        fam, low = _base_case(net, groups) if pair is None else pair
         return {_expand(X, labels): d for X, d in fam.items()}, low
 
     S1 = _balanced_split(net, ts, tree)
@@ -329,14 +367,17 @@ def find_supreme_candidates(g: Graph, weights: dict[tuple[int, int], int],
 
     `stats` receives the recursion's `max_depth`, its vertex total per
     depth (`layer_vertices`), the base cases per terminal count
-    (`base_cases`), the nodes of one tau-class (`pruned`), the terminals
-    merged away into tau-classes (`merged`), the flows stopped at their
-    limit (`capped`) and lambda(g) (`connectivity`).  Every node of 4 or
-    more terminals (after the merge) splits, terminals in several
-    components included (module docstring)."""
+    (`base_cases`, keyed by class count), the nodes of one tau-class
+    (`pruned`), the terminals merged away into tau-classes (`merged`),
+    the flows stopped at their limit (`capped`), lambda(g)
+    (`connectivity`) and the root's tau-classes (`classes`, singletons
+    at a root of at most 3 terminals).  Every node of 4 or more classes
+    splits, terminals in several components included (module
+    docstring)."""
     stats = {} if stats is None else stats
     stats.update({"max_depth": 0, "layer_vertices": {}, "base_cases": {},
-                  "pruned": 0, "merged": 0, "capped": 0})
+                  "pruned": 0, "merged": 0, "capped": 0,
+                  "classes": [[t] for t in sorted(g.terminals)]})
     labels = [frozenset({v}) for v in range(g.n)]
     scale = 1 << len(weights)
     limit = None if tau is None else tau * scale + 1
@@ -406,4 +447,4 @@ def recursion_report(stats: dict) -> dict:
             "base_cases": {str(k): c
                            for k, c in sorted(stats["base_cases"].items())},
             "pruned": stats["pruned"], "merged": stats["merged"],
-            "capped": stats["capped"]}
+            "capped": stats["capped"], "classes": len(stats["classes"])}

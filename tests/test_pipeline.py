@@ -200,8 +200,8 @@ def test_matching_over_budget_raises(monkeypatch):
     from steineraug import pipeline
     real = pipeline.deg_augment_by_one
 
-    def overspend(g, tau, rem, K_prime, rng):
-        adds = real(g, tau, rem, K_prime, rng)
+    def overspend(g, tau, rem, K_prime, rng, **kwargs):
+        adds = real(g, tau, rem, K_prime, rng, **kwargs)
         u = min(v for v, w in rem.items() if w > 0)
         extra = rem[u] - adds.degree(u) + 1    # one unit past u's budget
         return adds.combine(EdgeAdditions(((u, 5, extra),)))

@@ -219,7 +219,7 @@ def test_crossing_repair_single_pass_matches_restart_base_families():
         crossing += len(want) < len(fam)
         assert _crossing_repair(fam, by_mask) == want
         net = flow.FlowNetwork.undirected(g, weights)
-        fam, low = _base_case(net, sorted(g.terminals))
+        fam, low = _base_case(net, [[t] for t in sorted(g.terminals)])
         assert list(fam) == want
         assert all(d == by_set(X) for X, d in fam.items())
         assert low == min(by_set(X) for r in range(1, g.n)
@@ -234,7 +234,7 @@ def test_base_case_one_flow_per_complementary_pair():
         k = len(g.terminals)
         before = flow.max_flow_call_count()
         net = flow.FlowNetwork.undirected(g, perturb(g))
-        _base_case(net, sorted(g.terminals))
+        _base_case(net, [[t] for t in sorted(g.terminals)])
         assert flow.max_flow_call_count() - before == 2 ** (k - 1) - 1
 
 
@@ -274,7 +274,7 @@ def test_flow_tree_rows_match_naive_rows():
     components (lambda = 0) and perturbed weights.  A tree whose flows
     stop at a limit H gives min(lambda, H), its stopped edges have the
     value H, and with `keep` it returns the stopped solves only while no
-    edge is exact."""
+    edge is exact.  The last exact solve is returned, None if none."""
     rng = random.Random(10)
     zeros = stopped = 0
     for i in range(90):
@@ -292,14 +292,14 @@ def test_flow_tree_rows_match_naive_rows():
                             in perturb(g).items()]
         net = flow.FlowNetwork(n, arcs, False)
         ts = sorted(rng.sample(range(n), rng.randint(2, n)))
-        tree, _, _ = _flow_tree(net, ts)
+        tree, _, _, _ = _flow_tree(net, ts)
         rows = {s: _naive_row(net, ts, s) for s in ts}
         for s in ts:
             assert _lambda_row(tree, s) == rows[s], (i, s)
             zeros += 0 in rows[s].values()
         values = sorted({c for row in rows.values() for c in row.values()})
         for H in {values[0] + 1, values[len(values) // 2], values[-1]}:
-            capped, _, kept = _flow_tree(net, ts, H, keep=True)
+            capped, _, kept, last = _flow_tree(net, ts, H, keep=True)
             for s in ts:
                 assert _lambda_row(capped, s) == \
                     {u: min(c, H) for u, c in rows[s].items()}, (i, s, H)
@@ -307,6 +307,9 @@ def test_flow_tree_rows_match_naive_rows():
             assert max(edges) <= H
             exact = any(c < H for c in edges)
             assert len(kept) == (0 if exact else len(ts) - 1), (i, H)
+            assert (last is None) == (not exact), (i, H)
+            if exact:
+                assert last.value == [c for c in edges if c < H][-1], (i, H)
             assert all(r.source_side is None for r in kept)
             stopped += edges.count(H)
     assert zeros > 0 and stopped > 0
@@ -346,7 +349,7 @@ def test_balanced_split_costs_one_tree_and_one_split():
         net = flow.FlowNetwork.undirected(g, perturb(g))
         ts = sorted(g.terminals)
         before = flow.max_flow_call_count()
-        tree, _, _ = _flow_tree(net, ts)
+        tree, _, _, _ = _flow_tree(net, ts)
         side = _balanced_split(net, ts, tree)
         calls = flow.max_flow_call_count() - before
         assert calls == len(ts), (i, calls)
@@ -504,7 +507,7 @@ def test_recursion_matches_full_enumeration():
         g = tree_plus_2n(n, 8000 + i, k)
         weights = perturb(g)
         fam, _ = _base_case(flow.FlowNetwork.undirected(g, weights),
-                            sorted(g.terminals))
+                            [[t] for t in sorted(g.terminals)])
         stats: dict = {}
         f = supreme_forest(g, stats=stats)
         assert full_signature(f) == \
