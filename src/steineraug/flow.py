@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import operator
 import threading
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
@@ -109,9 +108,8 @@ class FlowResult:
         Found on first read, since only the base case reads it."""
         head, to, res = self.net.head, self.net.to, self.residual
         side = set(self.sinks)
-        queue = deque(self.sinks)
-        while queue:
-            v = queue.popleft()
+        queue = list(self.sinks)
+        for v in queue:
             for a in head[v]:
                 u = to[a]
                 if res[a ^ 1] and u not in side:

@@ -81,21 +81,15 @@ def match_groups(g: Graph, K: Sequence[frozenset[int]], tau: int,
     if not K:
         return EdgeAdditions(())
     groups = list(K)
-    out: list[tuple[int, int, int]] = []
-    g_cur = g
+    out: list[tuple[int, int]] = []     # committed pairs, checked with g
 
     def commit(pairs: list[tuple[frozenset[int], frozenset[int]]]) -> None:
-        nonlocal g_cur
-        adds = []
         for (gu, gv) in pairs:
             u, v = edge_vertex(gu), edge_vertex(gv)
-            adds.append((u, v, 1))
+            out.append((u, v))
             if on_commit is not None:
                 on_commit(gu, u)
                 on_commit(gv, v)
-        add = EdgeAdditions(tuple(adds))
-        out.extend(add.entries)
-        g_cur = add_edges(g_cur, add)
 
     if len(groups) % 2 == 1:
         # One extra edge on an arbitrary pair; only one endpoint retires.
@@ -123,7 +117,7 @@ def match_groups(g: Graph, K: Sequence[frozenset[int]], tau: int,
             matched = set(picked)
             remaining = [grp for i, grp in enumerate(groups)
                          if i not in matched]
-            if is_feasible_partial(g_cur, remaining, M, tau, classes):
+            if is_feasible_partial(g, remaining, out + M, tau, classes):
                 break
         else:
             raise MatchingRetryError(
@@ -136,7 +130,7 @@ def match_groups(g: Graph, K: Sequence[frozenset[int]], tau: int,
             raise RuntimeError(f"{len(groups)} groups left to match")
         commit([(groups[0], groups[1])])
 
-    return EdgeAdditions(tuple(out)).merged()
+    return EdgeAdditions(tuple((u, v, 1) for (u, v) in out)).merged()
 
 
 def augment_by_one(g: Graph, K: Sequence[frozenset[int]], tau: int,
