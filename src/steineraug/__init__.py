@@ -6,8 +6,8 @@ The package computes, for a weighted undirected graph with a terminal set:
   projection), via a deterministic perturbation, divide and conquer over
   terminal bipartitions, and post-order clean-up traversals;
 - a minimum-weight augmentation raising Steiner connectivity to a target
-  tau (external star, augmentation chains whose c values live on the
-  forest nodes, random matchings);
+  tau (an even external star, split off by augmentation chains whose c
+  values live on the forest nodes and by the surrogate matching below);
 - a complete splitting-off of an external vertex under per-vertex degree
   budgets (heavy-path flow networks, the same chain scheduler over the
   endpoint slots the external phase emits, surrogate matchings);
@@ -23,7 +23,7 @@ from .supreme import supreme_forest, perturb, find_supreme_candidates, postproce
 from .external import ExternalSolution, external_augment, make_even, \
     augmentation_lower_bound
 from .chains import ChainScheduler, Slot, run_chains
-from .matching import build_K, augment_by_one, is_feasible_partial
+from .matching import build_K, is_feasible_partial
 from .deg_external import check_feasibility, deg_external_augment
 from .deg_chains import split_off_chains
 from .deg_matching import find_surrogates, deg_augment_by_one

@@ -1,12 +1,14 @@
-"""Degree-constrained +1 step via surrogate vertices.
+"""The +1 step of both pipelines: a degree-constrained matching via
+surrogate vertices.
 
 At connectivity tau-1 (tau >= 2) the demand-1 groups are the terminal
 sets of minimal Steiner min cuts; their supreme sets are recovered with
 isolating cuts (no flow when every vertex with vacant degree is a
-terminal), and inside each supreme set some vertex still holds vacant
-external degree.  The random matching of the unconstrained step
-then runs unchanged, except every matched edge attaches to such a
-surrogate vertex instead of a terminal.  When the number of groups is
+terminal, as with augmentation's even external solution), and inside
+each supreme set some vertex still holds vacant external degree.  The
+random matching (`matching.match_groups`) attaches every matched edge to
+such a surrogate vertex, so augmentation splits off its even external
+star just as splitting-off splits x's.  When the number of groups is
 odd and no group can pay for two edges, one spare unit of vacant degree
 outside every supreme set joins the matching as a group of its own, so
 every edge added comes out of the checked matching, whose checks run
@@ -53,45 +55,26 @@ def deg_augment_by_one(g: Graph, tau: int, beta: dict[int, int],
                        rng: random.Random,
                        classes: Optional[Sequence[Iterable[int]]] = None
                        ) -> EdgeAdditions:
-    """Matching step with surrogate endpoints; budget-respecting.
-    `classes` as in `matching.match_groups`."""
+    """The +1 step of both pipelines: ceil(|K'|/2) unit edges raising
+    connectivity from tau-1 to tau, each within the budget left `beta`
+    (not changed here).  `classes` as in `matching.match_groups`."""
     if not K_prime:
         return EdgeAdditions(())
-    info = find_surrogates(g, K_prime, beta)
-    remaining = dict(beta)
-
-    def surrogate(grp: frozenset[int]) -> int:
-        mu, _ = info[grp]
-        vac = sorted(v for v in mu if remaining.get(v, 0) >= 1)
-        if not vac:
-            raise RuntimeError(
-                f"budget exhausted inside supreme set of {sorted(grp)}")
-        return vac[0]
-
-    def consume(grp: frozenset[int], v: int) -> None:
-        remaining[v] -= 1
-        if remaining[v] < 0:
-            raise RuntimeError(f"budget overdrawn at {v}")
-
-    def budget_inside(grp: frozenset[int]) -> int:
-        mu, _ = info[grp]
-        return sum(remaining.get(v, 0) for v in mu)
-
-    groups = list(K_prime)
-    if len(groups) % 2 == 1 and all(budget_inside(k) < 2 for k in groups):
+    supreme = {k: mu for k, (mu, _) in
+               find_surrogates(g, K_prime, beta).items()}
+    if len(K_prime) % 2 == 1 and all(
+            sum(beta.get(v, 0) for v in mu) < 2 for mu in supreme.values()):
         # No group can afford both ends of the odd edge between two groups.
-        # The budget left is even (x's degree is, each chain edge spends 2)
-        # and each group holds 1 unit, so an odd number lies outside every
-        # supreme set: one such unit is matched as a group of its own.
-        inside = frozenset().union(*(info[k][0] for k in groups))
-        spare = sorted(v for v, w in remaining.items()
+        # The budget left is even (x's star and the even external solution
+        # are, and each chain edge spends 2) and each group holds 1 unit,
+        # so an odd number lies outside every supreme set: one such unit is
+        # matched as a group of its own.
+        inside = frozenset().union(*supreme.values())
+        spare = sorted(v for v, w in beta.items()
                        if w >= 1 and v not in inside)
         if not spare:
             raise RuntimeError("no spare budget outside the supreme sets")
         k = frozenset({spare[0]})
-        info[k] = (k, spare[0])
-        groups.append(k)
+        supreme[k] = k
 
-    return match_groups(g, groups, tau, rng, edge_vertex=surrogate,
-                        on_commit=consume, capacity=budget_inside,
-                        classes=classes)
+    return match_groups(g, supreme, tau, rng, dict(beta), classes)

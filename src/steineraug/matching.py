@@ -9,19 +9,20 @@ attempt, so a logarithmic retry cap suffices.  Each check costs c - 1
 flows over the c tau-classes of the graph the step starts from, which
 every checked graph contains (`graph.least_steiner_cut`).
 
-The sampling loop is shared with the degree-constrained variant, which
-only differs in how a group turns into an edge endpoint: every edge of
-either step comes out of it.
+Both pipelines reach this loop through `deg_matching.deg_augment_by_one`,
+and every edge of their +1 step comes out of it.  A matched edge
+attaches inside its group's supreme set, at a vertex with budget left:
+augmentation spends its even external solution, splitting-off x's star.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .forest import LaminarForest
-from .graph import EdgeAdditions, Graph, add_edges, least_steiner_cut, star_graph
+from .graph import EdgeAdditions, Graph, least_steiner_cut
 
 
 class MatchingRetryError(RuntimeError):
@@ -36,71 +37,58 @@ def build_K(forest: LaminarForest, tau: int) -> list[frozenset[int]]:
     return groups
 
 
-def designated_terminal(group: frozenset[int],
-                        beta: Optional[dict[int, int]] = None) -> int:
-    """Lowest-id terminal, preferring one with vacant degree if known."""
-    if beta is not None:
-        vac = [t for t in group if beta.get(t, 0) > 0]
-        if vac:
-            return min(vac)
-    return min(group)
-
-
 def is_feasible_partial(g_cur: Graph, K_remaining: Sequence[frozenset[int]],
                         M: Sequence[tuple[int, int]], tau: int,
                         classes: Optional[Sequence[Iterable[int]]] = None
                         ) -> bool:
-    """Connectivity check for graph + matching + unit star into the
-    still-unmatched groups (at their designated terminals), over the
-    tau-classes `classes` of a subgraph of g_cur (default: singletons)."""
-    h = add_edges(g_cur, EdgeAdditions(tuple((u, v, 1) for (u, v) in M)))
-    beta: dict[int, int] = {}
-    for grp in K_remaining:
-        v = designated_terminal(grp)
-        beta[v] = beta.get(v, 0) + 1
-    res = least_steiner_cut(star_graph(h, beta)[0], tau, classes)
+    """Connectivity check for g_cur + the matching M + a unit star from a
+    new vertex into the least terminal of each still-unmatched group, over
+    the tau-classes `classes` of a subgraph of g_cur (default:
+    singletons)."""
+    x = g_cur.n
+    h = Graph(x + 1, g_cur.edges + tuple((u, v, 1) for (u, v) in M)
+              + tuple((t, x, 1) for t in sorted(map(min, K_remaining))),
+              g_cur.terminals)
+    res = least_steiner_cut(h, tau, classes)
     return res is None or res.value >= tau
 
 
-def match_groups(g: Graph, K: Sequence[frozenset[int]], tau: int,
-                 rng: random.Random,
-                 edge_vertex: Callable[[frozenset[int]], int],
-                 on_commit: Optional[Callable[[frozenset[int], int], None]]
-                 = None,
-                 capacity: Optional[Callable[[frozenset[int]], int]]
-                 = None,
+def match_groups(g: Graph, supreme: dict[frozenset[int], frozenset[int]],
+                 tau: int, rng: random.Random, budget: dict[int, int],
                  classes: Optional[Sequence[Iterable[int]]] = None
                  ) -> EdgeAdditions:
-    """Algorithm-3 sampling loop over arbitrary endpoint rules.
-
-    edge_vertex maps a group to the vertex its matched edge attaches to
-    (must be stable between the feasibility check and the commit);
-    on_commit reports consumed endpoints (for budget bookkeeping).
-    `classes`, g's tau-classes, go to every check (`is_feasible_partial`).
+    """Algorithm-3 sampling loop over the groups `supreme` maps to their
+    supreme sets, in its order.  A matched group's edge attaches to the
+    least vertex of its supreme set with budget left (its surrogate), and
+    `budget` is spent in place.  `classes`, g's tau-classes, go to every
+    check (`is_feasible_partial`).
     """
-    if not K:
-        return EdgeAdditions(())
-    groups = list(K)
+    groups = list(supreme)
     out: list[tuple[int, int]] = []     # committed pairs, checked with g
+
+    def surrogate(grp: frozenset[int]) -> int:
+        vac = sorted(v for v in supreme[grp] if budget.get(v, 0) >= 1)
+        if not vac:
+            raise RuntimeError(
+                f"budget exhausted inside supreme set of {sorted(grp)}")
+        return vac[0]
 
     def commit(pairs: list[tuple[frozenset[int], frozenset[int]]]) -> None:
         for (gu, gv) in pairs:
-            u, v = edge_vertex(gu), edge_vertex(gv)
-            out.append((u, v))
-            if on_commit is not None:
-                on_commit(gu, u)
-                on_commit(gv, v)
+            ends = surrogate(gu), surrogate(gv)
+            out.append(ends)
+            for v in ends:
+                budget[v] -= 1
+                if budget[v] < 0:
+                    raise RuntimeError(f"budget overdrawn at {v}")
 
     if len(groups) % 2 == 1:
-        # One extra edge on an arbitrary pair; only one endpoint retires.
-        # The pair is free to choose, so when endpoint budgets are in
-        # play the kept group is the one that can afford a second edge.
-        if capacity is None:
-            i, j = rng.sample(range(len(groups)), 2)
-        else:
-            j = max(range(len(groups)),
-                    key=lambda t: (capacity(groups[t]), -min(groups[t])))
-            i = rng.choice([t for t in range(len(groups)) if t != j])
+        # One extra edge on a pair of groups; only one endpoint retires.
+        # The pair is free to choose, so the kept group is the one that
+        # can best afford a second edge.
+        left = [sum(budget.get(v, 0) for v in supreme[grp]) for grp in groups]
+        j = max(range(len(groups)), key=lambda t: (left[t], -min(groups[t])))
+        i = rng.choice([t for t in range(len(groups)) if t != j])
         commit([(groups[i], groups[j])])
         groups.pop(i)
 
@@ -112,7 +100,7 @@ def match_groups(g: Graph, K: Sequence[frozenset[int]], tau: int,
             rng.shuffle(order)
             picked = order[:2 * p]
             pairs = [(picked[2 * i], picked[2 * i + 1]) for i in range(p)]
-            M = [(edge_vertex(groups[a]), edge_vertex(groups[b]))
+            M = [(surrogate(groups[a]), surrogate(groups[b]))
                  for (a, b) in pairs]
             matched = set(picked)
             remaining = [grp for i, grp in enumerate(groups)
@@ -131,17 +119,3 @@ def match_groups(g: Graph, K: Sequence[frozenset[int]], tau: int,
         commit([(groups[0], groups[1])])
 
     return EdgeAdditions(tuple((u, v, 1) for (u, v) in out)).merged()
-
-
-def augment_by_one(g: Graph, K: Sequence[frozenset[int]], tau: int,
-                   rng: random.Random,
-                   beta: Optional[dict[int, int]] = None,
-                   classes: Optional[Sequence[Iterable[int]]] = None
-                   ) -> EdgeAdditions:
-    """Add ceil(|K|/2) unit edges raising connectivity from tau-1 to tau,
-    attaching each edge to its group's designated terminal; `classes`
-    as in `match_groups`."""
-    return match_groups(
-        g, K, tau, rng,
-        edge_vertex=lambda grp: designated_terminal(grp, beta),
-        classes=classes)

@@ -8,6 +8,7 @@ tested against these answers.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -133,9 +134,13 @@ def verify_solution(g: Graph, tau: int, F: EdgeAdditions,
     `least_steiner_cut(g + F, tau)`.
     """
     if beta is not None:
-        for u in range(g.n):
-            if F.degree(u) > beta.get(u, 0):
-                return False, u
+        deg: Counter = Counter()
+        for (u, v, w) in F.entries:
+            deg[u] += w
+            deg[v] += w
+        over = [u for u in range(g.n) if deg[u] > beta.get(u, 0)]
+        if over:
+            return False, over[0]
     res = least_steiner_cut(add_edges(g, F), tau)
     ok = res is None or res.value >= tau
     return ok, None if ok else res.sink_side

@@ -7,7 +7,9 @@ was built, what its recursion did under "supreme").  At tau = 1 both
 join the terminal components in a path; above it each builds the forest
 with tau first, and its root gives lambda(g), which augmentation reports
 as "initial_connectivity", after |T| - 1 flows when it is >= tau (3 at
-|T| = 3, where the root enumerates).
+|T| = 3, where the root enumerates).  Both end in one +1 step,
+`deg_matching.deg_augment_by_one`: augmentation splits off the rest of
+its even external star with it, as splitting-off does x's.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .deg_external import _augment_feasible
 from .deg_matching import deg_augment_by_one
 from .external import augmentation_lower_bound, external_augment, make_even
 from .graph import EdgeAdditions, Graph, add_edges, steiner_connectivity
-from .matching import augment_by_one, build_K
+from .matching import build_K
 from .supreme import recursion_report, supreme_forest
 
 
@@ -155,8 +157,8 @@ def augment_pipeline(g: Graph, tau: int, seed: int = 0
     # Each chain edge spends one unit of budget at both ends.
     rem = {u: w - chain_adds.degree(u) for u, w in even.beta.items()}
     # g1 contains g, so the root's tau-classes of g serve every +1 check.
-    match_adds = augment_by_one(g1, K, tau, rng, beta=rem,
-                                classes=stats["classes"])
+    match_adds = deg_augment_by_one(g1, tau, rem, K, rng,
+                                    classes=stats["classes"])
     report["phases"]["matching"] = match_adds.total_weight
     out = chain_adds.combine(match_adds)
     report["total_weight"] = out.total_weight

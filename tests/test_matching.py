@@ -4,11 +4,11 @@ import pytest
 
 from steineraug import matching
 from steineraug.chains import run_chains
+from steineraug.deg_matching import deg_augment_by_one
 from steineraug.external import external_augment, make_even
 from steineraug.graph import add_edges, steiner_connectivity
-from steineraug.matching import (MatchingRetryError, augment_by_one, build_K,
-                                 designated_terminal, is_feasible_partial,
-                                 match_groups)
+from steineraug.matching import (MatchingRetryError, build_K,
+                                 is_feasible_partial, match_groups)
 from steineraug.supreme import supreme_forest
 
 from conftest import g_cyc4, g_path, random_connected
@@ -28,11 +28,6 @@ def test_build_K_cyc4():
     assert build_K(f4, 4) == []
 
 
-def test_designated_terminal():
-    assert designated_terminal(frozenset({5, 2, 9})) == 2
-    assert designated_terminal(frozenset({5, 2, 9}), beta={5: 1}) == 5
-
-
 def test_is_feasible_partial_examples():
     g = g_cyc4()
     K = [frozenset({i}) for i in range(4)]
@@ -50,7 +45,9 @@ def test_is_feasible_partial_examples():
 def test_augment_by_one_cyc4_tau3():
     g = g_cyc4()
     f = forest_for(g, 3)
-    adds = augment_by_one(g, build_K(f, 3), 3, random.Random(7))
+    beta = make_even(external_augment(f, 3)).beta
+    assert beta == {0: 1, 1: 1, 2: 1, 3: 1}
+    adds = deg_augment_by_one(g, 3, beta, build_K(f, 3), random.Random(7))
     assert adds.total_weight == 2
     assert steiner_connectivity(add_edges(g, adds)) >= 3
     # Only the diagonals can appear.
@@ -66,7 +63,7 @@ def test_augment_by_one_cyc4_tau4_tail():
     K = build_K(forest, 4)
     assert K == [frozenset({0}), frozenset({3})]
     rem = {u: w - chain_adds.degree(u) for u, w in beta.items()}
-    adds = augment_by_one(g1, K, 4, random.Random(0), beta=rem)
+    adds = deg_augment_by_one(g1, 4, rem, K, random.Random(0))
     assert adds.entries == ((0, 3, 1),)
     final = add_edges(g1, adds)
     assert steiner_connectivity(final) == 4
@@ -80,20 +77,22 @@ def test_two_groups_forced_edge():
     # After one chain copy both roots have demand 1; here skip chains by
     # noting K already = {{0},{2}} at tau 2.
     K = [frozenset({0}), frozenset({2})]
-    adds = augment_by_one(g, K, 2, random.Random(1))
+    adds = deg_augment_by_one(g, 2, {0: 1, 2: 1}, K, random.Random(1))
     assert adds.entries == ((0, 2, 1),)
 
 
 def test_empty_K():
-    assert augment_by_one(g_path(), [], 3, random.Random(0)).entries == ()
+    assert deg_augment_by_one(g_path(), 3, {}, [],
+                              random.Random(0)).entries == ()
 
 
 def test_matching_determinism():
     g = g_cyc4()
     f = forest_for(g, 3)
     K = build_K(f, 3)
-    a = augment_by_one(g, K, 3, random.Random(42))
-    b = augment_by_one(g, K, 3, random.Random(42))
+    beta = make_even(external_augment(f, 3)).beta
+    a = deg_augment_by_one(g, 3, beta, K, random.Random(42))
+    b = deg_augment_by_one(g, 3, beta, K, random.Random(42))
     assert a.entries == b.entries
 
 
@@ -110,7 +109,7 @@ def test_matching_total_is_half_K_rounded_up():
         g1 = add_edges(g, chain_adds)
         K = build_K(forest, tau)
         rem = {u: w - chain_adds.degree(u) for u, w in beta.items()}
-        adds = augment_by_one(g1, K, tau, random.Random(idx), beta=rem)
+        adds = deg_augment_by_one(g1, tau, rem, K, random.Random(idx))
         assert adds.total_weight == (len(K) + 1) // 2
         assert steiner_connectivity(add_edges(g1, adds)) >= tau
 
@@ -129,8 +128,8 @@ def test_odd_number_of_groups_left_raises():
     groups = [frozenset({v}) for v in range(8)]
     assert g.n >= 8
     with pytest.raises(RuntimeError, match="groups left"):
-        match_groups(g, groups, 1, _RepeatingShuffle(0),
-                     edge_vertex=min)
+        match_groups(g, {k: k for k in groups}, 1, _RepeatingShuffle(0),
+                     {v: 2 for v in range(8)})
 
 
 def test_retry_budget_exhausted_raises(monkeypatch):
@@ -145,5 +144,35 @@ def test_retry_budget_exhausted_raises(monkeypatch):
     monkeypatch.setattr(matching, "is_feasible_partial", counted)
     groups = [frozenset({v}) for v in range(4)]
     with pytest.raises(MatchingRetryError, match="in 256 attempts"):
-        match_groups(g_cyc4(), groups, 10, random.Random(0), edge_vertex=min)
+        match_groups(g_cyc4(), {k: k for k in groups}, 10, random.Random(0),
+                     {v: 1 for v in range(4)})
     assert len(checks) == 256
+
+
+def test_match_groups_spends_the_budget_in_place():
+    groups = [frozenset({v}) for v in range(4)]
+    budget = {0: 1, 1: 1, 2: 2, 3: 1, 5: 1}
+    adds = match_groups(g_cyc4(), {k: k for k in groups}, 3,
+                        random.Random(7), budget)
+    assert set(adds.entries) <= {(0, 2, 1), (1, 3, 1)}
+    assert budget == {0: 0, 1: 0, 2: 1, 3: 0, 5: 1}
+
+
+def test_budget_exhausted_inside_supreme_set_raises():
+    # The surrogate guard must trip, also under -O: group {1}'s supreme
+    # set holds no budget when its edge is committed.
+    supreme = {frozenset({0}): frozenset({0}), frozenset({1}): frozenset({1})}
+    with pytest.raises(RuntimeError,
+                       match=r"budget exhausted inside supreme set of \[1\]"):
+        match_groups(g_cyc4(), supreme, 3, random.Random(0), {0: 1})
+
+
+def test_budget_overdrawn_raises():
+    # The spending guard must trip, also under -O: two groups whose
+    # supreme sets share the one vertex with budget both pick it.
+    supreme = {frozenset({0}): frozenset({0, 2}),
+               frozenset({1}): frozenset({1, 2})}
+    budget = {2: 1}
+    with pytest.raises(RuntimeError, match="budget overdrawn at 2"):
+        match_groups(g_cyc4(), supreme, 3, random.Random(0), budget)
+    assert budget == {2: -1}

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -95,6 +96,26 @@ def test_verify_solution():
     # One terminal: no Steiner cut, so nothing to violate.
     g = Graph.build(2, [(0, 1, 1)], [0])
     assert oracle.verify_solution(g, 3, EdgeAdditions(())) == (True, None)
+
+
+def test_verify_budget_witness_is_the_least_overdrawn_vertex():
+    """The budget witness is the least u whose degree in F exceeds
+    beta.get(u, 0), a vertex of negative budget and degree 0 included,
+    as a scan of F per vertex finds it."""
+    rng = random.Random(5)
+    g = g_cyc4()
+    ok, witness = oracle.verify_solution(
+        g, 2, EdgeAdditions(((0, 2, 2),)), beta={0: 2, 1: -1, 2: 2})
+    assert not ok and witness == 1
+    for _ in range(200):
+        F = EdgeAdditions(tuple((u, v, rng.randint(1, 3)) for u, v in
+                                (rng.sample(range(4), 2)
+                                 for _ in range(rng.randint(0, 4)))))
+        beta = {u: rng.randint(-1, 4) for u in range(4) if rng.random() < 0.8}
+        over = [u for u in range(4) if F.degree(u) > beta.get(u, 0)]
+        # The 4-cycle is 2-connected, so only a budget can fail.
+        assert oracle.verify_solution(g, 2, F, beta) == \
+            ((False, over[0]) if over else (True, None)), (F, beta)
 
 
 def test_verify_solution_witness_is_a_failing_cut():

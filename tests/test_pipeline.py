@@ -14,7 +14,9 @@ from steineraug.pipeline import (RejectedInstanceError, _cut_edge_neighbours,
                                  augment_pipeline, splitoff_pipeline)
 from steineraug.supreme import supreme_forest
 
-from conftest import g_cyc4, g_cycle, g_path, g_split, random_connected
+from conftest import (g_cyc4, g_cycle, g_path, g_split, random_connected,
+                      tree_plus_2n)
+from terminal_matching import augment_by_one
 
 
 def test_augment_cyc4_values():
@@ -138,8 +140,8 @@ def test_augment_asks_no_connectivity_before_the_matching(monkeypatch):
     for module in (graph, pipeline):
         monkeypatch.setattr(module, "steiner_connectivity",
                             logged("connectivity", steiner_connectivity))
-    monkeypatch.setattr(pipeline, "augment_by_one",
-                        logged("matching", pipeline.augment_by_one))
+    monkeypatch.setattr(pipeline, "deg_augment_by_one",
+                        logged("matching", pipeline.deg_augment_by_one))
     matched = 0
     cases = [(g_cycle(8), 2), (g_cycle(8), 3), (g_cyc4(), 3), (g_cyc4(), 4)]
     for idx in range(40):
@@ -153,6 +155,74 @@ def test_augment_asks_no_connectivity_before_the_matching(monkeypatch):
         assert "connectivity" not in before, (g, tau, log)
         matched += "matching" in log
     assert matched >= 20, matched
+
+
+def _augment_corpus():
+    """(g, tau, seed): the corpus at lambda + 1..3, test_08's generator at
+    n = 20..300 at conn + 1 and conn + 3, and the 7-cycle at tau = 3."""
+    for idx in range(300):
+        g = random_connected(idx)
+        conn = steiner_connectivity(g)
+        yield from ((g, conn + bump, idx) for bump in (1, 2, 3))
+    for n in range(20, 301, 20):
+        g = tree_plus_2n(n, 31337 + n, n // 3)
+        conn = steiner_connectivity(g)
+        yield from ((g, conn + bump, n) for bump in (1, 3))
+    yield g_cycle(7), 3, 0
+
+
+def _overdrawn(g, tau, adds) -> list[int]:
+    """Vertices given more edges than the even external star gave them."""
+    forest = supreme_forest(g, tau=tau)
+    forest.compute_rdem(tau)
+    beta = make_even(external_augment(forest, tau)).beta
+    deg = Counter()
+    for (u, v, w) in adds.entries:
+        deg[u] += w
+        deg[v] += w
+    return [u for u, d in sorted(deg.items()) if d > beta.get(u, 0)]
+
+
+def test_augment_splits_off_its_even_external_star():
+    """No vertex gets more augmenting edges than the even external
+    solution gave it: the +1 step spends what the chains left of it."""
+    cases = list(_augment_corpus())
+    assert len(cases) == 931
+    for g, tau, seed in cases:
+        adds, _ = augment_pipeline(g, tau, seed=seed)
+        assert _overdrawn(g, tau, adds) == [], (g, tau, adds)
+
+
+def test_augment_keeps_the_terminal_matching_on_even_groups(monkeypatch):
+    """Against the terminal matching (`terminal_matching`), which attached
+    each edge to a terminal and the odd edge to a random pair: the same
+    edges whenever the number of demand-1 groups is even; otherwise the
+    same weight and lambda(g + F) >= tau.  Exactly the solves where the
+    terminal matching overdrew the even external star change: 28 of the
+    930 corpus solves, and the 7-cycle."""
+    from steineraug import pipeline
+    cases = list(_augment_corpus())
+    outputs = [augment_pipeline(g, tau, seed=seed)[0]
+               for g, tau, seed in cases]
+    groups: list[int] = []
+
+    def terminal_step(g1, tau, rem, K, rng, classes=None):
+        groups.append(len(K))
+        return augment_by_one(g1, K, tau, rng, beta=rem, classes=classes)
+
+    monkeypatch.setattr(pipeline, "deg_augment_by_one", terminal_step)
+    changed = 0
+    for (g, tau, seed), adds in zip(cases, outputs):
+        groups.clear()
+        ref, _ = augment_pipeline(g, tau, seed=seed)
+        if groups and groups[0] % 2 == 1:
+            assert adds.total_weight == ref.total_weight, (g, tau)
+            assert steiner_connectivity(add_edges(g, adds)) >= tau, (g, tau)
+        else:
+            assert adds == ref, (g, tau)
+        assert (adds != ref) == bool(_overdrawn(g, tau, ref)), (g, tau)
+        changed += adds != ref
+    assert changed == 29
 
 
 def test_splitoff_star_on_cyc4():
@@ -363,7 +433,7 @@ def test_augment_output_pin():
             adds, _ = augment_pipeline(g, tau, seed=idx)
             rows.append((idx, tau, sorted(adds.merged().entries)))
     assert len(rows) == 120
-    assert _digest(rows) == "7fba0d4f8991a7a3"
+    assert _digest(rows) == "9f2db4bb7a0b91e3"
 
 
 def test_splitoff_output_pin():
