@@ -105,7 +105,9 @@ class FlowResult:
     @functools.cached_property
     def sink_side(self) -> frozenset[int]:
         """Minimal sink side: the vertices residually reaching a sink.
-        Found on first read, since only the base case reads it."""
+        Found on first read, since only some solves need it: the base
+        cases (`supreme._base_case`, `supreme._two_classes`) and the
+        witness of `oracle.verify_solution`."""
         head, to, res = self.net.head, self.net.to, self.residual
         side = set(self.sinks)
         queue = list(self.sinks)

@@ -8,6 +8,7 @@ returns a new value.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -98,7 +99,15 @@ class EdgeAdditions:
         return EdgeAdditions(tuple((u, v, w) for (u, v), w in sorted(acc.items())))
 
     def degree(self, u: int) -> int:
-        return sum(w for (a, b, w) in self.entries if u in (a, b))
+        return self.degrees()[u]
+
+    def degrees(self) -> Counter:
+        """Every vertex's weighted degree, in one pass over the entries."""
+        deg: Counter = Counter()
+        for (u, v, w) in self.entries:
+            deg[u] += w
+            deg[v] += w
+        return deg
 
     def combine(self, other: "EdgeAdditions") -> "EdgeAdditions":
         return EdgeAdditions(self.entries + other.entries).merged()

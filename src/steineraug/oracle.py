@@ -8,7 +8,6 @@ tested against these answers.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -134,10 +133,7 @@ def verify_solution(g: Graph, tau: int, F: EdgeAdditions,
     `least_steiner_cut(g + F, tau)`.
     """
     if beta is not None:
-        deg: Counter = Counter()
-        for (u, v, w) in F.entries:
-            deg[u] += w
-            deg[v] += w
+        deg = F.degrees()
         over = [u for u in range(g.n) if deg[u] > beta.get(u, 0)]
         if over:
             return False, over[0]

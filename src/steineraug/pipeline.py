@@ -155,7 +155,8 @@ def augment_pipeline(g: Graph, tau: int, seed: int = 0
     K = build_K(forest, tau)
     rng = random.Random(seed ^ 0x5DEECE66D)
     # Each chain edge spends one unit of budget at both ends.
-    rem = {u: w - chain_adds.degree(u) for u, w in even.beta.items()}
+    deg = chain_adds.degrees()
+    rem = {u: w - deg[u] for u, w in even.beta.items()}
     # g1 contains g, so the root's tau-classes of g serve every +1 check.
     match_adds = deg_augment_by_one(g1, tau, rem, K, rng,
                                     classes=stats["classes"])
@@ -229,7 +230,8 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0
             g1 = add_edges(g, chain_adds)
             # A split edge spends a unit of x's star at both ends: u's budget
             # left is beta(u) minus u's degree in the edges added.
-            rem = {u: w - chain_adds.degree(u) for u, w in beta.items()}
+            deg = chain_adds.degrees()
+            rem = {u: w - deg[u] for u, w in beta.items()}
             K_prime = build_K(sched.forest, tau)
             rng = random.Random(seed ^ 0x5DEECE66D)
             match_adds = deg_augment_by_one(g1, tau, rem, K_prime, rng,
@@ -237,7 +239,8 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0
             report["phases"]["matching"] = match_adds.total_weight
             out = chain_adds.combine(match_adds)
 
-    remaining = {u: w - out.degree(u) for u, w in beta.items()}
+    deg = out.degrees()
+    remaining = {u: w - deg[u] for u, w in beta.items()}
     over = [u for u, w in remaining.items() if w < 0]
     if over:
         raise RuntimeError(f"split edges exceed x's budget at {over[0]}")

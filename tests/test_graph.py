@@ -62,6 +62,9 @@ def test_edge_additions_merge_and_degree():
     assert adds.merged().entries == ((0, 1, 3), (2, 3, 1))
     assert adds.degree(1) == 3
     assert adds.combine(EdgeAdditions(((0, 1, 1),))).degree(0) == 4
+    deg = adds.degrees()
+    assert [deg[u] for u in range(5)] == [adds.degree(u) for u in range(5)]
+    assert deg[4] == 0 and set(deg) == {0, 1, 2, 3}
 
 
 def test_steiner_connectivity_fixtures():
