@@ -6,11 +6,11 @@ The package computes, for a weighted undirected graph with a terminal set:
   projection), via a deterministic perturbation, divide and conquer over
   terminal bipartitions, and post-order clean-up traversals;
 - a minimum-weight augmentation raising Steiner connectivity to a target
-  tau (an even external star, split off by augmentation chains whose c
-  values live on the forest nodes and by the surrogate matching below);
-- a complete splitting-off of an external vertex under per-vertex degree
-  budgets (heavy-path flow networks, the same chain scheduler over the
-  endpoint slots the external phase emits, surrogate matchings);
+  tau, and a complete splitting-off of an external vertex under
+  per-vertex degree budgets: each places its budget in its own external
+  phase (an even optimal star; heavy-path flow networks), and both split
+  it off in one step, by augmentation chains over the endpoint slots
+  that phase emits (c values on the forest nodes) and surrogate matchings;
 - exponential-time oracles that certify all of the above on small graphs.
 """
 
@@ -25,7 +25,7 @@ from .external import ExternalSolution, external_augment, make_even, \
 from .chains import ChainScheduler, Slot, run_chains
 from .matching import build_K, is_feasible_partial
 from .deg_external import check_feasibility, deg_external_augment
-from .deg_chains import split_off_chains
+from .deg_chains import split_off
 from .deg_matching import find_surrogates, deg_augment_by_one
 from .pipeline import RejectedInstanceError, augment_pipeline, splitoff_pipeline
 

@@ -1,16 +1,17 @@
-"""Augmentation-chain phase, shared by augmentation and splitting-off.
+"""Augmentation-chain phase, shared by augmentation and splitting-off:
+`run_chains` is its one entry, called by `deg_chains.split_off`.
 
 A chain threads one edge between consecutive maximal supreme sets of
 demand >= 2 (the live forest roots), with the two roots of least c at
 its ends.  Every edge end spends one unit of an *endpoint slot*: a
 budget (`remaining`) at a `vertex` whose use raises the c values on the
 root path of the slot's `node`; within a root, vacant slots are spent in
-`key` order.  Optimal augmentation has one slot per budgeted terminal
-(budget_slots); splitting-off has one per weight block the external
-phase placed (deg_external).  A chain is its list of endpoint uses,
-a1, b2, a2, ..., br, whose pairs (a_i, b_(i+1)) are its edges F.  Chain
-ends always lie under different roots, so an edge raises exactly the
-two root paths of its ends.
+`key` order.  The external phase emits the slots: augmentation one per
+budgeted terminal of its even solution (budget_slots), splitting-off
+one per weight block `deg_external` placed.  A chain is its list of
+endpoint uses, a1, b2, a2, ..., br, whose pairs (a_i, b_(i+1)) are its
+edges F.  Chain ends always lie under different roots, so an edge
+raises exactly the two root paths of its ends.
 
 Each batch commits t_F = min(t1, t2, t3) copies of the chain: t1 is
 when a slot runs dry, t2 when a root reaches demand 1, t3 when a node's
@@ -211,13 +212,13 @@ def budget_slots(forest: LaminarForest, beta: dict[int, int]) -> list[Slot]:
             if w > 0 and v in lowest]
 
 
-def run_chains(g: Graph, forest: LaminarForest, beta: dict[int, int], tau: int
+def run_chains(g: Graph, forest: LaminarForest, slots: list[Slot], tau: int
                ) -> tuple[EdgeAdditions, ChainScheduler]:
-    """Run the chain phase; returns the additions and the final state.
+    """Run the chain phase over the endpoint slots, spending them in
+    place; returns the additions and the final state.
 
-    The forest must have rdem computed (nodes with c >= tau contracted);
-    beta is the external solution made even.  Afterwards every live root
-    has demand <= 1.
+    The forest must have rdem computed (nodes with c >= tau contracted).
+    Afterwards every live root has demand <= 1.
     """
-    sched = ChainScheduler(g, forest, budget_slots(forest, beta), tau)
+    sched = ChainScheduler(g, forest, slots, tau)
     return sched.run(), sched

@@ -10,10 +10,13 @@ that telescopes to the sum of its nodes' excess (rdem minus the
 children's rdem), and the sum from any node down is the demand below
 it.  The paths, the critical nodes and L2 are those of
 `forest.HeavyPathDecomposition`.  Each new weight block is one endpoint
-slot (`chains.Slot`) of the chain phase (deg_chains), at the anchor of
-the path that placed it: the L2 node the path ends at (upper level) or
-hangs below (lower level).  Lower-level slots are spent first, then
-those of shallower paths, then by vertex and path id.
+slot (`chains.Slot`) of the chain phase (`deg_chains.split_off`), at
+the anchor of the path that placed it: the L2 node the path ends at
+(upper level) or hangs below (lower level).  Lower-level slots are
+spent first, then those of shallower paths, then by vertex and path id.
+The phase hands over L_high, the chain phase's forest: every node below
+an L2 node (the highest critical nodes, which become its leaves) is
+spliced out once the paths are processed, so every anchor stays live.
 """
 
 from __future__ import annotations
@@ -157,7 +160,8 @@ def deg_external_augment(g: Graph, tau: int, beta: dict[int, int],
     The forest must already have rdem computed for tau.  The paths are
     those of the two-level decomposition (upper paths ending at the
     highest critical nodes), so the slots it emits feed the chain
-    phase.  Raises InfeasibleBudgetError if beta cannot reach tau.
+    phase, and afterwards the forest is L_high, on which that phase
+    runs.  Raises InfeasibleBudgetError if beta cannot reach tau.
     """
     if not check_feasibility(g, tau, beta):
         raise InfeasibleBudgetError("budget cannot reach the target")
@@ -180,4 +184,7 @@ def _augment_feasible(g: Graph, tau: int, beta: dict[int, int],
     for u, w in state.wx.items():
         if w > beta.get(u, 0):
             raise RuntimeError(f"budget exceeded at {u}")
+    for i in forest.live():
+        if i not in hld.lhigh:
+            forest.delete_node(i)
     return state

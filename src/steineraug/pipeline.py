@@ -7,26 +7,25 @@ was built, what its recursion did under "supreme").  At tau = 1 both
 join the terminal components in a path; above it each builds the forest
 with tau first, and its root gives lambda(g), which augmentation reports
 as "initial_connectivity", after |T| - 1 flows when it is >= tau (3 at
-|T| = 3, where the root enumerates).  Both end in one +1 step,
-`deg_matching.deg_augment_by_one`: augmentation splits off the rest of
-its even external star with it, as splitting-off does x's.
+|T| = 3, where the root enumerates).  Below tau they differ only in the
+external phase that places the budget and its chain slots: augmentation
+makes the optimal external solution even, splitting-off places x's star
+with `deg_external`.  Both then split that budget off with one step,
+`deg_chains.split_off`: the chain phase and the +1 step.
 """
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from itertools import accumulate
 from typing import Callable
 
 from . import flow
-from .chains import run_chains
-from .deg_chains import split_off_chains
+from .chains import budget_slots
+from .deg_chains import split_off
 from .deg_external import _augment_feasible
-from .deg_matching import deg_augment_by_one
 from .external import augmentation_lower_bound, external_augment, make_even
-from .graph import EdgeAdditions, Graph, add_edges, steiner_connectivity
-from .matching import build_K
+from .graph import EdgeAdditions, Graph, steiner_connectivity
 from .supreme import recursion_report, supreme_forest
 
 
@@ -148,20 +147,9 @@ def augment_pipeline(g: Graph, tau: int, seed: int = 0
     sol = external_augment(forest, tau)
     report["k"] = sol.total_weight
     report["optimum"] = augmentation_lower_bound(sol)
-    even = make_even(sol)
-    chain_adds, _ = run_chains(g, forest, even.beta, tau)
-    report["phases"]["chains"] = chain_adds.total_weight
-    g1 = add_edges(g, chain_adds)
-    K = build_K(forest, tau)
-    rng = random.Random(seed ^ 0x5DEECE66D)
-    # Each chain edge spends one unit of budget at both ends.
-    deg = chain_adds.degrees()
-    rem = {u: w - deg[u] for u, w in even.beta.items()}
-    # g1 contains g, so the root's tau-classes of g serve every +1 check.
-    match_adds = deg_augment_by_one(g1, tau, rem, K, rng,
-                                    classes=stats["classes"])
-    report["phases"]["matching"] = match_adds.total_weight
-    out = chain_adds.combine(match_adds)
+    beta = make_even(sol).beta
+    out = split_off(g, tau, forest, budget_slots(forest, beta), beta, seed,
+                    stats["classes"], report)
     report["total_weight"] = out.total_weight
     report["max_flow_calls"] = flow.max_flow_call_count() - calls_before
     return out, report
@@ -225,19 +213,8 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0
             # beta is x's own star, so it reaches tau = lambda(g + x) and
             # deg_external_augment's feasibility check would always pass.
             state = _augment_feasible(g, tau, beta, forest)
-            chain_adds, sched = split_off_chains(g, state)
-            report["phases"]["chains"] = chain_adds.total_weight
-            g1 = add_edges(g, chain_adds)
-            # A split edge spends a unit of x's star at both ends: u's budget
-            # left is beta(u) minus u's degree in the edges added.
-            deg = chain_adds.degrees()
-            rem = {u: w - deg[u] for u, w in beta.items()}
-            K_prime = build_K(sched.forest, tau)
-            rng = random.Random(seed ^ 0x5DEECE66D)
-            match_adds = deg_augment_by_one(g1, tau, rem, K_prime, rng,
-                                            classes=stats["classes"])
-            report["phases"]["matching"] = match_adds.total_weight
-            out = chain_adds.combine(match_adds)
+            out = split_off(g, tau, forest, state.slots, beta, seed,
+                            stats["classes"], report)
 
     deg = out.degrees()
     remaining = {u: w - deg[u] for u, w in beta.items()}

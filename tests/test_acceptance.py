@@ -14,7 +14,6 @@ import pytest
 
 from steineraug import flow, oracle
 from steineraug.chains import ChainScheduler, budget_slots, run_chains
-from steineraug.deg_chains import ledger_scheduler, split_off_chains
 from steineraug.deg_external import deg_external_augment
 from steineraug.external import external_augment, make_even
 from steineraug.graph import (EdgeAdditions, Graph, add_edges, star_graph,
@@ -105,7 +104,7 @@ def test_03_no_new_extreme_after_every_batch():
         forest2.compute_rdem(tau)
         big = {u: 4 * tau for u in range(g.n)}
         state = deg_external_augment(g, tau, big, forest2)
-        dsched = ledger_scheduler(g, state)
+        dsched = ChainScheduler(g, forest2, state.slots, tau)
         _chain_batches_no_new_extreme(g, dsched, original)
 
 
@@ -177,7 +176,7 @@ def test_06_lazy_scheduler_differential():
             forest.compute_rdem(tau)
             big = {u: 4 * tau for u in range(g.n)}
             state = deg_external_augment(g, tau, big, forest)
-            sched = ledger_scheduler(g, state)
+            sched = ChainScheduler(g, forest, state.slots, tau)
         else:
             forest = supreme_forest(g, seed=idx)
             forest.compute_rdem(tau)

@@ -40,7 +40,7 @@ def test_cyc4_tau4_chain_and_batch():
 def test_cyc4_tau4_run_to_demand_one(checked_expiration):
     g = g_cyc4()
     forest, beta = prepared(g, 4)
-    adds, sched = run_chains(g, forest, beta, 4)
+    adds, sched = run_chains(g, forest, budget_slots(forest, beta), 4)
     assert adds.entries == ((0, 1, 1), (1, 2, 1), (2, 3, 1))
     assert {s.vertex: s.remaining for s in sched.slots if s.remaining} == \
         {0: 1, 3: 1}
@@ -51,7 +51,7 @@ def test_cyc4_tau4_run_to_demand_one(checked_expiration):
 def test_path_tau3_single_copy(checked_expiration):
     g = g_path()
     forest, beta = prepared(g, 3)
-    adds, sched = run_chains(g, forest, beta, 3)
+    adds, sched = run_chains(g, forest, budget_slots(forest, beta), 3)
     # One chain copy raises both c values to 2 (demand 1); the second
     # unit comes from the matching phase.
     assert adds.entries == ((0, 2, 1),)
@@ -81,7 +81,7 @@ def test_overlong_batch_raises():
 def test_all_demands_low_gives_empty():
     g = g_cyc4()
     forest, beta = prepared(g, 3)     # every root has demand exactly 1
-    adds, _ = run_chains(g, forest, beta, 3)
+    adds, _ = run_chains(g, forest, budget_slots(forest, beta), 3)
     assert adds.entries == ()
 
 

@@ -1,6 +1,5 @@
 from steineraug import oracle
-from steineraug.chains import run_chains
-from steineraug.deg_chains import ledger_scheduler, split_off_chains
+from steineraug.chains import ChainScheduler, budget_slots, run_chains
 from steineraug.deg_external import deg_external_augment
 from steineraug.external import external_augment
 from steineraug.graph import EdgeAdditions, add_edges, steiner_connectivity
@@ -21,7 +20,7 @@ def test_split_fixture_nonterminal_endpoint(checked_expiration):
     # the root containing s must be a nonterminal (v1 or v2).
     g, _ = g_split()
     state = deg_state(g, 5, {0: 0, 1: 2, 2: 2, 3: 2})
-    sched = ledger_scheduler(g, state)
+    sched = ChainScheduler(g, state.forest, state.slots, 5)
     chain = sched.build_chain()
     assert chain is not None
     ends = [chain.ends[0].vertex, chain.ends[-1].vertex]
@@ -35,7 +34,7 @@ def test_split_fixture_nonterminal_endpoint(checked_expiration):
 def test_no_demand_roots_empty_output():
     g, beta = g_split()
     state = deg_state(g, 4, beta)      # both roots have demand exactly 1
-    adds, sched = split_off_chains(g, state)
+    adds, sched = run_chains(g, state.forest, state.slots, 4)
     assert adds.entries == ()
     assert len(build_K(sched.forest, 4)) == 2
 
@@ -50,7 +49,7 @@ def test_ledger_respects_budget_and_connectivity(checked_expiration):
             continue
         big = {u: 4 * tau for u in range(g.n)}
         state = deg_state(g, tau, big)
-        adds, sched = split_off_chains(g, state)
+        adds, sched = run_chains(g, state.forest, state.slots, tau)
         checked += 1
         for u in range(g.n):
             assert adds.degree(u) <= state.wx.get(u, 0)
@@ -71,12 +70,13 @@ def test_unconstrained_equivalent_budget_matches_chain_weight(
         beta = external_augment(forest_u, tau).beta
         if sum(beta.values()) == 0:
             continue
-        chain_adds, _ = run_chains(g, forest_u, dict(beta), tau)
+        chain_adds, _ = run_chains(g, forest_u, budget_slots(forest_u, beta),
+                                   tau)
 
         forest_d = supreme_forest(g)
         forest_d.compute_rdem(tau)
         state = deg_external_augment(g, tau, dict(beta), forest_d)
-        deg_adds, _ = split_off_chains(g, state)
+        deg_adds, _ = run_chains(g, state.forest, state.slots, tau)
         assert deg_adds.total_weight == chain_adds.total_weight, idx
         agree += 1
     assert agree >= 20
@@ -91,7 +91,7 @@ def test_lazy_c_matches_eager_and_no_new_extreme():
         state = deg_state(g, tau, big)
         forest = state.forest
         original = set(oracle.extreme_sets_bruteforce(g).vertex_sets())
-        sched = ledger_scheduler(g, state)
+        sched = ChainScheduler(g, forest, state.slots, tau)
         while True:
             chain = sched.build_chain()
             if chain is None:

@@ -178,6 +178,28 @@ def test_deg_external_matches_unconstrained_optimum():
     assert seen >= 20
 
 
+def test_deg_external_hands_over_lhigh():
+    """The external phase splices every node below an L2 node out of its
+    forest, so the chain phase gets L_high, and every slot's anchor, an
+    L2 node, stays live."""
+    seen = spliced = 0
+    for idx in range(40):
+        g = random_connected(idx, n_max=9)
+        tau = steiner_connectivity(g) + 1 + (idx % 3)
+        if tau < 2:
+            continue
+        forest = ready_forest(g, tau)
+        live_before = forest.live()
+        state = deg_external_augment(g, tau, {u: 4 * tau for u in range(g.n)},
+                                     forest)
+        assert state.forest is forest
+        assert forest.live() == sorted(state.hld.lhigh), idx
+        assert {s.node for s in state.slots} <= state.hld.l2, idx
+        seen += 1
+        spliced += len(live_before) > len(state.hld.lhigh)
+    assert seen >= 20 and spliced >= 5, (seen, spliced)
+
+
 def test_infeasible_budget_rejected():
     g = g_path()
     forest = ready_forest(g, 3)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from steineraug import flow
-from steineraug.deg_chains import split_off_chains
+from steineraug.chains import run_chains
 from steineraug.deg_external import deg_external_augment
 from steineraug.deg_matching import deg_augment_by_one, find_surrogates
 from steineraug.external import external_augment, make_even
@@ -58,7 +58,7 @@ def test_deg_augment_split_fixture():
     forest = supreme_forest(g)
     forest.compute_rdem(4)
     state = deg_external_augment(g, 4, beta, forest)
-    chain_adds, sched = split_off_chains(g, state)
+    chain_adds, sched = run_chains(g, state.forest, state.slots, 4)
     K_prime = build_K(sched.forest, 4)
     assert sorted(K_prime, key=min) == [frozenset({0}), frozenset({3})]
     rem = {u: w - chain_adds.degree(u) for u, w in state.wx.items()}
@@ -87,7 +87,7 @@ def test_deg_matching_respects_budgets_random():
         forest = supreme_forest(g)
         forest.compute_rdem(tau)
         state = deg_external_augment(g, tau, big, forest)
-        chain_adds, sched = split_off_chains(g, state)
+        chain_adds, sched = run_chains(g, state.forest, state.slots, tau)
         g1 = add_edges(g, chain_adds) if chain_adds.entries else g
         K_prime = build_K(sched.forest, tau)
         if not K_prime or steiner_connectivity(g1) >= tau:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from steineraug import matching
-from steineraug.chains import run_chains
+from steineraug.chains import budget_slots, run_chains
 from steineraug.deg_matching import deg_augment_by_one
 from steineraug.external import external_augment, make_even
 from steineraug.graph import add_edges, steiner_connectivity
@@ -58,7 +58,7 @@ def test_augment_by_one_cyc4_tau4_tail():
     g = g_cyc4()
     forest = forest_for(g, 4)
     beta = make_even(external_augment(forest, 4)).beta
-    chain_adds, _ = run_chains(g, forest, beta, 4)
+    chain_adds, _ = run_chains(g, forest, budget_slots(forest, beta), 4)
     g1 = add_edges(g, chain_adds)
     K = build_K(forest, 4)
     assert K == [frozenset({0}), frozenset({3})]
@@ -105,7 +105,8 @@ def test_matching_total_is_half_K_rounded_up():
             continue
         forest = forest_for(g, tau)
         beta = make_even(external_augment(forest, tau)).beta
-        chain_adds, _ = run_chains(g, forest, beta, tau)
+        chain_adds, _ = run_chains(g, forest, budget_slots(forest, beta),
+                                   tau)
         g1 = add_edges(g, chain_adds)
         K = build_K(forest, tau)
         rem = {u: w - chain_adds.degree(u) for u, w in beta.items()}

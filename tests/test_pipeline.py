@@ -128,7 +128,7 @@ def test_connected_enough_costs_one_flow_tree_at_a_split_root():
 def test_augment_asks_no_connectivity_before_the_matching(monkeypatch):
     """The supreme recursion answers lambda(g): no `steiner_connectivity`
     call is made before the +1 matching, which checks its own steps."""
-    from steineraug import graph, pipeline
+    from steineraug import deg_chains, graph, pipeline
     log: list[str] = []
 
     def logged(name, fn):
@@ -140,8 +140,8 @@ def test_augment_asks_no_connectivity_before_the_matching(monkeypatch):
     for module in (graph, pipeline):
         monkeypatch.setattr(module, "steiner_connectivity",
                             logged("connectivity", steiner_connectivity))
-    monkeypatch.setattr(pipeline, "deg_augment_by_one",
-                        logged("matching", pipeline.deg_augment_by_one))
+    monkeypatch.setattr(deg_chains, "deg_augment_by_one",
+                        logged("matching", deg_chains.deg_augment_by_one))
     matched = 0
     cases = [(g_cycle(8), 2), (g_cycle(8), 3), (g_cyc4(), 3), (g_cyc4(), 4)]
     for idx in range(40):
@@ -200,7 +200,7 @@ def test_augment_keeps_the_terminal_matching_on_even_groups(monkeypatch):
     same weight and lambda(g + F) >= tau.  Exactly the solves where the
     terminal matching overdrew the even external star change: 28 of the
     930 corpus solves, and the 7-cycle."""
-    from steineraug import pipeline
+    from steineraug import deg_chains
     cases = list(_augment_corpus())
     outputs = [augment_pipeline(g, tau, seed=seed)[0]
                for g, tau, seed in cases]
@@ -210,7 +210,7 @@ def test_augment_keeps_the_terminal_matching_on_even_groups(monkeypatch):
         groups.append(len(K))
         return augment_by_one(g1, K, tau, rng, beta=rem, classes=classes)
 
-    monkeypatch.setattr(pipeline, "deg_augment_by_one", terminal_step)
+    monkeypatch.setattr(deg_chains, "deg_augment_by_one", terminal_step)
     changed = 0
     for (g, tau, seed), adds in zip(cases, outputs):
         groups.clear()
@@ -223,6 +223,49 @@ def test_augment_keeps_the_terminal_matching_on_even_groups(monkeypatch):
         assert (adds != ref) == bool(_overdrawn(g, tau, ref)), (g, tau)
         changed += adds != ref
     assert changed == 29
+
+
+def test_each_pipeline_splits_off_once_below_tau(monkeypatch):
+    """Both pipelines end in one `deg_chains.split_off` call when
+    lambda(g) < tau and tau >= 2, and make none otherwise (tau = 1 joins
+    components, and a g already tau-connected needs nothing)."""
+    from steineraug import deg_chains, pipeline
+    real = deg_chains.split_off
+    calls: list[int] = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "split_off", counted)
+    seen = Counter()
+    split = Graph.build(4, [(0, 1, 2)], range(4))
+    for g in [split] + [random_connected(idx) for idx in range(40)]:
+        conn = steiner_connectivity(g)
+        for tau in range(1, conn + 4):
+            calls.clear()
+            augment_pipeline(g, tau)
+            expect = int(conn < tau and tau >= 2)
+            assert len(calls) == expect, (g, tau)
+            seen["augment", expect] += 1
+        if conn < 1:
+            continue
+        forest = supreme_forest(g)
+        forest.compute_rdem(conn + 2)
+        stars = [make_even(external_augment(forest, conn + 2)).beta]
+        stars += [{u: 1, (u + 1) % g.n: 1} for u in range(g.n)]
+        for beta in stars:
+            gx, x = star_graph(g, beta)
+            calls.clear()
+            try:
+                _, report = splitoff_pipeline(gx, x)
+            except RejectedInstanceError:
+                continue
+            tau = report["tau"]
+            expect = int(conn < tau and tau >= 2)
+            assert len(calls) == expect, (g, beta)
+            seen["splitoff", expect] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 4, seen
 
 
 def test_splitoff_star_on_cyc4():
@@ -267,8 +310,8 @@ def test_splitoff_skips_the_feasibility_check_of_x_star(monkeypatch):
 
 def test_matching_over_budget_raises(monkeypatch):
     # The guard on x's budget after the matching must trip, also under -O.
-    from steineraug import pipeline
-    real = pipeline.deg_augment_by_one
+    from steineraug import deg_chains
+    real = deg_chains.deg_augment_by_one
 
     def overspend(g, tau, rem, K_prime, rng, **kwargs):
         adds = real(g, tau, rem, K_prime, rng, **kwargs)
@@ -276,7 +319,7 @@ def test_matching_over_budget_raises(monkeypatch):
         extra = rem[u] - adds.degree(u) + 1    # one unit past u's budget
         return adds.combine(EdgeAdditions(((u, 5, extra),)))
 
-    monkeypatch.setattr(pipeline, "deg_augment_by_one", overspend)
+    monkeypatch.setattr(deg_chains, "deg_augment_by_one", overspend)
     with pytest.raises(RuntimeError, match="exceed x's budget at"):
         splitoff_pipeline(_star7(), 6)
 
