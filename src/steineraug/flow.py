@@ -4,16 +4,19 @@ A `FlowNetwork` is prepared once per graph and weight map: its residual
 arrays are built and checked once, and `max_flow(net, sources, sinks)`,
 the one entry point, solves it for any number of source and sink sets,
 copying only the residual capacities.  An undirected network has one
-residual arc pair per coalesced edge, with capacity w each way; a
-directed one has one pair per arc, reverse capacity 0.  Both run the
-one pure-Python blocking-flow (Dinic) loop in `_dinic`, on unbounded
-Python integers, so perturbed weights of any size are exact.  A solve
-returns its value and minimal source side; the minimal sink side and
-the per-arc flows are derived from the residual capacities when read.
-A caller that only compares the value with a bound passes it as
-`limit`: the solve stops once its flow reaches it, and
-`FlowResult.finish` can go on from there if the exact value is needed
-after all.  `least_cut`, the least of many solves, answers every
+residual arc pair per coalesced edge, with capacity w each way, and is
+laid out straight from its weight map (`FlowNetwork.from_weights`):
+the map's keys and values are sliced into the arc heads and capacities,
+the adjacency lists take one pass, and no arc list is built.  A
+directed one, built from its arc list, has one pair per arc, reverse
+capacity 0.  Both run the one pure-Python blocking-flow (Dinic) loop in
+`_dinic`, on unbounded Python integers, so perturbed weights of any
+size are exact.  A solve returns its value and minimal source side; the
+minimal sink side and the per-arc flows are derived from the residual
+capacities when read.  A caller that only compares the value with a
+bound passes it as `limit`: the solve stops once its flow reaches it,
+and `FlowResult.finish` can go on from there if the exact value is
+needed after all.  `least_cut`, the least of many solves, answers every
 Steiner-connectivity question.  A caller with a graph builds its
 network with `FlowNetwork.undirected`.
 
@@ -27,6 +30,7 @@ import functools
 import operator
 import threading
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Optional
 
 from . import _dinic
@@ -86,8 +90,45 @@ class FlowNetwork:
                    weights: Optional[Mapping[tuple[int, int], int]] = None
                    ) -> "FlowNetwork":
         """g's coalesced edges, or the edges of `weights` if given."""
-        coal = g.coalesced() if weights is None else weights
-        return cls(g.n, [(u, v, w) for (u, v), w in coal.items()], False)
+        return cls.from_weights(g.n, g.coalesced() if weights is None
+                                else weights)
+
+    @classmethod
+    def from_weights(cls, n: int, weights: Mapping[tuple[int, int], int]
+                     ) -> "FlowNetwork":
+        """The arc-list constructor's undirected network on the items of
+        `weights`, laid out with no arc list (module docstring); a bad
+        endpoint or weight goes to that constructor, which raises."""
+        ends = list(chain.from_iterable(weights))   # u0, v0, u1, v1, ..
+        caps = list(weights.values())
+        net = cls.__new__(cls)
+        net.n = n
+        net.head = head = [[] for _ in range(n)]
+        ok = not weights or (min(ends) >= 0 and min(caps) >= 0)
+        if ok:
+            try:
+                a = 0
+                for (u, v) in weights:
+                    head[u].append(a)
+                    head[v].append(a + 1)
+                    a += 2
+            except IndexError:      # an endpoint >= n
+                ok = False
+        if not ok:
+            return cls(n, [(u, v, w) for (u, v), w in weights.items()], False)
+        net.to = to = ends[:]
+        to[::2], to[1::2] = ends[1::2], ends[::2]
+        net.cap = cap = caps * 2
+        cap[::2] = cap[1::2] = caps
+        net.inf = 1 + sum(caps)
+        return net
+
+    @functools.cached_property
+    def arcs(self) -> tuple[tuple[int, int, Optional[int]], ...]:
+        # Only for networks laid out from a weight map; nothing on the
+        # solve path reads it.
+        to, cap = self.to, self.cap
+        return tuple(zip(to[1::2], to[::2], cap[::2]))
 
 
 @dataclass(frozen=True)
@@ -131,14 +172,21 @@ class FlowResult:
         exact solve, or again a stopped one; itself if `limit` <= value."""
         if limit is not None and limit <= self.value:
             return self
-        net = self.net
-        more, side = _kernel_for(net.inf)(
-            net.head, net.to, self.residual, self.sources, self.sinks,
-            None if limit is None else limit - self.value)
-        if self.value + more >= net.inf:
-            raise NoFiniteCutError("no finite cut separates sources from sinks")
-        return FlowResult(self.value + more, side, net, self.residual,
-                          self.sources, self.sinks)
+        return _solve(self.net, self.residual, self.sources, self.sinks,
+                      self.value, limit)
+
+
+def _solve(net: FlowNetwork, residual: list[int], sources: tuple[int, ...],
+           sinks: tuple[int, ...], value: int, limit: Optional[int]
+           ) -> FlowResult:
+    """The kernel from `residual`, which carries a flow of `value`, up to
+    `limit` (> value, or None)."""
+    more, side = _kernel_for(net.inf)(
+        net.head, net.to, residual, sources, sinks,
+        None if limit is None else limit - value)
+    if value + more >= net.inf:
+        raise NoFiniteCutError("no finite cut separates sources from sinks")
+    return FlowResult(value + more, side, net, residual, sources, sinks)
 
 
 class NoFiniteCutError(ValueError):
@@ -164,8 +212,10 @@ def max_flow(net: FlowNetwork, sources: Iterable[int],
         raise ValueError("sources and sinks must be nonempty and disjoint")
     if sources[0] < 0 or sinks[0] < 0 or max(sources[-1], sinks[-1]) >= net.n:
         raise ValueError("source or sink out of range")
-    return FlowResult(0, None, net, net.cap[:], tuple(sources),
-                      tuple(sinks)).finish(limit)
+    sources, sinks = tuple(sources), tuple(sinks)
+    if limit is not None and limit <= 0:
+        return FlowResult(0, None, net, net.cap[:], sources, sinks)
+    return _solve(net, net.cap[:], sources, sinks, 0, limit)
 
 
 def least_cut(solves: Iterable[FlowResult], limit: Optional[int] = None

@@ -4,12 +4,18 @@ Vertices are dense integers 0..n-1.  Edges are a multiset of (u, v, w)
 with positive integer weights; parallel edges are allowed and cut values
 sum all parallel weights.  Graphs are immutable: every mutation API
 returns a new value.
+
+A graph built from outside input (`Graph.build`, the CLI) checks every
+edge once.  A graph the package derives from a checked one
+(`add_edges`, `star_graph`) checks only the edges it adds, and the
+total weight from its base's, so the pipelines' internal graphs are
+not validated again.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -25,6 +31,26 @@ class WeightBoundError(ValueError):
     """Total edge weight above WEIGHT_SUM_BOUND."""
 
 
+def _checked_weight(n: int, edges: Iterable[tuple[int, int, int]],
+                    total: int) -> int:
+    """`total` plus the edges' weights, each edge checked: endpoints in
+    0..n-1, no self-loop, a positive integer weight; the sum must stay
+    within WEIGHT_SUM_BOUND."""
+    for (u, v, w) in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge endpoint out of range: {(u, v, w)}")
+        if u == v:
+            raise ValueError(f"self-loop not allowed: {(u, v, w)}")
+        if w <= 0 or not isinstance(w, int):
+            raise ValueError(
+                f"edge weight must be a positive integer: {(u, v, w)}")
+        total += w
+    if total > WEIGHT_SUM_BOUND:
+        raise WeightBoundError(
+            "total edge weight exceeds the perturbation-safe bound")
+    return total
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected weighted multigraph with a designated terminal set."""
@@ -32,22 +58,14 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int, int], ...]
     terminals: frozenset[int]
+    #: The sum of the edge weights, found by the checks.
+    total_weight: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n <= 0:
             raise ValueError("vertex count must be positive")
-        total = 0
-        for (u, v, w) in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge endpoint out of range: {(u, v, w)}")
-            if u == v:
-                raise ValueError(f"self-loop not allowed: {(u, v, w)}")
-            if w <= 0 or not isinstance(w, int):
-                raise ValueError(f"edge weight must be a positive integer: {(u, v, w)}")
-            total += w
-        if total > WEIGHT_SUM_BOUND:
-            raise WeightBoundError(
-                "total edge weight exceeds the perturbation-safe bound")
+        object.__setattr__(self, "total_weight",
+                           _checked_weight(self.n, self.edges, 0))
         if not self.terminals:
             raise ValueError("terminal set must be nonempty")
         for t in self.terminals:
@@ -59,6 +77,16 @@ class Graph:
               terminals: Iterable[int]) -> "Graph":
         return Graph(n, tuple((int(u), int(v), int(w)) for u, v, w in edges),
                      frozenset(int(t) for t in terminals))
+
+    def _extend(self, n: int, added: tuple[tuple[int, int, int], ...]
+                ) -> "Graph":
+        """This graph on n >= self.n vertices plus the edges `added`, of
+        which only the new ones are checked."""
+        total = _checked_weight(n, added, self.total_weight)
+        g = object.__new__(Graph)
+        g.__dict__.update(n=n, edges=self.edges + added,
+                          terminals=self.terminals, total_weight=total)
+        return g
 
     def degree(self, u: int) -> int:
         """Weighted degree of u."""
@@ -134,11 +162,9 @@ def is_steiner_cut(g: Graph, X: Iterable[int]) -> bool:
 
 
 def add_edges(g: Graph, F: EdgeAdditions) -> Graph:
-    """Multiset union of g's edges with the additions."""
-    for (u, v, _) in F.entries:
-        if not (0 <= u < g.n and 0 <= v < g.n):
-            raise ValueError(f"addition endpoint out of range: {(u, v)}")
-    return Graph(g.n, g.edges + F.entries, g.terminals)
+    """Multiset union of g's edges with the additions; only the additions
+    are checked (module docstring)."""
+    return g._extend(g.n, F.entries)
 
 
 def least_steiner_cut(g: Graph, limit: Optional[int] = None,
@@ -186,9 +212,5 @@ def star_graph(g: Graph, beta: dict[int, int]) -> tuple[Graph, int]:
     Returns the extended graph (x is vertex g.n, not a terminal) and x's id.
     """
     x = g.n
-    edges = list(g.edges)
-    for u in sorted(beta):
-        w = beta[u]
-        if w > 0:
-            edges.append((u, x, w))
-    return Graph(g.n + 1, tuple(edges), g.terminals), x
+    return g._extend(x + 1, tuple((u, x, beta[u]) for u in sorted(beta)
+                                  if beta[u] > 0)), x

@@ -22,7 +22,8 @@ import random
 from typing import Iterable, Optional, Sequence
 
 from .forest import LaminarForest
-from .graph import EdgeAdditions, Graph, least_steiner_cut
+from .graph import EdgeAdditions, Graph, add_edges, least_steiner_cut, \
+    star_graph
 
 
 class MatchingRetryError(RuntimeError):
@@ -45,10 +46,9 @@ def is_feasible_partial(g_cur: Graph, K_remaining: Sequence[frozenset[int]],
     new vertex into the least terminal of each still-unmatched group, over
     the tau-classes `classes` of a subgraph of g_cur (default:
     singletons)."""
-    x = g_cur.n
-    h = Graph(x + 1, g_cur.edges + tuple((u, v, 1) for (u, v) in M)
-              + tuple((t, x, 1) for t in sorted(map(min, K_remaining))),
-              g_cur.terminals)
+    matched = EdgeAdditions(tuple((u, v, 1) for (u, v) in M))
+    h, _ = star_graph(add_edges(g_cur, matched),
+                      dict.fromkeys(map(min, K_remaining), 1))
     res = least_steiner_cut(h, tau, classes)
     return res is None or res.value >= tau
 

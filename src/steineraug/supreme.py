@@ -7,15 +7,20 @@ graph by divide and conquer over terminal bipartitions: a node with 4
 or more terminals splits them into two balanced halves by a cut
 threshold and recurses on the two contracted sides, and a node with at
 most 3 terminals (a base case) takes the earliest min cut of every
-terminal bipartition, at most 3 flows.  A split node reads its threshold
-sets off one equivalent-flow tree of its k terminals, so it costs k - 1
-flows for the tree and one for the split.  A recursion node is its
-terminals, weight map and the original vertices (label) of each vertex.
-Phase 3 builds the candidates' `LaminarForest` on the values of the
-flows that found them, scanning no edge, and prunes it with three
-post-order splicing passes, leaving exactly the supreme-set projections
-of the original graph with their cut values and perturbed vertex sets.
-The forest is a function of the graph: nothing is drawn at random.
+terminal bipartition, at most 3 flows.  A base case's values are its
+flows' values, since a min cut side's cut value is its flow's value; its
+crossing repair cuts only the differences X - Y, each over the arcs of
+its own vertices.  A split node reads its threshold sets off one
+equivalent-flow tree of its k terminals, so it costs k - 1 flows for the
+tree and one for the split.  A recursion node is its terminals, weight
+map and the original vertices (label) of each vertex, and its flow
+network is laid out from the weight map itself
+(`flow.FlowNetwork.from_weights`).  Phase 3 builds the candidates'
+`LaminarForest` on the values of the flows that found them, scanning no
+edge, and prunes it with three post-order splicing passes, leaving
+exactly the supreme-set projections of the original graph with their
+cut values and perturbed vertex sets.  The forest is a function of the
+graph: nothing is drawn at random.
 
 Terminals in several components split by the same rule: the flow
 tree's zero edges join whole components, after every positive edge, and
@@ -77,10 +82,20 @@ def perturb(g: Graph) -> dict[tuple[int, int], int]:
 
     A cut's offset, the sum of 2^i over the edges it crosses, names its
     crossing-edge set, so min cuts are unique; it lies in [0, 2^m - 1], so
-    d(X) = d~(X) >> m and unequal cut values keep their order."""
-    coal = g.coalesced()
-    m = len(coal)
-    return {e: (coal[e] << m) + (1 << i) for i, e in enumerate(sorted(coal))}
+    d(X) = d~(X) >> m and unequal cut values keep their order.
+
+    The edges are coalesced on the integer key u*n + v (u < v), whose
+    order is the order of the pairs (u, v), and 2^m*w is made once per
+    distinct weight w."""
+    n = g.n
+    acc: dict[int, int] = {}
+    for (u, v, w) in g.edges:
+        key = u * n + v if u < v else v * n + u
+        acc[key] = acc[key] + w if key in acc else w
+    m = len(acc)
+    high = {w: w << m for w in set(acc.values())}
+    return {divmod(key, n): high[acc[key]] + (1 << i)
+            for i, key in enumerate(sorted(acc))}
 
 
 def _contract(parts: list[Iterable[int]], terminals: frozenset[int],
@@ -111,35 +126,36 @@ def _contract(parts: list[Iterable[int]], terminals: frozenset[int],
             [labels[u] for u in keep] + [_expand(K, labels) for K in parts])
 
 
-def _crossing_repair(sets: list[frozenset[int]], cut_fn) -> list[frozenset[int]]:
-    """Remove one set of each partially overlapping pair.
+def _crossing_repair(fam: dict[frozenset[int], int], cut_fn
+                     ) -> dict[frozenset[int], int]:
+    """Remove one set of each partially overlapping pair of the family
+    `fam`, which maps each set to its cut value.
 
     By posi-modularity d(X-Y) <= d(X) or d(Y-X) <= d(Y); the condition
     certifies the removed set non-extreme (hence non-supreme), so every
     supreme set survives and the result is laminar.  A removal creates no
     crossing, so one pass over pairs i < j meets the same pairs in the
-    same order as a rescan after each removal.  `cut_fn` maps a vertex
-    bitmask to its cut value and is memoized.
+    same order as a rescan after each removal.  Only the differences
+    X - Y are evaluated, by `cut_fn`, which maps a vertex set to its cut
+    value and is memoized.
     """
-    fam = list(dict.fromkeys(sets))
-    masks = [sum(1 << v for v in X) for X in fam]
+    sets = list(fam)
     cut = functools.cache(cut_fn)
-    removed = [False] * len(fam)
-    for i, mi in enumerate(masks):
+    removed = [False] * len(sets)
+    for i, X in enumerate(sets):
         if removed[i]:
             continue
-        for j in range(i + 1, len(fam)):
+        for j in range(i + 1, len(sets)):
             if removed[j]:
                 continue
-            mj = masks[j]
-            inter = mi & mj
-            if not inter or inter == mi or inter == mj:
+            Y = sets[j]
+            if X.isdisjoint(Y) or X <= Y or Y <= X:
                 continue
-            if cut(mi ^ inter) <= cut(mi):
+            if cut(X - Y) <= fam[X]:
                 removed[i] = True
                 break
             removed[j] = True
-    return [X for X, r in zip(fam, removed) if not r]
+    return {X: fam[X] for X, r in zip(sets, removed) if not r}
 
 
 def _base_case(net: flow.FlowNetwork, groups: list[list[int]]
@@ -150,7 +166,8 @@ def _base_case(net: flow.FlowNetwork, groups: list[list[int]]
     one flow, which gives both minimal sides, so the 2^k - 2 ordered
     bipartitions cost 2^(k-1) - 1 flows.  The recursion calls it below 4
     groups, at most 3 flows; the tests use it at any k as the
-    full-enumeration reference."""
+    full-enumeration reference.  The repair reads each set's value off
+    its flow (module docstring)."""
     k = len(groups)
     full = (1 << k) - 1
     sides: dict[int, tuple[frozenset[int], int]] = {}
@@ -162,12 +179,12 @@ def _base_case(net: flow.FlowNetwork, groups: list[list[int]]
         sides[full ^ mask] = res.sink_side, res.value
     # Two masks differ on the groups, so never give the same side.
     fam = dict(sides[mask] for mask in range(1, full))
+    head, to, cap = net.head, net.to, net.cap
 
-    def cut_fn(M: int) -> int:
-        return sum(w for (u, v, w) in net.arcs if ((M >> u) ^ (M >> v)) & 1)
+    def cut_fn(D: frozenset[int]) -> int:
+        return sum(cap[a] for v in D for a in head[v] if to[a] not in D)
 
-    return ({X: fam[X] for X in _crossing_repair(list(fam), cut_fn)},
-            min(fam.values()))
+    return _crossing_repair(fam, cut_fn), min(fam.values())
 
 
 def _expand(X, labels: list[frozenset[int]]) -> frozenset[int]:
@@ -294,8 +311,7 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
     layers[depth] = layers.get(depth, 0) + len(labels)
 
     ts = sorted(terminals)
-    net = flow.FlowNetwork(len(labels), [(u, v, w) for (u, v), w
-                                         in weights.items()], False)
+    net = flow.FlowNetwork.from_weights(len(labels), weights)
     groups, pair = [[t] for t in ts], None
     if len(ts) > 3:
         tree, classes, stopped, last = _flow_tree(net, ts, limit,
@@ -326,8 +342,7 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
             # flow tree of the merged node.
             tree = [(c, phi[u], phi[p]) for c, u, p in tree if c != limit]
             ts = sorted(terminals)
-            net = flow.FlowNetwork(len(labels), [(u, v, w) for (u, v), w
-                                                 in weights.items()], False)
+            net = flow.FlowNetwork.from_weights(len(labels), weights)
     # Below 4 classes no bipartition leaves >= 2 on each side, which is
     # what makes both contracted sub-instances strictly smaller.  Each
     # class is one source or sink set of the node's own network, which
@@ -381,7 +396,7 @@ def find_supreme_candidates(g: Graph, weights: dict[tuple[int, int], int],
     labels = [frozenset({v}) for v in range(g.n)]
     scale = 1 << len(weights)
     limit = None if tau is None else tau * scale + 1
-    fam, low = _recurse(g.terminals, dict(weights), labels, stats, 0, limit)
+    fam, low = _recurse(g.terminals, weights, labels, stats, 0, limit)
     stats["connectivity"] = low // scale
     return {X: d for X, d in fam.items() if is_steiner_cut(g, X)}
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 import threading
 
 import pytest
@@ -8,6 +9,7 @@ from steineraug import flow
 from steineraug.flow import (FlowNetwork, NoFiniteCutError, isolating_cuts,
                              max_flow)
 from steineraug.graph import cut_value
+from steineraug.supreme import perturb
 
 from conftest import (g_cyc4, g_cycle, g_expo, g_path, g_split,
                       random_connected)
@@ -72,6 +74,58 @@ def test_network_validation():
         max_flow(FlowNetwork(2, ()), {0}, {0})
     with pytest.raises(ValueError):
         FlowNetwork(2, ((0, 1, -1),))
+
+
+def _arc_list_network(n, weights):
+    return FlowNetwork(n, [(u, v, w) for (u, v), w in weights.items()],
+                       False)
+
+
+def _layout(net):
+    return net.n, net.head, net.to, net.cap, net.inf, net.arcs
+
+
+def test_network_from_weight_map_matches_arc_list():
+    """A network laid out from a weight map is the arc-list constructor's
+    network on the map's items: plain maps in any key order and either
+    orientation, perturbed maps, isolated vertices and the empty map."""
+    rng = random.Random(30)
+    maps = [(1, {}), (5, {})]
+    for _ in range(150):
+        n = rng.randint(2, 12)
+        pairs = [(u, v) if rng.random() < 0.5 else (v, u)
+                 for u, v in itertools.combinations(range(n), 2)
+                 if rng.random() < 0.4]
+        rng.shuffle(pairs)
+        maps.append((n + rng.randint(0, 3),
+                     {p: rng.randint(0, 9) for p in pairs}))
+    for idx in range(40):
+        g = random_connected(idx)
+        maps.append((g.n + idx % 3, perturb(g)))
+    for n, weights in maps:
+        want = _arc_list_network(n, weights)
+        got = FlowNetwork.from_weights(n, weights)
+        assert _layout(got) == _layout(want), weights
+        if len(weights) and n > 1:
+            a, b = max_flow(got, [0], [n - 1]), max_flow(want, [0], [n - 1])
+            assert (a.value, a.source_side, a.residual) == \
+                (b.value, b.source_side, b.residual)
+    g = random_connected(3)
+    assert _layout(FlowNetwork.undirected(g)) == \
+        _layout(_arc_list_network(g.n, g.coalesced()))
+
+
+@pytest.mark.parametrize("weights", [
+    {(0, 3): 1}, {(0, 1): 1, (-1, 2): 1}, {(0, 1): -1},
+    {(0, 1): 2, (2, 1): -5, (1, 4): 1}, {(1, 9): 1, (0, 2): -1}],
+    ids=["endpoint-high", "endpoint-negative", "negative", "negative-later",
+         "first-bad-arc-decides"])
+def test_network_from_weight_map_raises_as_arc_list(weights):
+    with pytest.raises(ValueError) as want:
+        _arc_list_network(3, weights)
+    with pytest.raises(ValueError) as got:
+        FlowNetwork.from_weights(3, weights)
+    assert str(got.value) == str(want.value)
 
 
 def test_call_counter():

@@ -3,8 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from steineraug.flow import FlowNetwork, max_flow, max_flow_call_count
 from steineraug.graph import (EdgeAdditions, Graph, add_edges, cut_value,
-                              is_steiner_cut, least_steiner_cut, projection,
-                              star_graph, steiner_connectivity)
+                              WeightBoundError, is_steiner_cut,
+                              least_steiner_cut, projection, star_graph,
+                              steiner_connectivity)
 
 from conftest import g_cyc4, g_expo, g_path, random_connected
 
@@ -133,3 +134,42 @@ def test_cut_function_submodular_and_posimodular(idx, data):
     dx, dy = cut_value(g, X), cut_value(g, Y)
     assert dx + dy >= cut_value(g, X | Y) + cut_value(g, X & Y)
     assert dx + dy >= cut_value(g, X - Y) + cut_value(g, Y - X)
+
+
+@pytest.mark.parametrize("entry", [(0, 3, 1), (-1, 2, 1), (0, 2, 1.5)],
+                         ids=["endpoint-high", "endpoint-negative",
+                              "non-integer-weight"])
+def test_add_edges_rejects_a_bad_addition(entry):
+    with pytest.raises(ValueError):
+        add_edges(g_path(), EdgeAdditions((entry,)))
+
+
+def test_add_edges_keeps_the_total_weight_bound():
+    g = Graph.build(3, [(0, 1, 2**40 - 2), (1, 2, 1)], [0, 2])
+    assert add_edges(g, EdgeAdditions(((0, 2, 1),))).total_weight == 2**40
+    with pytest.raises(WeightBoundError):
+        add_edges(g, EdgeAdditions(((0, 2, 1), (0, 1, 1))))
+    with pytest.raises(WeightBoundError):
+        star_graph(g, {0: 1, 2: 1})
+
+
+def test_derived_graphs_check_only_their_additions(monkeypatch):
+    """add_edges and star_graph give the graph a full check would, with
+    its total weight, without checking the base graph's edges again."""
+    for idx in range(30):
+        g = random_connected(idx)
+        F = EdgeAdditions(((0, g.n - 1, 2), (1, 2, 1)))
+        beta = {u: u % 3 for u in range(g.n)}
+        want_sum = Graph(g.n, g.edges + F.entries, g.terminals)
+        want_star = Graph(g.n + 1, g.edges + tuple(
+            (u, g.n, w) for u, w in sorted(beta.items()) if w), g.terminals)
+        checks = []
+        monkeypatch.setattr(Graph, "__post_init__",
+                            lambda self: checks.append(self))
+        got_sum, (got_star, x) = add_edges(g, F), star_graph(g, beta)
+        monkeypatch.undo()
+        assert checks == [] and x == g.n
+        for got, want in ((got_sum, want_sum), (got_star, want_star)):
+            assert got == want
+            assert got.total_weight == want.total_weight == \
+                sum(w for (_, _, w) in want.edges)

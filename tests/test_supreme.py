@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import math
 import random
@@ -184,15 +185,6 @@ def _base_family(g, weights):
     return fam
 
 
-def _weight_cut(weights):
-    def by_set(S):
-        return _tilde(weights, S)
-
-    def by_mask(M):
-        return by_set({v for v in range(M.bit_length()) if (M >> v) & 1})
-    return by_set, by_mask
-
-
 def test_crossing_repair_single_pass_matches_restart_random_families():
     rng = random.Random(7)
     for trial in range(300):
@@ -203,8 +195,9 @@ def test_crossing_repair_single_pass_matches_restart_random_families():
         sets = [frozenset(v for v in range(n) if rng.random() < 0.5)
                 for _ in range(rng.randint(0, 25))]
         sets = [X for X in sets if X]
-        by_set, by_mask = _weight_cut(weights)
-        assert _crossing_repair(sets, by_mask) == \
+        by_set = functools.partial(_tilde, weights)
+        fam = {X: by_set(X) for X in sets}
+        assert list(_crossing_repair(fam, by_set)) == \
             _crossing_repair_restart(sets, by_set), trial
 
 
@@ -214,10 +207,11 @@ def test_crossing_repair_single_pass_matches_restart_base_families():
         g = random_connected(idx)
         weights = perturb(g)
         fam = _base_family(g, weights)
-        by_set, by_mask = _weight_cut(weights)
+        by_set = functools.partial(_tilde, weights)
         want = _crossing_repair_restart(fam, by_set)
         crossing += len(want) < len(fam)
-        assert _crossing_repair(fam, by_mask) == want
+        assert list(_crossing_repair({X: by_set(X) for X in fam},
+                                     by_set)) == want
         net = flow.FlowNetwork.undirected(g, weights)
         fam, low = _base_case(net, [[t] for t in sorted(g.terminals)])
         assert list(fam) == want
@@ -739,3 +733,55 @@ def test_postprocess_matches_rebuild_reference_corpus(w_max):
         assert tree_signature(postprocess(fam, g, len(weights))) == \
             tree_signature(_postprocess_rebuild(fam, g, weights)), idx
     assert merged > 0
+
+
+def test_base_case_values_are_perturbed_cut_values(monkeypatch):
+    """Every value a base case hands the crossing repair, those of its
+    sets and those of the differences it cuts, is the set's cut value
+    under the node's perturbed weights, on connected and disconnected
+    graphs, with and without tau."""
+    import steineraug.supreme as supreme
+
+    seen = {"sets": 0, "diffs": 0}
+    nets = []
+    base_case, repair = supreme._base_case, supreme._crossing_repair
+
+    def d(X):
+        return sum(w for (u, v, w) in nets[-1].arcs if (u in X) != (v in X))
+
+    def spy_base_case(net, groups):
+        nets.append(net)
+        return base_case(net, groups)
+
+    def spy_repair(fam, cut_fn):
+        for X, value in fam.items():
+            assert value == d(X), X
+            seen["sets"] += 1
+
+        def checked(D):
+            assert cut_fn(D) == d(D), D
+            seen["diffs"] += 1
+            return cut_fn(D)
+        return repair(fam, checked)
+
+    monkeypatch.setattr(supreme, "_base_case", spy_base_case)
+    monkeypatch.setattr(supreme, "_crossing_repair", spy_repair)
+    rng = random.Random(31)
+    graphs = [random_connected(idx) for idx in range(40)]
+    for idx in range(20):
+        a, b = random_connected(idx), random_connected(100 + idx)
+        extra = rng.randint(0, 2)
+        edges = a.edges + tuple((u + a.n, v + a.n, w) for u, v, w in b.edges)
+        terminals = (sorted(a.terminals) + [t + a.n for t in b.terminals]
+                     + list(range(a.n + b.n, a.n + b.n + extra)))
+        graphs.append(Graph.build(a.n + b.n + extra, edges, terminals))
+    for g in graphs:
+        weights = perturb(g)
+        root = len(nets)
+        for tau in (None, steiner_connectivity(g) + 2):
+            find_supreme_candidates(g, weights, tau=tau)
+        if len(g.terminals) <= 3:   # the root is a base case
+            assert all(net.arcs == tuple((u, v, w) for (u, v), w
+                                         in weights.items())
+                       for net in nets[root:])
+    assert len(nets) > 200 and seen["sets"] > 1000 and seen["diffs"] > 300
