@@ -65,52 +65,47 @@ def build_H(state: DegExternalState, path: HeavyPath
     if mu is None:
         raise RuntimeError(f"node {rk} lost its vertex set")
 
-    # Vertex blocks: one node per terminal layer R_i \ R_{i-1}, one per
-    # uncontracted vertex of mu, one for everything else including x.
+    # Vertex blocks: block i is the terminal layer R_i \ R_{i-1}, then one
+    # per uncontracted vertex of mu, then the sink: x merged with every
+    # vertex outside mu, which `comp` leaves out.
     comp: dict[int, int] = {}
-    next_id = 0
-    block_of: list[int] = []
     prev: frozenset[int] = frozenset()
-    for r in rs:
+    for i, r in enumerate(rs):
         layer = f.nodes[r].terminals - prev
         if not layer:
             raise RuntimeError("heavy path layers must strictly grow")
-        for u in layer:
-            comp[u] = next_id
-        block_of.append(next_id)
-        next_id += 1
+        comp.update(dict.fromkeys(layer, i))
         prev = f.nodes[r].terminals
+    next_id = len(rs)
     for u in sorted(mu):
         if u not in comp:
             comp[u] = next_id
             next_id += 1
-    sink = next_id                  # V u {x} outside mu, merged with x
-    next_id += 1
-    for u in range(g.n):
-        comp.setdefault(u, sink)
-    y = next_id
-    next_id += 1
+    sink, y = next_id, next_id + 1
 
     arcs: list[tuple[int, int, Optional[int]]] = []
     for (u, v, w) in g.edges:
-        cu, cv = comp[u], comp[v]
+        cu, cv = comp.get(u, sink), comp.get(v, sink)
         if cu != cv:
             arcs.append((cu, cv, w))
             arcs.append((cv, cu, w))
-    for u, w in sorted(state.wx.items()):
-        if w > 0 and comp[u] != sink:
+    beta, wx = state.beta, state.wx
+    for u, w in sorted(wx.items()):
+        if w > 0 and u in comp:
             arcs.append((comp[u], sink, w))
             arcs.append((sink, comp[u], w))
+    over = [u for u in beta.keys() | wx.keys()
+            if beta.get(u, 0) < wx.get(u, 0)]
+    if over:
+        raise RuntimeError(f"budget exceeded at {min(over)} before processing")
     uy_arcs: dict[int, int] = {}    # arc index -> original vertex
-    for u in range(g.n):
-        cap = state.beta.get(u, 0) - state.wx.get(u, 0)
-        if cap < 0:
-            raise RuntimeError(f"budget exceeded at {u} before processing")
-        if cap > 0 and comp[u] != sink:
+    for u in sorted(comp):
+        cap = beta.get(u, 0) - wx.get(u, 0)
+        if cap > 0:
             uy_arcs[len(arcs)] = u
             arcs.append((comp[u], y, cap))
     for i in range(len(rs) - 1):
-        arcs.append((block_of[i + 1], block_of[i], None))
+        arcs.append((i + 1, i, None))
 
     # The path's demand, rdem(Rk) minus the rdem hanging off the path, is
     # the sum of its nodes' excess, and the sum from R_i down is the
@@ -123,9 +118,9 @@ def build_H(state: DegExternalState, path: HeavyPath
     yx_index = len(arcs)
     arcs.append((y, sink, delta))
 
-    net = flow.FlowNetwork(next_id, arcs)
+    net = flow.FlowNetwork(y + 1, arcs)
     meta = {"uy_arcs": uy_arcs, "yx_index": yx_index, "delta": delta,
-            "sink": sink, "source": block_of[0], "comp": comp, "y": y}
+            "sink": sink, "source": 0, "comp": comp, "y": y}
     return net, meta
 
 

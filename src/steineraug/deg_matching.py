@@ -8,11 +8,10 @@ terminal, as with augmentation's even external solution), and inside
 each supreme set some vertex still holds vacant external degree.  The
 random matching (`matching.match_groups`) attaches every matched edge to
 such a surrogate vertex, so augmentation splits off its even external
-star just as splitting-off splits x's.  When the number of groups is
-odd and no group can pay for two edges, one spare unit of vacant degree
-outside every supreme set joins the matching as a group of its own, so
-every edge added comes out of the checked matching, whose checks run
-over g's tau-classes as in `matching`.
+star just as splitting-off splits x's.  It also decides the odd number
+of groups, a spare unit outside every supreme set included, so every
+edge added comes out of the checked matching, whose checks run over
+g's tau-classes as in `matching`.
 """
 
 from __future__ import annotations
@@ -27,27 +26,23 @@ from .matching import match_groups
 
 def find_surrogates(g: Graph, K_prime: Sequence[frozenset[int]],
                     beta: dict[int, int]
-                    ) -> dict[frozenset[int], tuple[frozenset[int], int]]:
-    """Per group k: its supreme set mu(k) (minimal isolating cut) and the
-    lowest-id vertex of mu(k) with vacant degree.  Each group is the
-    terminal set of a Steiner cut, so the parts are 2 or more.  When
-    every vertex with vacant degree is a terminal, k stands for mu(k)
-    at no flow: mu(k) & T = k, so both hold the same vacant vertices."""
+                    ) -> dict[frozenset[int], frozenset[int]]:
+    """Per group k: its supreme set mu(k) (minimal isolating cut), where
+    some vertex must have vacant degree.  Each group is the terminal set
+    of a Steiner cut, so the parts are 2 or more.  When every vertex with
+    vacant degree is a terminal, k stands for mu(k) at no flow: mu(k) &
+    T = k, so both hold the same vacant vertices."""
     groups = [frozenset(k) for k in K_prime]
     if all(v in g.terminals for v, w in beta.items() if w >= 1):
         cuts = {k: k for k in groups}
     else:
         rest = frozenset(g.terminals) - frozenset().union(*groups)
         cuts = flow.isolating_cuts(g, groups + ([rest] if rest else []))
-    out = {}
     for k in groups:
-        mu = cuts[k]
-        vac = sorted(v for v in mu if beta.get(v, 0) >= 1)
-        if not vac:
+        if not any(beta.get(v, 0) >= 1 for v in cuts[k]):
             raise RuntimeError(
                 f"no vacant vertex inside the supreme set of {sorted(k)}")
-        out[k] = (mu, vac[0])
-    return out
+    return {k: cuts[k] for k in groups}
 
 
 def deg_augment_by_one(g: Graph, tau: int, beta: dict[int, int],
@@ -60,21 +55,5 @@ def deg_augment_by_one(g: Graph, tau: int, beta: dict[int, int],
     (not changed here).  `classes` as in `matching.match_groups`."""
     if not K_prime:
         return EdgeAdditions(())
-    supreme = {k: mu for k, (mu, _) in
-               find_surrogates(g, K_prime, beta).items()}
-    if len(K_prime) % 2 == 1 and all(
-            sum(beta.get(v, 0) for v in mu) < 2 for mu in supreme.values()):
-        # No group can afford both ends of the odd edge between two groups.
-        # The budget left is even (x's star and the even external solution
-        # are, and each chain edge spends 2) and each group holds 1 unit,
-        # so an odd number lies outside every supreme set: one such unit is
-        # matched as a group of its own.
-        inside = frozenset().union(*supreme.values())
-        spare = sorted(v for v, w in beta.items()
-                       if w >= 1 and v not in inside)
-        if not spare:
-            raise RuntimeError("no spare budget outside the supreme sets")
-        k = frozenset({spare[0]})
-        supreme[k] = k
-
-    return match_groups(g, supreme, tau, rng, dict(beta), classes)
+    return match_groups(g, find_surrogates(g, K_prime, beta), tau, rng,
+                        dict(beta), classes)

@@ -86,12 +86,9 @@ class FlowNetwork:
             self.cap[1::2] = self.cap[::2]
 
     @classmethod
-    def undirected(cls, g: Graph,
-                   weights: Optional[Mapping[tuple[int, int], int]] = None
-                   ) -> "FlowNetwork":
-        """g's coalesced edges, or the edges of `weights` if given."""
-        return cls.from_weights(g.n, g.coalesced() if weights is None
-                                else weights)
+    def undirected(cls, g: Graph) -> "FlowNetwork":
+        """g's coalesced edges."""
+        return cls.from_weights(g.n, g.coalesced())
 
     @classmethod
     def from_weights(cls, n: int, weights: Mapping[tuple[int, int], int]

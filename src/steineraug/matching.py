@@ -13,6 +13,9 @@ Both pipelines reach this loop through `deg_matching.deg_augment_by_one`,
 and every edge of their +1 step comes out of it.  A matched edge
 attaches inside its group's supreme set, at a vertex with budget left:
 augmentation spends its even external solution, splitting-off x's star.
+When the number of groups is odd, one group keeps a second edge if its
+supreme set can pay for it; if none can, the least unit of budget
+outside every supreme set joins the matching as a group of its own.
 """
 
 from __future__ import annotations
@@ -60,8 +63,9 @@ def match_groups(g: Graph, supreme: dict[frozenset[int], frozenset[int]],
     """Algorithm-3 sampling loop over the groups `supreme` maps to their
     supreme sets, in its order.  A matched group's edge attaches to the
     least vertex of its supreme set with budget left (its surrogate), and
-    `budget` is spent in place.  `classes`, g's tau-classes, go to every
-    check (`is_feasible_partial`).
+    `budget` is spent in place.  An odd number of groups takes one extra
+    edge, or a spare unit as one more group (module docstring).
+    `classes`, g's tau-classes, go to every check (`is_feasible_partial`).
     """
     groups = list(supreme)
     out: list[tuple[int, int]] = []     # committed pairs, checked with g
@@ -88,9 +92,24 @@ def match_groups(g: Graph, supreme: dict[frozenset[int], frozenset[int]],
         # can best afford a second edge.
         left = [sum(budget.get(v, 0) for v in supreme[grp]) for grp in groups]
         j = max(range(len(groups)), key=lambda t: (left[t], -min(groups[t])))
-        i = rng.choice([t for t in range(len(groups)) if t != j])
-        commit([(groups[i], groups[j])])
-        groups.pop(i)
+        if left[j] >= 2:
+            i = rng.choice([t for t in range(len(groups)) if t != j])
+            commit([(groups[i], groups[j])])
+            groups.pop(i)
+        else:
+            # No group can pay both ends.  The budget left is even (x's
+            # star and the even external solution are, and each chain
+            # edge spends 2) and each group holds 1 unit, so an odd
+            # number lies outside every supreme set: the least such unit
+            # is matched as a group of its own.
+            inside = frozenset().union(*supreme.values())
+            spare = [v for v, w in budget.items()
+                     if w >= 1 and v not in inside]
+            if not spare:
+                raise RuntimeError("no spare budget outside the supreme sets")
+            k = frozenset({min(spare)})
+            supreme = {**supreme, k: k}
+            groups.append(k)
 
     attempts = 128 * max(1, math.ceil(math.log2(max(2, g.n))))
     while len(groups) >= 4:

@@ -34,26 +34,22 @@ class RejectedInstanceError(ValueError):
 
 
 def _components(g: Graph) -> list[list[int]]:
-    adj: dict[int, list[int]] = {u: [] for u in range(g.n)}
+    adj: list[list[int]] = [[] for _ in range(g.n)]
     for (u, v, _) in g.edges:
         adj[u].append(v)
         adj[v].append(u)
-    seen: set[int] = set()
+    seen = [False] * g.n
     comps = []
     for s in range(g.n):
-        if s in seen:
-            continue
-        comp = []
-        stack = [s]
-        seen.add(s)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        comps.append(comp)
+        if not seen[s]:
+            seen[s] = True
+            comp = [s]
+            for u in comp:
+                for v in adj[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        comp.append(v)
+            comps.append(comp)
     return comps
 
 
@@ -175,13 +171,13 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0
         raise RejectedInstanceError("external vertex must be the last id")
     if x in g_with_x.terminals:
         raise RejectedInstanceError("external vertex must be nonterminal")
-    dx = g_with_x.degree(x)
+    g, beta = _remove_vertex(g_with_x, x)
+    dx = sum(beta.values())
     if dx == 0:
         return EdgeAdditions(()), {"total_weight": 0, "tau": None,
                                    "phases": {}, "max_flow_calls": 0}
     if dx % 2 == 1:
         raise RejectedInstanceError(f"degree of x is odd ({dx})")
-    g, beta = _remove_vertex(g_with_x, x)
     cut = _cut_edge_neighbours(g, beta)
     if cut:
         raise RejectedInstanceError(f"cut edge between x and {cut[0]}")

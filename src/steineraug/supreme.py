@@ -67,7 +67,6 @@ root's classes also serve the +1 step (`matching`).  The forest after
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Iterable, Mapping, Optional
 
@@ -137,10 +136,9 @@ def _crossing_repair(fam: dict[frozenset[int], int], cut_fn
     crossing, so one pass over pairs i < j meets the same pairs in the
     same order as a rescan after each removal.  Only the differences
     X - Y are evaluated, by `cut_fn`, which maps a vertex set to its cut
-    value and is memoized.
+    value.
     """
     sets = list(fam)
-    cut = functools.cache(cut_fn)
     removed = [False] * len(sets)
     for i, X in enumerate(sets):
         if removed[i]:
@@ -151,7 +149,7 @@ def _crossing_repair(fam: dict[frozenset[int], int], cut_fn
             Y = sets[j]
             if X.isdisjoint(Y) or X <= Y or Y <= X:
                 continue
-            if cut(X - Y) <= fam[X]:
+            if cut_fn(X - Y) <= fam[X]:
                 removed[i] = True
                 break
             removed[j] = True

@@ -1,20 +1,27 @@
 import copy
 import dataclasses
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 
-from steineraug import flow, oracle
+from steineraug import deg_external, flow, oracle
+from steineraug.cli import parse_graph_text
 from steineraug.deg_external import (DegExternalState, InfeasibleBudgetError,
                                      build_H, check_feasibility,
                                      deg_external_augment, process_path)
-from steineraug.external import external_augment
+from steineraug.external import external_augment, make_even
 from steineraug.flow import FlowNetwork, max_flow
 from steineraug.forest import HeavyPathDecomposition
 from steineraug.graph import cut_value, star_graph, steiner_connectivity
+from steineraug.pipeline import RejectedInstanceError, splitoff_pipeline
 from steineraug.supreme import supreme_forest
 
 from conftest import g_path, g_split, random_connected, tree_plus_2n
+from h_network_reference import build_H as whole_graph_build_H
+
+SPLITOFF_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "splitoff"
 
 
 def ready_forest(g, tau):
@@ -273,3 +280,56 @@ def test_negative_excess_on_a_path_raises():
     child.rdem = top.rdem + 1
     with pytest.raises(RuntimeError, match="negative excess"):
         build_H(state, path)
+
+
+def _splitoff_stars():
+    """The benchmark's 7 pool stars, then per random_connected(0..199)
+    its even external star at lambda + 2 and four stars of 1-3 units on
+    about 60% of its vertices, terminal or not, made even."""
+    files = sorted(SPLITOFF_POOL.glob("*.txt"))
+    assert len(files) == 7
+    for path in files:
+        g, _ = parse_graph_text(path.read_text())
+        yield g, 0
+    for idx in range(200):
+        g = random_connected(idx)
+        tau = steiner_connectivity(g) + 2
+        forest = ready_forest(g, tau)
+        beta = make_even(external_augment(forest, tau)).beta
+        yield star_graph(g, beta)[0], idx
+        rng = random.Random(idx)
+        for _ in range(4):
+            beta = {u: rng.randint(1, 3) for u in range(g.n)
+                    if rng.random() < 0.6}
+            if beta:
+                if sum(beta.values()) % 2:
+                    beta[next(iter(beta))] += 1
+                yield star_graph(g, beta)[0], idx
+
+
+def test_build_H_matches_the_whole_graph_layout(monkeypatch):
+    """On every heavy path, build_H's network (vertex count, arcs in
+    order) and meta equal those of the layout that walked all n vertices,
+    `comp` compared on mu: only mu's vertices get blocks.  Every one of
+    these networks has vertices outside mu, which read as the sink."""
+    seen = []
+
+    def compared(state, path):
+        net, meta = build_H(state, path)
+        ref_net, ref_meta = whole_graph_build_H(state, path)
+        assert (net.n, net.arcs) == (ref_net.n, ref_net.arcs)
+        mu = state.forest.nodes[path.nodes[0]].mu_tilde
+        ref_meta["comp"] = {u: ref_meta["comp"][u] for u in mu}
+        assert meta == ref_meta
+        seen.append(len(mu) < state.g.n)
+        return net, meta
+
+    monkeypatch.setattr(deg_external, "build_H", compared)
+    rejected = 0
+    for gx, seed in _splitoff_stars():
+        try:
+            splitoff_pipeline(gx, gx.n - 1, seed=seed)
+        except RejectedInstanceError:
+            rejected += 1
+    assert len(seen) == 1580 and all(seen), (len(seen), sum(seen))
+    assert rejected == 46, rejected

@@ -221,7 +221,8 @@ def test_undirected_cuts_match_reference():
                        {e: rng.getrandbits(100) + 1
                         for e in g.coalesced()}]
         for weights in weight_maps:
-            net = flow.FlowNetwork.undirected(g, weights)
+            net = flow.FlowNetwork.from_weights(
+                g.n, g.coalesced() if weights is None else weights)
             for A, B in _bipartitions(rng, g, 4):
                 res = flow.max_flow(net, A, B)
                 assert (res.value, res.source_side, res.sink_side) == \
@@ -234,7 +235,7 @@ def test_undirected_cuts_on_corpus_match_reference():
     for idx in range(60):
         g = random_connected(idx, n_max=12)
         weights = perturb(g)
-        net = flow.FlowNetwork.undirected(g, weights)
+        net = flow.FlowNetwork.from_weights(g.n, weights)
         ts = sorted(g.terminals)
         for t in ts[1:]:
             res = flow.max_flow(net, ts[:1], [t])
@@ -253,7 +254,8 @@ def test_capped_and_finished_cuts_match_reference():
         g = _random_multigraph(rng)
         for weights in (None, perturb(g),
                         {e: rng.getrandbits(100) + 1 for e in g.coalesced()}):
-            net = flow.FlowNetwork.undirected(g, weights)
+            net = flow.FlowNetwork.from_weights(
+                g.n, g.coalesced() if weights is None else weights)
             for A, B in _bipartitions(rng, g, 3):
                 want = ref_min_cut_sides(g, A, B, weights)
                 limit = rng.choice([want[0], want[0] + 1,

@@ -6,12 +6,12 @@ from steineraug import matching
 from steineraug.chains import budget_slots, run_chains
 from steineraug.deg_matching import deg_augment_by_one
 from steineraug.external import external_augment, make_even
-from steineraug.graph import add_edges, steiner_connectivity
+from steineraug.graph import Graph, add_edges, steiner_connectivity
 from steineraug.matching import (MatchingRetryError, build_K,
                                  is_feasible_partial, match_groups)
 from steineraug.supreme import supreme_forest
 
-from conftest import g_cyc4, g_path, random_connected
+from conftest import g_cyc4, g_cycle, g_path, random_connected
 
 
 def forest_for(g, tau):
@@ -157,6 +157,31 @@ def test_match_groups_spends_the_budget_in_place():
                         random.Random(7), budget)
     assert set(adds.entries) <= {(0, 2, 1), (1, 3, 1)}
     assert budget == {0: 0, 1: 0, 2: 1, 3: 0, 5: 1}
+
+
+def test_odd_groups_match_the_least_spare_unit_as_a_group():
+    """Three groups of one unit each cannot pay for a second edge, so
+    the least unit outside them, at 3, joins the matching as a group.
+    On the 6-cycle with terminals 0, 2 and 4, only (0, 3), (2, 4) then
+    reaches tau = 3; the unit at 5 is left."""
+    g = Graph.build(6, g_cycle(6).edges, [0, 2, 4])
+    groups = [frozenset({v}) for v in (0, 2, 4)]
+    budget = {0: 1, 2: 1, 4: 1, 5: 1, 3: 1}
+    adds = match_groups(g, {k: k for k in groups}, 3, random.Random(0),
+                        budget)
+    assert sorted(adds.entries) == [(0, 3, 1), (2, 4, 1)]
+    assert budget == {0: 0, 2: 0, 4: 0, 5: 1, 3: 0}
+    assert steiner_connectivity(add_edges(g, adds)) == 3
+
+
+def test_no_spare_budget_outside_the_supreme_sets_raises():
+    # The spare-unit guard must trip, also under -O: an odd number of
+    # one-unit groups and no budget outside them.
+    groups = [frozenset({v}) for v in (0, 2, 4)]
+    with pytest.raises(RuntimeError,
+                       match="no spare budget outside the supreme sets"):
+        match_groups(g_cycle(6), {k: k for k in groups}, 3,
+                     random.Random(0), {0: 1, 2: 1, 4: 1})
 
 
 def test_budget_exhausted_inside_supreme_set_raises():

@@ -178,7 +178,7 @@ def _base_family(g, weights):
     fam = []
     for mask in range(1, (1 << len(ts)) - 1):
         T1 = frozenset(t for i, t in enumerate(ts) if (mask >> i) & 1)
-        X = flow.max_flow(flow.FlowNetwork.undirected(g, weights), T1,
+        X = flow.max_flow(flow.FlowNetwork.from_weights(g.n, weights), T1,
                           frozenset(ts) - T1).source_side
         if X not in fam:
             fam.append(X)
@@ -212,7 +212,7 @@ def test_crossing_repair_single_pass_matches_restart_base_families():
         crossing += len(want) < len(fam)
         assert list(_crossing_repair({X: by_set(X) for X in fam},
                                      by_set)) == want
-        net = flow.FlowNetwork.undirected(g, weights)
+        net = flow.FlowNetwork.from_weights(g.n, weights)
         fam, low = _base_case(net, [[t] for t in sorted(g.terminals)])
         assert list(fam) == want
         assert all(d == by_set(X) for X, d in fam.items())
@@ -227,7 +227,7 @@ def test_base_case_one_flow_per_complementary_pair():
         g = random_connected(idx)
         k = len(g.terminals)
         before = flow.max_flow_call_count()
-        net = flow.FlowNetwork.undirected(g, perturb(g))
+        net = flow.FlowNetwork.from_weights(g.n, perturb(g))
         _base_case(net, [[t] for t in sorted(g.terminals)])
         assert flow.max_flow_call_count() - before == 2 ** (k - 1) - 1
 
@@ -340,7 +340,7 @@ def test_balanced_split_costs_one_tree_and_one_split():
     smaller least terminal, though the other forms first."""
     graphs = [tree_plus_2n(30, 500 + i, 12) for i in range(30)]
     for i, g in enumerate(graphs + [_two_clusters()]):
-        net = flow.FlowNetwork.undirected(g, perturb(g))
+        net = flow.FlowNetwork.from_weights(g.n, perturb(g))
         ts = sorted(g.terminals)
         before = flow.max_flow_call_count()
         tree, _, _, _ = _flow_tree(net, ts)
@@ -500,7 +500,7 @@ def test_recursion_matches_full_enumeration():
         n, k = rng.randint(16, 40), rng.randint(6, 11)
         g = tree_plus_2n(n, 8000 + i, k)
         weights = perturb(g)
-        fam, _ = _base_case(flow.FlowNetwork.undirected(g, weights),
+        fam, _ = _base_case(flow.FlowNetwork.from_weights(g.n, weights),
                             [[t] for t in sorted(g.terminals)])
         stats: dict = {}
         f = supreme_forest(g, stats=stats)
@@ -563,7 +563,7 @@ def test_perturbed_scale_decides_tau():
         g = random_connected(idx)
         weights = perturb(g)
         exact = flow.FlowNetwork.undirected(g)
-        tilde = flow.FlowNetwork.undirected(g, weights)
+        tilde = flow.FlowNetwork.from_weights(g.n, weights)
         s, *rest = sorted(g.terminals)
         for t in rest:
             lam = flow.max_flow(exact, (s,), (t,)).value
