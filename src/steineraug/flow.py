@@ -17,7 +17,8 @@ capacities when read.  A caller that only compares the value with a
 bound passes it as `limit`: the solve stops once its flow reaches it,
 and `FlowResult.finish` can go on from there if the exact value is
 needed after all.  `least_cut`, the least of many solves, answers every
-Steiner-connectivity question.  A caller with a graph builds its
+Steiner-connectivity question, exactly below a `bound` known from
+elsewhere when one is given.  A caller with a graph builds its
 network with `FlowNetwork.undirected`.
 
 A per-thread invocation counter supports the call-count budget and the
@@ -215,22 +216,29 @@ def max_flow(net: FlowNetwork, sources: Iterable[int],
     return _solve(net, net.cap[:], sources, sinks, 0, limit)
 
 
-def least_cut(solves: Iterable[FlowResult], limit: Optional[int] = None
-              ) -> Optional[FlowResult]:
+def least_cut(solves: Iterable[FlowResult], limit: Optional[int] = None,
+              bound: Optional[int] = None) -> Optional[FlowResult]:
     """The first least of `solves` (None if none), each finished up to
-    `limit`, or without one the first exactly and each later one up to
-    the least value so far.  Stops, reading no more solves, at the first
-    value below `limit`, or at the first 0 without one.  A value below
-    `limit`, or any without one, is exact, with its minimal source side."""
+    `limit`, or without one up to the least of `bound` and the values so
+    far (the first exactly if there is no `bound` either).  Stops,
+    reading no more solves, at the first value below `limit`, or at the
+    first 0 without one.  A value below `limit`, or any without one, is
+    exact, with its minimal source side.  So with `bound` the result is
+    the exact first least when it is below `bound`, and None when no
+    solve is: `limit` stops at the first value below it, `bound` only
+    caps the solves."""
     stop = 1 if limit is None else limit
-    best = None
+    best, cap = None, bound
     for res in solves:
-        res = res.finish(best.value if limit is None and best is not None
-                         else limit)
+        res = res.finish(cap if limit is None else limit)
         if best is None or res.value < best.value:
             best = res
         if res.value < stop:
             break
+        if cap is None or res.value < cap:
+            cap = res.value
+    if bound is not None and best is not None and best.value >= bound:
+        return None
     return best
 
 

@@ -9,7 +9,8 @@ A graph built from outside input (`Graph.build`, the CLI) checks every
 edge once.  A graph the package derives from a checked one
 (`add_edges`, `star_graph`) checks only the edges it adds, and the
 total weight from its base's, so the pipelines' internal graphs are
-not validated again.
+not validated again; splitting-off's G - x, a checked graph minus its
+last vertex, checks nothing.
 """
 
 from __future__ import annotations
@@ -78,15 +79,22 @@ class Graph:
         return Graph(n, tuple((int(u), int(v), int(w)) for u, v, w in edges),
                      frozenset(int(t) for t in terminals))
 
+    def _derived(self, n: int, edges: tuple[tuple[int, int, int], ...],
+                 total: int) -> "Graph":
+        """A graph on n vertices with this graph's terminals, the `edges`
+        given and their total weight `total`, none of it checked: the
+        caller derived them from this checked graph."""
+        g = object.__new__(Graph)
+        g.__dict__.update(n=n, edges=edges, terminals=self.terminals,
+                          total_weight=total)
+        return g
+
     def _extend(self, n: int, added: tuple[tuple[int, int, int], ...]
                 ) -> "Graph":
         """This graph on n >= self.n vertices plus the edges `added`, of
         which only the new ones are checked."""
-        total = _checked_weight(n, added, self.total_weight)
-        g = object.__new__(Graph)
-        g.__dict__.update(n=n, edges=self.edges + added,
-                          terminals=self.terminals, total_weight=total)
-        return g
+        return self._derived(n, self.edges + added,
+                             _checked_weight(n, added, self.total_weight))
 
     def degree(self, u: int) -> int:
         """Weighted degree of u."""
@@ -168,8 +176,8 @@ def add_edges(g: Graph, F: EdgeAdditions) -> Graph:
 
 
 def least_steiner_cut(g: Graph, limit: Optional[int] = None,
-                      groups: Optional[Sequence[Iterable[int]]] = None
-                      ) -> Optional[FlowResult]:
+                      groups: Optional[Sequence[Iterable[int]]] = None,
+                      bound: Optional[int] = None) -> Optional[FlowResult]:
     """`flow.least_cut` over the flows from each terminal group i to the
     union of groups 0..i-1, made as they are read; the groups default to
     the sorted terminals, one each.  The first terminal on the far side
@@ -178,32 +186,43 @@ def least_steiner_cut(g: Graph, limit: Optional[int] = None,
     J. Algorithms 1994).  Its `sink_side` holds the first group.  None
     below 2 groups.
 
-    With `limit`, the groups may be any partition of the terminals that
-    no Steiner cut below `limit` separates, such as the tau-classes of a
-    subgraph of g at tau = `limit`: such a cut is then a union of groups,
-    the first group across it from group 0 sees every earlier one across
-    it, and the value is below `limit` exactly when the minimum is."""
+    With `limit`, or `bound`, the groups may be any partition of the
+    terminals that no Steiner cut below it separates, such as the
+    tau-classes of a subgraph of g at tau = `limit`: such a cut is then a
+    union of groups, and the first group across it from group 0 sees
+    every earlier one across it.  So with `limit` the value is below
+    `limit` exactly when the minimum is, and with `bound` the result is a
+    Steiner min cut when the minimum is below `bound`, else None (at once
+    if `bound` <= 0)."""
     from . import flow  # local import to avoid a cycle
 
     if groups is None:
         groups = [(t,) for t in sorted(g.terminals)]
-    if len(groups) < 2:
+    if len(groups) < 2 or (bound is not None and bound <= 0):
         return None
     net = flow.FlowNetwork.undirected(g)
     return flow.least_cut((flow.max_flow(net, grp, [t for K in groups[:i]
                                                     for t in K], 0)
-                           for i, grp in enumerate(groups[1:], 1)), limit)
+                           for i, grp in enumerate(groups[1:], 1)),
+                          limit, bound)
 
 
-def steiner_connectivity(g: Graph, limit: Optional[int] = None) -> int:
+def steiner_connectivity(g: Graph, limit: Optional[int] = None,
+                         groups: Optional[Sequence[Iterable[int]]] = None,
+                         bound: Optional[int] = None) -> int:
     """Minimum cut value over all Steiner cuts (`least_steiner_cut`); 0
     when the terminals span several components.  With `limit` the value
     is below it exactly when the minimum is, each flow stopping at
-    `limit` and none past the first terminal below it.
+    `limit` and none past the first terminal below it.  With `bound`, an
+    upper bound known from elsewhere, the value is min(minimum, `bound`),
+    each flow capped at the least value so far, the first at `bound`.
+    `groups` as in `least_steiner_cut`: at least 2, unless `bound` is
+    given, when a single group means no Steiner cut below `bound`.
     """
     if len(g.terminals) < 2:
         raise ValueError("Steiner connectivity needs at least 2 terminals")
-    return least_steiner_cut(g, limit).value
+    res = least_steiner_cut(g, limit, groups, bound)
+    return bound if res is None else res.value
 
 
 def star_graph(g: Graph, beta: dict[int, int]) -> tuple[Graph, int]:

@@ -3,11 +3,15 @@ complete splitting-off of an external vertex.
 
 Both return the added edges plus a JSON-friendly report (phase totals,
 optimum value, max-flow invocation count and, when the supreme forest
-was built, what its recursion did under "supreme").  At tau = 1 both
-join the terminal components in a path; above it each builds the forest
-with tau first, and its root gives lambda(g), which augmentation reports
-as "initial_connectivity", after |T| - 1 flows when it is >= tau (3 at
-|T| = 3, where the root enumerates).  Below tau they differ only in the
+was built, what its recursion did under "supreme").  Splitting-off's
+tau = lambda(G) is found from the forest of g = G - x: built truncated
+at U, the least terminal degree in G, its U-classes leave c - 1 flows
+to the sweep that gives tau, not |T| - 1 (`splitoff_pipeline`).  At
+tau = 1 both join the terminal components in a path; above it each
+builds the forest with tau (U, splitting off) first, and its root gives
+lambda(g), which augmentation reports as "initial_connectivity", after
+|T| - 1 flows when it is >= tau (3 at |T| = 3, where the root
+enumerates).  Below tau they differ only in the
 external phase that places the budget and its chain slots: augmentation
 makes the optimal external solution even, splitting-off places x's star
 with `deg_external`.  Both then split that budget off with one step,
@@ -151,27 +155,47 @@ def augment_pipeline(g: Graph, tau: int, seed: int = 0
     return out, report
 
 
-def _remove_vertex(g: Graph, x: int) -> tuple[Graph, dict[int, int]]:
+def _remove_vertex(g: Graph, x: int) -> tuple[Graph, dict[int, int], int]:
+    """For x the last vertex of g: g - x, derived unchecked from g
+    (`Graph._derived`), x's star as neighbour -> weight, and U, the least
+    weighted degree in g of a terminal, in one pass over the edges."""
     beta: dict[int, int] = {}
+    deg = dict.fromkeys(g.terminals, 0)
     edges = []
-    for (u, v, w) in g.edges:
+    for e in g.edges:
+        u, v, w = e
         if u == x or v == x:
             other = v if u == x else u
             beta[other] = beta.get(other, 0) + w
         else:
-            edges.append((u, v, w))
-    return Graph.build(g.n - 1, edges, sorted(g.terminals)), beta
+            edges.append(e)
+        if u in deg:
+            deg[u] += w
+        if v in deg:
+            deg[v] += w
+    g_x = g._derived(g.n - 1, tuple(edges),
+                     g.total_weight - sum(beta.values()))
+    return g_x, beta, min(deg.values())
 
 
 def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0
                       ) -> tuple[EdgeAdditions, dict]:
     """Complete splitting-off at x: replace its star by d(x)/2 edges
-    preserving the Steiner connectivity."""
+    preserving the Steiner connectivity tau = lambda(G), G = g_with_x.
+
+    tau is read off the forest of g = G - x that the split needs anyway,
+    built truncated at U, the least terminal degree in G (an upper bound
+    on tau): g is a subgraph of G, so no Steiner cut of G below U
+    separates one of g's U-classes, and the growing-sink sweep over them
+    (`steiner_connectivity` with `groups`, each flow capped at the least
+    value so far, the first at U) gives tau = min(U, lambda(G)) in c - 1
+    flows for c classes.  The U-forest serves every tau <= U (`supreme`
+    module docstring); at U <= 1 none is built."""
     if x != g_with_x.n - 1:
         raise RejectedInstanceError("external vertex must be the last id")
     if x in g_with_x.terminals:
         raise RejectedInstanceError("external vertex must be nonterminal")
-    g, beta = _remove_vertex(g_with_x, x)
+    g, beta, least = _remove_vertex(g_with_x, x)
     dx = sum(beta.values())
     if dx == 0:
         return EdgeAdditions(()), {"total_weight": 0, "tau": None,
@@ -183,7 +207,12 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0
         raise RejectedInstanceError(f"cut edge between x and {cut[0]}")
 
     calls_before = flow.max_flow_call_count()
-    tau = steiner_connectivity(g_with_x)
+    stats: dict = {}
+    # Below 2 terminals steiner_connectivity raises, before any forest.
+    if least > 1 and len(g.terminals) > 1:
+        forest = supreme_forest(g, stats=stats, tau=least)
+    tau = steiner_connectivity(g_with_x, groups=stats.get("classes"),
+                               bound=least)
     report: dict = {"tau": tau, "seed": seed, "dx": dx,
                     "target_weight": dx // 2, "phases": {}}
 
@@ -200,17 +229,16 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0
         out = _join_components(g, end).merged()
         if out.entries:
             report["phases"]["tree"] = out.total_weight
-    elif tau > 1:  # else lambda(g) < tau cannot hold
-        stats: dict = {}
-        forest = supreme_forest(g, stats=stats, tau=tau)
-        if stats["connectivity"] < tau:
-            report["supreme"] = recursion_report(stats)
-            forest.compute_rdem(tau)
-            # beta is x's own star, so it reaches tau = lambda(g + x) and
-            # deg_external_augment's feasibility check would always pass.
-            state = _augment_feasible(g, tau, beta, forest)
-            out = split_off(g, tau, forest, state.slots, beta, seed,
-                            stats["classes"], report)
+    elif tau > 1 and stats["connectivity"] < tau:  # U >= tau: forest built
+        # lambda(g) < tau cannot hold at tau = 0.  The U-classes, finer
+        # than the tau-classes when tau < U, serve every +1 check too.
+        report["supreme"] = recursion_report(stats)
+        forest.compute_rdem(tau)
+        # beta is x's own star, so it reaches tau = lambda(g + x) and
+        # deg_external_augment's feasibility check would always pass.
+        state = _augment_feasible(g, tau, beta, forest)
+        out = split_off(g, tau, forest, state.slots, beta, seed,
+                        stats["classes"], report)
 
     deg = out.degrees()
     remaining = {u: w - deg[u] for u, w in beta.items()}

@@ -63,6 +63,11 @@ root's classes also serve the +1 step (`matching`).  The forest after
   beats, so every node left above a set below tau is below tau too:
   the sets below tau keep their parents, no later pass removes one of
   them for a set of d >= tau, and `compute_rdem(tau)` deletes the rest.
+So a forest truncated at any U >= tau serves tau: after
+`compute_rdem(tau)` it is the forest truncated at tau after the same
+call, as U's forest holds every set below tau with its parents and that
+call deletes the sets of d >= tau.  Splitting-off truncates at the least
+terminal degree U of G = g + x before it knows tau = lambda(G) <= U.
 """
 
 from __future__ import annotations
@@ -437,7 +442,7 @@ def supreme_forest(g: Graph, seed=None, stats: Optional[dict] = None,
     """Full pipeline: perturb, find candidates, postprocess.  `stats` is
     filled as by `find_supreme_candidates`.  With `tau` the recursion is
     truncated at tau: nodes with c >= tau may be missing, and the forest
-    after `compute_rdem(tau)` is the same."""
+    after `compute_rdem(t)`, any t <= tau, is the same."""
     # `seed` is ignored (the forest draws nothing); kept for old callers.
     if len(g.terminals) < 2:
         raise ValueError("need at least 2 terminals")

@@ -349,3 +349,60 @@ def test_least_cut_returns_the_first_least_solve(monkeypatch):
             assert capped.finish(capped.value) is capped
         assert len(kernel_calls) == 1, idx  # the capped solve's only
     assert stopped > 0
+
+
+def _star_solves(weights):
+    """Unbegun solves from each leaf i of a star to its centre 0, leaf i
+    joined by weights[i - 1]: their values are `weights`, in order."""
+    net = FlowNetwork.from_weights(
+        len(weights) + 1, {(0, i): w for i, w in enumerate(weights, 1)})
+    return [max_flow(net, (i,), (0,), 0) for i in range(1, len(weights) + 1)]
+
+
+def test_least_cut_bound_gives_the_exact_least_below_it():
+    """With `bound`, the first least value below it, exact with its
+    source side, not the first value below it, which is what `limit`
+    stops at; None when no value is below it."""
+    res = flow.least_cut(_star_solves([5, 3, 1, 2]), bound=4)
+    assert (res.value, res.source_side) == (1, frozenset({3}))
+    assert flow.least_cut(_star_solves([5, 3, 1, 2]), 4).value == 3
+    assert flow.least_cut(_star_solves([5, 6, 4]), bound=4) is None
+    assert flow.least_cut(_star_solves([5, 1, 1]), bound=4).source_side \
+        == frozenset({2})
+    assert flow.least_cut([], bound=4) is None
+    for idx in range(40):
+        g = random_connected(idx, n_max=10)
+        net = FlowNetwork.undirected(g)
+        ts = sorted(g.terminals)
+        exact = [max_flow(net, ts[:1], (t,)) for t in ts[1:]]
+        values = [res.value for res in exact]
+        first = exact[values.index(min(values))]
+        for bound in range(min(values) - 1, min(values) + 3):
+            res = flow.least_cut((max_flow(net, ts[:1], (t,), 0)
+                                  for t in ts[1:]), bound=bound)
+            if min(values) < bound:
+                assert (res.value, res.source_side) == \
+                    (first.value, first.source_side), (idx, bound)
+            else:
+                assert res is None, (idx, bound)
+
+
+def test_least_cut_bound_caps_the_first_solve(monkeypatch):
+    """The running cap starts at `bound`: the first solve stops there (a
+    push may overshoot it), and each later one is capped at the least of
+    `bound` and the values so far."""
+    limits = []
+    kernel_for = flow._kernel_for
+
+    def recording(total_cap):
+        kernel = kernel_for(total_cap)
+
+        def run(head, to, cap, sources, sinks, limit):
+            limits.append(limit)
+            return kernel(head, to, cap, sources, sinks, limit)
+        return run
+
+    monkeypatch.setattr(flow, "_kernel_for", recording)
+    solves = _star_solves([100, 3, 1])
+    assert flow.least_cut(solves, bound=4).value == 1
+    assert limits == [4, 4, 3]

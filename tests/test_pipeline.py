@@ -326,13 +326,14 @@ def test_matching_over_budget_raises(monkeypatch):
 
 def test_splitoff_at_tau_0_builds_no_forest():
     """Terminals in 14 components give tau = 0, where lambda(g) < tau
-    cannot hold: the star is paired as leftover after the one flow of
-    tau, and the supreme recursion is not run."""
+    cannot hold: terminal 3 has degree 0, so U = 0 gives tau at no flow,
+    the star is paired as leftover, and the supreme recursion is not
+    run."""
     edges = [(0, 1, 1), (1, 2, 1), (2, 0, 1), (0, 16, 1), (1, 16, 1)]
     gx = Graph.build(17, edges, [0] + list(range(3, 16)))
     adds, report = splitoff_pipeline(gx, 16)
     assert adds.entries == ((0, 1, 1),) and report["tau"] == 0, report
-    assert report["max_flow_calls"] == 1 and "supreme" not in report
+    assert report["max_flow_calls"] == 0 and "supreme" not in report
 
 
 @pytest.mark.parametrize("k", range(2, 7))
@@ -406,7 +407,7 @@ def test_cut_edge_precheck_matches_flow_definition():
         stars.append((Graph.build(6, base + extra, [0, 2]), 5))
     found = set()
     for g, x in stars:
-        cut = _cut_edge_neighbours(*_remove_vertex(g, x))
+        cut = _cut_edge_neighbours(*_remove_vertex(g, x)[:2])
         assert cut == _cut_edge_neighbours_by_flow(g, x), g
         found.add(bool(cut))
     assert found == {False, True}

@@ -603,15 +603,16 @@ def test_truncated_forest_equals_full_after_rdem(w_max):
 
 def test_splitoff_star7_prunes_a_child():
     """The 7-vertex star of CI: splitting off vertex 6 merges a tau-class
-    at tau = 5, in 16 flows (its budget lies on terminals, so the
-    surrogates take no isolating cut); the forest built without tau
+    at tau = 5, in 13 flows (its budget lies on terminals, so the
+    surrogates take no isolating cut, and tau = U = 5 is swept over g's
+    5-classes); the forest built without tau
     merges, prunes and caps nothing, in 26 flows."""
     edges = [(0, 1, 2), (0, 2, 1), (0, 3, 3), (2, 4, 2), (1, 5, 4),
              (0, 4, 3), (3, 5, 5)]
     g = Graph.build(7, edges + [(0, 6, 2), (2, 6, 2)], range(6))
     _, report = splitoff_pipeline(g, 6)
     assert report["tau"] == 5 and report["supreme"]["merged"] >= 1, report
-    assert report["max_flow_calls"] == 16, report
+    assert report["max_flow_calls"] == 13, report
     stats: dict = {}
     before = flow.max_flow_call_count()
     supreme_forest(Graph.build(6, edges, range(6)), stats=stats)
