@@ -7,11 +7,14 @@ copying only the residual capacities.  An undirected network has one
 residual arc pair per coalesced edge, with capacity w each way, and is
 laid out straight from its weight map (`FlowNetwork.from_weights`):
 the map's keys and values are sliced into the arc heads and capacities,
-the adjacency lists take one pass, and no arc list is built.  A
-directed one, built from its arc list, has one pair per arc, reverse
-capacity 0.  Both run the one pure-Python blocking-flow (Dinic) loop in
-`_dinic`, on unbounded Python integers, so perturbed weights of any
-size are exact.  A solve returns its value and minimal source side; the
+the adjacency lists take one pass, and no arc list is built.  The
+supreme recursion builds no weight map: it lays out each node's
+network in the pass that makes its weights (`supreme.perturb`,
+`supreme._contract`) and hands the arrays to `FlowNetwork.laid_out`,
+which checks nothing.  A directed network, built from its arc list,
+has one pair per arc, reverse capacity 0.  All run the one pure-Python
+blocking-flow (Dinic) loop in `_dinic`, on unbounded Python integers,
+so perturbed weights of any size are exact.  A solve returns its value and minimal source side; the
 minimal sink side and the per-arc flows are derived from the residual
 capacities when read.  A caller that only compares the value with a
 bound passes it as `limit`: the solve stops once its flow reaches it,
@@ -99,9 +102,7 @@ class FlowNetwork:
         endpoint or weight goes to that constructor, which raises."""
         ends = list(chain.from_iterable(weights))   # u0, v0, u1, v1, ..
         caps = list(weights.values())
-        net = cls.__new__(cls)
-        net.n = n
-        net.head = head = [[] for _ in range(n)]
+        head = [[] for _ in range(n)]
         ok = not weights or (min(ends) >= 0 and min(caps) >= 0)
         if ok:
             try:
@@ -114,17 +115,26 @@ class FlowNetwork:
                 ok = False
         if not ok:
             return cls(n, [(u, v, w) for (u, v), w in weights.items()], False)
-        net.to = to = ends[:]
+        to = ends[:]
         to[::2], to[1::2] = ends[1::2], ends[::2]
+        return cls.laid_out(n, head, to, caps, 1 + sum(caps))
+
+    @classmethod
+    def laid_out(cls, n: int, head: list[list[int]], to: list[int],
+                 caps: list[int], inf: int) -> "FlowNetwork":
+        """The undirected network whose arc pair i has capacity caps[i]
+        each way, given its adjacency lists `head` and arc heads `to`,
+        checking nothing; `inf` must exceed the sum of `caps`."""
+        net = cls.__new__(cls)
+        net.n, net.head, net.to, net.inf = n, head, to, inf
         net.cap = cap = caps * 2
         cap[::2] = cap[1::2] = caps
-        net.inf = 1 + sum(caps)
         return net
 
     @functools.cached_property
     def arcs(self) -> tuple[tuple[int, int, Optional[int]], ...]:
-        # Only for networks laid out from a weight map; nothing on the
-        # solve path reads it.
+        # Only for networks laid out with no arc list (`from_weights`,
+        # `laid_out`); nothing on the solve path reads it.
         to, cap = self.to, self.cap
         return tuple(zip(to[1::2], to[::2], cap[::2]))
 
@@ -148,15 +158,17 @@ class FlowResult:
         cases (`supreme._base_case`, `supreme._two_classes`) and the
         witness of `oracle.verify_solution`."""
         head, to, res = self.net.head, self.net.to, self.residual
-        side = set(self.sinks)
+        seen = [False] * self.net.n
+        for t in self.sinks:
+            seen[t] = True
         queue = list(self.sinks)
         for v in queue:
             for a in head[v]:
                 u = to[a]
-                if res[a ^ 1] and u not in side:
-                    side.add(u)
+                if res[a ^ 1] and not seen[u]:
+                    seen[u] = True
                     queue.append(u)
-        return frozenset(side)
+        return frozenset(queue)
 
     @functools.cached_property
     def flows(self) -> tuple[int, ...]:

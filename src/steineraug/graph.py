@@ -22,9 +22,11 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 if TYPE_CHECKING:
     from .flow import FlowResult
 
-# A check on outside input.  The perturbed weights (supreme.perturb:
+# A check on outside input.  The perturbed capacities (supreme.perturb:
 # 2**m * w + 2**i over m coalesced edges) have m + log2(W) + 1 bits at
-# total weight W; flows run on exact Python integers of any size.
+# total weight W, and that network's inf, (W + 1) * 2**m, is made from
+# the total these checks find; flows run on exact Python integers of
+# any size.
 WEIGHT_SUM_BOUND = 1 << 40
 
 

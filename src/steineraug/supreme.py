@@ -1,6 +1,6 @@
 """Three-phase computation of the supreme-set laminar forest.
 
-Phase 1 (`perturb`) maps each edge to a perturbed weight so that
+Phase 1 (`perturb`) gives each edge a perturbed weight so that
 distinct crossing-edge sets have distinct cut values.  Phase 2 finds a
 laminar candidate family containing every supreme set of the perturbed
 graph by divide and conquer over terminal bipartitions: a node with 4
@@ -12,15 +12,17 @@ flows' values, since a min cut side's cut value is its flow's value; its
 crossing repair cuts only the differences X - Y, each over the arcs of
 its own vertices.  A split node reads its threshold sets off one
 equivalent-flow tree of its k terminals, so it costs k - 1 flows for the
-tree and one for the split.  A recursion node is its terminals, weight
-map and the original vertices (label) of each vertex, and its flow
-network is laid out from the weight map itself
-(`flow.FlowNetwork.from_weights`).  Phase 3 builds the candidates'
-`LaminarForest` on the values of the flows that found them, scanning no
-edge, and prunes it with three post-order splicing passes, leaving
-exactly the supreme-set projections of the original graph with their
-cut values and perturbed vertex sets.  The forest is a function of the
-graph: nothing is drawn at random.
+tree and one for the split.  A recursion node is its terminals, its
+flow network and the original vertices (label) of each vertex.  The
+root's network is laid out in the pass that makes the perturbed weights
+(`perturb`), and a contracted node's in the pass that reads and
+coalesces its parent's arcs (`_contract`), so no weight map is built.
+Phase 3 builds the candidates' `LaminarForest` on the values of the
+flows that found them, scanning no edge, and prunes it with three
+post-order splicing passes, leaving exactly the supreme-set
+projections of the original graph with their cut values and perturbed
+vertex sets.  The forest is a function of the graph: nothing is drawn
+at random.
 
 Terminals in several components split by the same rule: the flow
 tree's zero edges join whole components, after every positive edge, and
@@ -73,16 +75,17 @@ terminal degree U of G = g + x before it knows tau = lambda(G) <= U.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from . import flow
 from .forest import LaminarForest
 from .graph import Graph, is_steiner_cut, projection
 
 
-def perturb(g: Graph) -> dict[tuple[int, int], int]:
-    """Coalesced edge -> w~(e) = 2^m*w(e) + 2^i, e the i-th of the m sorted
-    coalesced edges.
+def perturb(g: Graph) -> flow.FlowNetwork:
+    """g's perturbed network: one arc pair per coalesced edge e, of
+    capacity w~(e) = 2^m*w(e) + 2^i, e the i-th of the m sorted coalesced
+    edges, laid out in the pass that makes w~.
 
     A cut's offset, the sum of 2^i over the edges it crosses, names its
     crossing-edge set, so min cuts are unique; it lies in [0, 2^m - 1], so
@@ -90,43 +93,83 @@ def perturb(g: Graph) -> dict[tuple[int, int], int]:
 
     The edges are coalesced on the integer key u*n + v (u < v), whose
     order is the order of the pairs (u, v), and 2^m*w is made once per
-    distinct weight w."""
+    distinct weight w.  Arc pair i runs u -> v; the pairs (u, x) sort
+    before the pairs (x, v), so x's adjacency list takes its reverse arcs
+    first and then its forward ones, each in arc order.  The weights sum
+    to g's total weight W, so the capacities sum to 2^m*W + 2^m - 1 and
+    inf = (W + 1)*2^m, with no sum over m-bit integers; g's own checks
+    stand for the network's."""
     n = g.n
     acc: dict[int, int] = {}
     for (u, v, w) in g.edges:
         key = u * n + v if u < v else v * n + u
         acc[key] = acc[key] + w if key in acc else w
-    m = len(acc)
+    keys = sorted(acc)
+    m = len(keys)
     high = {w: w << m for w in set(acc.values())}
-    return {divmod(key, n): high[acc[key]] + (1 << i)
-            for i, key in enumerate(sorted(acc))}
+    us = [key // n for key in keys]
+    vs = [key % n for key in keys]
+    head: list[list[int]] = [[] for _ in range(n)]
+    for a, v in zip(range(1, 2 * m, 2), vs):
+        head[v].append(a)
+    for a, u in zip(range(0, 2 * m, 2), us):
+        head[u].append(a)
+    to = [0] * (2 * m)
+    to[::2], to[1::2] = vs, us
+    caps = [high[acc[key]] | (1 << i) for i, key in enumerate(keys)]
+    return flow.FlowNetwork.laid_out(n, head, to, caps,
+                                     (g.total_weight + 1) << m)
 
 
 def _contract(parts: list[Iterable[int]], terminals: frozenset[int],
-              weights: Mapping[tuple[int, int], int],
-              labels: list[frozenset[int]]
-              ) -> tuple[dict[int, int], frozenset[int],
-                         dict[tuple[int, int], int], list[frozenset[int]]]:
+              net: flow.FlowNetwork, labels: list[frozenset[int]]
+              ) -> tuple[list[int], frozenset[int], flow.FlowNetwork,
+                         list[frozenset[int]]]:
     """Merge each of the disjoint vertex sets `parts` of a recursion node
     into one vertex; the other vertices keep their order, and the merged
-    ones follow in the order of `parts`.  Returns the vertex map and the
-    contracted node's terminals, weights (an edge inside a part would be a
-    self-loop and is dropped, and parallel edges are summed) and
-    labels."""
+    ones follow in the order of `parts`.  Returns the vertex map (a list
+    over the node's vertices) and the contracted node's terminals,
+    network and labels.
+
+    The network is laid out in the pass that reads the node's arcs off
+    `net`, whose arc pairs join distinct vertex pairs (as `perturb` and
+    this function lay them out): an arc inside a part would be a
+    self-loop and is dropped, and arcs that now join the same pair, a
+    merged vertex at one end at least, are summed into the first one
+    seen, so the arcs keep the order in which they first appear.  The capacities sum to
+    at most `net`'s, so `net.inf` serves the contracted network too."""
     merged = frozenset().union(*parts)
     keep = [u for u in range(len(labels)) if u not in merged]
-    phi = {u: i for i, u in enumerate(keep)}
+    phi = [0] * len(labels)
+    for i, u in enumerate(keep):
+        phi[u] = i
     for i, K in enumerate(parts, len(keep)):
-        phi.update(dict.fromkeys(K, i))
-    out: dict[tuple[int, int], int] = {}
-    for (u, v), w in weights.items():
+        for u in K:
+            phi[u] = i
+    first, n = len(keep), len(keep) + len(parts)   # first merged vertex
+    head: list[list[int]] = [[] for _ in range(n)]
+    to: list[int] = []
+    caps: list[int] = []
+    index: dict[int, int] = {}      # a*n + b -> arc pair, b merged
+    for u, v, w in zip(net.to[1::2], net.to[::2], net.cap[::2]):
         a, b = phi[u], phi[v]
-        if a == b:
-            continue
-        key = (a, b) if a < b else (b, a)
+        if a > b:
+            a, b = b, a
+        if b >= first:
+            if a == b:
+                continue
+            key = a * n + b
+            if key in index:
+                caps[index[key]] += w
+                continue
+            index[key] = len(caps)
+        head[a].append(len(to))
+        head[b].append(len(to) + 1)
+        to += (b, a)
         # w itself, not 0 + w, which would copy a large perturbed weight.
-        out[key] = out[key] + w if key in out else w
-    return (phi, frozenset(phi[t] for t in terminals), out,
+        caps.append(w)
+    return (phi, frozenset(phi[t] for t in terminals),
+            flow.FlowNetwork.laid_out(n, head, to, caps, net.inf),
             [labels[u] for u in keep] + [_expand(K, labels) for K in parts])
 
 
@@ -299,7 +342,7 @@ def _balanced_split(net: flow.FlowNetwork, ts: list[int],
     return flow.max_flow(net, best, frozenset(ts) - best).source_side
 
 
-def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
+def _recurse(terminals: frozenset[int], net: flow.FlowNetwork,
              labels: list[frozenset[int]], stats: dict, depth: int,
              limit: Optional[int]) -> tuple[dict[frozenset[int], int], int]:
     """Candidates of one recursion node (vertices 0..n-1, n = len(labels))
@@ -314,7 +357,6 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
     layers[depth] = layers.get(depth, 0) + len(labels)
 
     ts = sorted(terminals)
-    net = flow.FlowNetwork.from_weights(len(labels), weights)
     groups, pair = [[t] for t in ts], None
     if len(ts) > 3:
         tree, classes, stopped, last = _flow_tree(net, ts, limit,
@@ -337,15 +379,12 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
                                 groups)
         del last  # its residual is freed: only a two-class node reads it
         if 3 < len(groups) < len(ts):
-            del net  # freed before the merged node's network is built
-            phi, terminals, weights, labels = _contract(
-                [K for K in groups if len(K) > 1], terminals, weights,
-                labels)
+            phi, terminals, net, labels = _contract(
+                [K for K in groups if len(K) > 1], terminals, net, labels)
             # Each class is merged whole, so the edges left are an exact
             # flow tree of the merged node.
             tree = [(c, phi[u], phi[p]) for c, u, p in tree if c != limit]
             ts = sorted(terminals)
-            net = flow.FlowNetwork.from_weights(len(labels), weights)
     # Below 4 classes no bipartition leaves >= 2 on each side, which is
     # what makes both contracted sub-instances strictly smaller.  Each
     # class is one source or sink set of the node's own network, which
@@ -357,15 +396,15 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
         return {_expand(X, labels): d for X, d in fam.items()}, low
 
     S1 = _balanced_split(net, ts, tree)
-    del net  # freed before the recursion, as is each sub-instance after it
     S2 = frozenset(range(len(labels))) - S1
     s2_orig = _expand(S2, labels)
-
-    def child(K: frozenset[int]) -> dict[frozenset[int], int]:
-        _, *node = _contract([K], terminals, weights, labels)
-        return _recurse(*node, stats, depth + 1, limit)[0]
-
-    F1, F2 = child(S1), child(S2)
+    # Each child is laid out just before its recursion, off this node's
+    # network, which this frame drops once the last child is laid out.
+    node = _contract([S1], terminals, net, labels)[1:]
+    F1 = _recurse(*node, stats, depth + 1, limit)[0]
+    node = _contract([S2], terminals, net, labels)[1:]
+    del net
+    F2 = _recurse(*node, stats, depth + 1, limit)[0]
     # Merge: keep all of L1 (its t1-bearing sets expand to supersets of
     # S1, covering supreme X >= S1; its t1-free sets are subsets of S2,
     # covering supreme X inside S2) plus the t2-free part of L2 (subsets
@@ -375,13 +414,14 @@ def _recurse(terminals: frozenset[int], weights: dict[tuple[int, int], int],
     return F1 | {X: d for X, d in F2.items() if not s2_orig <= X}, low
 
 
-def find_supreme_candidates(g: Graph, weights: dict[tuple[int, int], int],
+def find_supreme_candidates(g: Graph, net: flow.FlowNetwork,
                             stats: Optional[dict] = None,
                             tau: Optional[int] = None
                             ) -> dict[frozenset[int], int]:
     """Laminar family of Steiner cuts containing all supreme sets of g~,
     or with `tau` all those of d < tau (the truncation of the module
-    docstring), each with its value d~ under the perturbed `weights`.
+    docstring), each with its value d~ in g's perturbed network `net`
+    (`perturb`), whose m arc pairs give the scale 2^m.
 
     `stats` receives the recursion's `max_depth`, its vertex total per
     depth (`layer_vertices`), the base cases per terminal count
@@ -397,9 +437,9 @@ def find_supreme_candidates(g: Graph, weights: dict[tuple[int, int], int],
                   "pruned": 0, "merged": 0, "capped": 0,
                   "classes": [[t] for t in sorted(g.terminals)]})
     labels = [frozenset({v}) for v in range(g.n)]
-    scale = 1 << len(weights)
+    scale = 1 << (len(net.to) // 2)
     limit = None if tau is None else tau * scale + 1
-    fam, low = _recurse(g.terminals, weights, labels, stats, 0, limit)
+    fam, low = _recurse(g.terminals, net, labels, stats, 0, limit)
     stats["connectivity"] = low // scale
     return {X: d for X, d in fam.items() if is_steiner_cut(g, X)}
 
@@ -446,16 +486,16 @@ def supreme_forest(g: Graph, seed=None, stats: Optional[dict] = None,
     # `seed` is ignored (the forest draws nothing); kept for old callers.
     if len(g.terminals) < 2:
         raise ValueError("need at least 2 terminals")
-    weights = perturb(g)
+    net = perturb(g)
     stats = {} if stats is None else stats
-    fam = find_supreme_candidates(g, weights, stats=stats, tau=tau)
+    fam = find_supreme_candidates(g, net, stats=stats, tau=tau)
     depth = stats.get("max_depth", 0)
     bound = 25 * math.log(max(len(g.terminals), 2)) + 5
     assert depth <= bound, f"recursion depth {depth} exceeds {bound}"
     for layer, total in stats["layer_vertices"].items():
         cap = 8 * g.n * max(1.0, math.log(max(g.n, 2)))
         assert total <= cap, f"layer {layer} vertex total {total} exceeds {cap}"
-    return postprocess(fam, g, len(weights))
+    return postprocess(fam, g, len(net.to) // 2)
 
 
 def recursion_report(stats: dict) -> dict:

@@ -66,6 +66,13 @@ def tree_plus_2n(n: int, seed: int, n_terminals: int) -> Graph:
     return Graph.build(n, edges, rng.sample(range(n), n_terminals))
 
 
+def weight_map(net) -> dict[tuple[int, int], int]:
+    """An undirected network's weights: (u, v) -> capacity of each arc
+    pair u -> v, in arc order, read off its `to` and `cap` slices."""
+    to = net.to
+    return dict(zip(zip(to[1::2], to[::2]), net.cap[::2]))
+
+
 @pytest.fixture
 def path():
     return g_path()

@@ -12,7 +12,7 @@ from steineraug.graph import cut_value
 from steineraug.supreme import perturb
 
 from conftest import (g_cyc4, g_cycle, g_expo, g_path, g_split,
-                      random_connected)
+                      random_connected, weight_map)
 
 
 # Reference cut primitives with no production caller, checked below.
@@ -101,7 +101,7 @@ def test_network_from_weight_map_matches_arc_list():
                      {p: rng.randint(0, 9) for p in pairs}))
     for idx in range(40):
         g = random_connected(idx)
-        maps.append((g.n + idx % 3, perturb(g)))
+        maps.append((g.n + idx % 3, weight_map(perturb(g))))
     for n, weights in maps:
         want = _arc_list_network(n, weights)
         got = FlowNetwork.from_weights(n, weights)

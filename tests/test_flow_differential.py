@@ -27,7 +27,7 @@ from steineraug.graph import Graph, star_graph, steiner_connectivity
 from steineraug.pipeline import splitoff_pipeline
 from steineraug.supreme import perturb, supreme_forest
 
-from conftest import random_connected
+from conftest import random_connected, weight_map
 
 SPLITOFF_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "splitoff"
 
@@ -217,7 +217,7 @@ def test_undirected_cuts_match_reference():
     checked = 0
     for trial in range(150):
         g = _random_multigraph(rng)
-        weight_maps = [None, perturb(g),
+        weight_maps = [None, weight_map(perturb(g)),
                        {e: rng.getrandbits(100) + 1
                         for e in g.coalesced()}]
         for weights in weight_maps:
@@ -234,7 +234,7 @@ def test_undirected_cuts_match_reference():
 def test_undirected_cuts_on_corpus_match_reference():
     for idx in range(60):
         g = random_connected(idx, n_max=12)
-        weights = perturb(g)
+        weights = weight_map(perturb(g))
         net = flow.FlowNetwork.from_weights(g.n, weights)
         ts = sorted(g.terminals)
         for t in ts[1:]:
@@ -252,7 +252,7 @@ def test_capped_and_finished_cuts_match_reference():
     stopped = 0
     for trial in range(80):
         g = _random_multigraph(rng)
-        for weights in (None, perturb(g),
+        for weights in (None, weight_map(perturb(g)),
                         {e: rng.getrandbits(100) + 1 for e in g.coalesced()}):
             net = flow.FlowNetwork.from_weights(
                 g.n, g.coalesced() if weights is None else weights)

@@ -20,7 +20,7 @@ from steineraug import flow
 from steineraug.graph import Graph, least_steiner_cut, steiner_connectivity
 from steineraug.supreme import _flow_tree, perturb
 
-from conftest import random_connected, tree_plus_2n
+from conftest import random_connected, tree_plus_2n, weight_map
 
 
 # ---- references: the single-sink flows ---------------------------------------
@@ -132,7 +132,7 @@ def test_flow_tree_to_the_class_matches_the_parent_flows(kind, monkeypatch):
     log = _logged(monkeypatch)
     kept = 0
     for idx, g in enumerate(GRAPHS[kind]):
-        weights = perturb(g)
+        weights = weight_map(perturb(g))
         net = flow.FlowNetwork(g.n, [(u, v, w) for (u, v), w
                                      in weights.items()], False)
         ts = sorted(g.terminals)

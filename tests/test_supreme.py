@@ -17,7 +17,7 @@ from steineraug.supreme import (_base_case, _balanced_split, _contract,
                                 postprocess, supreme_forest)
 
 from conftest import (g_cycle, g_cyc4, g_expo, g_path, random_connected,
-                      tree_plus_2n)
+                      tree_plus_2n, weight_map)
 
 
 def forest_signature(f):
@@ -37,7 +37,7 @@ def test_perturbation_preserves_order_and_breaks_ties():
         graphs.append(Graph.build(n, _random_multigraph(rng, n, rng.choice((1, 3))),
                                   range(n)))
     for g in graphs:
-        weights = perturb(g)
+        weights = weight_map(perturb(g))
         coal = g.coalesced()
         assert {e: w >> len(coal) for e, w in weights.items()} == coal
         by_value: dict[int, frozenset] = {}
@@ -101,11 +101,20 @@ def singletons(g):
     return [frozenset({v}) for v in range(g.n)]
 
 
+def _contract_map(parts, terminals, weights, labels):
+    """`_contract` on the network laid out from `weights`, its vertex map
+    as a dict and the contracted network read back as its weight map."""
+    phi, terminals, net, labels = _contract(
+        parts, terminals, flow.FlowNetwork.from_weights(len(labels), weights),
+        labels)
+    return dict(enumerate(phi)), terminals, weight_map(net), labels
+
+
 def test_contract_single_vertex_is_isomorphic():
     g = g_path()
     weights = g.coalesced()
-    phi, terminals, w2, labels = _contract([frozenset({1})], g.terminals,
-                                           weights, singletons(g))
+    phi, terminals, w2, labels = _contract_map([frozenset({1})], g.terminals,
+                                               weights, singletons(g))
     # The labels give the vertex map, here a bijection moving 1 last.
     assert labels == [frozenset({0}), frozenset({2}), frozenset({1})]
     assert phi == {next(iter(L)): i for i, L in enumerate(labels)}
@@ -116,21 +125,21 @@ def test_contract_single_vertex_is_isomorphic():
 
 def test_contract_merges_and_drops_loops():
     g = g_cyc4()
-    phi, terminals, w2, labels = _contract([frozenset({0, 1})], g.terminals,
-                                           g.coalesced(), singletons(g))
+    phi, terminals, w2, labels = _contract_map(
+        [frozenset({0, 1})], g.terminals, g.coalesced(), singletons(g))
     assert labels == [frozenset({2}), frozenset({3}), frozenset({0, 1})]
     assert phi == {0: 2, 1: 2, 2: 0, 3: 1}
     assert terminals == {0, 1, 2}
     # The (0,1) edge became a self-loop and is gone.
     assert w2 == {(0, 1): 1, (0, 2): 1, (1, 2): 1}
     # Merging opposite corners makes parallel edges, which are summed.
-    _, _, w2, _ = _contract([frozenset({0, 2})], g.terminals, g.coalesced(),
-                            singletons(g))
+    _, _, w2, _ = _contract_map([frozenset({0, 2})], g.terminals,
+                                g.coalesced(), singletons(g))
     assert w2 == {(0, 2): 2, (1, 2): 2}
     # Two parts at once, as for the tau-classes: each becomes one vertex,
     # in the order given, after the vertices of no part.
     g = g_cycle(6)
-    phi, terminals, w2, labels = _contract(
+    phi, terminals, w2, labels = _contract_map(
         [frozenset({4, 5}), frozenset({0, 1})], g.terminals, g.coalesced(),
         singletons(g))
     assert labels == [frozenset({2}), frozenset({3}), frozenset({4, 5}),
@@ -205,7 +214,7 @@ def test_crossing_repair_single_pass_matches_restart_base_families():
     crossing = 0
     for idx in range(60):
         g = random_connected(idx)
-        weights = perturb(g)
+        weights = weight_map(perturb(g))
         fam = _base_family(g, weights)
         by_set = functools.partial(_tilde, weights)
         want = _crossing_repair_restart(fam, by_set)
@@ -227,7 +236,7 @@ def test_base_case_one_flow_per_complementary_pair():
         g = random_connected(idx)
         k = len(g.terminals)
         before = flow.max_flow_call_count()
-        net = flow.FlowNetwork.from_weights(g.n, perturb(g))
+        net = flow.FlowNetwork.from_weights(g.n, weight_map(perturb(g)))
         _base_case(net, [[t] for t in sorted(g.terminals)])
         assert flow.max_flow_call_count() - before == 2 ** (k - 1) - 1
 
@@ -283,7 +292,7 @@ def test_flow_tree_rows_match_naive_rows():
         else:
             g = random_connected(i)
             n, arcs = g.n, [(u, v, w) for (u, v), w
-                            in perturb(g).items()]
+                            in weight_map(perturb(g)).items()]
         net = flow.FlowNetwork(n, arcs, False)
         ts = sorted(rng.sample(range(n), rng.randint(2, n)))
         tree, _, _, _ = _flow_tree(net, ts)
@@ -340,7 +349,7 @@ def test_balanced_split_costs_one_tree_and_one_split():
     smaller least terminal, though the other forms first."""
     graphs = [tree_plus_2n(30, 500 + i, 12) for i in range(30)]
     for i, g in enumerate(graphs + [_two_clusters()]):
-        net = flow.FlowNetwork.from_weights(g.n, perturb(g))
+        net = flow.FlowNetwork.from_weights(g.n, weight_map(perturb(g)))
         ts = sorted(g.terminals)
         before = flow.max_flow_call_count()
         tree, _, _, _ = _flow_tree(net, ts)
@@ -499,7 +508,7 @@ def test_recursion_matches_full_enumeration():
     for i in range(40):
         n, k = rng.randint(16, 40), rng.randint(6, 11)
         g = tree_plus_2n(n, 8000 + i, k)
-        weights = perturb(g)
+        weights = weight_map(perturb(g))
         fam, _ = _base_case(flow.FlowNetwork.from_weights(g.n, weights),
                             [[t] for t in sorted(g.terminals)])
         stats: dict = {}
@@ -561,7 +570,7 @@ def test_perturbed_scale_decides_tau():
     for every terminal pair and tau around lambda."""
     for idx in range(60):
         g = random_connected(idx)
-        weights = perturb(g)
+        weights = weight_map(perturb(g))
         exact = flow.FlowNetwork.undirected(g)
         tilde = flow.FlowNetwork.from_weights(g.n, weights)
         s, *rest = sorted(g.terminals)
@@ -696,7 +705,7 @@ def test_postprocess_matches_rebuild_reference_random_laminar():
                  if rng.random() < 0.5]
         g = Graph.build(n, edges or [(0, 1, 1)],
                         rng.sample(range(n), rng.randint(2, min(n, 4))))
-        weights = perturb(g)
+        weights = weight_map(perturb(g))
         fam = _random_laminar(rng, n)
         fired: list[int] = []
         want = tree_signature(_postprocess_rebuild(fam, g, weights, fired))
@@ -709,7 +718,7 @@ def test_postprocess_matches_rebuild_reference_random_laminar():
     # A crossing family has no tree: {0, 1} and {1, 2} are Steiner cuts of
     # the unit 4-cycle that cross.
     g = g_cyc4()
-    weights = perturb(g)
+    weights = weight_map(perturb(g))
     crossing = {X: _tilde(weights, X)
                 for X in (frozenset({0, 1}), frozenset({1, 2}))}
     with pytest.raises(ValueError, match="not laminar"):
@@ -723,11 +732,12 @@ def test_postprocess_matches_rebuild_reference_corpus(w_max):
     merged = 0
     for idx in range(60):
         g = random_connected(idx, n_max=12, w_max=w_max)
-        weights = perturb(g)
+        net = perturb(g)
+        weights = weight_map(net)
         stats: dict = {}
-        fam = find_supreme_candidates(g, weights, stats)
+        fam = find_supreme_candidates(g, net, stats)
         truncated = find_supreme_candidates(
-            g, weights, stats, tau=stats["connectivity"] + 1)
+            g, net, stats, tau=stats["connectivity"] + 1)
         merged += stats["merged"]
         for X, d in [*fam.items(), *truncated.items()]:
             assert d == _tilde(weights, X), (idx, sorted(X))
@@ -777,10 +787,11 @@ def test_base_case_values_are_perturbed_cut_values(monkeypatch):
                      + list(range(a.n + b.n, a.n + b.n + extra)))
         graphs.append(Graph.build(a.n + b.n + extra, edges, terminals))
     for g in graphs:
-        weights = perturb(g)
+        net = perturb(g)
+        weights = weight_map(net)
         root = len(nets)
         for tau in (None, steiner_connectivity(g) + 2):
-            find_supreme_candidates(g, weights, tau=tau)
+            find_supreme_candidates(g, net, tau=tau)
         if len(g.terminals) <= 3:   # the root is a base case
             assert all(net.arcs == tuple((u, v, w) for (u, v), w
                                          in weights.items())

@@ -19,10 +19,10 @@ from steineraug import flow, matching, supreme
 from steineraug.external import external_augment, make_even
 from steineraug.graph import Graph, star_graph, steiner_connectivity
 from steineraug.pipeline import augment_pipeline, splitoff_pipeline
-from steineraug.supreme import (_base_case, _contract, _expand, _flow_tree,
-                                supreme_forest)
+from steineraug.supreme import _base_case, _expand, _flow_tree, supreme_forest
 
-from conftest import random_connected, tree_plus_2n
+from conftest import random_connected, tree_plus_2n, weight_map
+from perturb_reference import _contract
 from test_local_flows import _components
 from test_supreme import _two_clusters
 
@@ -51,8 +51,9 @@ def test_class_base_case_matches_the_merged_node(monkeypatch):
     real = supreme._recurse
     seen = {2: 0, 3: 0}
 
-    def checked(terminals, weights, labels, stats, depth, limit):
-        fam, low = real(terminals, weights, labels, stats, depth, limit)
+    def checked(terminals, net, labels, stats, depth, limit):
+        weights = weight_map(net)
+        fam, low = real(terminals, net, labels, stats, depth, limit)
         ts = sorted(terminals)
         classes = {t: [t] for t in ts}
         if len(ts) > 3:
