@@ -40,7 +40,9 @@ The phase that finds no path runs the forward search to exhaustion,
 also after the backward search ran out first, and returns its labels as
 the minimal source side.  The minimal sink side needs a reverse search
 of the final residual graph, which `flow.FlowResult.sink_side` runs
-only when a caller reads it.
+only when a caller reads it (the oracle's witness); on a perturbed
+network it is the rest of the vertices less those of no terminal's
+component, which `supreme._sink_side` reads with no search.
 
 A solve given a `limit` stops at the first push that brings its flow to
 the limit.  Up to that push it is the uncapped solve step for step, so

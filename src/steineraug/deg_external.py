@@ -94,8 +94,9 @@ def build_H(state: DegExternalState, path: HeavyPath
         if w > 0 and u in comp:
             arcs.append((comp[u], sink, w))
             arcs.append((sink, comp[u], w))
-    over = [u for u in beta.keys() | wx.keys()
-            if beta.get(u, 0) < wx.get(u, 0)]
+    # beta >= 0 (`check_feasibility` refuses a negative budget, and x's
+    # star is positive), so only a vertex of wx can be overdrawn.
+    over = [u for u, w in wx.items() if beta.get(u, 0) < w]
     if over:
         raise RuntimeError(f"budget exceeded at {min(over)} before processing")
     uy_arcs: dict[int, int] = {}    # arc index -> original vertex

@@ -154,9 +154,10 @@ class FlowResult:
     @functools.cached_property
     def sink_side(self) -> frozenset[int]:
         """Minimal sink side: the vertices residually reaching a sink.
-        Found on first read, since only some solves need it: the base
-        cases (`supreme._base_case`, `supreme._two_classes`) and the
-        witness of `oracle.verify_solution`."""
+        Found on first read, by a search of the residual graph; only the
+        witness of `oracle.verify_solution`, on an unperturbed network,
+        reads it.  The supreme recursion's base cases read theirs off
+        the source side with no search (`supreme._sink_side`)."""
         head, to, res = self.net.head, self.net.to, self.residual
         seen = [False] * self.net.n
         for t in self.sinks:

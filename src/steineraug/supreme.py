@@ -13,10 +13,37 @@ crossing repair cuts only the differences X - Y, each over the arcs of
 its own vertices.  A split node reads its threshold sets off one
 equivalent-flow tree of its k terminals, so it costs k - 1 flows for the
 tree and one for the split.  A recursion node is its terminals, its
-flow network and the original vertices (label) of each vertex.  The
-root's network is laid out in the pass that makes the perturbed weights
-(`perturb`), and a contracted node's in the pass that reads and
-coalesces its parent's arcs (`_contract`), so no weight map is built.
+flow network, its labels and its terminal-free vertices F (below).
+The root has no labels: vertex v stands for {v}.  A contracted node's
+labels are a list over its vertices, each kept vertex's original
+vertex and one original vertex of each merged one, and a map from
+each merged vertex to its original vertex set, so no node builds a set
+per vertex.  The root's network is laid out in the pass that makes the
+perturbed weights (`perturb`), and a contracted node's in the pass that
+reads and coalesces its parent's arcs (`_contract`), so no weight map
+is built.
+
+A base case reads each minimal sink side off its solve's minimal
+source side X, with no search: it is the node's vertices - X - F, F
+the vertices whose component in the node's network holds no terminal.
+The perturbation names each cut's crossing-edge set by its value (and
+a node's arcs are sums of g's edges, each of positive weight), so all
+min cuts of a solve cross the same arcs.  The maximal source side Y,
+the vertices that reach no sink residually, is a min cut too, so no
+arc joins Y - X to X or to the rest: Y - X is a union of components
+holding no source and no sink.  In `_base_case` every terminal of the
+node is a source or a sink, and in `_two_classes` every other terminal
+is tau-connected (joined by a flow of at least H >= 1) to the source or
+to the sinks, so lies in one of their components: Y - X holds no
+terminal, and Y - X is F, as F reaches no source and no sink.  The
+minimal sink side is the rest, V - Y (all min cuts come from one max
+flow's residual graph: Picard and Queyranne, Math. Programming Study
+13, 1980).  F is found once per forest, in one pass from g's terminals
+over the root's network, and `_contract` carries it: a part is a
+minimal source side, holding no F vertex, its complement, holding all
+of F, or a tau-class of terminals, so a part holds each component of F
+whole or none of it; the kept F vertices stay in F, and a merged vertex
+holds a terminal, so no F vertex merged into it stays in F.
 Phase 3 builds the candidates' `LaminarForest` on the values of the
 flows that found them, scanning no edge, and prunes it with three
 post-order splicing passes, leaving exactly the supreme-set
@@ -75,11 +102,15 @@ terminal degree U of G = g + x before it knows tau = lambda(G) <= U.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from . import flow
 from .forest import LaminarForest
 from .graph import Graph, is_steiner_cut, projection
+
+if TYPE_CHECKING:
+    # A node's labels (module docstring): None at the root.
+    Labels = Optional[tuple[list[int], dict[int, frozenset[int]]]]
 
 
 def perturb(g: Graph) -> flow.FlowNetwork:
@@ -122,14 +153,15 @@ def perturb(g: Graph) -> flow.FlowNetwork:
 
 
 def _contract(parts: list[Iterable[int]], terminals: frozenset[int],
-              net: flow.FlowNetwork, labels: list[frozenset[int]]
-              ) -> tuple[list[int], frozenset[int], flow.FlowNetwork,
-                         list[frozenset[int]]]:
+              net: flow.FlowNetwork, labels: Labels, free: frozenset[int]
+              ) -> tuple[list[int], frozenset[int], flow.FlowNetwork, Labels,
+                         frozenset[int]]:
     """Merge each of the disjoint vertex sets `parts` of a recursion node
     into one vertex; the other vertices keep their order, and the merged
     ones follow in the order of `parts`.  Returns the vertex map (a list
     over the node's vertices) and the contracted node's terminals,
-    network and labels.
+    network, labels and terminal-free vertices (module docstring: each
+    part holds a terminal and no F vertex, or all of F).
 
     The network is laid out in the pass that reads the node's arcs off
     `net`, whose arc pairs join distinct vertex pairs (as `perturb` and
@@ -139,8 +171,8 @@ def _contract(parts: list[Iterable[int]], terminals: frozenset[int],
     seen, so the arcs keep the order in which they first appear.  The capacities sum to
     at most `net`'s, so `net.inf` serves the contracted network too."""
     merged = frozenset().union(*parts)
-    keep = [u for u in range(len(labels)) if u not in merged]
-    phi = [0] * len(labels)
+    keep = [u for u in range(net.n) if u not in merged]
+    phi = [0] * net.n
     for i, u in enumerate(keep):
         phi[u] = i
     for i, K in enumerate(parts, len(keep)):
@@ -168,9 +200,17 @@ def _contract(parts: list[Iterable[int]], terminals: frozenset[int],
         to += (b, a)
         # w itself, not 0 + w, which would copy a large perturbed weight.
         caps.append(w)
+    expanded = [_expand(K, labels) for K in parts]
+    if labels is None:
+        ids, sets = keep, {}
+    else:
+        ids = [labels[0][u] for u in keep]
+        sets = {phi[u]: S for u, S in labels[1].items() if phi[u] < first}
+    ids += [min(S) for S in expanded]
+    sets.update(zip(range(first, n), expanded))
     return (phi, frozenset(phi[t] for t in terminals),
             flow.FlowNetwork.laid_out(n, head, to, caps, net.inf),
-            [labels[u] for u in keep] + [_expand(K, labels) for K in parts])
+            (ids, sets), frozenset(phi[u] for u in free if phi[u] < first))
 
 
 def _crossing_repair(fam: dict[frozenset[int], int], cut_fn
@@ -204,16 +244,18 @@ def _crossing_repair(fam: dict[frozenset[int], int], cut_fn
     return {X: fam[X] for X, r in zip(sets, removed) if not r}
 
 
-def _base_case(net: flow.FlowNetwork, groups: list[list[int]]
+def _base_case(net: flow.FlowNetwork, groups: list[list[int]],
+               free: frozenset[int]
                ) -> tuple[dict[frozenset[int], int], int]:
     """Earliest min cut of every ordered bipartition of the terminal
     `groups` (each whole on one side) + repair, in mask order, each with
     its flow's value, and the least value.  T1 -> T2 and T2 -> T1 share
-    one flow, which gives both minimal sides, so the 2^k - 2 ordered
-    bipartitions cost 2^(k-1) - 1 flows.  The recursion calls it below 4
-    groups, at most 3 flows; the tests use it at any k as the
-    full-enumeration reference.  The repair reads each set's value off
-    its flow (module docstring)."""
+    one flow, which gives both minimal sides (the sink side read off the
+    source side and the node's terminal-free vertices `free`, module
+    docstring), so the 2^k - 2 ordered bipartitions cost 2^(k-1) - 1
+    flows.  The recursion calls it below 4 groups, at most 3 flows; the
+    tests use it at any k as the full-enumeration reference.  The repair
+    reads each set's value off its flow (module docstring)."""
     k = len(groups)
     full = (1 << k) - 1
     sides: dict[int, tuple[frozenset[int], int]] = {}
@@ -222,7 +264,7 @@ def _base_case(net: flow.FlowNetwork, groups: list[list[int]]
         T2 = [t for i in range(k) if not (mask >> i) & 1 for t in groups[i]]
         res = flow.max_flow(net, T1, T2)
         sides[mask] = res.source_side, res.value
-        sides[full ^ mask] = res.sink_side, res.value
+        sides[full ^ mask] = _sink_side(res, free), res.value
     # Two masks differ on the groups, so never give the same side.
     fam = dict(sides[mask] for mask in range(1, full))
     head, to, cap = net.head, net.to, net.cap
@@ -233,8 +275,42 @@ def _base_case(net: flow.FlowNetwork, groups: list[list[int]]
     return _crossing_repair(fam, cut_fn), min(fam.values())
 
 
-def _expand(X, labels: list[frozenset[int]]) -> frozenset[int]:
-    return frozenset().union(*(labels[v] for v in X))
+def _sink_side(res: flow.FlowResult, free: frozenset[int]) -> frozenset[int]:
+    """The minimal sink side of the exact solve `res` of a base case, whose
+    every terminal lies in a component of a source or a sink: the node's
+    vertices outside the source side and the terminal-free vertices
+    `free` (module docstring)."""
+    return frozenset(range(res.net.n)).difference(res.source_side, free)
+
+
+def _terminal_free(net: flow.FlowNetwork, terminals: Iterable[int]
+                   ) -> frozenset[int]:
+    """The vertices whose component in `net` holds no terminal: those one
+    search from the terminals does not reach."""
+    seen = [False] * net.n
+    for t in terminals:
+        seen[t] = True
+    queue = list(terminals)
+    head, to = net.head, net.to
+    for v in queue:
+        for a in head[v]:
+            u = to[a]
+            if not seen[u]:
+                seen[u] = True
+                queue.append(u)
+    if len(queue) == net.n:
+        return frozenset()
+    return frozenset(range(net.n)).difference(queue)
+
+
+def _expand(X: Iterable[int], labels: Labels) -> frozenset[int]:
+    """The original vertices of the node's vertex set X."""
+    if labels is None:
+        return frozenset(X)     # X itself if it is a frozenset
+    ids, merged = labels
+    out = frozenset(map(ids.__getitem__, X))
+    sets = [S for v, S in merged.items() if v in X]
+    return out.union(*sets) if sets else out
 
 
 def _flow_tree(net: flow.FlowNetwork, ts: list[int],
@@ -292,15 +368,17 @@ def _flow_tree(net: flow.FlowNetwork, ts: list[int],
 
 
 def _two_classes(last: Optional[flow.FlowResult], exact: list[int],
-                 groups: list[list[int]]
+                 groups: list[list[int]], free: frozenset[int]
                  ) -> tuple[dict[frozenset[int], int], int]:
     """`_base_case` over the two tau-classes `groups`, read at no flow off
     `last`, the flow tree's one exact solve (of values `exact`), head u
-    against cls[p]: its min cuts, below the limit, separate no class."""
+    against cls[p]: its min cuts, below the limit, separate no class,
+    and every terminal lies in u's component or cls[p]'s, so its sink
+    side is read as a base case's (`_sink_side`)."""
     if last is None or exact != [last.value]:
         raise RuntimeError(f"{len(exact)} exact flow-tree edges at a node "
                            f"of two tau-classes, which reads one solve")
-    sides = [last.source_side, last.sink_side]
+    sides = [last.source_side, _sink_side(last, free)]
     if last.sources[0] not in groups[0]:
         sides.reverse()
     return dict.fromkeys(sides, last.value), last.value
@@ -343,18 +421,19 @@ def _balanced_split(net: flow.FlowNetwork, ts: list[int],
 
 
 def _recurse(terminals: frozenset[int], net: flow.FlowNetwork,
-             labels: list[frozenset[int]], stats: dict, depth: int,
+             labels: Labels, free: frozenset[int], stats: dict, depth: int,
              limit: Optional[int]) -> tuple[dict[frozenset[int], int], int]:
-    """Candidates of one recursion node (vertices 0..n-1, n = len(labels))
-    as sets of original vertices, each with its value in the node, which
-    is its value d~ in g~, and the node's least Steiner cut value.  With
+    """Candidates of one recursion node (vertices 0..n-1, n = net.n) as
+    sets of original vertices, each with its value in the node, which is
+    its value d~ in g~, and the node's least Steiner cut value.  `free`
+    holds the node's terminal-free vertices (module docstring).  With
     `limit` = H, the flow tree stops at H and shows the tau-classes: a
     node of one class returns none (`pruned`), one of 2 or 3 is a base
     case over its classes, and one of 4 or more merges them and splits;
     the module docstring says why that is exact."""
     stats["max_depth"] = max(stats["max_depth"], depth)
     layers = stats["layer_vertices"]
-    layers[depth] = layers.get(depth, 0) + len(labels)
+    layers[depth] = layers.get(depth, 0) + net.n
 
     ts = sorted(terminals)
     groups, pair = [[t] for t in ts], None
@@ -376,11 +455,12 @@ def _recurse(terminals: frozenset[int], net: flow.FlowNetwork,
         groups = sorted(classes.values(), key=lambda K: len(K) > 1)
         if len(groups) == 2:
             pair = _two_classes(last, [c for c, _, _ in tree if c != limit],
-                                groups)
+                                groups, free)
         del last  # its residual is freed: only a two-class node reads it
         if 3 < len(groups) < len(ts):
-            phi, terminals, net, labels = _contract(
-                [K for K in groups if len(K) > 1], terminals, net, labels)
+            phi, terminals, net, labels, free = _contract(
+                [K for K in groups if len(K) > 1], terminals, net, labels,
+                free)
             # Each class is merged whole, so the edges left are an exact
             # flow tree of the merged node.
             tree = [(c, phi[u], phi[p]) for c, u, p in tree if c != limit]
@@ -392,17 +472,17 @@ def _recurse(terminals: frozenset[int], net: flow.FlowNetwork,
     if len(groups) <= 3:
         counts = stats["base_cases"]
         counts[len(groups)] = counts.get(len(groups), 0) + 1
-        fam, low = _base_case(net, groups) if pair is None else pair
+        fam, low = _base_case(net, groups, free) if pair is None else pair
         return {_expand(X, labels): d for X, d in fam.items()}, low
 
     S1 = _balanced_split(net, ts, tree)
-    S2 = frozenset(range(len(labels))) - S1
+    S2 = frozenset(range(net.n)) - S1
     s2_orig = _expand(S2, labels)
     # Each child is laid out just before its recursion, off this node's
     # network, which this frame drops once the last child is laid out.
-    node = _contract([S1], terminals, net, labels)[1:]
+    node = _contract([S1], terminals, net, labels, free)[1:]
     F1 = _recurse(*node, stats, depth + 1, limit)[0]
-    node = _contract([S2], terminals, net, labels)[1:]
+    node = _contract([S2], terminals, net, labels, free)[1:]
     del net
     F2 = _recurse(*node, stats, depth + 1, limit)[0]
     # Merge: keep all of L1 (its t1-bearing sets expand to supersets of
@@ -436,10 +516,10 @@ def find_supreme_candidates(g: Graph, net: flow.FlowNetwork,
     stats.update({"max_depth": 0, "layer_vertices": {}, "base_cases": {},
                   "pruned": 0, "merged": 0, "capped": 0,
                   "classes": [[t] for t in sorted(g.terminals)]})
-    labels = [frozenset({v}) for v in range(g.n)]
     scale = 1 << (len(net.to) // 2)
     limit = None if tau is None else tau * scale + 1
-    fam, low = _recurse(g.terminals, net, labels, stats, 0, limit)
+    fam, low = _recurse(g.terminals, net, None,
+                        _terminal_free(net, g.terminals), stats, 0, limit)
     stats["connectivity"] = low // scale
     return {X: d for X, d in fam.items() if is_steiner_cut(g, X)}
 

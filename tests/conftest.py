@@ -73,6 +73,28 @@ def weight_map(net) -> dict[tuple[int, int], int]:
     return dict(zip(zip(to[1::2], to[::2]), net.cap[::2]))
 
 
+def label_sets(labels, n: int) -> list[frozenset[int]]:
+    """A supreme recursion node's labels (None at the root, else a list
+    of original vertices and a map of the merged vertices' sets) as the
+    list of each vertex's original vertex set."""
+    if labels is None:
+        return [frozenset({v}) for v in range(n)]
+    ids, merged = labels
+    return [merged.get(v, frozenset({ids[v]})) for v in range(n)]
+
+
+def terminal_free(net, terminals) -> frozenset[int]:
+    """The vertices of `net` that no terminal reaches over its arcs."""
+    seen, stack = set(terminals), list(terminals)
+    while stack:
+        v = stack.pop()
+        for a in net.head[v]:
+            if net.to[a] not in seen:
+                seen.add(net.to[a])
+                stack.append(net.to[a])
+    return frozenset(range(net.n)) - seen
+
+
 @pytest.fixture
 def path():
     return g_path()

@@ -1,7 +1,8 @@
 """The supreme recursion's weight maps, kept as they were: `perturb`
 returned g's perturbed weights as a map from each sorted coalesced
 edge (u, v) to w~, and `_contract` coalesced a node's map into its
-contracted node's, in first-seen order.  Each node's network was then
+contracted node's, in first-seen order, with the list of each vertex's
+original vertex set as its labels.  Each node's network was then
 laid out from its map by `flow.FlowNetwork.from_weights`.  The
 recursion now lays out each network in the pass that makes its
 weights; `tests/test_perturb_layout.py` checks that every network is
@@ -13,7 +14,11 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from steineraug.graph import Graph
-from steineraug.supreme import _expand
+
+
+def _expand(X: Iterable[int], labels: list[frozenset[int]]) -> frozenset[int]:
+    """The original vertices of X, `labels` being each vertex's set."""
+    return frozenset().union(*(labels[v] for v in X))
 
 
 def perturb(g: Graph) -> dict[tuple[int, int], int]:

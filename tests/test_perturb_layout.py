@@ -24,7 +24,7 @@ from steineraug.flow import FlowNetwork
 from steineraug.graph import Graph, steiner_connectivity
 from steineraug.pipeline import augment_pipeline, splitoff_pipeline
 
-from conftest import random_connected, tree_plus_2n, weight_map
+from conftest import label_sets, random_connected, tree_plus_2n, weight_map
 
 SPLITOFF_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "splitoff"
 
@@ -89,16 +89,19 @@ def checked(monkeypatch):
         seen["roots"] += 1
         return net
 
-    def checked_contract(parts, terminals, net, labels):
-        got = contract(parts, terminals, net, labels)
-        want = ref._contract(parts, terminals, weight_map(net), labels)
+    def checked_contract(parts, terminals, net, labels, free):
+        node = contract(parts, terminals, net, labels, free)
+        # The reference takes and returns each vertex's original set.
+        got = (*node[:3], label_sets(node[3], node[2].n))
+        want = ref._contract(parts, terminals, weight_map(net),
+                             label_sets(labels, net.n))
         assert (dict(enumerate(got[0])), got[1], got[3]) == \
             (want[0], want[1], want[3])
         _same_layout(got[2], want[2])
         assert got[2].inf == net.inf
         seen["contracted"] += 1
         seen["parts"] += len(parts) > 1
-        return got
+        return node
 
     monkeypatch.setattr(supreme, "perturb", checked_perturb)
     monkeypatch.setattr(supreme, "_contract", checked_contract)

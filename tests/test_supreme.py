@@ -16,8 +16,8 @@ from steineraug.supreme import (_base_case, _balanced_split, _contract,
                                 find_supreme_candidates, perturb,
                                 postprocess, supreme_forest)
 
-from conftest import (g_cycle, g_cyc4, g_expo, g_path, random_connected,
-                      tree_plus_2n, weight_map)
+from conftest import (g_cycle, g_cyc4, g_expo, g_path, label_sets,
+                      random_connected, tree_plus_2n, weight_map)
 
 
 def forest_signature(f):
@@ -97,24 +97,23 @@ def test_supreme_forest_mu_cut_values_match():
             assert nd.terminals == nd.mu_tilde & g.terminals
 
 
-def singletons(g):
-    return [frozenset({v}) for v in range(g.n)]
-
-
-def _contract_map(parts, terminals, weights, labels):
-    """`_contract` on the network laid out from `weights`, its vertex map
-    as a dict and the contracted network read back as its weight map."""
-    phi, terminals, net, labels = _contract(
-        parts, terminals, flow.FlowNetwork.from_weights(len(labels), weights),
-        labels)
-    return dict(enumerate(phi)), terminals, weight_map(net), labels
+def _contract_map(parts, terminals, weights, n):
+    """`_contract` of the root on the network laid out from `weights`
+    over n vertices, its vertex map as a dict, the contracted network
+    read back as its weight map and its labels as each vertex's original
+    set."""
+    phi, terminals, net, labels, _ = _contract(
+        parts, terminals, flow.FlowNetwork.from_weights(n, weights), None,
+        frozenset())
+    return dict(enumerate(phi)), terminals, weight_map(net), \
+        label_sets(labels, net.n)
 
 
 def test_contract_single_vertex_is_isomorphic():
     g = g_path()
     weights = g.coalesced()
     phi, terminals, w2, labels = _contract_map([frozenset({1})], g.terminals,
-                                               weights, singletons(g))
+                                               weights, g.n)
     # The labels give the vertex map, here a bijection moving 1 last.
     assert labels == [frozenset({0}), frozenset({2}), frozenset({1})]
     assert phi == {next(iter(L)): i for i, L in enumerate(labels)}
@@ -126,7 +125,7 @@ def test_contract_single_vertex_is_isomorphic():
 def test_contract_merges_and_drops_loops():
     g = g_cyc4()
     phi, terminals, w2, labels = _contract_map(
-        [frozenset({0, 1})], g.terminals, g.coalesced(), singletons(g))
+        [frozenset({0, 1})], g.terminals, g.coalesced(), g.n)
     assert labels == [frozenset({2}), frozenset({3}), frozenset({0, 1})]
     assert phi == {0: 2, 1: 2, 2: 0, 3: 1}
     assert terminals == {0, 1, 2}
@@ -134,14 +133,14 @@ def test_contract_merges_and_drops_loops():
     assert w2 == {(0, 1): 1, (0, 2): 1, (1, 2): 1}
     # Merging opposite corners makes parallel edges, which are summed.
     _, _, w2, _ = _contract_map([frozenset({0, 2})], g.terminals,
-                                g.coalesced(), singletons(g))
+                                g.coalesced(), g.n)
     assert w2 == {(0, 2): 2, (1, 2): 2}
     # Two parts at once, as for the tau-classes: each becomes one vertex,
     # in the order given, after the vertices of no part.
     g = g_cycle(6)
     phi, terminals, w2, labels = _contract_map(
         [frozenset({4, 5}), frozenset({0, 1})], g.terminals, g.coalesced(),
-        singletons(g))
+        g.n)
     assert labels == [frozenset({2}), frozenset({3}), frozenset({4, 5}),
                       frozenset({0, 1})]
     assert terminals == frozenset(range(4))
@@ -222,7 +221,9 @@ def test_crossing_repair_single_pass_matches_restart_base_families():
         assert list(_crossing_repair({X: by_set(X) for X in fam},
                                      by_set)) == want
         net = flow.FlowNetwork.from_weights(g.n, weights)
-        fam, low = _base_case(net, [[t] for t in sorted(g.terminals)])
+        # A connected graph: no vertex is terminal-free.
+        fam, low = _base_case(net, [[t] for t in sorted(g.terminals)],
+                              frozenset())
         assert list(fam) == want
         assert all(d == by_set(X) for X, d in fam.items())
         assert low == min(by_set(X) for r in range(1, g.n)
@@ -237,7 +238,7 @@ def test_base_case_one_flow_per_complementary_pair():
         k = len(g.terminals)
         before = flow.max_flow_call_count()
         net = flow.FlowNetwork.from_weights(g.n, weight_map(perturb(g)))
-        _base_case(net, [[t] for t in sorted(g.terminals)])
+        _base_case(net, [[t] for t in sorted(g.terminals)], frozenset())
         assert flow.max_flow_call_count() - before == 2 ** (k - 1) - 1
 
 
@@ -510,7 +511,7 @@ def test_recursion_matches_full_enumeration():
         g = tree_plus_2n(n, 8000 + i, k)
         weights = weight_map(perturb(g))
         fam, _ = _base_case(flow.FlowNetwork.from_weights(g.n, weights),
-                            [[t] for t in sorted(g.terminals)])
+                            [[t] for t in sorted(g.terminals)], frozenset())
         stats: dict = {}
         f = supreme_forest(g, stats=stats)
         assert full_signature(f) == \
@@ -760,9 +761,9 @@ def test_base_case_values_are_perturbed_cut_values(monkeypatch):
     def d(X):
         return sum(w for (u, v, w) in nets[-1].arcs if (u in X) != (v in X))
 
-    def spy_base_case(net, groups):
+    def spy_base_case(net, groups, free):
         nets.append(net)
-        return base_case(net, groups)
+        return base_case(net, groups, free)
 
     def spy_repair(fam, cut_fn):
         for X, value in fam.items():

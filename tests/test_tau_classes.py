@@ -19,10 +19,11 @@ from steineraug import flow, matching, supreme
 from steineraug.external import external_augment, make_even
 from steineraug.graph import Graph, star_graph, steiner_connectivity
 from steineraug.pipeline import augment_pipeline, splitoff_pipeline
-from steineraug.supreme import _base_case, _expand, _flow_tree, supreme_forest
+from steineraug.supreme import _base_case, _flow_tree, supreme_forest
 
-from conftest import random_connected, tree_plus_2n, weight_map
-from perturb_reference import _contract
+from conftest import (label_sets, random_connected, terminal_free,
+                      tree_plus_2n, weight_map)
+from perturb_reference import _contract, _expand
 from test_local_flows import _components
 from test_supreme import _two_clusters
 
@@ -31,13 +32,15 @@ from test_supreme import _two_clusters
 
 def _merged_base_case(terminals, weights, labels, classes):
     """`_base_case` on the node with each class of 2 or more terminals
-    contracted, its sets expanded to original vertices."""
+    contracted, its sets expanded to original vertices (`labels` being
+    each vertex's set)."""
     _, merged, weights, labels = _contract(
         [K for K in classes.values() if len(K) > 1], terminals, weights,
         labels)
     net = flow.FlowNetwork(len(labels), [(u, v, w) for (u, v), w
                                          in weights.items()], False)
-    fam, low = _base_case(net, [[t] for t in sorted(merged)])
+    fam, low = _base_case(net, [[t] for t in sorted(merged)],
+                          terminal_free(net, merged))
     return [(_expand(X, labels), d) for X, d in fam.items()], low
 
 
@@ -51,9 +54,11 @@ def test_class_base_case_matches_the_merged_node(monkeypatch):
     real = supreme._recurse
     seen = {2: 0, 3: 0}
 
-    def checked(terminals, net, labels, stats, depth, limit):
+    def checked(terminals, net, labels, free, stats, depth, limit):
         weights = weight_map(net)
-        fam, low = real(terminals, net, labels, stats, depth, limit)
+        fam, low = real(terminals, net, labels, free, stats, depth, limit)
+        # The reference takes each vertex's original set.
+        labels = label_sets(labels, net.n)
         ts = sorted(terminals)
         classes = {t: [t] for t in ts}
         if len(ts) > 3:
