@@ -3,17 +3,17 @@
 Phase 1 (`perturb`) gives each edge a perturbed weight so that
 distinct crossing-edge sets have distinct cut values.  Phase 2 finds a
 laminar candidate family containing every supreme set of the perturbed
-graph by divide and conquer over terminal bipartitions: a node with 4
-or more terminals splits them into two balanced halves by a cut
-threshold and recurses on the two contracted sides, and a node with at
-most 3 terminals (a base case) takes the earliest min cut of every
-terminal bipartition, at most 3 flows.  A base case's values are its
+graph by divide and conquer over terminal bipartitions.  A node of 4 or
+more terminals builds one equivalent-flow tree of its k terminals, k - 1
+flows.  A node of 5 or more splits them into two balanced halves by a
+cut threshold read off that tree, at one more flow, and recurses on the
+two contracted sides; a node of at most 4 (a base case) takes the
+earliest min cut of every terminal bipartition, and reads those that
+its tree's exact solves answer (below).  A base case's values are its
 flows' values, since a min cut side's cut value is its flow's value; its
 crossing repair cuts only the differences X - Y, each over the arcs of
-its own vertices.  A split node reads its threshold sets off one
-equivalent-flow tree of its k terminals, so it costs k - 1 flows for the
-tree and one for the split.  A recursion node is its terminals, its
-flow network, its labels and its terminal-free vertices F (below).
+its own vertices.  A recursion node is its terminals, its flow network,
+its labels and its terminal-free vertices F (below).
 The root has no labels: vertex v stands for {v}.  A contracted node's
 labels are a list over its vertices, each kept vertex's original
 vertex and one original vertex of each merged one, and a map from
@@ -32,18 +32,38 @@ min cuts of a solve cross the same arcs.  The maximal source side Y,
 the vertices that reach no sink residually, is a min cut too, so no
 arc joins Y - X to X or to the rest: Y - X is a union of components
 holding no source and no sink.  In `_base_case` every terminal of the
-node is a source or a sink, and in `_two_classes` every other terminal
-is tau-connected (joined by a flow of at least H >= 1) to the source or
-to the sinks, so lies in one of their components: Y - X holds no
-terminal, and Y - X is F, as F reaches no source and no sink.  The
-minimal sink side is the rest, V - Y (all min cuts come from one max
-flow's residual graph: Picard and Queyranne, Math. Programming Study
-13, 1980).  F is found once per forest, in one pass from g's terminals
+node is a source or a sink of the bipartition solved, read or made, so
+Y - X holds no terminal, and Y - X is F, as F reaches no source and no
+sink.  The minimal sink side is the rest, V - Y (all min cuts come from
+one max flow's residual graph: Picard and Queyranne, Math. Programming
+Study 13, 1980).  F is found once per forest, in one pass from g's terminals
 over the root's network, and `_contract` carries it: a part is a
 minimal source side, holding no F vertex, its complement, holding all
 of F, or a tau-class of terminals, so a part holds each component of F
 whole or none of it; the kept F vertices stay in F, and a merged vertex
 holds a terminal, so no F vertex merged into it stays in F.
+
+A base case reads, at no flow, each bipartition that an exact solve of
+its flow tree answers.  Take the tree's exact solve u -> cls[p], of
+value below the limit and minimal source side X (with no limit every
+class is one terminal).  A cut below the limit splits no class (below),
+so X holds whole classes, and its terminals make a bipartition P | T - P
+with u in P and cls[p] in T - P.  Every P-cut is then a u-cls[p] cut, so
+lambda~(P, T - P) >= d~(X), and X is a P-cut: the min P-cuts are min
+u-cls[p] cuts, each holding X, so X is the minimal source side, and the
+minimal sink side is read as above.  So the base case's family, its mask
+order, its crossing repair and its least value are those of the base
+case that solves every bipartition.  The stopping rule counts flows.  A
+node of k classes has k - 1 exact tree solves, so its base case makes
+2^(k-1) - k flows when they answer distinct bipartitions (as on every
+graph the tests run): none at 2 classes, 1 at 3 and 4 at 4.  A node of
+4 classes that split would make 7, one split flow and 3 in each child
+of 3 terminals, and contract twice.  At 5 classes both make 11 (children
+of 3 and 4 terminals: 1 + 3 + 3 + 4), and the base case grows
+exponentially beyond, so a node of 5 or more classes splits; its split
+leaves at least 2 classes on each side, so both contracted children are
+smaller.
+
 Phase 3 builds the candidates' `LaminarForest` on the values of the
 flows that found them, scanning no edge, and prunes it with three
 post-order splicing passes, leaving exactly the supreme-set
@@ -72,14 +92,14 @@ tau and returns nothing (`pruned`); at the root the stopped flows are
 then finished from their residuals, each up to the least value so far,
 to give lambda(g) >= tau.  The merged node, each class merged into one
 vertex, has the node's cuts that keep every class whole.  It is built
-only to split: a node of 4 or more classes splits on the tree with its
+only to split: a node of 5 or more classes splits on the tree with its
 H edges contracted, an exact flow tree of the merged node.  A node of 2
-or 3 classes is a base case over its classes on its own network, each
+to 4 classes is a base case over its classes on its own network, each
 class one source or sink set, so each solve has the merged node's min
-cuts, value and minimal sides, expanded.  At 2 classes that is the flow
-tree's one exact solve, which the base case reads at no flow.  The
-root's classes also serve the +1 step (`matching`).  The forest after
-`compute_rdem(tau)` is the same as without tau:
+cuts, value and minimal sides, expanded; its tree's exact solves are
+such solves, read at no flow (above).  The root's classes also serve
+the +1 step (`matching`).  The forest after `compute_rdem(tau)` is the
+same as without tau:
 - a Steiner cut of d < tau separates no class, so the merged node keeps
   exactly those cuts, with their values; a witness that such a cut is
   not extreme is a Steiner subset of no larger value, kept too.  So
@@ -245,26 +265,42 @@ def _crossing_repair(fam: dict[frozenset[int], int], cut_fn
 
 
 def _base_case(net: flow.FlowNetwork, groups: list[list[int]],
-               free: frozenset[int]
+               free: frozenset[int],
+               solved: Iterable[tuple[frozenset[int], int]] = ()
                ) -> tuple[dict[frozenset[int], int], int]:
     """Earliest min cut of every ordered bipartition of the terminal
     `groups` (each whole on one side) + repair, in mask order, each with
     its flow's value, and the least value.  T1 -> T2 and T2 -> T1 share
-    one flow, which gives both minimal sides (the sink side read off the
+    one solve, which gives both minimal sides (the sink side read off the
     source side and the node's terminal-free vertices `free`, module
     docstring), so the 2^k - 2 ordered bipartitions cost 2^(k-1) - 1
-    flows.  The recursion calls it below 4 groups, at most 3 flows; the
-    tests use it at any k as the full-enumeration reference.  The repair
-    reads each set's value off its flow (module docstring)."""
+    solves.  Each of `solved`, the exact (minimal source side, value)
+    solves of the node's flow tree, is the solve of the bipartition its
+    side makes, at no flow (module docstring); a side that splits a
+    group, or holds all of them or none, raises RuntimeError.  The
+    recursion calls it below 5 groups, at most 4 flows; the tests use it
+    at any k, with no `solved`, as the full-enumeration reference.  The
+    repair reads each set's value off its flow (module docstring)."""
     k = len(groups)
     full = (1 << k) - 1
     sides: dict[int, tuple[frozenset[int], int]] = {}
+    for X, value in solved:
+        mask = sum(1 << i for i, K in enumerate(groups) if K[0] in X)
+        if mask in (0, full) or any((t in X) != (K[0] in X)
+                                    for K in groups for t in K[1:]):
+            raise RuntimeError("a flow-tree side that is no bipartition of "
+                               "the node's tau-classes")
+        sides[mask] = X, value
+        sides[full ^ mask] = _sink_side(net, X, free), value
     for mask in range(1, 1 << (k - 1)):
+        if mask in sides:
+            continue
         T1 = [t for i in range(k) if (mask >> i) & 1 for t in groups[i]]
         T2 = [t for i in range(k) if not (mask >> i) & 1 for t in groups[i]]
         res = flow.max_flow(net, T1, T2)
-        sides[mask] = res.source_side, res.value
-        sides[full ^ mask] = _sink_side(res, free), res.value
+        X = res.source_side
+        sides[mask] = X, res.value
+        sides[full ^ mask] = _sink_side(net, X, free), res.value
     # Two masks differ on the groups, so never give the same side.
     fam = dict(sides[mask] for mask in range(1, full))
     head, to, cap = net.head, net.to, net.cap
@@ -275,12 +311,13 @@ def _base_case(net: flow.FlowNetwork, groups: list[list[int]],
     return _crossing_repair(fam, cut_fn), min(fam.values())
 
 
-def _sink_side(res: flow.FlowResult, free: frozenset[int]) -> frozenset[int]:
-    """The minimal sink side of the exact solve `res` of a base case, whose
-    every terminal lies in a component of a source or a sink: the node's
-    vertices outside the source side and the terminal-free vertices
-    `free` (module docstring)."""
-    return frozenset(range(res.net.n)).difference(res.source_side, free)
+def _sink_side(net: flow.FlowNetwork, X: frozenset[int],
+               free: frozenset[int]) -> frozenset[int]:
+    """The minimal sink side of a base case's exact solve of minimal
+    source side X, whose every terminal is a source or a sink: the node's
+    vertices outside X and the terminal-free vertices `free` (module
+    docstring)."""
+    return frozenset(range(net.n)).difference(X, free)
 
 
 def _terminal_free(net: flow.FlowNetwork, terminals: Iterable[int]
@@ -316,7 +353,8 @@ def _expand(X: Iterable[int], labels: Labels) -> frozenset[int]:
 def _flow_tree(net: flow.FlowNetwork, ts: list[int],
                limit: Optional[int] = None, keep: bool = False
                ) -> tuple[list[tuple[int, int, int]], dict[int, list[int]],
-                          list[flow.FlowResult], Optional[flow.FlowResult]]:
+                          list[flow.FlowResult],
+                          list[tuple[frozenset[int], int]]]:
     """Gusfield's equivalent-flow tree over the sorted terminals `ts`, as
     one edge (lambda, u, parent) per later terminal u: lambda(s, v) is
     the least value on the tree path from s to v.  Each later terminal
@@ -333,8 +371,8 @@ def _flow_tree(net: flow.FlowNetwork, ts: list[int],
     tau-classes, returned as a map from each head (ts[0] or a terminal
     whose flow did not stop) to its members, the head and the leaves
     stopped below it, in ts order.  With `keep`, the stopped solves are
-    returned while no edge is exact, else none.  The last exact solve
-    (None if every flow stopped) is returned too.
+    returned while no edge is exact, else none.  The exact solves are
+    returned too, in ts order, as (minimal source side, value) pairs.
 
     Each flow runs from u to p's known class: p and the leaves stopped
     below it so far, pairwise at least `limit` apart, so the BFS stops
@@ -348,7 +386,7 @@ def _flow_tree(net: flow.FlowNetwork, ts: list[int],
     cls = {t: [t] for t in ts}
     edges: list[tuple[int, int, int]] = []
     stopped: list[flow.FlowResult] = []
-    last = None
+    solved: list[tuple[frozenset[int], int]] = []
     for i, u in enumerate(ts[1:], 1):
         p = parent[u]
         res = flow.max_flow(net, (u,), cls[p], limit)
@@ -358,30 +396,14 @@ def _flow_tree(net: flow.FlowNetwork, ts: list[int],
             if keep:
                 stopped.append(res)
         else:
-            value, keep, last = res.value, False, res
+            value, keep = res.value, False
             stopped.clear()
+            solved.append((res.source_side, value))
             for v in ts[i + 1:]:
                 if parent[v] == p and v in res.source_side:
                     parent[v] = u
         edges.append((value, u, p))
-    return edges, cls, stopped, last
-
-
-def _two_classes(last: Optional[flow.FlowResult], exact: list[int],
-                 groups: list[list[int]], free: frozenset[int]
-                 ) -> tuple[dict[frozenset[int], int], int]:
-    """`_base_case` over the two tau-classes `groups`, read at no flow off
-    `last`, the flow tree's one exact solve (of values `exact`), head u
-    against cls[p]: its min cuts, below the limit, separate no class,
-    and every terminal lies in u's component or cls[p]'s, so its sink
-    side is read as a base case's (`_sink_side`)."""
-    if last is None or exact != [last.value]:
-        raise RuntimeError(f"{len(exact)} exact flow-tree edges at a node "
-                           f"of two tau-classes, which reads one solve")
-    sides = [last.source_side, _sink_side(last, free)]
-    if last.sources[0] not in groups[0]:
-        sides.reverse()
-    return dict.fromkeys(sides, last.value), last.value
+    return edges, cls, stopped, solved
 
 
 def _balanced_split(net: flow.FlowNetwork, ts: list[int],
@@ -428,18 +450,19 @@ def _recurse(terminals: frozenset[int], net: flow.FlowNetwork,
     its value d~ in g~, and the node's least Steiner cut value.  `free`
     holds the node's terminal-free vertices (module docstring).  With
     `limit` = H, the flow tree stops at H and shows the tau-classes: a
-    node of one class returns none (`pruned`), one of 2 or 3 is a base
-    case over its classes, and one of 4 or more merges them and splits;
-    the module docstring says why that is exact."""
+    node of one class returns none (`pruned`), one of 2 to 4 is a base
+    case over its classes that reads its tree's exact solves, and one of
+    5 or more merges them and splits; the module docstring says why that
+    is exact."""
     stats["max_depth"] = max(stats["max_depth"], depth)
     layers = stats["layer_vertices"]
     layers[depth] = layers.get(depth, 0) + net.n
 
     ts = sorted(terminals)
-    groups, pair = [[t] for t in ts], None
+    groups, solved = [[t] for t in ts], []
     if len(ts) > 3:
-        tree, classes, stopped, last = _flow_tree(net, ts, limit,
-                                                  keep=depth == 0)
+        tree, classes, stopped, solved = _flow_tree(net, ts, limit,
+                                                    keep=depth == 0)
         low = min(tree)[0]
         stats["capped"] += len(ts) - len(classes)
         if depth == 0:
@@ -453,27 +476,23 @@ def _recurse(terminals: frozenset[int], net: flow.FlowNetwork,
         # The merged node's terminal order: the singleton classes, then
         # the merged ones in head order.
         groups = sorted(classes.values(), key=lambda K: len(K) > 1)
-        if len(groups) == 2:
-            pair = _two_classes(last, [c for c, _, _ in tree if c != limit],
-                                groups, free)
-        del last  # its residual is freed: only a two-class node reads it
-        if 3 < len(groups) < len(ts):
-            phi, terminals, net, labels, free = _contract(
-                [K for K in groups if len(K) > 1], terminals, net, labels,
-                free)
-            # Each class is merged whole, so the edges left are an exact
-            # flow tree of the merged node.
-            tree = [(c, phi[u], phi[p]) for c, u, p in tree if c != limit]
-            ts = sorted(terminals)
-    # Below 4 classes no bipartition leaves >= 2 on each side, which is
-    # what makes both contracted sub-instances strictly smaller.  Each
-    # class is one source or sink set of the node's own network, which
-    # gives the merged node's cuts, values and minimal sides, expanded.
-    if len(groups) <= 3:
+    # A node of at most 4 classes is a base case on its own network, each
+    # class one source or sink set, which gives the merged node's cuts,
+    # values and minimal sides, expanded; it reads its flow tree's exact
+    # solves (module docstring).
+    if len(groups) <= 4:
         counts = stats["base_cases"]
         counts[len(groups)] = counts.get(len(groups), 0) + 1
-        fam, low = _base_case(net, groups, free) if pair is None else pair
+        fam, low = _base_case(net, groups, free, solved)
         return {_expand(X, labels): d for X, d in fam.items()}, low
+    del solved  # the tree's sides: a split reads none of them
+    if len(groups) < len(ts):
+        phi, terminals, net, labels, free = _contract(
+            [K for K in groups if len(K) > 1], terminals, net, labels, free)
+        # Each class is merged whole, so the edges left are an exact flow
+        # tree of the merged node.
+        tree = [(c, phi[u], phi[p]) for c, u, p in tree if c != limit]
+        ts = sorted(terminals)
 
     S1 = _balanced_split(net, ts, tree)
     S2 = frozenset(range(net.n)) - S1
@@ -509,7 +528,7 @@ def find_supreme_candidates(g: Graph, net: flow.FlowNetwork,
     (`pruned`), the terminals merged away into tau-classes (`merged`),
     the flows stopped at their limit (`capped`), lambda(g)
     (`connectivity`) and the root's tau-classes (`classes`, singletons
-    at a root of at most 3 terminals).  Every node of 4 or more classes
+    at a root of at most 3 terminals).  Every node of 5 or more classes
     splits, terminals in several components included (module
     docstring)."""
     stats = {} if stats is None else stats

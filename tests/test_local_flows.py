@@ -127,8 +127,8 @@ def _classes(tree, ts, limit):
 def test_flow_tree_to_the_class_matches_the_parent_flows(kind, monkeypatch):
     """On the perturbed network, at limit H = tau * 2^m + 1 as in the
     recursion: the same tree, classes, value and minimal source side of
-    every flow, kept solves and, where kept, least value.  The last exact
-    solve handed on is the last flow that did not stop."""
+    every flow, kept solves and, where kept, least value.  The exact
+    solves handed on are the flows that did not stop, in order."""
     log = _logged(monkeypatch)
     kept = 0
     for idx, g in enumerate(GRAPHS[kind]):
@@ -139,8 +139,8 @@ def test_flow_tree_to_the_class_matches_the_parent_flows(kind, monkeypatch):
         for tau in _taus(g):
             limit = None if tau is None else tau * (1 << len(weights)) + 1
             log.clear()
-            tree, classes, stopped, last = _flow_tree(net, ts, limit,
-                                                      keep=True)
+            tree, classes, stopped, solved = _flow_tree(net, ts, limit,
+                                                        keep=True)
             solves = dict(log)
             log.clear()
             ref_tree, ref_stopped = _flow_tree_to_parent(net, ts, limit,
@@ -152,11 +152,8 @@ def test_flow_tree_to_the_class_matches_the_parent_flows(kind, monkeypatch):
             assert all(K[0] == head for head, K in classes.items()), where
             assert solves == log, where
             exact = [u for c, u, _ in tree if c != limit]
-            if exact:
-                assert (last.value, last.source_side) == \
-                    log[exact[-1]], where
-            else:
-                assert last is None, where
+            assert [(d, X) for X, d in solved] == \
+                [log[u] for u in exact], where
             assert len(stopped) == len(ref_stopped), where
             if stopped:
                 # A root of one class: each terminal's flow ran to all

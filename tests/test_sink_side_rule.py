@@ -1,15 +1,16 @@
 """The supreme recursion reads each minimal sink side with no search.
 
-A base case (`supreme._base_case`) and a node of two tau-classes
-(`supreme._two_classes`) take a solve's minimal sink side as the node's
-vertices minus its minimal source side and minus F, the vertices whose
-component holds no terminal (the `supreme` module docstring says why
-that is exact).  F is found once at the root and carried by
+A base case (`supreme._base_case`) takes each solve's minimal sink side
+as the node's vertices minus its minimal source side and minus F, the
+vertices whose component holds no terminal (the `supreme` module
+docstring says why that is exact), whether it made the solve or read it
+off its node's flow tree.  F is found once at the root and carried by
 `supreme._contract`.  Here every such read must equal
 `flow.FlowResult.sink_side`, the search of the residual graph that it
-replaced, and every node's F must equal a search from its terminals:
-at each recursion node, and after each contraction, the split children
-and the class merge included.
+replaced, on a fresh solve of the same bipartition, and every node's F
+must equal a search from its terminals: at each recursion node, and
+after each contraction, the split children and the class merge
+included.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections import Counter
 
 import pytest
 
-from steineraug import supreme
+from steineraug import flow, supreme
 from steineraug.cli import parse_graph_text
 from steineraug.graph import Graph, steiner_connectivity
 from steineraug.pipeline import augment_pipeline, splitoff_pipeline
@@ -31,33 +32,36 @@ from test_perturb_layout import SPLITOFF_POOL, _augment_pool, _multigraph
 @pytest.fixture
 def checked(monkeypatch):
     """While the test runs, every sink side the recursion reads is checked
-    against the residual search, and every node's and every contracted
-    node's F against a search from its terminals; returns the counts."""
+    against the residual search of a fresh solve of its bipartition, and
+    every node's and every contracted node's F against a search from its
+    terminals; returns the counts, of sides read off a flow tree
+    (`read`) and of sides of the base case's own flows (`made`)."""
     seen: Counter = Counter()
-    frames: list[dict] = []     # per recursion frame: split yet?
+    frames: list[dict] = []     # per recursion frame
     sink_side, recurse, contract = (supreme._sink_side, supreme._recurse,
                                     supreme._contract)
-    two_classes, balanced_split = supreme._two_classes, supreme._balanced_split
+    flow_tree, balanced_split = supreme._flow_tree, supreme._balanced_split
 
-    def checked_sink_side(res, free):
-        got = sink_side(res, free)
-        assert got == res.sink_side, (res.sources, res.sinks, free)
-        where = "two_classes" if frames[-1].get("two") else "base_case"
+    def checked_sink_side(net, X, free):
+        got = sink_side(net, X, free)
+        frame = frames[-1]
+        T = frame["terminals"]
+        res = flow.max_flow(net, sorted(X & T), sorted(T - X))
+        assert res.source_side == X and got == res.sink_side, (X, free)
+        where = "read" if X in frame.get("tree", ()) else "made"
         seen[where] += 1
         seen[where + "_free"] += bool(free)
         return got
 
-    def checked_two_classes(*args):
-        frames[-1]["two"] = True
-        try:
-            return two_classes(*args)
-        finally:
-            frames[-1]["two"] = False
+    def checked_tree(*args, **kwargs):
+        out = flow_tree(*args, **kwargs)
+        frames[-1]["tree"] = {X for X, _ in out[3]}
+        return out
 
     def checked_recurse(terminals, net, labels, free, stats, depth, limit):
         assert free == terminal_free(net, terminals), depth
         seen["nodes"] += 1
-        frames.append({})
+        frames.append({"terminals": terminals})
         try:
             return recurse(terminals, net, labels, free, stats, depth, limit)
         finally:
@@ -78,7 +82,7 @@ def checked(monkeypatch):
         return node
 
     monkeypatch.setattr(supreme, "_sink_side", checked_sink_side)
-    monkeypatch.setattr(supreme, "_two_classes", checked_two_classes)
+    monkeypatch.setattr(supreme, "_flow_tree", checked_tree)
     monkeypatch.setattr(supreme, "_recurse", checked_recurse)
     monkeypatch.setattr(supreme, "_balanced_split", checked_split)
     monkeypatch.setattr(supreme, "_contract", checked_contract)
@@ -107,8 +111,8 @@ def _with_free(g: Graph, rng: random.Random) -> Graph:
 def _pairs(half: int, rng: random.Random) -> Graph:
     """A cycle of 2*half terminals whose every other edge weighs 3, the
     rest 1, beside a terminal-free path: at tau = 3 its tau-classes are
-    the `half` heavy pairs, merged before the split at 4 or more and
-    read off one solve at 2."""
+    the `half` heavy pairs: a base case on the node's own network at 2
+    to 4, and merged before the split at 5 or more."""
     n = 2 * half
     g = Graph.build(n, [(i, (i + 1) % n, 3 - 2 * (i % 2)) for i in range(n)],
                     range(n))
@@ -125,7 +129,7 @@ def test_pool_sink_sides_match_the_residual_search(checked):
     for path in stars:
         g, _ = parse_graph_text(path.read_text())
         splitoff_pipeline(g, g.n - 1, seed=0)
-    assert checked["base_case"] > 50 and checked["two_classes"] > 0, checked
+    assert checked["made"] > 50 and checked["read"] > 40, checked
 
 
 def test_connected_sink_sides_match_the_residual_search(checked):
@@ -133,8 +137,8 @@ def test_connected_sink_sides_match_the_residual_search(checked):
     _solve_all([random_connected(idx) for idx in range(200)]
                + [tree_plus_2n(n, 31337 + n, n // 3) for n in (30, 60, 120)]
                + [_multigraph(idx) for idx in range(60)])
-    assert checked["base_case"] > 1000 and checked["two_classes"] > 0, checked
-    assert checked["base_case_free"] == checked["two_classes_free"] == 0
+    assert checked["made"] > 1000 and checked["read"] > 1000, checked
+    assert checked["made_free"] == checked["read_free"] == 0
 
 
 def test_disconnected_sink_sides_and_free_vertices(checked):
@@ -155,7 +159,7 @@ def test_disconnected_sink_sides_and_free_vertices(checked):
     for half in (2, 4, 5):
         g = _pairs(half, rng)
         supreme.supreme_forest(g, tau=3)
-    for key in ("base_case_free", "two_classes_free", "split_free",
+    for key in ("made_free", "read_free", "split_free",
                 "split_emptied", "classes_free"):
         assert checked[key] > 0, (key, checked)
     assert checked["classes_emptied"] == 0, checked

@@ -75,16 +75,16 @@ def test_supreme_forest_expo5_vertex_sets():
 
 
 def test_supreme_forest_small_base_case_recursion():
-    """Every node of 4 or more terminals splits, so the base cases have
-    at most 3 terminals and a root of 4 or more recurses."""
+    """Every node of 5 or more terminals splits, so the base cases have
+    at most 4 terminals and a root of 5 or more recurses."""
     for idx in range(25):
         g = random_connected(idx, n_max=10)
         stats: dict = {}
         f = supreme_forest(g, stats=stats)
         assert forest_signature(f) == forest_signature(
             oracle.supreme_sets_bruteforce(g))
-        assert max(stats["base_cases"]) <= 3, (idx, stats["base_cases"])
-        assert (stats["max_depth"] >= 1) == (len(g.terminals) >= 4), idx
+        assert max(stats["base_cases"]) <= 4, (idx, stats["base_cases"])
+        assert (stats["max_depth"] >= 1) == (len(g.terminals) >= 5), idx
 
 
 def test_supreme_forest_mu_cut_values_match():
@@ -278,7 +278,8 @@ def test_flow_tree_rows_match_naive_rows():
     components (lambda = 0) and perturbed weights.  A tree whose flows
     stop at a limit H gives min(lambda, H), its stopped edges have the
     value H, and with `keep` it returns the stopped solves only while no
-    edge is exact.  The last exact solve is returned, None if none."""
+    edge is exact.  The exact solves are returned in order, each as its
+    minimal source side and value."""
     rng = random.Random(10)
     zeros = stopped = 0
     for i in range(90):
@@ -303,7 +304,7 @@ def test_flow_tree_rows_match_naive_rows():
             zeros += 0 in rows[s].values()
         values = sorted({c for row in rows.values() for c in row.values()})
         for H in {values[0] + 1, values[len(values) // 2], values[-1]}:
-            capped, _, kept, last = _flow_tree(net, ts, H, keep=True)
+            capped, _, kept, solved = _flow_tree(net, ts, H, keep=True)
             for s in ts:
                 assert _lambda_row(capped, s) == \
                     {u: min(c, H) for u, c in rows[s].items()}, (i, s, H)
@@ -311,9 +312,9 @@ def test_flow_tree_rows_match_naive_rows():
             assert max(edges) <= H
             exact = any(c < H for c in edges)
             assert len(kept) == (0 if exact else len(ts) - 1), (i, H)
-            assert (last is None) == (not exact), (i, H)
-            if exact:
-                assert last.value == [c for c in edges if c < H][-1], (i, H)
+            assert [d for _, d in solved] == [c for c in edges if c < H]
+            assert all(sum(w for u, v, w in arcs if (u in X) != (v in X))
+                       == d for X, d in solved), (i, H)
             assert all(r.source_side is None for r in kept)
             stopped += edges.count(H)
     assert zeros > 0 and stopped > 0
@@ -430,7 +431,7 @@ def test_recursion_oracle_equivalence(w_max):
     which tie more cut values: every instance matches the oracle on the
     first call; two calls give the same forest, node ids and parents
     included."""
-    above = recursed = 0
+    above = 0
     for idx in range(CORPUS_SIZE):
         g = random_connected(idx, w_max=w_max)
         stats: dict = {}
@@ -439,10 +440,10 @@ def test_recursion_oracle_equivalence(w_max):
             oracle.supreme_sets_bruteforce(g)), idx
         if idx < 20:
             assert tree_signature(supreme_forest(g)) == tree_signature(f), idx
-        above += len(g.terminals) > 3
-        recursed += stats["max_depth"] >= 1
-    # Every instance of 4 or more terminals splits.
-    assert above >= 50 and recursed == above, (above, recursed)
+        # Every instance of 5 or more terminals splits, and no other.
+        assert (stats["max_depth"] >= 1) == (len(g.terminals) > 4), idx
+        above += len(g.terminals) > 4
+    assert above >= 50, above
 
 
 DISCONNECTED_SIZE = 100
@@ -467,14 +468,14 @@ def _disconnected(idx: int, w_max: int = 5) -> Graph:
 
 @pytest.mark.parametrize("w_max", [2, 3, 5])
 def test_recursion_oracle_equivalence_disconnected(w_max):
-    """Terminals in several components: every node of 4 or more terminals
+    """Terminals in several components: every node of 5 or more terminals
     splits, on zero flow-tree edges where needed, and the forest matches
     the oracle.  Each root has a zero tree edge (two parts hold
     terminals) and splits."""
     recursed = 0
     for idx in range(DISCONNECTED_SIZE):
         g = _disconnected(idx, w_max)
-        assert g.n <= 14 and len(g.terminals) > 3, idx
+        assert g.n <= 14 and len(g.terminals) > 4, idx
         stats: dict = {}
         f = supreme_forest(g, stats=stats)
         assert forest_signature(f) == forest_signature(
@@ -613,21 +614,25 @@ def test_truncated_forest_equals_full_after_rdem(w_max):
 
 def test_splitoff_star7_prunes_a_child():
     """The 7-vertex star of CI: splitting off vertex 6 merges a tau-class
-    at tau = 5, in 13 flows (its budget lies on terminals, so the
+    at tau = 5, in 11 flows (its budget lies on terminals, so the
     surrogates take no isolating cut, and tau = U = 5 is swept over g's
-    5-classes); the forest built without tau
-    merges, prunes and caps nothing, in 26 flows."""
+    5-classes; the root of 3 classes reads 2 of its 3 bipartitions off
+    its flow tree); the forest built without tau merges, prunes and caps
+    nothing, in 20 flows: 6 for the root's tree and split, and 7 in each
+    child of 4 terminals, its tree and the 4 bipartitions that the tree
+    does not answer."""
     edges = [(0, 1, 2), (0, 2, 1), (0, 3, 3), (2, 4, 2), (1, 5, 4),
              (0, 4, 3), (3, 5, 5)]
     g = Graph.build(7, edges + [(0, 6, 2), (2, 6, 2)], range(6))
     _, report = splitoff_pipeline(g, 6)
     assert report["tau"] == 5 and report["supreme"]["merged"] >= 1, report
-    assert report["max_flow_calls"] == 13, report
+    assert report["max_flow_calls"] == 11, report
     stats: dict = {}
     before = flow.max_flow_call_count()
     supreme_forest(Graph.build(6, edges, range(6)), stats=stats)
     assert stats["pruned"] == stats["merged"] == stats["capped"] == 0
-    assert flow.max_flow_call_count() - before == 26
+    assert flow.max_flow_call_count() - before == 20
+    assert stats["base_cases"] == {4: 2}, stats
 
 
 def _postprocess_rebuild(candidates, g, weights, fired=None):
@@ -761,9 +766,9 @@ def test_base_case_values_are_perturbed_cut_values(monkeypatch):
     def d(X):
         return sum(w for (u, v, w) in nets[-1].arcs if (u in X) != (v in X))
 
-    def spy_base_case(net, groups, free):
+    def spy_base_case(net, groups, free, solved=()):
         nets.append(net)
-        return base_case(net, groups, free)
+        return base_case(net, groups, free, solved)
 
     def spy_repair(fam, cut_fn):
         for X, value in fam.items():

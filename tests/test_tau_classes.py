@@ -1,11 +1,12 @@
 """The tau-classes found once by the recursion's flow tree, used everywhere.
 
-A node of 2 or 3 classes runs its base case on its own network, each
-class one source or sink set, and a node of 2 reads it off the flow
-tree's one exact solve.  The reference below is the earlier code, kept
-as it was: contract the classes and run `_base_case` on the merged
-node.  The +1 checks run over the root's classes; the reference is the
-check with one flow per terminal.
+A node of 2 to 4 classes runs its base case on its own network, each
+class one source or sink set, and reads the bipartitions that its flow
+tree's exact solves answer (a node of 2 reads its one bipartition).
+The reference below is the earlier code, kept as it was: contract the
+classes and run `_base_case` on the merged node.  The +1 checks run
+over the root's classes; the reference is the check with one flow per
+terminal.
 """
 
 from __future__ import annotations
@@ -47,12 +48,12 @@ def _merged_base_case(terminals, weights, labels, classes):
 # ---- tests -------------------------------------------------------------------
 
 def test_class_base_case_matches_the_merged_node(monkeypatch):
-    """At every recursion node of at most 3 classes: the same sets, in
+    """At every recursion node of at most 4 classes: the same sets, in
     the same order, with the same values, and the same least value as
-    the merged node's base case.  Nodes of 2 and of 3 classes that
-    merged terminals both occur."""
+    the merged node's base case.  Nodes of 2, 3 and 4 classes that
+    merged terminals all occur."""
     real = supreme._recurse
-    seen = {2: 0, 3: 0}
+    seen = {2: 0, 3: 0, 4: 0}
 
     def checked(terminals, net, labels, free, stats, depth, limit):
         weights = weight_map(net)
@@ -65,7 +66,7 @@ def test_class_base_case_matches_the_merged_node(monkeypatch):
             net = flow.FlowNetwork(len(labels), [(u, v, w) for (u, v), w
                                                  in weights.items()], False)
             _, classes, _, _ = _flow_tree(net, ts, limit)
-        if len(classes) <= 3:
+        if len(classes) <= 4:
             want = _merged_base_case(terminals, weights, labels, classes)
             assert (list(fam.items()), low) == want, (depth, classes)
             if len(classes) < len(ts):
@@ -80,7 +81,7 @@ def test_class_base_case_matches_the_merged_node(monkeypatch):
         lam = steiner_connectivity(g)
         for tau in (lam + 1, lam + 2, lam + 3):
             supreme_forest(g, tau=tau)
-    assert seen[2] > 0 and seen[3] > 0, seen
+    assert min(seen.values()) > 0, seen
 
 
 def test_two_class_root_costs_one_flow_tree():
@@ -100,18 +101,23 @@ def test_two_class_root_costs_one_flow_tree():
         assert stats["merged"] == len(g.terminals) - 2, stats
 
 
-def test_two_class_node_without_its_exact_solve_raises(monkeypatch):
-    """The two-class base case reads the flow tree's one exact solve; if
-    the tree hands none on, the recursion stops, also under -O."""
-    real = supreme._flow_tree
-
-    def dropped(net, ts, limit=None, keep=False):
-        tree, classes, stopped, _ = real(net, ts, limit, keep)
-        return tree, classes, stopped, None
-
-    monkeypatch.setattr(supreme, "_flow_tree", dropped)
-    with pytest.raises(RuntimeError, match="two tau-classes"):
-        supreme_forest(_two_clusters(), tau=3)
+def test_base_case_read_of_a_class_splitting_side_raises():
+    """A base case reads a flow-tree solve only as the bipartition of its
+    classes that the solve's side makes; a side that splits a class, or
+    holds all of them or none, stops the recursion, also under -O.  The
+    two K4s of `_two_clusters` are the tau-classes at tau = 3."""
+    g = _two_clusters()
+    net = supreme.perturb(g)
+    groups = [list(range(4)), list(range(4, 8))]
+    limit = 3 * (1 << (len(net.to) // 2)) + 1
+    _, classes, _, solved = _flow_tree(net, list(range(8)), limit)
+    assert sorted(classes.values()) == groups and len(solved) == 1
+    want = _base_case(net, groups, frozenset())
+    assert _base_case(net, groups, frozenset(), solved) == want
+    (X, d), = solved
+    for side in (X ^ {0, 4}, X - {min(X)}, frozenset(), frozenset(range(8))):
+        with pytest.raises(RuntimeError, match="no bipartition"):
+            _base_case(net, groups, frozenset(), [(side, d)])
 
 
 def test_root_classes_are_recorded_and_reported():
