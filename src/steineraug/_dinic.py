@@ -7,10 +7,10 @@ sinks are given per solve, so one graph serves many cuts.  Capacities
 are unbounded Python integers.
 
 The arc order and the DFS order fix which max flow is returned; the
-degree-constrained external phase reads per-arc flows, so changing
-either can change outputs.  The sources are tried in the given order,
-each until it is blocked, which finds the same augmenting paths as a
-super source joined to them in that order.
+degree-constrained external phase reads per-arc flows off the residual
+capacities, so changing either can change outputs.  The sources are
+tried in the given order, each until it is blocked, which finds the
+same augmenting paths as a super source joined to them in that order.
 
 Each phase labels from both ends (Pohl, "Bi-directional search",
 Machine Intelligence 6, 1971): forward levels 0, 1, .. from the sources
@@ -38,11 +38,12 @@ push nothing: the arcs skipped are exactly the walks into them.
 
 The phase that finds no path runs the forward search to exhaustion,
 also after the backward search ran out first, and returns its labels as
-the minimal source side.  The minimal sink side needs a reverse search
-of the final residual graph, which `flow.FlowResult.sink_side` runs
-only when a caller reads it (the oracle's witness); on a perturbed
-network it is the rest of the vertices less those of no terminal's
-component, which `supreme._sink_side` reads with no search.
+the minimal source side.  The minimal sink side, which would need a
+reverse search of the final residual graph, is on an undirected
+network the minimal source side of the solve from the sinks to the
+sources, which the oracle's witness makes; on a perturbed network it is
+the rest of the vertices less those of no terminal's component, which
+`supreme._sink_side` reads with no search.
 
 A solve given a `limit` stops at the first push that brings its flow to
 the limit.  Up to that push it is the uncapped solve step for step, so

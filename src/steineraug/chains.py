@@ -189,14 +189,6 @@ class ChainScheduler:
     def run(self) -> EdgeAdditions:
         while (chain := self.build_chain()) is not None:
             self.apply_chain(chain, self.expiration(chain))
-        n = self.g.n
-        for cause, count in self.event_counts.items():
-            assert count <= 3 * self.forest._next_id + n, \
-                f"event cause {cause} fired {count} times"
-        total = sum(self.event_counts.values())
-        assert total <= 16 * n, f"chain events {total} exceed {16 * n}"
-        assert self.edge_update_count <= 16 * n, \
-            f"chain-edge updates {self.edge_update_count} exceed {16 * n}"
         return EdgeAdditions(tuple(self.out)).merged()
 
 

@@ -131,14 +131,16 @@ def process_path(state: DegExternalState, path: HeavyPath) -> None:
     if res.value != state.tau:
         raise RuntimeError(
             f"path {path.id}: flow value {res.value} != tau {state.tau}")
-    if res.flows[meta["yx_index"]] != meta["delta"]:
+    cap, residual = net.cap, res.residual
+    yx = 2 * meta["yx_index"]
+    if cap[yx] - residual[yx] != meta["delta"]:
         raise RuntimeError(f"path {path.id}: the (y, x) arc is not saturated")
     # Highest critical node on the path; there is one, since every path
     # ends at an L2 node or at a leaf, and leaves are critical.
     rm = next(r for r in path.nodes if r in state.hld.critical)
     mu_m = state.forest.nodes[rm].mu_tilde
     for idx, u in meta["uy_arcs"].items():
-        fval = res.flows[idx]
+        fval = cap[2 * idx] - residual[2 * idx]
         if fval > 0:
             if mu_m is not None and u not in mu_m:
                 raise RuntimeError(

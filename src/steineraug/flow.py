@@ -4,25 +4,26 @@ A `FlowNetwork` is prepared once per graph and weight map: its residual
 arrays are built and checked once, and `max_flow(net, sources, sinks)`,
 the one entry point, solves it for any number of source and sink sets,
 copying only the residual capacities.  An undirected network has one
-residual arc pair per coalesced edge, with capacity w each way, and is
-laid out straight from its weight map (`FlowNetwork.from_weights`):
-the map's keys and values are sliced into the arc heads and capacities,
-the adjacency lists take one pass, and no arc list is built.  The
-supreme recursion builds no weight map: it lays out each node's
-network in the pass that makes its weights (`supreme.perturb`,
-`supreme._contract`) and hands the arrays to `FlowNetwork.laid_out`,
-which checks nothing.  A directed network, built from its arc list,
-has one pair per arc, reverse capacity 0.  All run the one pure-Python
-blocking-flow (Dinic) loop in `_dinic`, on unbounded Python integers,
-so perturbed weights of any size are exact.  A solve returns its value and minimal source side; the
-minimal sink side and the per-arc flows are derived from the residual
-capacities when read.  A caller that only compares the value with a
-bound passes it as `limit`: the solve stops once its flow reaches it,
-and `FlowResult.finish` can go on from there if the exact value is
-needed after all.  `least_cut`, the least of many solves, answers every
-Steiner-connectivity question, exactly below a `bound` known from
-elsewhere when one is given.  A caller with a graph builds its
-network with `FlowNetwork.undirected`.
+residual arc pair per coalesced edge, with capacity w each way.  A
+graph's network is laid out in one pass over its edges
+(`coalesced_layout`), which `FlowNetwork.undirected` gives the plain
+weights and `supreme.perturb` the perturbed ones, so both number g's
+arcs alike.
+The supreme recursion lays out each contracted node's network in the
+pass that coalesces its parent's arcs (`supreme._contract`).  These
+layouts go to `FlowNetwork.laid_out`, which checks nothing.  A network
+built from its arc list checks every arc; a directed one has one pair
+per arc, reverse capacity 0.  All run the one pure-Python blocking-flow
+(Dinic) loop in `_dinic`, on unbounded Python integers, so perturbed
+weights of any size are exact.  A solve returns its value, its minimal
+source side and its residual capacities, from which a caller reads a
+per-arc flow; the minimal sink side of an undirected network is the
+minimal source side of the solve from the sinks to the sources.  A
+caller that only compares the value with a bound passes it as `limit`:
+the solve stops once its flow reaches it, and `FlowResult.finish` can
+go on from there if the exact value is needed after all.  `least_cut`,
+the least of many solves, answers every Steiner-connectivity question,
+exactly below a `bound` known from elsewhere when one is given.
 
 A per-thread invocation counter supports the call-count budget and the
 pipelines' reports.
@@ -31,11 +32,9 @@ pipelines' reports.
 from __future__ import annotations
 
 import functools
-import operator
 import threading
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from . import _dinic
 from .graph import Graph
@@ -53,6 +52,37 @@ def max_flow_call_count() -> int:
 def flow_backend_name() -> str:
     """The kernel's name; perfbench/run.py records it in every run."""
     return "python"
+
+
+def coalesced_layout(g: Graph) -> tuple[list[list[int]], list[int],
+                                        list[int], dict[int, int]]:
+    """g's undirected network but its capacities: the adjacency lists, the
+    arc heads, the sorted edge keys and each key's summed weight.
+
+    The edges are coalesced on the integer key u*n + v (u < v), whose
+    order is the order of the pairs (u, v), and arc pair i runs u -> v
+    for the i-th key.  The pairs (u, x) sort before the pairs (x, v), so
+    x's adjacency list takes its reverse arcs first and then its forward
+    ones, each in arc order; arc pair i has capacity caps[i] each way
+    for the caller's `caps` in key order (`FlowNetwork.laid_out`).  g's
+    own checks stand for the network's."""
+    n = g.n
+    acc: dict[int, int] = {}
+    for (u, v, w) in g.edges:
+        key = u * n + v if u < v else v * n + u
+        acc[key] = acc[key] + w if key in acc else w
+    keys = sorted(acc)
+    m = len(keys)
+    us = [key // n for key in keys]
+    vs = [key % n for key in keys]
+    head: list[list[int]] = [[] for _ in range(n)]
+    for a, v in zip(range(1, 2 * m, 2), vs):
+        head[v].append(a)
+    for a, u in zip(range(0, 2 * m, 2), us):
+        head[u].append(a)
+    to = [0] * (2 * m)
+    to[::2], to[1::2] = vs, us
+    return head, to, keys, acc
 
 
 class FlowNetwork:
@@ -91,33 +121,11 @@ class FlowNetwork:
 
     @classmethod
     def undirected(cls, g: Graph) -> "FlowNetwork":
-        """g's coalesced edges."""
-        return cls.from_weights(g.n, g.coalesced())
-
-    @classmethod
-    def from_weights(cls, n: int, weights: Mapping[tuple[int, int], int]
-                     ) -> "FlowNetwork":
-        """The arc-list constructor's undirected network on the items of
-        `weights`, laid out with no arc list (module docstring); a bad
-        endpoint or weight goes to that constructor, which raises."""
-        ends = list(chain.from_iterable(weights))   # u0, v0, u1, v1, ..
-        caps = list(weights.values())
-        head = [[] for _ in range(n)]
-        ok = not weights or (min(ends) >= 0 and min(caps) >= 0)
-        if ok:
-            try:
-                a = 0
-                for (u, v) in weights:
-                    head[u].append(a)
-                    head[v].append(a + 1)
-                    a += 2
-            except IndexError:      # an endpoint >= n
-                ok = False
-        if not ok:
-            return cls(n, [(u, v, w) for (u, v), w in weights.items()], False)
-        to = ends[:]
-        to[::2], to[1::2] = ends[1::2], ends[::2]
-        return cls.laid_out(n, head, to, caps, 1 + sum(caps))
+        """g's coalesced edges, each of its summed weight, laid out by
+        `coalesced_layout`."""
+        head, to, keys, acc = coalesced_layout(g)
+        return cls.laid_out(g.n, head, to, [acc[key] for key in keys],
+                            g.total_weight + 1)
 
     @classmethod
     def laid_out(cls, n: int, head: list[list[int]], to: list[int],
@@ -133,49 +141,25 @@ class FlowNetwork:
 
     @functools.cached_property
     def arcs(self) -> tuple[tuple[int, int, Optional[int]], ...]:
-        # Only for networks laid out with no arc list (`from_weights`,
-        # `laid_out`); nothing on the solve path reads it.
+        # Only for networks laid out with no arc list (`laid_out`);
+        # nothing on the solve path reads it.
         to, cap = self.to, self.cap
         return tuple(zip(to[1::2], to[::2], cap[::2]))
 
 
 @dataclass(frozen=True)
 class FlowResult:
-    """A solve's value and minimal source side; a solve stopped at its
-    limit (or not begun, at limit 0) has a value >= limit and no source
-    side (None), and its sides and flows are not those of a min cut."""
+    """A solve's value, minimal source side and residual capacities: arc
+    pair i carries net.cap[2i] - residual[2i] from its tail to its head
+    (< 0: the other way, undirected).  A solve stopped at its limit (or
+    not begun, at limit 0) has a value >= limit and no source side
+    (None), and its residual is not that of a max flow."""
     value: int
     source_side: Optional[frozenset[int]]  # minimal: residually reached
     net: FlowNetwork = field(repr=False)
     residual: list[int] = field(repr=False)   # capacities after the solve
     sources: tuple[int, ...] = field(repr=False)
     sinks: tuple[int, ...] = field(repr=False)
-
-    @functools.cached_property
-    def sink_side(self) -> frozenset[int]:
-        """Minimal sink side: the vertices residually reaching a sink.
-        Found on first read, by a search of the residual graph; only the
-        witness of `oracle.verify_solution`, on an unperturbed network,
-        reads it.  The supreme recursion's base cases read theirs off
-        the source side with no search (`supreme._sink_side`)."""
-        head, to, res = self.net.head, self.net.to, self.residual
-        seen = [False] * self.net.n
-        for t in self.sinks:
-            seen[t] = True
-        queue = list(self.sinks)
-        for v in queue:
-            for a in head[v]:
-                u = to[a]
-                if res[a ^ 1] and not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
-        return frozenset(queue)
-
-    @functools.cached_property
-    def flows(self) -> tuple[int, ...]:
-        """Per arc, u -> v (< 0: v -> u, undirected); built on first read,
-        since only the H networks of `deg_external` read it."""
-        return tuple(map(operator.sub, self.net.cap[::2], self.residual[::2]))
 
     def finish(self, limit: Optional[int] = None) -> "FlowResult":
         """Go on with a solve stopped at its limit, from its residual

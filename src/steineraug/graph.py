@@ -185,8 +185,8 @@ def least_steiner_cut(g: Graph, limit: Optional[int] = None,
     the sorted terminals, one each.  The first terminal on the far side
     of a Steiner min cut from t_0 sees every earlier one across it, so
     the least is a Steiner min cut (the growing sink of Hao and Orlin,
-    J. Algorithms 1994).  Its `sink_side` holds the first group.  None
-    below 2 groups.
+    J. Algorithms 1994).  Its sinks, and so every sink side of its min
+    cuts, hold the first group.  None below 2 groups.
 
     With `limit`, or `bound`, the groups may be any partition of the
     terminals that no Steiner cut below it separates, such as the

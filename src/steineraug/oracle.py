@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from . import flow
 from .forest import LaminarForest
 from .graph import EdgeAdditions, Graph, add_edges, least_steiner_cut
 # Plain d(X) by edge scan, with no flow: independent of the flow engine.
@@ -130,7 +131,8 @@ def verify_solution(g: Graph, tau: int, F: EdgeAdditions,
     Returns (ok, witness); the witness is an offending vertex id for a
     budget violation, or else a violated cut holding the least terminal:
     the minimal sink side of the first solve below tau in
-    `least_steiner_cut(g + F, tau)`.
+    `least_steiner_cut(g + F, tau)`, found as the minimal source side of
+    the solve from its sinks to its sources (one more flow).
     """
     if beta is not None:
         deg = F.degrees()
@@ -138,5 +140,6 @@ def verify_solution(g: Graph, tau: int, F: EdgeAdditions,
         if over:
             return False, over[0]
     res = least_steiner_cut(add_edges(g, F), tau)
-    ok = res is None or res.value >= tau
-    return ok, None if ok else res.sink_side
+    if res is None or res.value >= tau:
+        return True, None
+    return False, flow.max_flow(res.net, res.sinks, res.sources).source_side

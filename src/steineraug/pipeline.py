@@ -10,11 +10,10 @@ to the sweep that gives tau, not |T| - 1 (`splitoff_pipeline`).  At
 tau = 1 both join the terminal components in a path; above it each
 builds the forest with tau (U, splitting off) first, and its root gives
 lambda(g), which augmentation reports as "initial_connectivity", after
-|T| - 1 flows when it is >= tau (3 at |T| = 3, where the root
-enumerates).  Below tau they differ only in the
-external phase that places the budget and its chain slots: augmentation
-makes the optimal external solution even, splitting-off places x's star
-with `deg_external`.  Both then split that budget off with one step,
+|T| - 1 flows when it is >= tau (the root's flow tree).  Below tau they
+differ only in the external phase that places the budget and its chain
+slots: augmentation makes the optimal external solution even,
+splitting-off places x's star with `deg_external`.  Both then split that budget off with one step,
 `deg_chains.split_off`: the chain phase and the +1 step.
 """
 

@@ -3,10 +3,10 @@
 Phase 1 (`perturb`) gives each edge a perturbed weight so that
 distinct crossing-edge sets have distinct cut values.  Phase 2 finds a
 laminar candidate family containing every supreme set of the perturbed
-graph by divide and conquer over terminal bipartitions.  A node of 4 or
-more terminals builds one equivalent-flow tree of its k terminals, k - 1
-flows.  A node of 5 or more splits them into two balanced halves by a
-cut threshold read off that tree, at one more flow, and recurses on the
+graph by divide and conquer over terminal bipartitions.  Every node
+builds one equivalent-flow tree of its k terminals, k - 1 flows.  A
+node of 5 or more splits them into two balanced halves by a cut
+threshold read off that tree, at one more flow, and recurses on the
 two contracted sides; a node of at most 4 (a base case) takes the
 earliest min cut of every terminal bipartition, and reads those that
 its tree's exact solves answer (below).  A base case's values are its
@@ -121,7 +121,6 @@ terminal degree U of G = g + x before it knows tau = lambda(G) <= U.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from . import flow
@@ -136,39 +135,22 @@ if TYPE_CHECKING:
 def perturb(g: Graph) -> flow.FlowNetwork:
     """g's perturbed network: one arc pair per coalesced edge e, of
     capacity w~(e) = 2^m*w(e) + 2^i, e the i-th of the m sorted coalesced
-    edges, laid out in the pass that makes w~.
+    edges, laid out as `flow.FlowNetwork.undirected` lays out g
+    (`flow.coalesced_layout`), so each arc's plain capacity is its
+    perturbed one >> m.
 
     A cut's offset, the sum of 2^i over the edges it crosses, names its
     crossing-edge set, so min cuts are unique; it lies in [0, 2^m - 1], so
     d(X) = d~(X) >> m and unequal cut values keep their order.
 
-    The edges are coalesced on the integer key u*n + v (u < v), whose
-    order is the order of the pairs (u, v), and 2^m*w is made once per
-    distinct weight w.  Arc pair i runs u -> v; the pairs (u, x) sort
-    before the pairs (x, v), so x's adjacency list takes its reverse arcs
-    first and then its forward ones, each in arc order.  The weights sum
-    to g's total weight W, so the capacities sum to 2^m*W + 2^m - 1 and
-    inf = (W + 1)*2^m, with no sum over m-bit integers; g's own checks
-    stand for the network's."""
-    n = g.n
-    acc: dict[int, int] = {}
-    for (u, v, w) in g.edges:
-        key = u * n + v if u < v else v * n + u
-        acc[key] = acc[key] + w if key in acc else w
-    keys = sorted(acc)
+    2^m*w is made once per distinct weight w.  The weights sum to g's
+    total weight W, so the capacities sum to 2^m*W + 2^m - 1 and
+    inf = (W + 1)*2^m, with no sum over m-bit integers."""
+    head, to, keys, acc = flow.coalesced_layout(g)
     m = len(keys)
     high = {w: w << m for w in set(acc.values())}
-    us = [key // n for key in keys]
-    vs = [key % n for key in keys]
-    head: list[list[int]] = [[] for _ in range(n)]
-    for a, v in zip(range(1, 2 * m, 2), vs):
-        head[v].append(a)
-    for a, u in zip(range(0, 2 * m, 2), us):
-        head[u].append(a)
-    to = [0] * (2 * m)
-    to[::2], to[1::2] = vs, us
     caps = [high[acc[key]] | (1 << i) for i, key in enumerate(keys)]
-    return flow.FlowNetwork.laid_out(n, head, to, caps,
+    return flow.FlowNetwork.laid_out(g.n, head, to, caps,
                                      (g.total_weight + 1) << m)
 
 
@@ -459,23 +441,21 @@ def _recurse(terminals: frozenset[int], net: flow.FlowNetwork,
     layers[depth] = layers.get(depth, 0) + net.n
 
     ts = sorted(terminals)
-    groups, solved = [[t] for t in ts], []
-    if len(ts) > 3:
-        tree, classes, stopped, solved = _flow_tree(net, ts, limit,
-                                                    keep=depth == 0)
-        low = min(tree)[0]
-        stats["capped"] += len(ts) - len(classes)
-        if depth == 0:
-            stats["classes"] = list(classes.values())
-        if len(classes) == 1:
-            stats["pruned"] += 1
-            if stopped:  # the root: lambda(g) >= tau, made exact
-                low = flow.least_cut(stopped).value
-            return {}, low
-        stats["merged"] += len(ts) - len(classes)
-        # The merged node's terminal order: the singleton classes, then
-        # the merged ones in head order.
-        groups = sorted(classes.values(), key=lambda K: len(K) > 1)
+    tree, classes, stopped, solved = _flow_tree(net, ts, limit,
+                                                keep=depth == 0)
+    low = min(tree)[0]
+    stats["capped"] += len(ts) - len(classes)
+    if depth == 0:
+        stats["classes"] = list(classes.values())
+    if len(classes) == 1:
+        stats["pruned"] += 1
+        if stopped:  # the root: lambda(g) >= tau, made exact
+            low = flow.least_cut(stopped).value
+        return {}, low
+    stats["merged"] += len(ts) - len(classes)
+    # The merged node's terminal order: the singleton classes, then the
+    # merged ones in head order.
+    groups = sorted(classes.values(), key=lambda K: len(K) > 1)
     # A node of at most 4 classes is a base case on its own network, each
     # class one source or sink set, which gives the merged node's cuts,
     # values and minimal sides, expanded; it reads its flow tree's exact
@@ -527,14 +507,12 @@ def find_supreme_candidates(g: Graph, net: flow.FlowNetwork,
     (`base_cases`, keyed by class count), the nodes of one tau-class
     (`pruned`), the terminals merged away into tau-classes (`merged`),
     the flows stopped at their limit (`capped`), lambda(g)
-    (`connectivity`) and the root's tau-classes (`classes`, singletons
-    at a root of at most 3 terminals).  Every node of 5 or more classes
-    splits, terminals in several components included (module
-    docstring)."""
+    (`connectivity`) and the root's tau-classes (`classes`).  Every node
+    of 5 or more classes splits, terminals in several components
+    included (module docstring)."""
     stats = {} if stats is None else stats
     stats.update({"max_depth": 0, "layer_vertices": {}, "base_cases": {},
-                  "pruned": 0, "merged": 0, "capped": 0,
-                  "classes": [[t] for t in sorted(g.terminals)]})
+                  "pruned": 0, "merged": 0, "capped": 0})
     scale = 1 << (len(net.to) // 2)
     limit = None if tau is None else tau * scale + 1
     fam, low = _recurse(g.terminals, net, None,
@@ -588,12 +566,6 @@ def supreme_forest(g: Graph, seed=None, stats: Optional[dict] = None,
     net = perturb(g)
     stats = {} if stats is None else stats
     fam = find_supreme_candidates(g, net, stats=stats, tau=tau)
-    depth = stats.get("max_depth", 0)
-    bound = 25 * math.log(max(len(g.terminals), 2)) + 5
-    assert depth <= bound, f"recursion depth {depth} exceeds {bound}"
-    for layer, total in stats["layer_vertices"].items():
-        cap = 8 * g.n * max(1.0, math.log(max(g.n, 2)))
-        assert total <= cap, f"layer {layer} vertex total {total} exceeds {cap}"
     return postprocess(fam, g, len(net.to) // 2)
 
 

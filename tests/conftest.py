@@ -10,11 +10,15 @@ Vertex naming in the fixtures (ids in parentheses):
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 
 import pytest
 
+from steineraug import supreme
 from steineraug.chains import ChainScheduler
+from steineraug.flow import FlowNetwork
 from steineraug.graph import Graph
 
 
@@ -66,6 +70,35 @@ def tree_plus_2n(n: int, seed: int, n_terminals: int) -> Graph:
     return Graph.build(n, edges, rng.sample(range(n), n_terminals))
 
 
+def network(n: int, weights) -> FlowNetwork:
+    """The arc-list constructor's undirected network on the items of the
+    weight map `weights`, (u, v) -> w, in its key order."""
+    return FlowNetwork(n, [(u, v, w) for (u, v), w in weights.items()],
+                       False)
+
+
+def sink_side(res) -> frozenset[int]:
+    """Reference for a solve's minimal sink side, which the package reads
+    with no search of this solve's residual graph: the vertices that
+    reach a sink over arcs of residual capacity."""
+    head, to, residual = res.net.head, res.net.to, res.residual
+    seen = set(res.sinks)
+    queue = list(res.sinks)
+    for v in queue:
+        for a in head[v]:
+            u = to[a]
+            if residual[a ^ 1] and u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return frozenset(queue)
+
+
+def arc_flows(res) -> tuple[int, ...]:
+    """A solve's flow on each arc pair i, u -> v (< 0: v -> u on an
+    undirected network): net.cap[2i] - residual[2i]."""
+    return tuple(c - r for c, r in zip(res.net.cap[::2], res.residual[::2]))
+
+
 def weight_map(net) -> dict[tuple[int, int], int]:
     """An undirected network's weights: (u, v) -> capacity of each arc
     pair u -> v, in arc order, read off its `to` and `cap` slices."""
@@ -93,6 +126,63 @@ def terminal_free(net, terminals) -> frozenset[int]:
                 seen.add(net.to[a])
                 stack.append(net.to[a])
     return frozenset(range(net.n)) - seen
+
+
+# ---- complexity bounds, checked on every forest and chain phase -------------
+
+def check_recursion_bounds(g: Graph, stats: dict) -> None:
+    """The supreme recursion's depth is at most 25 ln|T| + 5, and the
+    vertex total of each of its layers at most 8 n ln n."""
+    depth = stats["max_depth"]
+    bound = 25 * math.log(max(len(g.terminals), 2)) + 5
+    assert depth <= bound, f"recursion depth {depth} exceeds {bound}"
+    cap = 8 * g.n * max(1.0, math.log(max(g.n, 2)))
+    for layer, total in stats["layer_vertices"].items():
+        assert total <= cap, \
+            f"layer {layer} vertex total {total} exceeds {cap}"
+
+
+def check_chain_bounds(sched: ChainScheduler) -> None:
+    """A chain phase fires each event cause at most 3 F + n times, F the
+    forest nodes ever made, and at most 16 n events and 16 n chain-edge
+    updates in all."""
+    n = sched.g.n
+    for cause, count in sched.event_counts.items():
+        assert count <= 3 * sched.forest._next_id + n, \
+            f"event cause {cause} fired {count} times"
+    total = sum(sched.event_counts.values())
+    assert total <= 16 * n, f"chain events {total} exceed {16 * n}"
+    assert sched.edge_update_count <= 16 * n, \
+        f"chain-edge updates {sched.edge_update_count} exceed {16 * n}"
+
+
+@pytest.fixture(autouse=True, scope="session")
+def complexity_bounds():
+    """For the whole session, every forest the recursion finds and every
+    chain phase that runs is checked against its bounds; yields the
+    counts of forests (`supreme.find_supreme_candidates` calls) and of
+    chain phases (`ChainScheduler.run` calls) checked so far."""
+    find, run = supreme.find_supreme_candidates, ChainScheduler.run
+    checked: Counter = Counter()
+
+    def checked_find(g, net, stats=None, tau=None):
+        stats = {} if stats is None else stats
+        fam = find(g, net, stats=stats, tau=tau)
+        check_recursion_bounds(g, stats)
+        checked["forests"] += 1
+        return fam
+
+    def checked_run(sched):
+        adds = run(sched)
+        check_chain_bounds(sched)
+        checked["chain_phases"] += 1
+        return adds
+
+    supreme.find_supreme_candidates = checked_find
+    ChainScheduler.run = checked_run
+    yield checked
+    supreme.find_supreme_candidates = find
+    ChainScheduler.run = run
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ returned g's perturbed weights as a map from each sorted coalesced
 edge (u, v) to w~, and `_contract` coalesced a node's map into its
 contracted node's, in first-seen order, with the list of each vertex's
 original vertex set as its labels.  Each node's network was then
-laid out from its map by `flow.FlowNetwork.from_weights`.  The
+laid out from its map, one arc pair per item in key order.  The
 recursion now lays out each network in the pass that makes its
 weights; `tests/test_perturb_layout.py` checks that every network is
 the one laid out from these maps, arc for arc.

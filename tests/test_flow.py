@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from steineraug import flow
 from steineraug.flow import (FlowNetwork, NoFiniteCutError, isolating_cuts,
                              max_flow)
-from steineraug.graph import cut_value
+from steineraug.graph import Graph, cut_value
 from steineraug.supreme import perturb
 
-from conftest import (g_cyc4, g_cycle, g_expo, g_path, g_split,
-                      random_connected, weight_map)
+from conftest import (arc_flows, g_cyc4, g_cycle, g_expo, g_path, g_split,
+                      network, random_connected, sink_side)
 
 
 # Reference cut primitives with no production caller, checked below.
@@ -20,7 +20,7 @@ from conftest import (g_cyc4, g_cycle, g_expo, g_path, g_split,
 def min_cut_sides(g, A, B):
     """Minimal A side and minimal B side of the A-B min cuts."""
     res = max_flow(FlowNetwork.undirected(g), A, B)
-    return res.source_side, res.sink_side
+    return res.source_side, sink_side(res)
 
 
 def latest_min_cut(g, A, B):
@@ -50,7 +50,7 @@ def test_max_flow_flows_respect_capacities():
                           (1, 2, 1)))
     res = max_flow(net, {0}, {3})
     assert res.value == 3
-    for f, (u, v, c) in zip(res.flows, net.arcs):
+    for f, (u, v, c) in zip(arc_flows(res), net.arcs):
         assert 0 <= f <= c
 
 
@@ -76,56 +76,55 @@ def test_network_validation():
         FlowNetwork(2, ((0, 1, -1),))
 
 
-def _arc_list_network(n, weights):
-    return FlowNetwork(n, [(u, v, w) for (u, v), w in weights.items()],
-                       False)
-
-
 def _layout(net):
     return net.n, net.head, net.to, net.cap, net.inf, net.arcs
 
 
-def test_network_from_weight_map_matches_arc_list():
-    """A network laid out from a weight map is the arc-list constructor's
-    network on the map's items: plain maps in any key order and either
-    orientation, perturbed maps, isolated vertices and the empty map."""
+def test_undirected_network_matches_arc_list():
+    """g's network (`FlowNetwork.undirected`) is the arc-list constructor's
+    network on g's coalesced edges in sorted order, and g's perturbed
+    network (`supreme.perturb`) has the same adjacency lists and arc
+    heads, each capacity w~ = w << m | 2^i: multigraphs with edges in
+    either orientation, isolated vertices and no edge at all."""
     rng = random.Random(30)
-    maps = [(1, {}), (5, {})]
+    graphs = [Graph.build(1, [], [0]), Graph.build(5, [], [0, 4])]
     for _ in range(150):
         n = rng.randint(2, 12)
-        pairs = [(u, v) if rng.random() < 0.5 else (v, u)
+        edges = [(u, v, rng.randint(1, 9)) if rng.random() < 0.5
+                 else (v, u, rng.randint(1, 9))
                  for u, v in itertools.combinations(range(n), 2)
                  if rng.random() < 0.4]
-        rng.shuffle(pairs)
-        maps.append((n + rng.randint(0, 3),
-                     {p: rng.randint(0, 9) for p in pairs}))
-    for idx in range(40):
-        g = random_connected(idx)
-        maps.append((g.n + idx % 3, weight_map(perturb(g))))
-    for n, weights in maps:
-        want = _arc_list_network(n, weights)
-        got = FlowNetwork.from_weights(n, weights)
-        assert _layout(got) == _layout(want), weights
-        if len(weights) and n > 1:
-            a, b = max_flow(got, [0], [n - 1]), max_flow(want, [0], [n - 1])
-            assert (a.value, a.source_side, a.residual) == \
-                (b.value, b.source_side, b.residual)
-    g = random_connected(3)
-    assert _layout(FlowNetwork.undirected(g)) == \
-        _layout(_arc_list_network(g.n, g.coalesced()))
+        edges += rng.sample(edges, len(edges) // 3)
+        rng.shuffle(edges)
+        graphs.append(Graph.build(n + rng.randint(0, 3), edges, [0]))
+    graphs += [random_connected(idx) for idx in range(40)]
+    for g in graphs:
+        net = FlowNetwork.undirected(g)
+        assert _layout(net) == _layout(network(g.n, dict(sorted(
+            g.coalesced().items())))), g
+        tilde = perturb(g)
+        m = len(net.to) // 2
+        assert (tilde.n, tilde.head, tilde.to) == (net.n, net.head, net.to)
+        assert tilde.cap[::2] == [c << m | 1 << i
+                                  for i, c in enumerate(net.cap[::2])]
+        assert tilde.inf == net.inf << m
 
 
-@pytest.mark.parametrize("weights", [
-    {(0, 3): 1}, {(0, 1): 1, (-1, 2): 1}, {(0, 1): -1},
-    {(0, 1): 2, (2, 1): -5, (1, 4): 1}, {(1, 9): 1, (0, 2): -1}],
+@pytest.mark.parametrize("weights, message", [
+    ({(0, 3): 1}, "arc endpoint out of range: (0, 3)"),
+    ({(0, 1): 1, (-1, 2): 1}, "arc endpoint out of range: (-1, 2)"),
+    ({(0, 1): -1}, "negative capacity: (0, 1, -1)"),
+    ({(0, 1): 2, (2, 1): -5, (1, 4): 1}, "negative capacity: (2, 1, -5)"),
+    ({(1, 9): 1, (0, 2): -1}, "arc endpoint out of range: (1, 9)")],
     ids=["endpoint-high", "endpoint-negative", "negative", "negative-later",
          "first-bad-arc-decides"])
-def test_network_from_weight_map_raises_as_arc_list(weights):
-    with pytest.raises(ValueError) as want:
-        _arc_list_network(3, weights)
-    with pytest.raises(ValueError) as got:
-        FlowNetwork.from_weights(3, weights)
-    assert str(got.value) == str(want.value)
+def test_network_from_weight_map_raises_as_arc_list(weights, message):
+    """A network built from a weight map goes through the arc-list
+    constructor, the one that checks its arcs: it names the first bad
+    arc, also under -O."""
+    with pytest.raises(ValueError) as err:
+        network(3, weights)
+    assert str(err.value) == message
 
 
 def test_call_counter():
@@ -262,10 +261,10 @@ def test_capped_solve_stops_exactly_when_the_value_reaches_the_limit():
                     assert res.value >= limit, (idx, limit)
                     stopped += 1
                 else:
-                    assert (res.value, res.source_side, res.sink_side,
-                            res.residual, res.flows) == \
-                        (exact.value, exact.source_side, exact.sink_side,
-                         exact.residual, exact.flows), (idx, limit)
+                    assert (res.value, res.source_side, sink_side(res),
+                            res.residual, arc_flows(res)) == \
+                        (exact.value, exact.source_side, sink_side(exact),
+                         exact.residual, arc_flows(exact)), (idx, limit)
                     same += 1
     assert stopped > 100 and same > 100, (stopped, same)
 
@@ -292,8 +291,8 @@ def test_finished_solve_equals_the_exact_one():
             stop = max_flow(net, ts[:1], ts[-1:], limit).finish(exact.value)
             assert stop.source_side is None and stop.value >= exact.value
             done = res.finish()
-            assert (done.value, done.source_side, done.sink_side) == \
-                (exact.value, exact.source_side, exact.sink_side), idx
+            assert (done.value, done.source_side, sink_side(done)) == \
+                (exact.value, exact.source_side, sink_side(exact)), idx
     before = flow.max_flow_call_count()
     res = max_flow(FlowNetwork.undirected(g_cyc4()), {0}, {2}, 1)
     assert res.finish().value == 2
@@ -354,8 +353,8 @@ def test_least_cut_returns_the_first_least_solve(monkeypatch):
 def _star_solves(weights):
     """Unbegun solves from each leaf i of a star to its centre 0, leaf i
     joined by weights[i - 1]: their values are `weights`, in order."""
-    net = FlowNetwork.from_weights(
-        len(weights) + 1, {(0, i): w for i, w in enumerate(weights, 1)})
+    net = network(len(weights) + 1,
+                  {(0, i): w for i, w in enumerate(weights, 1)})
     return [max_flow(net, (i,), (0,), 0) for i in range(1, len(weights) + 1)]
 
 

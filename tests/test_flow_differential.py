@@ -27,7 +27,8 @@ from steineraug.graph import Graph, star_graph, steiner_connectivity
 from steineraug.pipeline import splitoff_pipeline
 from steineraug.supreme import perturb, supreme_forest
 
-from conftest import random_connected, weight_map
+from conftest import (arc_flows, network, random_connected, sink_side,
+                      weight_map)
 
 SPLITOFF_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "splitoff"
 
@@ -221,12 +222,15 @@ def test_undirected_cuts_match_reference():
                        {e: rng.getrandbits(100) + 1
                         for e in g.coalesced()}]
         for weights in weight_maps:
-            net = flow.FlowNetwork.from_weights(
-                g.n, g.coalesced() if weights is None else weights)
+            net = flow.FlowNetwork.undirected(g) if weights is None \
+                else network(g.n, weights)
             for A, B in _bipartitions(rng, g, 4):
                 res = flow.max_flow(net, A, B)
-                assert (res.value, res.source_side, res.sink_side) == \
-                    ref_min_cut_sides(g, A, B, weights)
+                want = ref_min_cut_sides(g, A, B, weights)
+                assert (res.value, res.source_side, sink_side(res)) == want
+                # The minimal sink side is the reversed solve's minimal
+                # source side (`oracle.verify_solution`'s witness).
+                assert flow.max_flow(net, B, A).source_side == want[2]
                 checked += 1
     assert checked == 1800
 
@@ -235,11 +239,11 @@ def test_undirected_cuts_on_corpus_match_reference():
     for idx in range(60):
         g = random_connected(idx, n_max=12)
         weights = weight_map(perturb(g))
-        net = flow.FlowNetwork.from_weights(g.n, weights)
+        net = network(g.n, weights)
         ts = sorted(g.terminals)
         for t in ts[1:]:
             res = flow.max_flow(net, ts[:1], [t])
-            assert (res.value, res.source_side, res.sink_side) == \
+            assert (res.value, res.source_side, sink_side(res)) == \
                 ref_min_cut_sides(g, ts[:1], [t], weights)
 
 
@@ -254,8 +258,8 @@ def test_capped_and_finished_cuts_match_reference():
         g = _random_multigraph(rng)
         for weights in (None, weight_map(perturb(g)),
                         {e: rng.getrandbits(100) + 1 for e in g.coalesced()}):
-            net = flow.FlowNetwork.from_weights(
-                g.n, g.coalesced() if weights is None else weights)
+            net = flow.FlowNetwork.undirected(g) if weights is None \
+                else network(g.n, weights)
             for A, B in _bipartitions(rng, g, 3):
                 want = ref_min_cut_sides(g, A, B, weights)
                 limit = rng.choice([want[0], want[0] + 1,
@@ -265,7 +269,7 @@ def test_capped_and_finished_cuts_match_reference():
                     assert res.source_side is None and res.value >= limit
                     res = res.finish()
                     stopped += 1
-                assert (res.value, res.source_side, res.sink_side) == want
+                assert (res.value, res.source_side, sink_side(res)) == want
     assert stopped > 100, stopped
 
 
@@ -292,7 +296,7 @@ def _assert_h_flows_match(nets) -> None:
         res = flow.max_flow(net, [src], [sink])
         ref = ref_max_flow(RefNetwork(net.n, net.arcs, frozenset({src}),
                                       frozenset({sink})))
-        assert (res.value, res.flows, res.source_side) == ref
+        assert (res.value, arc_flows(res), res.source_side) == ref
 
 
 def test_h_network_flows_match_reference_on_corpus(monkeypatch):

@@ -7,7 +7,7 @@ from steineraug.graph import (EdgeAdditions, Graph, add_edges, cut_value,
                               least_steiner_cut, projection, star_graph,
                               steiner_connectivity)
 
-from conftest import g_cyc4, g_expo, g_path, random_connected
+from conftest import g_cyc4, g_expo, g_path, random_connected, sink_side
 
 
 def test_validation_rejects_bad_graphs():
@@ -108,8 +108,8 @@ def test_least_steiner_cut_is_the_least_terminal_flow():
         g = random_connected(idx)
         res = least_steiner_cut(g)
         assert res.value == steiner_connectivity(g), idx
-        assert min(g.terminals) in res.sink_side, idx
-        for side in (res.source_side, res.sink_side):
+        assert min(g.terminals) in sink_side(res), idx
+        for side in (res.source_side, sink_side(res)):
             assert cut_value(g, side) == res.value, idx
             assert is_steiner_cut(g, side), idx
     assert least_steiner_cut(Graph.build(2, [(0, 1, 1)], [1])) is None

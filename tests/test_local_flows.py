@@ -20,7 +20,7 @@ from steineraug import flow
 from steineraug.graph import Graph, least_steiner_cut, steiner_connectivity
 from steineraug.supreme import _flow_tree, perturb
 
-from conftest import random_connected, tree_plus_2n, weight_map
+from conftest import random_connected, sink_side, tree_plus_2n, weight_map
 
 
 # ---- references: the single-sink flows ---------------------------------------
@@ -188,4 +188,4 @@ def test_growing_sink_matches_the_least_terminal_flows(kind):
                 assert min(res.value, ref.value) >= tau, where
             else:
                 assert res.value == ref.value, where
-                assert res.sink_side == ref.source_side, where
+                assert sink_side(res) == ref.source_side, where

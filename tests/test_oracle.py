@@ -4,12 +4,14 @@ import random
 import pytest
 
 from steineraug import oracle
-from steineraug.graph import (EdgeAdditions, Graph, cut_value, is_steiner_cut,
+from steineraug.graph import (EdgeAdditions, Graph, add_edges, cut_value,
+                              is_steiner_cut, least_steiner_cut,
                               steiner_connectivity)
 
 from augmentation_oracle import (frank_greedy_external,
                                  optimal_augmentation_value)
-from conftest import g_cyc4, g_expo, g_path, random_connected
+from conftest import (g_cyc4, g_cycle, g_expo, g_path, random_connected,
+                      sink_side)
 
 
 def test_extreme_sets_path():
@@ -132,6 +134,35 @@ def test_verify_solution_witness_is_a_failing_cut():
         assert cut_value(g, witness) == conn, idx
         failed += 1
     assert failed == 40
+
+
+def test_verify_solution_witness_is_the_minimal_sink_side():
+    """On graphs whose min cuts tie (unit weights, cycles, CI's path
+    0-1-2-3-4 of weights 2, 1, 1, 2), the witness is the minimal sink
+    side of the first solve below tau, by a search of that solve's
+    residual graph, not its maximal sink side nor the source side."""
+    rng = random.Random(36)
+    graphs = [Graph.build(5, [(0, 1, 2), (1, 2, 1), (2, 3, 1), (3, 4, 2)],
+                          [0, 4])]
+    graphs += [g_cycle(n) for n in range(3, 9)]
+    graphs += [random_connected(idx, n_max=10, w_max=1) for idx in range(160)]
+    tied = 0
+    for g in graphs:
+        conn = steiner_connectivity(g)
+        F = EdgeAdditions(tuple((*rng.sample(range(g.n), 2), 1)
+                                for _ in range(rng.randint(0, 2))))
+        for tau in (conn + 1, conn + 2):
+            ok, witness = oracle.verify_solution(g, tau, F)
+            res = least_steiner_cut(add_edges(g, F), tau)
+            if res.value >= tau:
+                assert (ok, witness) == (True, None), g
+                continue
+            want = sink_side(res)
+            assert not ok and witness == want, g
+            tied += want != frozenset(range(g.n)) - res.source_side
+    assert oracle.verify_solution(graphs[0], 2, EdgeAdditions(())) == \
+        (False, frozenset({0, 1}))
+    assert tied > 40, tied
 
 
 def test_every_nonextreme_cut_has_extreme_violator():

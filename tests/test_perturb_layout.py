@@ -4,7 +4,8 @@
 the perturbed weights, and `supreme._contract` lays out a contracted
 node's in the pass that reads its parent's arcs.  The reference is the
 earlier code, kept in `perturb_reference`: each node's weight map,
-laid out by `flow.FlowNetwork.from_weights`.  Each network must have
+laid out by the arc-list constructor `FlowNetwork(n, arcs, False)` in
+the map's key order.  Each network must have
 the same adjacency lists, arc heads and capacities, arc for arc, so
 the pushes, flows and forests stay the same, and an `inf` above the
 sum of its capacities.  The root's is exactly that sum plus one.
@@ -24,7 +25,8 @@ from steineraug.flow import FlowNetwork
 from steineraug.graph import Graph, steiner_connectivity
 from steineraug.pipeline import augment_pipeline, splitoff_pipeline
 
-from conftest import label_sets, random_connected, tree_plus_2n, weight_map
+from conftest import (label_sets, network, random_connected, tree_plus_2n,
+                      weight_map)
 
 SPLITOFF_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "splitoff"
 
@@ -65,7 +67,7 @@ GRAPHS = {
 
 
 def _same_layout(net: FlowNetwork, weights: dict) -> None:
-    want = FlowNetwork.from_weights(net.n, weights)
+    want = network(net.n, weights)
     assert net.n == want.n
     assert net.head == want.head
     assert net.to == want.to

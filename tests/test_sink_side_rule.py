@@ -6,11 +6,10 @@ vertices whose component holds no terminal (the `supreme` module
 docstring says why that is exact), whether it made the solve or read it
 off its node's flow tree.  F is found once at the root and carried by
 `supreme._contract`.  Here every such read must equal
-`flow.FlowResult.sink_side`, the search of the residual graph that it
-replaced, on a fresh solve of the same bipartition, and every node's F
-must equal a search from its terminals: at each recursion node, and
-after each contraction, the split children and the class merge
-included.
+`conftest.sink_side`, a search of the residual graph, on a fresh solve
+of the same bipartition, and every node's F must equal a search from
+its terminals: at each recursion node, and after each contraction, the
+split children and the class merge included.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from steineraug.cli import parse_graph_text
 from steineraug.graph import Graph, steiner_connectivity
 from steineraug.pipeline import augment_pipeline, splitoff_pipeline
 
-from conftest import random_connected, terminal_free, tree_plus_2n
+from conftest import random_connected, sink_side, terminal_free, tree_plus_2n
 from test_perturb_layout import SPLITOFF_POOL, _augment_pool, _multigraph
 
 
@@ -38,16 +37,16 @@ def checked(monkeypatch):
     (`read`) and of sides of the base case's own flows (`made`)."""
     seen: Counter = Counter()
     frames: list[dict] = []     # per recursion frame
-    sink_side, recurse, contract = (supreme._sink_side, supreme._recurse,
+    read_side, recurse, contract = (supreme._sink_side, supreme._recurse,
                                     supreme._contract)
     flow_tree, balanced_split = supreme._flow_tree, supreme._balanced_split
 
     def checked_sink_side(net, X, free):
-        got = sink_side(net, X, free)
+        got = read_side(net, X, free)
         frame = frames[-1]
         T = frame["terminals"]
         res = flow.max_flow(net, sorted(X & T), sorted(T - X))
-        assert res.source_side == X and got == res.sink_side, (X, free)
+        assert res.source_side == X and got == sink_side(res), (X, free)
         where = "read" if X in frame.get("tree", ()) else "made"
         seen[where] += 1
         seen[where + "_free"] += bool(free)
@@ -120,10 +119,14 @@ def _pairs(half: int, rng: random.Random) -> Graph:
 
 
 def test_pool_sink_sides_match_the_residual_search(checked):
-    """Every sink side the pipelines read on the 18 pool entries."""
-    for g, tau in [*_augment_pool("augment-wide", 48, 16, (1, 3, 10)),
-                   *_augment_pool("augment-few-terminals", 400, 6, (3,))]:
+    """Every sink side the pipelines read on the 18 pool entries, and
+    those of the untruncated forests of the augment-few-terminals
+    graphs, whose nodes make more base-case flows."""
+    few = list(_augment_pool("augment-few-terminals", 400, 6, (3,)))
+    for g, tau in [*_augment_pool("augment-wide", 48, 16, (1, 3, 10)), *few]:
         augment_pipeline(g, tau, seed=0)
+    for g, _ in few:
+        supreme.supreme_forest(g)
     stars = sorted(SPLITOFF_POOL.glob("seed-*.txt"))
     assert len(stars) == 6
     for path in stars:

@@ -16,7 +16,7 @@ from steineraug.supreme import (_base_case, _balanced_split, _contract,
                                 find_supreme_candidates, perturb,
                                 postprocess, supreme_forest)
 
-from conftest import (g_cycle, g_cyc4, g_expo, g_path, label_sets,
+from conftest import (g_cycle, g_cyc4, g_expo, g_path, label_sets, network,
                       random_connected, tree_plus_2n, weight_map)
 
 
@@ -103,7 +103,7 @@ def _contract_map(parts, terminals, weights, n):
     read back as its weight map and its labels as each vertex's original
     set."""
     phi, terminals, net, labels, _ = _contract(
-        parts, terminals, flow.FlowNetwork.from_weights(n, weights), None,
+        parts, terminals, network(n, weights), None,
         frozenset())
     return dict(enumerate(phi)), terminals, weight_map(net), \
         label_sets(labels, net.n)
@@ -186,7 +186,7 @@ def _base_family(g, weights):
     fam = []
     for mask in range(1, (1 << len(ts)) - 1):
         T1 = frozenset(t for i, t in enumerate(ts) if (mask >> i) & 1)
-        X = flow.max_flow(flow.FlowNetwork.from_weights(g.n, weights), T1,
+        X = flow.max_flow(network(g.n, weights), T1,
                           frozenset(ts) - T1).source_side
         if X not in fam:
             fam.append(X)
@@ -220,7 +220,7 @@ def test_crossing_repair_single_pass_matches_restart_base_families():
         crossing += len(want) < len(fam)
         assert list(_crossing_repair({X: by_set(X) for X in fam},
                                      by_set)) == want
-        net = flow.FlowNetwork.from_weights(g.n, weights)
+        net = network(g.n, weights)
         # A connected graph: no vertex is terminal-free.
         fam, low = _base_case(net, [[t] for t in sorted(g.terminals)],
                               frozenset())
@@ -237,7 +237,7 @@ def test_base_case_one_flow_per_complementary_pair():
         g = random_connected(idx)
         k = len(g.terminals)
         before = flow.max_flow_call_count()
-        net = flow.FlowNetwork.from_weights(g.n, weight_map(perturb(g)))
+        net = network(g.n, weight_map(perturb(g)))
         _base_case(net, [[t] for t in sorted(g.terminals)], frozenset())
         assert flow.max_flow_call_count() - before == 2 ** (k - 1) - 1
 
@@ -351,7 +351,7 @@ def test_balanced_split_costs_one_tree_and_one_split():
     smaller least terminal, though the other forms first."""
     graphs = [tree_plus_2n(30, 500 + i, 12) for i in range(30)]
     for i, g in enumerate(graphs + [_two_clusters()]):
-        net = flow.FlowNetwork.from_weights(g.n, weight_map(perturb(g)))
+        net = network(g.n, weight_map(perturb(g)))
         ts = sorted(g.terminals)
         before = flow.max_flow_call_count()
         tree, _, _, _ = _flow_tree(net, ts)
@@ -511,7 +511,7 @@ def test_recursion_matches_full_enumeration():
         n, k = rng.randint(16, 40), rng.randint(6, 11)
         g = tree_plus_2n(n, 8000 + i, k)
         weights = weight_map(perturb(g))
-        fam, _ = _base_case(flow.FlowNetwork.from_weights(g.n, weights),
+        fam, _ = _base_case(network(g.n, weights),
                             [[t] for t in sorted(g.terminals)], frozenset())
         stats: dict = {}
         f = supreme_forest(g, stats=stats)
@@ -574,7 +574,7 @@ def test_perturbed_scale_decides_tau():
         g = random_connected(idx)
         weights = weight_map(perturb(g))
         exact = flow.FlowNetwork.undirected(g)
-        tilde = flow.FlowNetwork.from_weights(g.n, weights)
+        tilde = network(g.n, weights)
         s, *rest = sorted(g.terminals)
         for t in rest:
             lam = flow.max_flow(exact, (s,), (t,)).value

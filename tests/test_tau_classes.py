@@ -22,7 +22,7 @@ from steineraug.graph import Graph, star_graph, steiner_connectivity
 from steineraug.pipeline import augment_pipeline, splitoff_pipeline
 from steineraug.supreme import _base_case, _flow_tree, supreme_forest
 
-from conftest import (label_sets, random_connected, terminal_free,
+from conftest import (label_sets, network, random_connected, terminal_free,
                       tree_plus_2n, weight_map)
 from perturb_reference import _contract, _expand
 from test_local_flows import _components
@@ -38,8 +38,7 @@ def _merged_base_case(terminals, weights, labels, classes):
     _, merged, weights, labels = _contract(
         [K for K in classes.values() if len(K) > 1], terminals, weights,
         labels)
-    net = flow.FlowNetwork(len(labels), [(u, v, w) for (u, v), w
-                                         in weights.items()], False)
+    net = network(len(labels), weights)
     fam, low = _base_case(net, [[t] for t in sorted(merged)],
                           terminal_free(net, merged))
     return [(_expand(X, labels), d) for X, d in fam.items()], low
@@ -61,11 +60,8 @@ def test_class_base_case_matches_the_merged_node(monkeypatch):
         # The reference takes each vertex's original set.
         labels = label_sets(labels, net.n)
         ts = sorted(terminals)
-        classes = {t: [t] for t in ts}
-        if len(ts) > 3:
-            net = flow.FlowNetwork(len(labels), [(u, v, w) for (u, v), w
-                                                 in weights.items()], False)
-            _, classes, _, _ = _flow_tree(net, ts, limit)
+        _, classes, _, _ = _flow_tree(network(len(labels), weights), ts,
+                                      limit)
         if len(classes) <= 4:
             want = _merged_base_case(terminals, weights, labels, classes)
             assert (list(fam.items()), low) == want, (depth, classes)
@@ -123,8 +119,7 @@ def test_base_case_read_of_a_class_splitting_side_raises():
 def test_root_classes_are_recorded_and_reported():
     """`stats["classes"]` partitions the terminals into the root's
     tau-classes, two terminals sharing a class exactly when they are
-    tau-connected (singletons at a root of at most 3 terminals), and
-    the augment report gives their count."""
+    tau-connected, and the augment report gives their count."""
     for idx in range(60):
         g = random_connected(idx)
         lam = steiner_connectivity(g)
@@ -138,8 +133,7 @@ def test_root_classes_are_recorded_and_reported():
             for a, b in itertools.combinations(sorted(g.terminals), 2):
                 lam_ab = steiner_connectivity(
                     Graph(g.n, g.edges, frozenset({a, b})))
-                same = lam_ab >= tau and len(g.terminals) > 3
-                assert same == (cls[a] == cls[b]), (idx, a, b)
+                assert (lam_ab >= tau) == (cls[a] == cls[b]), (idx, a, b)
             _, report = augment_pipeline(g, tau, seed=idx)
             if "supreme" in report:
                 assert report["supreme"]["classes"] == len(classes), idx
