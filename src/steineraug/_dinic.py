@@ -48,7 +48,7 @@ the rest of the vertices less those of no terminal's component, which
 A solve given a `limit` stops at the first push that brings its flow to
 the limit.  Up to that push it is the uncapped solve step for step, so
 a solve whose max flow is below the limit is unchanged, and one that
-stops leaves a valid residual graph that a later call can go on from.
+stops tells only that its max flow is at least the limit.
 """
 
 from __future__ import annotations

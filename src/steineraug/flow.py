@@ -20,10 +20,11 @@ source side and its residual capacities, from which a caller reads a
 per-arc flow; the minimal sink side of an undirected network is the
 minimal source side of the solve from the sinks to the sources.  A
 caller that only compares the value with a bound passes it as `limit`:
-the solve stops once its flow reaches it, and `FlowResult.finish` can
-go on from there if the exact value is needed after all.  `least_cut`,
-the least of many solves, answers every Steiner-connectivity question,
-exactly below a `bound` known from elsewhere when one is given.
+the solve stops once its flow reaches it, and then tells only that the
+max flow is at least `limit`.  `least_cut`, the least of the solves of
+many (sources, sinks) pairs, answers every Steiner-connectivity
+question, exactly below a `bound` known from elsewhere when one is
+given.
 
 A per-thread invocation counter supports the call-count budget and the
 pipelines' reports.
@@ -152,36 +153,11 @@ class FlowResult:
     """A solve's value, minimal source side and residual capacities: arc
     pair i carries net.cap[2i] - residual[2i] from its tail to its head
     (< 0: the other way, undirected).  A solve stopped at its limit (or
-    not begun, at limit 0) has a value >= limit and no source side
+    not begun, at a limit <= 0) has a value >= limit and no source side
     (None), and its residual is not that of a max flow."""
     value: int
     source_side: Optional[frozenset[int]]  # minimal: residually reached
-    net: FlowNetwork = field(repr=False)
     residual: list[int] = field(repr=False)   # capacities after the solve
-    sources: tuple[int, ...] = field(repr=False)
-    sinks: tuple[int, ...] = field(repr=False)
-
-    def finish(self, limit: Optional[int] = None) -> "FlowResult":
-        """Go on with a solve stopped at its limit, from its residual
-        (taken over, not copied), up to the new `limit`: returns the
-        exact solve, or again a stopped one; itself if `limit` <= value."""
-        if limit is not None and limit <= self.value:
-            return self
-        return _solve(self.net, self.residual, self.sources, self.sinks,
-                      self.value, limit)
-
-
-def _solve(net: FlowNetwork, residual: list[int], sources: tuple[int, ...],
-           sinks: tuple[int, ...], value: int, limit: Optional[int]
-           ) -> FlowResult:
-    """The kernel from `residual`, which carries a flow of `value`, up to
-    `limit` (> value, or None)."""
-    more, side = _kernel_for(net.inf)(
-        net.head, net.to, residual, sources, sinks,
-        None if limit is None else limit - value)
-    if value + more >= net.inf:
-        raise NoFiniteCutError("no finite cut separates sources from sinks")
-    return FlowResult(value + more, side, net, residual, sources, sinks)
 
 
 class NoFiniteCutError(ValueError):
@@ -199,7 +175,8 @@ def max_flow(net: FlowNetwork, sources: Iterable[int],
     sides are the minimal source and sink sides over all min cuts.  With
     `limit`, a solve whose max flow is >= limit stops once its flow
     reaches it, with a value >= limit and no source side; any other solve
-    is the same as without it; at limit 0 the solve has not begun."""
+    is the same as without it.  At a limit <= 0 the solve does not begin:
+    its value is 0 and the kernel does not run."""
     _counts.n = max_flow_call_count() + 1
     sources = sorted(set(sources))
     sinks = sorted(set(sinks))
@@ -207,27 +184,34 @@ def max_flow(net: FlowNetwork, sources: Iterable[int],
         raise ValueError("sources and sinks must be nonempty and disjoint")
     if sources[0] < 0 or sinks[0] < 0 or max(sources[-1], sinks[-1]) >= net.n:
         raise ValueError("source or sink out of range")
-    sources, sinks = tuple(sources), tuple(sinks)
     if limit is not None and limit <= 0:
-        return FlowResult(0, None, net, net.cap[:], sources, sinks)
-    return _solve(net, net.cap[:], sources, sinks, 0, limit)
+        return FlowResult(0, None, net.cap[:])
+    residual = net.cap[:]
+    value, side = _kernel_for(net.inf)(net.head, net.to, residual, sources,
+                                       sinks, limit)
+    if value >= net.inf:
+        raise NoFiniteCutError("no finite cut separates sources from sinks")
+    return FlowResult(value, side, residual)
 
 
-def least_cut(solves: Iterable[FlowResult], limit: Optional[int] = None,
-              bound: Optional[int] = None) -> Optional[FlowResult]:
-    """The first least of `solves` (None if none), each finished up to
-    `limit`, or without one up to the least of `bound` and the values so
-    far (the first exactly if there is no `bound` either).  Stops,
-    reading no more solves, at the first value below `limit`, or at the
-    first 0 without one.  A value below `limit`, or any without one, is
-    exact, with its minimal source side.  So with `bound` the result is
-    the exact first least when it is below `bound`, and None when no
-    solve is: `limit` stops at the first value below it, `bound` only
-    caps the solves."""
+def least_cut(net: FlowNetwork,
+              pairs: Iterable[tuple[Iterable[int], Iterable[int]]],
+              limit: Optional[int] = None, bound: Optional[int] = None
+              ) -> Optional[FlowResult]:
+    """The first least of the solves of `net` from each pair's sources to
+    its sinks (None if none).  Each is capped at `limit`, or without one
+    at the least of `bound` and the values so far (the first uncapped if
+    there is no `bound` either), so a value below its cap is exact, with
+    its minimal source side.  Stops, solving no more pairs, at the first
+    value below `limit`, or at the first 0 without one.  So with `limit`
+    the result is exact when it is below `limit`; without one it is the
+    exact first least, or with `bound` None when no value is below
+    `bound`: `limit` stops at the first value below it, `bound` only caps
+    the solves."""
     stop = 1 if limit is None else limit
     best, cap = None, bound
-    for res in solves:
-        res = res.finish(cap if limit is None else limit)
+    for sources, sinks in pairs:
+        res = max_flow(net, sources, sinks, cap if limit is None else limit)
         if best is None or res.value < best.value:
             best = res
         if res.value < stop:

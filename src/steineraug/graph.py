@@ -181,7 +181,7 @@ def least_steiner_cut(g: Graph, limit: Optional[int] = None,
                       groups: Optional[Sequence[Iterable[int]]] = None,
                       bound: Optional[int] = None) -> Optional[FlowResult]:
     """`flow.least_cut` over the flows from each terminal group i to the
-    union of groups 0..i-1, made as they are read; the groups default to
+    union of groups 0..i-1, in that order; the groups default to
     the sorted terminals, one each.  The first terminal on the far side
     of a Steiner min cut from t_0 sees every earlier one across it, so
     the least is a Steiner min cut (the growing sink of Hao and Orlin,
@@ -202,9 +202,8 @@ def least_steiner_cut(g: Graph, limit: Optional[int] = None,
         groups = [(t,) for t in sorted(g.terminals)]
     if len(groups) < 2 or (bound is not None and bound <= 0):
         return None
-    net = flow.FlowNetwork.undirected(g)
-    return flow.least_cut((flow.max_flow(net, grp, [t for K in groups[:i]
-                                                    for t in K], 0)
+    return flow.least_cut(flow.FlowNetwork.undirected(g),
+                          ((grp, [t for K in groups[:i] for t in K])
                            for i, grp in enumerate(groups[1:], 1)),
                           limit, bound)
 

@@ -132,14 +132,20 @@ def verify_solution(g: Graph, tau: int, F: EdgeAdditions,
     budget violation, or else a violated cut holding the least terminal:
     the minimal sink side of the first solve below tau in
     `least_steiner_cut(g + F, tau)`, found as the minimal source side of
-    the solve from its sinks to its sources (one more flow).
+    the solve from its sinks to its sources (one more flow).  That solve
+    ran from the least terminal s of its minimal source side to every
+    terminal below s.
     """
     if beta is not None:
         deg = F.degrees()
         over = [u for u in range(g.n) if deg[u] > beta.get(u, 0)]
         if over:
             return False, over[0]
-    res = least_steiner_cut(add_edges(g, F), tau)
+    h = add_edges(g, F)
+    res = least_steiner_cut(h, tau)
     if res is None or res.value >= tau:
         return True, None
-    return False, flow.max_flow(res.net, res.sinks, res.sources).source_side
+    s = min(h.terminals & res.source_side)
+    return False, flow.max_flow(flow.FlowNetwork.undirected(h),
+                                [t for t in h.terminals if t < s],
+                                (s,)).source_side

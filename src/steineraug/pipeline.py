@@ -9,12 +9,16 @@ at U, the least terminal degree in G, its U-classes leave c - 1 flows
 to the sweep that gives tau, not |T| - 1 (`splitoff_pipeline`).  At
 tau = 1 both join the terminal components in a path; above it each
 builds the forest with tau (U, splitting off) first, and its root gives
-lambda(g), which augmentation reports as "initial_connectivity", after
-|T| - 1 flows when it is >= tau (the root's flow tree).  Below tau they
-differ only in the external phase that places the budget and its chain
-slots: augmentation makes the optimal external solution even,
-splitting-off places x's star with `deg_external`.  Both then split that budget off with one step,
-`deg_chains.split_off`: the chain phase and the +1 step.
+min(lambda(g), tau).  That is all splitting-off needs: it compares
+lambda(g) with tau = lambda(G) <= U.  Augmentation reports lambda(g) as
+"initial_connectivity": when it is >= tau, the root's flow tree (|T| - 1
+flows) shows one tau-class, and one growing-sink sweep on g's plain
+weights (`steiner_connectivity`, |T| - 1 more flows) makes it exact.
+Below tau they differ only in the external phase that places the budget
+and its chain slots: augmentation makes the optimal external solution
+even, splitting-off places x's star with `deg_external`.  Both then
+split that budget off with one step, `deg_chains.split_off`: the chain
+phase and the +1 step.
 """
 
 from __future__ import annotations
@@ -135,7 +139,8 @@ def augment_pipeline(g: Graph, tau: int, seed: int = 0
     stats: dict = {}
     forest = supreme_forest(g, stats=stats, tau=tau)
     conn = report["initial_connectivity"] = stats["connectivity"]
-    if conn >= tau:
+    if conn >= tau:  # conn = tau: the root is one tau-class
+        report["initial_connectivity"] = steiner_connectivity(g)
         report.update({"total_weight": 0, "k": 0, "optimum": 0,
                        "max_flow_calls":
                        flow.max_flow_call_count() - calls_before})

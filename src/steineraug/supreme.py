@@ -81,20 +81,22 @@ split, and the merge step holds unchanged.
 
 The root of phase 2 gives lambda(g) at no extra flow: lambda~ // 2^m,
 lambda~ its least flow-tree edge or its base case's least flow value
-(exact, as a cut crossing an edge has offset in [1, 2^m - 1]).
+(exact, as a cut crossing an edge has offset in [1, 2^m - 1]).  Given a
+target tau it gives min(lambda(g), tau) (below).
 
 Given a target tau, phase 2 compares cuts only with high = tau*2^m
 (d >= tau exactly when d~ > high), so each flow-tree flow stops at
 H = high + 1 and the tree gives min(lambda~, H) for every pair
 (`_flow_tree`).  Its H edges join the tau-classes, the terminals
 pairwise tau-connected.  A node of one class has no Steiner cut below
-tau and returns nothing (`pruned`); at the root the stopped flows are
-then finished from their residuals, each up to the least value so far,
-to give lambda(g) >= tau.  The merged node, each class merged into one
-vertex, has the node's cuts that keep every class whole.  It is built
-only to split: a node of 5 or more classes splits on the tree with its
-H edges contracted, an exact flow tree of the merged node.  A node of 2
-to 4 classes is a base case over its classes on its own network, each
+tau and returns nothing (`pruned`); at the root its least edge is then
+H, and H // 2^m = tau, so the root gives min(lambda(g), tau): a caller
+that needs lambda(g) >= tau exactly sweeps g's plain weights
+(`pipeline`).  The merged node, each class merged into one vertex, has
+the node's cuts that keep every class whole.  It is built only to
+split: a node of 5 or more classes splits on the tree with its H edges
+contracted, an exact flow tree of the merged node.  A node of 2 to 4
+classes is a base case over its classes on its own network, each
 class one source or sink set, so each solve has the merged node's min
 cuts, value and minimal sides, expanded; its tree's exact solves are
 such solves, read at no flow (above).  The root's classes also serve
@@ -333,9 +335,8 @@ def _expand(X: Iterable[int], labels: Labels) -> frozenset[int]:
 
 
 def _flow_tree(net: flow.FlowNetwork, ts: list[int],
-               limit: Optional[int] = None, keep: bool = False
+               limit: Optional[int] = None
                ) -> tuple[list[tuple[int, int, int]], dict[int, list[int]],
-                          list[flow.FlowResult],
                           list[tuple[frozenset[int], int]]]:
     """Gusfield's equivalent-flow tree over the sorted terminals `ts`, as
     one edge (lambda, u, parent) per later terminal u: lambda(s, v) is
@@ -352,22 +353,17 @@ def _flow_tree(net: flow.FlowNetwork, ts: list[int],
     min(lambda, limit) for every pair.  The `limit` edges join the
     tau-classes, returned as a map from each head (ts[0] or a terminal
     whose flow did not stop) to its members, the head and the leaves
-    stopped below it, in ts order.  With `keep`, the stopped solves are
-    returned while no edge is exact, else none.  The exact solves are
-    returned too, in ts order, as (minimal source side, value) pairs.
+    stopped below it, in ts order.  The exact solves are returned too,
+    in ts order, as (minimal source side, value) pairs.
 
     Each flow runs from u to p's known class: p and the leaves stopped
     below it so far, pairwise at least `limit` apart, so the BFS stops
     at the nearest of them.  A cut below `limit` separating u from p
     keeps the class on p's side, so the u-p and u-class solves have the
-    same min cuts, value and minimal sides, and stop together.
-    At a root of one class the stopped solves run from each terminal to
-    all earlier ones, and their least is lambda (Hao and Orlin,
-    J. Algorithms 1994)."""
+    same min cuts, value and minimal sides, and stop together."""
     parent = dict.fromkeys(ts[1:], ts[0])
     cls = {t: [t] for t in ts}
     edges: list[tuple[int, int, int]] = []
-    stopped: list[flow.FlowResult] = []
     solved: list[tuple[frozenset[int], int]] = []
     for i, u in enumerate(ts[1:], 1):
         p = parent[u]
@@ -375,17 +371,14 @@ def _flow_tree(net: flow.FlowNetwork, ts: list[int],
         if res.source_side is None:
             value = limit
             cls[p] += cls.pop(u)
-            if keep:
-                stopped.append(res)
         else:
-            value, keep = res.value, False
-            stopped.clear()
+            value = res.value
             solved.append((res.source_side, value))
             for v in ts[i + 1:]:
                 if parent[v] == p and v in res.source_side:
                     parent[v] = u
         edges.append((value, u, p))
-    return edges, cls, stopped, solved
+    return edges, cls, solved
 
 
 def _balanced_split(net: flow.FlowNetwork, ts: list[int],
@@ -441,16 +434,13 @@ def _recurse(terminals: frozenset[int], net: flow.FlowNetwork,
     layers[depth] = layers.get(depth, 0) + net.n
 
     ts = sorted(terminals)
-    tree, classes, stopped, solved = _flow_tree(net, ts, limit,
-                                                keep=depth == 0)
+    tree, classes, solved = _flow_tree(net, ts, limit)
     low = min(tree)[0]
     stats["capped"] += len(ts) - len(classes)
     if depth == 0:
         stats["classes"] = list(classes.values())
     if len(classes) == 1:
         stats["pruned"] += 1
-        if stopped:  # the root: lambda(g) >= tau, made exact
-            low = flow.least_cut(stopped).value
         return {}, low
     stats["merged"] += len(ts) - len(classes)
     # The merged node's terminal order: the singleton classes, then the
@@ -506,10 +496,10 @@ def find_supreme_candidates(g: Graph, net: flow.FlowNetwork,
     depth (`layer_vertices`), the base cases per terminal count
     (`base_cases`, keyed by class count), the nodes of one tau-class
     (`pruned`), the terminals merged away into tau-classes (`merged`),
-    the flows stopped at their limit (`capped`), lambda(g)
-    (`connectivity`) and the root's tau-classes (`classes`).  Every node
-    of 5 or more classes splits, terminals in several components
-    included (module docstring)."""
+    the flows stopped at their limit (`capped`), lambda(g), or with `tau`
+    min(lambda(g), tau) (`connectivity`), and the root's tau-classes
+    (`classes`).  Every node of 5 or more classes splits, terminals in
+    several components included (module docstring)."""
     stats = {} if stats is None else stats
     stats.update({"max_depth": 0, "layer_vertices": {}, "base_cases": {},
                   "pruned": 0, "merged": 0, "capped": 0})

@@ -77,13 +77,14 @@ def network(n: int, weights) -> FlowNetwork:
                        False)
 
 
-def sink_side(res) -> frozenset[int]:
-    """Reference for a solve's minimal sink side, which the package reads
-    with no search of this solve's residual graph: the vertices that
-    reach a sink over arcs of residual capacity."""
-    head, to, residual = res.net.head, res.net.to, res.residual
-    seen = set(res.sinks)
-    queue = list(res.sinks)
+def sink_side(net, sinks, res) -> frozenset[int]:
+    """Reference for the minimal sink side of `res`, a solve of `net`
+    into `sinks`, which the package reads with no search of its residual
+    graph: the vertices that reach a sink over arcs of residual
+    capacity."""
+    head, to, residual = net.head, net.to, res.residual
+    seen = set(sinks)
+    queue = list(seen)
     for v in queue:
         for a in head[v]:
             u = to[a]
@@ -93,10 +94,10 @@ def sink_side(res) -> frozenset[int]:
     return frozenset(queue)
 
 
-def arc_flows(res) -> tuple[int, ...]:
-    """A solve's flow on each arc pair i, u -> v (< 0: v -> u on an
-    undirected network): net.cap[2i] - residual[2i]."""
-    return tuple(c - r for c, r in zip(res.net.cap[::2], res.residual[::2]))
+def arc_flows(net, res) -> tuple[int, ...]:
+    """The flow of `res`, a solve of `net`, on each arc pair i, u -> v
+    (< 0: v -> u on an undirected network): net.cap[2i] - residual[2i]."""
+    return tuple(c - r for c, r in zip(net.cap[::2], res.residual[::2]))
 
 
 def weight_map(net) -> dict[tuple[int, int], int]:

@@ -48,16 +48,13 @@ def _recurse_before(terminals, net, labels, free, stats, depth, limit):
     ts = sorted(terminals)
     groups, solved = [[t] for t in ts], []
     if len(ts) > 3:
-        tree, classes, stopped, solved = _flow_tree(net, ts, limit,
-                                                    keep=depth == 0)
+        tree, classes, solved = _flow_tree(net, ts, limit)
         low = min(tree)[0]
         stats["capped"] += len(ts) - len(classes)
         if depth == 0:
             stats["classes"] = list(classes.values())
         if len(classes) == 1:
             stats["pruned"] += 1
-            if stopped:
-                low = flow.least_cut(stopped).value
             return {}, low
         stats["merged"] += len(ts) - len(classes)
         groups = sorted(classes.values(), key=lambda K: len(K) > 1)
@@ -106,7 +103,8 @@ def reads(monkeypatch):
         before = flow.max_flow_call_count()
         for X, d in solved:
             res = flow.max_flow(net, sorted(X & T), sorted(T - X))
-            assert (res.source_side, sink_side(res), res.value) == \
+            assert (res.source_side, sink_side(net, T - X, res),
+                    res.value) == \
                 (X, supreme._sink_side(net, X, free), d), sorted(X)
         want, want_low = _base_case(net, groups, free)
         assert list(fam.items()) == list(want.items()) and low == want_low

@@ -111,6 +111,34 @@ def test_verify_command(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_limit_at_most_zero_runs_no_kernel(tmp_path, capsys, monkeypatch):
+    """A limit <= 0 is answered with no kernel run: steiner_connectivity
+    gives 0, each of its solves counted but none begun, and `verify
+    --tau 0` passes with no edges added, also terminals in two
+    components."""
+    from steineraug import flow
+    from steineraug.graph import steiner_connectivity
+
+    runs = []
+    kernel_for = flow._kernel_for
+    monkeypatch.setattr(flow, "_kernel_for",
+                        lambda total_cap: runs.append(total_cap)
+                        or kernel_for(total_cap))
+    apart = "4 2 2\n0 1 3\n2 3 3\n0 3\n"
+    none = write(tmp_path, "none.json", "[]")
+    for text in (CYC4, SPLIT, apart):
+        g, _ = cli.parse_graph_text(text)
+        for limit in (0, -1):
+            before = flow.max_flow_call_count()
+            assert steiner_connectivity(g, limit=limit) == 0
+            assert flow.max_flow_call_count() - before == \
+                len(g.terminals) - 1
+        assert cli.main(["verify", "--tau", "0",
+                         write(tmp_path, "g.txt", text), none]) == 0
+        assert capsys.readouterr().out == "PASS\n"
+    assert runs == []
+
+
 def test_supreme_command(tmp_path, capsys):
     path = write(tmp_path, "g.txt", CYC4)
     assert cli.main(["supreme", path, "--format", "dot"]) == 0

@@ -19,8 +19,9 @@ from conftest import (arc_flows, g_cyc4, g_cycle, g_expo, g_path, g_split,
 
 def min_cut_sides(g, A, B):
     """Minimal A side and minimal B side of the A-B min cuts."""
-    res = max_flow(FlowNetwork.undirected(g), A, B)
-    return res.source_side, sink_side(res)
+    net = FlowNetwork.undirected(g)
+    res = max_flow(net, A, B)
+    return res.source_side, sink_side(net, B, res)
 
 
 def latest_min_cut(g, A, B):
@@ -50,7 +51,7 @@ def test_max_flow_flows_respect_capacities():
                           (1, 2, 1)))
     res = max_flow(net, {0}, {3})
     assert res.value == 3
-    for f, (u, v, c) in zip(arc_flows(res), net.arcs):
+    for f, (u, v, c) in zip(arc_flows(net, res), net.arcs):
         assert 0 <= f <= c
 
 
@@ -61,12 +62,10 @@ def test_infinite_capacity_and_no_finite_cut():
     with pytest.raises(NoFiniteCutError):
         max_flow(bad, {0}, {1})
     # The direct arc is one phase ahead of the infinite path, so a solve
-    # capped at 3 stops first; finishing it finds the infinite path.
+    # capped at 3 stops before it finds the infinite path.
     both = FlowNetwork(3, ((0, 1, 5), (0, 2, None), (2, 1, None)))
     stopped = max_flow(both, {0}, {1}, 3)
     assert stopped.value == 5 and stopped.source_side is None
-    with pytest.raises(NoFiniteCutError):
-        stopped.finish()
 
 
 def test_network_validation():
@@ -261,49 +260,20 @@ def test_capped_solve_stops_exactly_when_the_value_reaches_the_limit():
                     assert res.value >= limit, (idx, limit)
                     stopped += 1
                 else:
-                    assert (res.value, res.source_side, sink_side(res),
-                            res.residual, arc_flows(res)) == \
-                        (exact.value, exact.source_side, sink_side(exact),
-                         exact.residual, arc_flows(exact)), (idx, limit)
+                    assert (res.value, res.source_side,
+                            sink_side(net, B, res), res.residual,
+                            arc_flows(net, res)) == \
+                        (exact.value, exact.source_side,
+                         sink_side(net, B, exact), exact.residual,
+                         arc_flows(net, exact)), (idx, limit)
                     same += 1
     assert stopped > 100 and same > 100, (stopped, same)
 
 
-def test_finished_solve_equals_the_exact_one():
-    """A stopped solve finished from its residual has the exact value and
-    both minimal sides; finished up to a new limit it stops again exactly
-    when the exact value reaches that limit; finishing a solve that did
-    not stop changes nothing."""
-    for idx in range(40):
-        g = random_connected(idx, n_max=10)
-        net = FlowNetwork.undirected(g)
-        ts = sorted(g.terminals)
-        for exact, limit, res in _capped_solves(net, ts[:1], ts[-1:]):
-            if res.source_side is not None:
-                done = res.finish()
-                assert (done.value, done.source_side) == \
-                    (res.value, res.source_side), (idx, limit)
-                continue
-            again = max_flow(net, ts[:1], ts[-1:], limit).finish(
-                exact.value + 1)
-            assert (again.value, again.source_side) == \
-                (exact.value, exact.source_side), (idx, limit)
-            stop = max_flow(net, ts[:1], ts[-1:], limit).finish(exact.value)
-            assert stop.source_side is None and stop.value >= exact.value
-            done = res.finish()
-            assert (done.value, done.source_side, sink_side(done)) == \
-                (exact.value, exact.source_side, sink_side(exact)), idx
-    before = flow.max_flow_call_count()
-    res = max_flow(FlowNetwork.undirected(g_cyc4()), {0}, {2}, 1)
-    assert res.finish().value == 2
-    assert flow.max_flow_call_count() == before + 1
-
-
 def test_least_cut_returns_the_first_least_solve(monkeypatch):
     """Without a limit, the first solve of least exact value with its
-    source side; with one, the first solve below it, and no solve read
-    past it; a solve already at its cap is finished as itself, with no
-    kernel call."""
+    source side; with one, the first solve below it, and no pair solved
+    past it; a solve at limit 0 is not begun, with no kernel call."""
     kernel_calls = []
     kernel_for = flow._kernel_for
 
@@ -320,16 +290,14 @@ def test_least_cut_returns_the_first_least_solve(monkeypatch):
         exact = [max_flow(net, ts[:1], (t,)) for t in ts[1:]]
         values = [res.value for res in exact]
         first = values.index(min(values))
-        best = flow.least_cut(max_flow(net, ts[:1], (t,), 0)
-                              for t in ts[1:])
+        best = flow.least_cut(net, ((ts[:1], (t,)) for t in ts[1:]))
         assert (best.value, best.source_side) == \
             (exact[first].value, exact[first].source_side), idx
         for limit in range(min(values), min(values) + 3):
             below = [i for i, v in enumerate(values) if v < limit]
             read = []
-            res = flow.least_cut((read.append(t) or
-                                  max_flow(net, ts[:1], (t,), 0)
-                                  for t in ts[1:]), limit)
+            res = flow.least_cut(net, ((read.append(t) or ts[:1], (t,))
+                                       for t in ts[1:]), limit)
             if below:
                 i = below[0]
                 assert (res.value, res.source_side) == \
@@ -339,36 +307,34 @@ def test_least_cut_returns_the_first_least_solve(monkeypatch):
                 assert res.value >= limit and read == ts[1:], (idx, limit)
         kernel_calls.clear()
         cap = max_flow(net, ts[:1], ts[-1:], 0)
-        assert cap.finish(0) is cap and cap.source_side is None
-        done = exact[-1]
-        assert done.finish(done.value) is done
+        assert (cap.value, cap.source_side) == (0, None)
         capped = max_flow(net, ts[:1], ts[-1:], 1)
         if capped.source_side is None:
             stopped += 1
-            assert capped.finish(capped.value) is capped
         assert len(kernel_calls) == 1, idx  # the capped solve's only
     assert stopped > 0
 
 
-def _star_solves(weights):
-    """Unbegun solves from each leaf i of a star to its centre 0, leaf i
-    joined by weights[i - 1]: their values are `weights`, in order."""
+def _star(weights):
+    """A star whose leaf i is joined to its centre 0 by weights[i - 1],
+    and the pairs from each leaf to the centre: their values are
+    `weights`, in order."""
     net = network(len(weights) + 1,
                   {(0, i): w for i, w in enumerate(weights, 1)})
-    return [max_flow(net, (i,), (0,), 0) for i in range(1, len(weights) + 1)]
+    return net, [((i,), (0,)) for i in range(1, len(weights) + 1)]
 
 
 def test_least_cut_bound_gives_the_exact_least_below_it():
     """With `bound`, the first least value below it, exact with its
     source side, not the first value below it, which is what `limit`
     stops at; None when no value is below it."""
-    res = flow.least_cut(_star_solves([5, 3, 1, 2]), bound=4)
+    res = flow.least_cut(*_star([5, 3, 1, 2]), bound=4)
     assert (res.value, res.source_side) == (1, frozenset({3}))
-    assert flow.least_cut(_star_solves([5, 3, 1, 2]), 4).value == 3
-    assert flow.least_cut(_star_solves([5, 6, 4]), bound=4) is None
-    assert flow.least_cut(_star_solves([5, 1, 1]), bound=4).source_side \
+    assert flow.least_cut(*_star([5, 3, 1, 2]), 4).value == 3
+    assert flow.least_cut(*_star([5, 6, 4]), bound=4) is None
+    assert flow.least_cut(*_star([5, 1, 1]), bound=4).source_side \
         == frozenset({2})
-    assert flow.least_cut([], bound=4) is None
+    assert flow.least_cut(_star([5])[0], [], bound=4) is None
     for idx in range(40):
         g = random_connected(idx, n_max=10)
         net = FlowNetwork.undirected(g)
@@ -377,8 +343,8 @@ def test_least_cut_bound_gives_the_exact_least_below_it():
         values = [res.value for res in exact]
         first = exact[values.index(min(values))]
         for bound in range(min(values) - 1, min(values) + 3):
-            res = flow.least_cut((max_flow(net, ts[:1], (t,), 0)
-                                  for t in ts[1:]), bound=bound)
+            res = flow.least_cut(net, ((ts[:1], (t,)) for t in ts[1:]),
+                                 bound=bound)
             if min(values) < bound:
                 assert (res.value, res.source_side) == \
                     (first.value, first.source_side), (idx, bound)
@@ -402,6 +368,5 @@ def test_least_cut_bound_caps_the_first_solve(monkeypatch):
         return run
 
     monkeypatch.setattr(flow, "_kernel_for", recording)
-    solves = _star_solves([100, 3, 1])
-    assert flow.least_cut(solves, bound=4).value == 1
+    assert flow.least_cut(*_star([100, 3, 1]), bound=4).value == 1
     assert limits == [4, 4, 3]

@@ -108,8 +108,15 @@ def test_least_steiner_cut_is_the_least_terminal_flow():
         g = random_connected(idx)
         res = least_steiner_cut(g)
         assert res.value == steiner_connectivity(g), idx
-        assert min(g.terminals) in sink_side(res), idx
-        for side in (res.source_side, sink_side(res)):
+        net, ts = FlowNetwork.undirected(g), sorted(g.terminals)
+        values = [max_flow(net, (t,), ts[:i]).value
+                  for i, t in enumerate(ts[1:], 1)]
+        i = values.index(min(values)) + 1
+        assert res.source_side == max_flow(net, ts[i:i + 1],
+                                           ts[:i]).source_side, idx
+        sink = sink_side(net, ts[:i], res)
+        assert min(g.terminals) in sink, idx
+        for side in (res.source_side, sink):
             assert cut_value(g, side) == res.value, idx
             assert is_steiner_cut(g, side), idx
     assert least_steiner_cut(Graph.build(2, [(0, 1, 1)], [1])) is None

@@ -26,35 +26,30 @@ from conftest import random_connected, sink_side, tree_plus_2n, weight_map
 # ---- references: the single-sink flows ---------------------------------------
 
 def _flow_tree_to_parent(net: flow.FlowNetwork, ts: list[int],
-                         limit: Optional[int] = None, keep: bool = False):
+                         limit: Optional[int] = None):
     """`supreme._flow_tree` with each flow from u to its tree parent only."""
     parent = dict.fromkeys(ts[1:], ts[0])
     adj: dict[int, list[tuple[int, int]]] = {t: [] for t in ts}
-    stopped: list[flow.FlowResult] = []
     for i, u in enumerate(ts[1:], 1):
         p = parent[u]
         res = flow.max_flow(net, (u,), (p,), limit)
         if res.source_side is None:
             value = limit
-            if keep:
-                stopped.append(res)
         else:
-            value, keep = res.value, False
-            stopped.clear()
+            value = res.value
             for v in ts[i + 1:]:
                 if parent[v] == p and v in res.source_side:
                     parent[v] = u
         adj[u].append((p, value))
         adj[p].append((u, value))
-    return adj, stopped
+    return adj
 
 
 def _least_terminal_cut(g: Graph, limit: Optional[int] = None):
     """`graph.least_steiner_cut` over the flows from t_0 to each t_i."""
     ts = sorted(g.terminals)
-    net = flow.FlowNetwork.undirected(g)
-    return flow.least_cut((flow.max_flow(net, ts[:1], (t,), 0)
-                           for t in ts[1:]), limit)
+    return flow.least_cut(flow.FlowNetwork.undirected(g),
+                          ((ts[:1], (t,)) for t in ts[1:]), limit)
 
 
 # ---- inputs ------------------------------------------------------------------
@@ -84,21 +79,24 @@ def _taus(g: Graph) -> list[Optional[int]]:
     return [None, 2, 3, lam, lam + 1]
 
 
-def _logged(monkeypatch) -> dict:
-    """Record each `max_flow` call's value and minimal source side by its
-    single source, as `_flow_tree` makes one flow per source terminal; a
-    stopped solve's value is only known to be at least its limit."""
+def _logged(monkeypatch) -> tuple[dict, dict]:
+    """Record each `max_flow` call's value and minimal source side, and
+    its sinks, by its single source, as `_flow_tree` makes one flow per
+    source terminal; a stopped solve's value is only known to be at least
+    its limit."""
     log: dict = {}
+    sinks_of: dict = {}
     real = flow.max_flow
 
     def logged(net, sources, sinks, limit=None):
         res = real(net, sources, sinks, limit)
         (u,) = sources
         log[u] = (res.source_side is None or res.value, res.source_side)
+        sinks_of[u] = tuple(sinks)
         return res
 
     monkeypatch.setattr(flow, "max_flow", logged)
-    return log
+    return log, sinks_of
 
 
 def _adjacency(edges, ts):
@@ -127,10 +125,10 @@ def _classes(tree, ts, limit):
 def test_flow_tree_to_the_class_matches_the_parent_flows(kind, monkeypatch):
     """On the perturbed network, at limit H = tau * 2^m + 1 as in the
     recursion: the same tree, classes, value and minimal source side of
-    every flow, kept solves and, where kept, least value.  The exact
-    solves handed on are the flows that did not stop, in order."""
-    log = _logged(monkeypatch)
-    kept = 0
+    every flow.  The exact solves handed on are the flows that did not
+    stop, in order."""
+    log, sinks_of = _logged(monkeypatch)
+    one_class = 0
     for idx, g in enumerate(GRAPHS[kind]):
         weights = weight_map(perturb(g))
         net = flow.FlowNetwork(g.n, [(u, v, w) for (u, v), w
@@ -139,12 +137,10 @@ def test_flow_tree_to_the_class_matches_the_parent_flows(kind, monkeypatch):
         for tau in _taus(g):
             limit = None if tau is None else tau * (1 << len(weights)) + 1
             log.clear()
-            tree, classes, stopped, solved = _flow_tree(net, ts, limit,
-                                                        keep=True)
-            solves = dict(log)
+            tree, classes, solved = _flow_tree(net, ts, limit)
+            solves, sinks = dict(log), dict(sinks_of)
             log.clear()
-            ref_tree, ref_stopped = _flow_tree_to_parent(net, ts, limit,
-                                                         keep=True)
+            ref_tree = _flow_tree_to_parent(net, ts, limit)
             where = (kind, idx, tau)
             assert _adjacency(tree, ts) == ref_tree, where
             assert sorted(classes.values()) == \
@@ -154,17 +150,14 @@ def test_flow_tree_to_the_class_matches_the_parent_flows(kind, monkeypatch):
             exact = [u for c, u, _ in tree if c != limit]
             assert [(d, X) for X, d in solved] == \
                 [log[u] for u in exact], where
-            assert len(stopped) == len(ref_stopped), where
-            if stopped:
+            if len(classes) == 1:
                 # A root of one class: each terminal's flow ran to all
                 # earlier ones (the growing sink).
-                assert [r.sinks for r in stopped] == \
+                assert [sinks[t] for t in ts[1:]] == \
                     [tuple(ts[:i]) for i in range(1, len(ts))], where
-                kept += 1
-                assert flow.least_cut(stopped).value == \
-                    flow.least_cut(ref_stopped).value, where
+                one_class += 1
     # Terminals in several components are never one class.
-    assert (kept > 0) == (kind != "components"), kept
+    assert (one_class > 0) == (kind != "components"), one_class
 
 
 @pytest.mark.parametrize("kind", sorted(GRAPHS))
@@ -188,4 +181,12 @@ def test_growing_sink_matches_the_least_terminal_flows(kind):
                 assert min(res.value, ref.value) >= tau, where
             else:
                 assert res.value == ref.value, where
-                assert sink_side(res) == ref.source_side, where
+                # The solve ran from the least terminal s of its source
+                # side to every terminal below s.
+                net, ts = flow.FlowNetwork.undirected(g), sorted(g.terminals)
+                s = min(res.source_side & g.terminals)
+                below = ts[:ts.index(s)]
+                again = flow.max_flow(net, (s,), below)
+                assert (again.value, again.source_side) == \
+                    (res.value, res.source_side), where
+                assert sink_side(net, below, res) == ref.source_side, where

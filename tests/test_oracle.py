@@ -4,6 +4,7 @@ import random
 import pytest
 
 from steineraug import oracle
+from steineraug.flow import FlowNetwork, max_flow
 from steineraug.graph import (EdgeAdditions, Graph, add_edges, cut_value,
                               is_steiner_cut, least_steiner_cut,
                               steiner_connectivity)
@@ -153,11 +154,18 @@ def test_verify_solution_witness_is_the_minimal_sink_side():
                                 for _ in range(rng.randint(0, 2))))
         for tau in (conn + 1, conn + 2):
             ok, witness = oracle.verify_solution(g, tau, F)
-            res = least_steiner_cut(add_edges(g, F), tau)
+            h = add_edges(g, F)
+            res = least_steiner_cut(h, tau)
             if res.value >= tau:
                 assert (ok, witness) == (True, None), g
                 continue
-            want = sink_side(res)
+            # The first solve below tau of the growing-sink sweep.
+            net, ts = FlowNetwork.undirected(h), sorted(h.terminals)
+            i = next(i for i in range(1, len(ts))
+                     if max_flow(net, ts[i:i + 1], ts[:i]).value < tau)
+            assert res.source_side == max_flow(net, ts[i:i + 1],
+                                               ts[:i]).source_side, g
+            want = sink_side(net, ts[:i], res)
             assert not ok and witness == want, g
             tied += want != frozenset(range(g.n)) - res.source_side
     assert oracle.verify_solution(graphs[0], 2, EdgeAdditions(())) == \
@@ -191,7 +199,6 @@ def test_crossing_extreme_union_is_extreme():
 
 
 def test_supreme_laminar_and_mincut():
-    from steineraug.flow import FlowNetwork, max_flow
     for idx in range(15):
         g = random_connected(idx, n_max=7)
         f = oracle.supreme_sets_bruteforce(g)

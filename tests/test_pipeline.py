@@ -106,10 +106,11 @@ def test_initial_connectivity_is_read_off_the_recursion_root(w_max):
     assert roots[True] >= 10 and roots[False] >= 10, roots
 
 
-def test_connected_enough_costs_one_flow_tree_at_a_split_root():
+def test_connected_enough_costs_a_flow_tree_and_a_sweep_at_a_split_root():
     """lambda(g) >= tau at a root of 4 or more terminals, which splits:
-    the root's flow tree, |T| - 1 flows, decides it, and no edge is
-    added.  Roots of 4 and 5 terminals are among them."""
+    the root's flow tree, |T| - 1 flows, decides it, one growing-sink
+    sweep, |T| - 1 more, makes lambda(g) exact, and no edge is added.
+    Roots of 4 and 5 terminals are among them."""
     graphs = [g_cycle(8)] + [g for g in map(random_connected, range(200))
                              if len(g.terminals) >= 4]
     assert sum(len(g.terminals) in (4, 5) for g in graphs) >= 10
@@ -120,14 +121,17 @@ def test_connected_enough_costs_one_flow_tree_at_a_split_root():
             adds, report = augment_pipeline(g, tau)
             assert adds.entries == () and report["total_weight"] == 0, idx
             assert report["initial_connectivity"] == conn, idx
-            assert report["max_flow_calls"] == len(g.terminals) - 1, idx
+            assert report["max_flow_calls"] == \
+                2 * (len(g.terminals) - 1), idx
             assert flow.max_flow_call_count() - before == \
-                len(g.terminals) - 1, idx
+                2 * (len(g.terminals) - 1), idx
 
 
 def test_augment_asks_no_connectivity_before_the_matching(monkeypatch):
-    """The supreme recursion answers lambda(g): no `steiner_connectivity`
-    call is made before the +1 matching, which checks its own steps."""
+    """The supreme recursion answers lambda(g) below tau: no
+    `steiner_connectivity` call is made before the +1 matching, which
+    checks its own steps.  At lambda(g) >= tau exactly one call, the
+    growing-sink sweep that makes lambda(g) exact, is made."""
     from steineraug import deg_chains, graph, pipeline
     log: list[str] = []
 
@@ -147,14 +151,19 @@ def test_augment_asks_no_connectivity_before_the_matching(monkeypatch):
     for idx in range(40):
         g = random_connected(idx)
         conn = steiner_connectivity(g)
-        cases += [(g, tau) for tau in (conn + 1, conn + 3) if tau >= 2]
+        cases += [(g, tau) for tau in (conn, conn + 1, conn + 3) if tau >= 2]
+    enough = 0
     for g, tau in cases:
         log.clear()
         augment_pipeline(g, tau)
+        if steiner_connectivity(g) >= tau:
+            assert log == ["connectivity"], (g, tau, log)
+            enough += 1
+            continue
         before = log[:log.index("matching")] if "matching" in log else log
         assert "connectivity" not in before, (g, tau, log)
         matched += "matching" in log
-    assert matched >= 20, matched
+    assert matched >= 20 and enough >= 20, (matched, enough)
 
 
 def _augment_corpus():

@@ -46,7 +46,8 @@ def checked(monkeypatch):
         frame = frames[-1]
         T = frame["terminals"]
         res = flow.max_flow(net, sorted(X & T), sorted(T - X))
-        assert res.source_side == X and got == sink_side(res), (X, free)
+        assert res.source_side == X and got == sink_side(net, T - X, res), \
+            (X, free)
         where = "read" if X in frame.get("tree", ()) else "made"
         seen[where] += 1
         seen[where + "_free"] += bool(free)
@@ -54,7 +55,7 @@ def checked(monkeypatch):
 
     def checked_tree(*args, **kwargs):
         out = flow_tree(*args, **kwargs)
-        frames[-1]["tree"] = {X for X, _ in out[3]}
+        frames[-1]["tree"] = {X for X, _ in out[2]}
         return out
 
     def checked_recurse(terminals, net, labels, free, stats, depth, limit):

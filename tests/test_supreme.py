@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -277,9 +278,8 @@ def test_flow_tree_rows_match_naive_rows():
     direct flow, with tied (equal) weights, terminals split over two
     components (lambda = 0) and perturbed weights.  A tree whose flows
     stop at a limit H gives min(lambda, H), its stopped edges have the
-    value H, and with `keep` it returns the stopped solves only while no
-    edge is exact.  The exact solves are returned in order, each as its
-    minimal source side and value."""
+    value H.  The exact solves are returned in order, each as its minimal
+    source side and value."""
     rng = random.Random(10)
     zeros = stopped = 0
     for i in range(90):
@@ -297,25 +297,22 @@ def test_flow_tree_rows_match_naive_rows():
                             in weight_map(perturb(g)).items()]
         net = flow.FlowNetwork(n, arcs, False)
         ts = sorted(rng.sample(range(n), rng.randint(2, n)))
-        tree, _, _, _ = _flow_tree(net, ts)
+        tree, _, _ = _flow_tree(net, ts)
         rows = {s: _naive_row(net, ts, s) for s in ts}
         for s in ts:
             assert _lambda_row(tree, s) == rows[s], (i, s)
             zeros += 0 in rows[s].values()
         values = sorted({c for row in rows.values() for c in row.values()})
         for H in {values[0] + 1, values[len(values) // 2], values[-1]}:
-            capped, _, kept, solved = _flow_tree(net, ts, H, keep=True)
+            capped, _, solved = _flow_tree(net, ts, H)
             for s in ts:
                 assert _lambda_row(capped, s) == \
                     {u: min(c, H) for u, c in rows[s].items()}, (i, s, H)
             edges = [c for c, _, _ in capped]
             assert max(edges) <= H
-            exact = any(c < H for c in edges)
-            assert len(kept) == (0 if exact else len(ts) - 1), (i, H)
             assert [d for _, d in solved] == [c for c in edges if c < H]
             assert all(sum(w for u, v, w in arcs if (u in X) != (v in X))
                        == d for X, d in solved), (i, H)
-            assert all(r.source_side is None for r in kept)
             stopped += edges.count(H)
     assert zeros > 0 and stopped > 0
 
@@ -354,7 +351,7 @@ def test_balanced_split_costs_one_tree_and_one_split():
         net = network(g.n, weight_map(perturb(g)))
         ts = sorted(g.terminals)
         before = flow.max_flow_call_count()
-        tree, _, _, _ = _flow_tree(net, ts)
+        tree, _, _ = _flow_tree(net, ts)
         side = _balanced_split(net, ts, tree)
         calls = flow.max_flow_call_count() - before
         assert calls == len(ts), (i, calls)
@@ -399,9 +396,9 @@ def test_split_tree_is_an_exact_flow_tree_after_a_merge(monkeypatch):
     merged_at_tree = []
     splits = after_merge = 0
 
-    def recorded_tree(net, ts, limit=None, keep=False):
+    def recorded_tree(net, ts, limit=None):
         merged_at_tree.append(stats["merged"])
-        return _flow_tree(net, ts, limit, keep)
+        return _flow_tree(net, ts, limit)
 
     def checked_split(net, ts, tree):
         nonlocal splits, after_merge
@@ -610,6 +607,43 @@ def test_truncated_forest_equals_full_after_rdem(w_max):
                 _rdem_signature(copy.deepcopy(full), tau), (idx, tau)
             acted += stats["pruned"] + stats["merged"] > 0
     assert acted >= 300, acted
+
+
+def _chorded_cycle(n: int) -> Graph:
+    """A unit cycle of n vertices plus 2n unit chords, and n // 3
+    terminals drawn after the chords: lambda = 2."""
+    rng = random.Random(7 + n)
+    edges = [(v, (v + 1) % n, 1) for v in range(n)]
+    edges += [(*rng.sample(range(n), 2), 1) for _ in range(2 * n)]
+    return Graph.build(n, edges, rng.sample(range(n), n // 3))
+
+
+def test_one_class_root_keeps_no_stopped_solve():
+    """At tau = lambda the root's flow tree shows one tau-class, and the
+    forest holds on to none of its |T| - 1 stopped solves, each with its
+    own residual: its peak memory is at most 1.5 times the peak at tau =
+    lambda + 1, whose root splits.  The root gives min(lambda, tau)."""
+    g = _chorded_cycle(400)
+    lam = steiner_connectivity(g)
+    assert lam == 2
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    peaks = []
+    try:
+        for tau in (lam, lam + 1):
+            stats: dict = {}
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            supreme_forest(g, stats=stats, tau=tau)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            assert stats["connectivity"] == lam, tau
+            assert (stats["pruned"], len(stats["classes"]) == 1) == \
+                ((1, True) if tau == lam else (0, False)), tau
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.5 * peaks[1], peaks
 
 
 def test_splitoff_star7_prunes_a_child():

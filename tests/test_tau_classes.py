@@ -60,8 +60,8 @@ def test_class_base_case_matches_the_merged_node(monkeypatch):
         # The reference takes each vertex's original set.
         labels = label_sets(labels, net.n)
         ts = sorted(terminals)
-        _, classes, _, _ = _flow_tree(network(len(labels), weights), ts,
-                                      limit)
+        _, classes, _ = _flow_tree(network(len(labels), weights), ts,
+                                   limit)
         if len(classes) <= 4:
             want = _merged_base_case(terminals, weights, labels, classes)
             assert (list(fam.items()), low) == want, (depth, classes)
@@ -106,7 +106,7 @@ def test_base_case_read_of_a_class_splitting_side_raises():
     net = supreme.perturb(g)
     groups = [list(range(4)), list(range(4, 8))]
     limit = 3 * (1 << (len(net.to) // 2)) + 1
-    _, classes, _, solved = _flow_tree(net, list(range(8)), limit)
+    _, classes, solved = _flow_tree(net, list(range(8)), limit)
     assert sorted(classes.values()) == groups and len(solved) == 1
     want = _base_case(net, groups, frozenset())
     assert _base_case(net, groups, frozenset(), solved) == want
