@@ -47,10 +47,37 @@ class DegExternalState:
 
 def check_feasibility(g: Graph, tau: int, beta: dict[int, int]) -> bool:
     """Literal check: g plus a star of capacity beta(u) per vertex must
-    reach connectivity tau."""
+    reach connectivity tau, by a sweep on that graph's network.  When
+    every positive budget lies on a terminal, `star_target` reads the
+    same answer off g's forest at no flow."""
     if any(w < 0 for w in beta.values()):
         return False
     return steiner_connectivity(star_graph(g, beta)[0], tau) >= tau
+
+
+def star_target(g: Graph, forest: LaminarForest, beta: dict[int, int],
+                bound: int) -> Optional[int]:
+    """min(bound, lambda(G)), G = g plus x joined to each u by beta(u),
+    read off g's forest at no flow: the least c(R) + beta(R) over its
+    live nodes R, and `bound`.  The forest must hold every supreme set
+    of g with d < bound: truncated at `bound` or above, and rdem
+    computed for `bound` or not at all.  None, to ask for a flow, unless
+    every budget is >= 0 and every positive one lies on a terminal.
+
+    lambda(G) is the least d_g(Y) + beta(Y) over the Steiner sets Y of
+    g.  An inclusion-minimal minimizer Y is extreme in g: a Steiner
+    subset has a larger sum and no larger beta, so a larger d_g.  The
+    supreme set S of Y's projection has d_g(S) <= d_g(Y), and beta(S) =
+    beta(Y) when beta lies on terminals, so S minimizes too, and it is
+    a node of the forest when lambda(G) < bound (Frank, SIAM J. Discrete
+    Math. 5, 1992).  Every node is a Steiner set of g, so no node reads
+    below lambda(G).  Off the terminals beta(S) may differ from
+    beta(Y), and the read can miss lambda(G)."""
+    if any(w < 0 or (w and u not in g.terminals) for u, w in beta.items()):
+        return None
+    live = [forest.nodes[i] for i in forest.live()]
+    return min([bound] + [nd.c + sum(w for u, w in beta.items()
+                                     if u in nd.terminals) for nd in live])
 
 
 def build_H(state: DegExternalState, path: HeavyPath
@@ -159,9 +186,14 @@ def deg_external_augment(g: Graph, tau: int, beta: dict[int, int],
     those of the two-level decomposition (upper paths ending at the
     highest critical nodes), so the slots it emits feed the chain
     phase, and afterwards the forest is L_high, on which that phase
-    runs.  Raises InfeasibleBudgetError if beta cannot reach tau.
+    runs.  Raises InfeasibleBudgetError if beta cannot reach tau: read
+    off the forest at no flow when every positive budget lies on a
+    terminal (`star_target`: beta reaches tau iff every node has c(R) +
+    beta(R) >= tau), else by `check_feasibility`'s literal sweep.
     """
-    if not check_feasibility(g, tau, beta):
+    read = star_target(g, forest, beta, tau)
+    if not (check_feasibility(g, tau, beta) if read is None
+            else read >= tau):
         raise InfeasibleBudgetError("budget cannot reach the target")
     return _augment_feasible(g, tau, beta, forest)
 

@@ -4,11 +4,12 @@ complete splitting-off of an external vertex.
 Both return the added edges plus a JSON-friendly report (phase totals,
 optimum value, max-flow invocation count and, when the supreme forest
 was built, what its recursion did under "supreme").  Splitting-off's
-tau = lambda(G) is found from the forest of g = G - x: built truncated
-at U, the least terminal degree in G, its U-classes leave c - 1 flows
-to the sweep that gives tau, not |T| - 1 (`splitoff_pipeline`).  At
-tau = 1 both join the terminal components in a path; above it each
-builds the forest with tau (U, splitting off) first, and its root gives
+tau = lambda(G) is found from the forest of g = G - x, built truncated
+at U, the least terminal degree in G: read off its nodes at no flow
+when x's star lies on terminals, else by a sweep of c - 1 flows over
+its c U-classes, not |T| - 1 (`splitoff_pipeline`).  At tau = 1 both
+join the terminal components in a path; above it each builds the
+forest with tau (U, splitting off) first, and its root gives
 min(lambda(g), tau).  That is all splitting-off needs: it compares
 lambda(g) with tau = lambda(G) <= U.  Augmentation reports lambda(g) as
 "initial_connectivity": when it is >= tau, the root's flow tree (|T| - 1
@@ -30,7 +31,7 @@ from typing import Callable
 from . import flow
 from .chains import budget_slots
 from .deg_chains import split_off
-from .deg_external import _augment_feasible
+from .deg_external import _augment_feasible, star_target
 from .external import augmentation_lower_bound, external_augment, make_even
 from .graph import EdgeAdditions, Graph, steiner_connectivity
 from .supreme import recursion_report, supreme_forest
@@ -187,14 +188,18 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0
     """Complete splitting-off at x: replace its star by d(x)/2 edges
     preserving the Steiner connectivity tau = lambda(G), G = g_with_x.
 
-    tau is read off the forest of g = G - x that the split needs anyway,
+    tau comes from the forest of g = G - x that the split needs anyway,
     built truncated at U, the least terminal degree in G (an upper bound
-    on tau): g is a subgraph of G, so no Steiner cut of G below U
+    on tau).  When every neighbour of x is a terminal, tau = min(U,
+    lambda(G)) is the least c(R) + beta(R) over its nodes, and U, with no
+    flow and no network for G (`deg_external.star_target`).  Otherwise
+    it is swept: g is a subgraph of G, so no Steiner cut of G below U
     separates one of g's U-classes, and the growing-sink sweep over them
     (`steiner_connectivity` with `groups`, each flow capped at the least
-    value so far, the first at U) gives tau = min(U, lambda(G)) in c - 1
-    flows for c classes.  The U-forest serves every tau <= U (`supreme`
-    module docstring); at U <= 1 none is built."""
+    value so far, the first at U) gives tau in c - 1 flows for c
+    classes.  The U-forest serves every tau <= U (`supreme` module
+    docstring); at U <= 1 none is built, and the sweep runs over the
+    terminals."""
     if x != g_with_x.n - 1:
         raise RejectedInstanceError("external vertex must be the last id")
     if x in g_with_x.terminals:
@@ -212,11 +217,14 @@ def splitoff_pipeline(g_with_x: Graph, x: int, seed: int = 0
 
     calls_before = flow.max_flow_call_count()
     stats: dict = {}
+    tau = None
     # Below 2 terminals steiner_connectivity raises, before any forest.
     if least > 1 and len(g.terminals) > 1:
         forest = supreme_forest(g, stats=stats, tau=least)
-    tau = steiner_connectivity(g_with_x, groups=stats.get("classes"),
-                               bound=least)
+        tau = star_target(g, forest, beta, least)
+    if tau is None:
+        tau = steiner_connectivity(g_with_x, groups=stats.get("classes"),
+                                   bound=least)
     report: dict = {"tau": tau, "seed": seed, "dx": dx,
                     "target_weight": dx // 2, "phases": {}}
 

@@ -305,16 +305,20 @@ def _star7() -> Graph:
 
 def test_splitoff_skips_the_feasibility_check_of_x_star(monkeypatch):
     """x's own star reaches tau = lambda(g + x), so the pipeline skips
-    deg_external_augment's check: |T| - 1 flows fewer than with it."""
+    deg_external_augment's check.  With vertex 0 a nonterminal that check
+    is the literal sweep, |T| - 1 flows fewer than with it; on `_star7`,
+    whose star lies on terminals, it is read off the forest at no flow."""
     from steineraug import deg_external, pipeline
-    gx = _star7()
-    adds, report = splitoff_pipeline(gx, 6)
+    off = Graph.build(7, _star7().edges, range(1, 6))
+    plain = [splitoff_pipeline(gx, 6) for gx in (off, _star7())]
     monkeypatch.setattr(pipeline, "_augment_feasible",
                         deg_external.deg_external_augment)
-    adds_checked, report_checked = splitoff_pipeline(gx, 6)
-    assert adds == adds_checked and report["phases"]["matching"] >= 1
-    assert report_checked["max_flow_calls"] - report["max_flow_calls"] == \
-        len(gx.terminals) - 1
+    for gx, extra, (adds, report) in zip((off, _star7()),
+                                         (len(off.terminals) - 1, 0), plain):
+        adds_checked, report_checked = splitoff_pipeline(gx, 6)
+        assert adds == adds_checked and report["phases"]["matching"] >= 1
+        assert report_checked["max_flow_calls"] - \
+            report["max_flow_calls"] == extra, gx.terminals
 
 
 def test_matching_over_budget_raises(monkeypatch):

@@ -648,19 +648,19 @@ def test_one_class_root_keeps_no_stopped_solve():
 
 def test_splitoff_star7_prunes_a_child():
     """The 7-vertex star of CI: splitting off vertex 6 merges a tau-class
-    at tau = 5, in 11 flows (its budget lies on terminals, so the
-    surrogates take no isolating cut, and tau = U = 5 is swept over g's
-    5-classes; the root of 3 classes reads 2 of its 3 bipartitions off
-    its flow tree); the forest built without tau merges, prunes and caps
-    nothing, in 20 flows: 6 for the root's tree and split, and 7 in each
-    child of 4 terminals, its tree and the 4 bipartitions that the tree
-    does not answer."""
+    at tau = 5, in 9 flows (its budget lies on terminals, so the
+    surrogates take no isolating cut, and tau = U = 5 is read off g's
+    forest at no flow; the root of 3 classes reads 2 of its 3
+    bipartitions off its flow tree); the forest built without tau
+    merges, prunes and caps nothing, in 20 flows: 6 for the root's tree
+    and split, and 7 in each child of 4 terminals, its tree and the 4
+    bipartitions that the tree does not answer."""
     edges = [(0, 1, 2), (0, 2, 1), (0, 3, 3), (2, 4, 2), (1, 5, 4),
              (0, 4, 3), (3, 5, 5)]
     g = Graph.build(7, edges + [(0, 6, 2), (2, 6, 2)], range(6))
     _, report = splitoff_pipeline(g, 6)
     assert report["tau"] == 5 and report["supreme"]["merged"] >= 1, report
-    assert report["max_flow_calls"] == 11, report
+    assert report["max_flow_calls"] == 9, report
     stats: dict = {}
     before = flow.max_flow_call_count()
     supreme_forest(Graph.build(6, edges, range(6)), stats=stats)
